@@ -18,15 +18,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import characters, verify
-from .asymptotics import (
-    b_leading_term,
-    completed_leading_term,
-    gw_leading_term,
-    monotone_leading_term,
-)
+from .asymptotics import ratio_report
 from .core import (
     GSpec,
     HurwitzResult,
+    _resolve_degree,
     classical_hurwitz,
     completed_hurwitz,
     gw_correlator,
@@ -96,6 +92,27 @@ def _parse_degrees(text: str | None) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _caps(args, gspec: GSpec) -> tuple[int, ...] | None:
+    """The --u-deg/--v-deg monomial as one cap per u and v block, or None."""
+    a_vec = _parse_degrees(args.u_deg)
+    b_vec = _parse_degrees(args.v_deg)
+    if not (a_vec or b_vec):
+        return None
+    if len(a_vec) != gspec.L or len(b_vec) != gspec.M:
+        raise DomainError("--u-deg/--v-deg must list one degree per block")
+    return a_vec + b_vec
+
+
+def _ratio_options(args) -> dict:
+    """The family options of ``verify ratio`` and ``table --what ratio``."""
+    return {
+        "d": args.d, "s": args.s, "profiles": _parse_profiles(args.profiles),
+        "k": args.K, "a_vec": _parse_degrees(args.u_deg),
+        "b_vec": _parse_degrees(args.v_deg), "b": _parse_fraction(args.b),
+        "gw_s": args.gw_s,
+    }
+
+
 def _r_values(args) -> list[int]:
     if args.r is not None:
         return [args.r]
@@ -114,6 +131,11 @@ def _dhr_factor(d: int, profiles) -> Fraction:
         for part in mu:
             factor *= part
     return factor
+
+
+def _config(args) -> dict:
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "output") and v is not None}
 
 
 def _emit(args, payload: dict, csv_rows: list[list[str]] | None = None):
@@ -141,14 +163,14 @@ def _emit(args, payload: dict, csv_rows: list[list[str]] | None = None):
 def _compute_one(args, r: int) -> HurwitzResult | dict:
     profiles = _parse_profiles(args.profiles)
     kind = args.kind
-    threads = args.threads
     if kind == "classical":
         if args.d is None:
             raise DomainError("--kind classical needs --d")
-        return classical_hurwitz(r, args.d, connected=args.connected, threads=threads)
+        if profiles:
+            raise DomainError("--kind classical takes no profiles (use --kind completed)")
+        return classical_hurwitz(r, args.d, connected=args.connected)
     if kind == "completed":
-        return completed_hurwitz(r, args.s, profiles, d=args.d,
-                                 connected=args.connected, threads=threads)
+        return completed_hurwitz(r, args.s, profiles, d=args.d, connected=args.connected)
     if kind in ("hypergeometric", "hciz"):
         if kind == "hciz":
             if len(profiles) != 2:
@@ -156,20 +178,12 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
             gspec = GSpec(K=1, L=0, M=0)
         else:
             gspec = GSpec(K=args.K, L=args.L, M=args.M)
-        a_vec = _parse_degrees(args.u_deg)
-        b_vec = _parse_degrees(args.v_deg)
-        caps = None
-        if a_vec or b_vec:
-            if len(a_vec) != gspec.L or len(b_vec) != gspec.M:
-                raise DomainError("--u-deg/--v-deg must list one degree per block")
-            caps = a_vec + b_vec
+        caps = _caps(args, gspec)
         result = hypergeometric_hurwitz(r, gspec, profiles, d=args.d,
-                                        connected=args.connected, caps=caps,
-                                        threads=threads)
+                                        connected=args.connected, caps=caps)
         if caps is not None:
-            scalar = result.value.coefficient(caps)
-            result.extra["monomial"] = {"u": list(a_vec), "v": list(b_vec)}
-            result.value = scalar
+            result.extra["monomial"] = {"u": list(caps[:gspec.L]), "v": list(caps[gspec.L:])}
+            result.value = result.value.coefficient(caps)
         if kind == "hciz":
             result.kind = "hciz"
         return result
@@ -178,26 +192,20 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
             profiles = ((1,) * args.d,)  # unramified over the distinguished point
         if len(profiles) != 1:
             raise DomainError("--kind orbifold needs one profile (or --d)")
-        return orbifold_hurwitz(r, args.t, profiles[0], connected=args.connected,
-                                threads=threads)
+        return orbifold_hurwitz(r, args.t, profiles[0], connected=args.connected)
     if kind == "b-content":
+        if args.connected:
+            raise DomainError("--kind b-content has no connected version")
         gspec = GSpec(K=args.K, L=args.L, M=args.M)
-        a_vec = _parse_degrees(args.u_deg)
-        b_vec = _parse_degrees(args.v_deg)
-        caps = None
-        if a_vec or b_vec:
-            if len(a_vec) != gspec.L or len(b_vec) != gspec.M:
-                raise DomainError("--u-deg/--v-deg must list one degree per block")
-            caps = a_vec + b_vec
+        caps = _caps(args, gspec)
         b = _parse_fraction(args.b)
-        poly = b_hurwitz_coefficient(r, gspec, profiles, b, d=args.d, caps=caps)
-        value = poly.coefficient(caps) if caps is not None else poly
-        result = HurwitzResult(
-            kind="b_content", d=args.d or sum(profiles[0]), r=r, profiles=profiles,
-            connected=False, value=value, gspec=gspec,
+        d, profiles = _resolve_degree(profiles, args.d)
+        poly = b_hurwitz_coefficient(r, gspec, profiles, b, d=d, caps=caps)
+        return HurwitzResult(
+            kind="b_content", d=d, r=r, profiles=profiles, connected=False,
+            value=poly.coefficient(caps) if caps is not None else poly, gspec=gspec,
             extra={"b": format_rational(b)},
         )
-        return result
     if kind == "gw":
         if len(profiles) != 2:
             raise DomainError("--kind gw needs exactly two profiles (mu;nu)")
@@ -218,18 +226,11 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
     raise DomainError(f"unknown kind {args.kind!r}")
 
 
-def _maybe_prebuild_table(args):
-    """Honor --max-d as a character-table ceiling override."""
-    if not getattr(args, "max_d", None):
-        return
-    profiles = _parse_profiles(getattr(args, "profiles", None))
-    d = args.d or (sum(profiles[0]) if profiles else None)
-    if d:
-        characters.char_table(d, ceiling=args.max_d)
-
-
 def _cmd_compute(args) -> int:
-    _maybe_prebuild_table(args)
+    """``compute``, and ``table --what hurwitz``: one result per requested r."""
+    if args.max_d:  # a character-table ceiling override
+        d, _ = _resolve_degree(_parse_profiles(args.profiles), args.d)
+        characters.char_table(d, ceiling=args.max_d)
     results = []
     for r in _r_values(args):
         out = _compute_one(args, r)
@@ -245,9 +246,7 @@ def _cmd_compute(args) -> int:
             blob["value_paper"] = blob["value"]
             blob["value"] = format_rational(paper * factor)
         results.append(blob)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("func", "output") and v is not None}
-    payload = {"config": config, "results": results}
+    payload = {"config": _config(args), "results": results}
     rows = [["r", "value"]]
     for blob in results:
         value = blob["value"]
@@ -282,13 +281,9 @@ def _cmd_verify(args) -> int:
     elif suite == "eigenvalue-order":
         report = verify.verify_eigenvalue_order(max_d=args.max_d or 10)
     elif suite == "ratio":
-        report = verify.verify_ratio(
-            args.kind, d=args.d, r_max=args.r_max or 40, s=args.s,
-            profiles=profiles, k=args.K,
-            a_vec=_parse_degrees(args.u_deg), b_vec=_parse_degrees(args.v_deg),
-            b=_parse_fraction(args.b), gw_s=args.gw_s,
-            tolerance=_parse_fraction(args.tolerance),
-        )
+        report = verify.verify_ratio(args.kind, r_max=args.r_max or 40,
+                                     tolerance=_parse_fraction(args.tolerance),
+                                     **_ratio_options(args))
     else:
         raise DomainError(f"unknown suite {suite!r}")
     rows = [["check", "pass", "detail"]]
@@ -303,20 +298,15 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
-    profiles = _parse_profiles(args.profiles)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("func", "output") and v is not None}
     if args.what == "structure":
-        if args.d is None and not profiles:
-            raise DomainError("table structure needs --d or --profiles")
-        coeffs = structure_coefficients(args.s, profiles, d=args.d)
+        d, profiles = _resolve_degree(_parse_profiles(args.profiles), args.d)
+        coeffs = structure_coefficients(args.s, profiles, d=d)
         items = sorted(coeffs.items(), key=lambda kv: kv[0], reverse=True)
         payload = {
-            "config": config,
+            "config": _config(args),
             "rows": [{"m": format_rational(m), "C": format_rational(c)}
                      for m, c in items],
         }
-        d = args.d or sum(profiles[0])
         payload["leading_m"] = format_rational(m_ds(d, args.s))
         if args.s == 1 and len(profiles) == 1:
             mu = profiles[0]
@@ -332,77 +322,14 @@ def _cmd_table(args) -> int:
         _emit(args, payload, rows)
         return EXIT_OK
     if args.what == "ratio":
-        report = _ratio_table(args, profiles)
-        payload = {"config": config, **report.to_json()}
+        _, exact, leading = verify.ratio_family(args.kind, **_ratio_options(args))
+        report = ratio_report(exact, leading, _r_values(args))
+        payload = {"config": _config(args), **report.to_json()}
         _emit(args, payload, report.csv_rows())
         return EXIT_OK
     if args.what == "hurwitz":
-        results = []
-        for r in _r_values(args):
-            out = _compute_one(args, r)
-            results.append(out.to_json_dict() if isinstance(out, HurwitzResult) else out)
-        payload = {"config": config, "results": results}
-        rows = [["r", "value"]]
-        for blob in results:
-            value = blob["value"]
-            rows.append([str(blob.get("r", "")),
-                         value if isinstance(value, str) else json.dumps(value)])
-        _emit(args, payload, rows)
-        return EXIT_OK
+        return _cmd_compute(args)
     raise DomainError(f"unknown table {args.what!r}")
-
-
-def _ratio_table(args, profiles):
-    from .asymptotics import ratio_report
-
-    n = len(profiles)
-    ell = sum(len(mu) for mu in profiles)
-    rs = _r_values(args)
-    kind = args.kind
-    if kind in ("classical", "completed"):
-        d = args.d or (sum(profiles[0]) if profiles else None)
-        if d is None:
-            raise DomainError("ratio table needs --d or profiles")
-        return ratio_report(
-            lambda r: completed_hurwitz(r, args.s, profiles, d=d).value,
-            lambda r: completed_leading_term(r, d, args.s, n, ell),
-            rs,
-        )
-    if kind == "monotone":
-        d = args.d or (sum(profiles[0]) if profiles else None)
-        a_vec = _parse_degrees(args.u_deg)
-        b_vec = _parse_degrees(args.v_deg)
-        gspec = GSpec(K=args.K, L=len(a_vec), M=len(b_vec))
-        caps = a_vec + b_vec
-
-        def exact(r):
-            return hypergeometric_hurwitz(r, gspec, profiles, d=d,
-                                          caps=caps).value.coefficient(caps)
-
-        return ratio_report(
-            exact,
-            lambda r: monotone_leading_term(r, d, n, ell, args.K, a_vec, b_vec),
-            rs,
-        )
-    if kind == "b":
-        d = args.d or (sum(profiles[0]) if profiles else None)
-        b = _parse_fraction(args.b)
-        gspec = GSpec(K=args.K)
-        return ratio_report(
-            lambda r: b_hurwitz_coefficient(r, gspec, profiles, b, d=d).constant_value(),
-            lambda r: b_leading_term(r, d, n, ell, args.K, (), (), b),
-            rs,
-        )
-    if kind == "gw":
-        if len(profiles) != 2:
-            raise DomainError("gw ratio needs two profiles")
-        mu, nu = profiles
-        return ratio_report(
-            lambda m: gw_correlator(mu, nu, {args.gw_s: m}),
-            lambda m: gw_leading_term(mu, nu, {args.gw_s: m}),
-            rs,
-        )
-    raise DomainError(f"unknown ratio kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +355,6 @@ def _cmd_chartable(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size (values never depend on it)")
     p.add_argument("--max-d", type=int, help="resource ceiling override")
 
 

@@ -8,16 +8,17 @@ The two evaluation routes are:
   coefficient of the product of ``G`` evaluated at ``z`` times each box
   content, kept as an exact polynomial in the formal u/v variables.
 
-Both share ``character_sum``, which runs the partition loop in
-canonical order (optionally chunked over a thread pool, with a
-deterministic left-to-right reduction so values are bit-identical for
-any thread count).
+Both share ``character_sum``, which runs the partition loop and its
+left-to-right reduction in canonical order.  The hypergeometric factor
+is ``content_product`` over the box contents; the b-deformed engine in
+``hurwitz.jack`` runs the same product over deformed contents.
+``_resolve_degree`` is the one place that turns (profiles, d) into a
+checked degree.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -128,7 +129,7 @@ def admissible_parity(r: int, s: int, d: int, profiles) -> bool:
     return rh_genus(r, s, d, profiles).denominator == 1
 
 
-def character_sum(d: int, profiles, factor, *, threads: int = 1):
+def character_sum(d: int, profiles, factor):
     """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam).
 
     ``factor`` may return a Fraction or a MultiPoly; the reduction runs
@@ -136,33 +137,24 @@ def character_sum(d: int, profiles, factor, *, threads: int = 1):
     """
     table = characters.char_table(d)
     fact2 = Fraction(1, math.factorial(d)) ** 2
-
-    def term(lam):
+    total = None
+    for lam in table.partitions:
         dim = table.value(lam, (1,) * d)
         weight = fact2 * dim ** (2 - len(profiles))
         for mu in profiles:
             chi = table.value(lam, mu)
             if chi == 0:
-                return None
+                weight = 0
+                break
             weight *= chi
         if weight == 0:
-            return None
+            continue
         value = factor(lam)
         if isinstance(value, MultiPoly):
-            return value.scale(weight)
-        return weight * Fraction(value)
-
-    items = table.partitions
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(term, items))
-    else:
-        terms = [term(lam) for lam in items]
-    total = None
-    for t in terms:
-        if t is None:
-            continue
-        total = t if total is None else total + t
+            term = value.scale(weight)
+        else:
+            term = weight * Fraction(value)
+        total = term if total is None else total + term
     if total is None:
         return Fraction(0)
     return total
@@ -229,7 +221,7 @@ class HurwitzResult:
 # ---------------------------------------------------------------------------
 
 def completed_hurwitz(r: int, s: int, profiles=(), *, d: int | None = None,
-                      connected: bool = False, threads: int = 1) -> HurwitzResult:
+                      connected: bool = False) -> HurwitzResult:
     """Hurwitz numbers with r completed (s+1)-cycles and fixed profiles."""
     if r < 0:
         raise DomainError(f"r must be nonnegative: {r}")
@@ -238,8 +230,7 @@ def completed_hurwitz(r: int, s: int, profiles=(), *, d: int | None = None,
     d, profiles = _resolve_degree(profiles, d)
 
     def disconnected(rr, profs, dd):
-        return character_sum(dd, profs, lambda lam: f_bar(lam, s + 1) ** rr,
-                             threads=threads)
+        return character_sum(dd, profs, lambda lam: f_bar(lam, s + 1) ** rr)
 
     if connected:
         value = connected_transform(disconnected, r, profiles, d=d)
@@ -251,10 +242,9 @@ def completed_hurwitz(r: int, s: int, profiles=(), *, d: int | None = None,
     )
 
 
-def classical_hurwitz(r: int, d: int, *, connected: bool = False,
-                      threads: int = 1) -> HurwitzResult:
+def classical_hurwitz(r: int, d: int, *, connected: bool = False) -> HurwitzResult:
     """Simple-branch-points-only count: completed cycles with s = 1, N = 0."""
-    out = completed_hurwitz(r, 1, (), d=d, connected=connected, threads=threads)
+    out = completed_hurwitz(r, 1, (), d=d, connected=connected)
     out.kind = "classical"
     return out
 
@@ -263,15 +253,18 @@ def classical_hurwitz(r: int, d: int, *, connected: bool = False,
 # Hypergeometric Hurwitz numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _content_coefficient(d: int, lam: Partition, gspec: GSpec, r: int,
-                         caps: tuple[int, ...] | None) -> MultiPoly:
-    """[z^r] of prod over boxes of G(z * content), exact in u's and v's."""
+def content_product(weights, gspec: GSpec, r: int,
+                    caps: tuple[int, ...] | None = None) -> MultiPoly:
+    """[z^r] of the product over box weights c of G(z * c), exact in u's and v's.
+
+    The weights are the box contents, or the deformed contents of the
+    b-deformed engine; zero weights contribute the factor 1.
+    """
     nvars = gspec.nvars
     series = TruncSeries.one(nvars, r)
     u_vars = [MultiPoly.variable(nvars, i) for i in range(gspec.L)]
     v_vars = [MultiPoly.variable(nvars, gspec.L + j) for j in range(gspec.M)]
-    for c in contents(lam):
+    for c in weights:
         if c == 0:
             continue
         if gspec.K:
@@ -283,10 +276,16 @@ def _content_coefficient(d: int, lam: Partition, gspec: GSpec, r: int,
     return coeff_z(series, r)
 
 
+@lru_cache(maxsize=None)
+def _content_coefficient(d: int, lam: Partition, gspec: GSpec, r: int,
+                         caps: tuple[int, ...] | None) -> MultiPoly:
+    """[z^r] of prod over boxes of G(z * content), exact in u's and v's."""
+    return content_product(contents(lam), gspec, r, caps)
+
+
 def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                            d: int | None = None, connected: bool = False,
-                           caps: tuple[int, ...] | None = None,
-                           threads: int = 1) -> HurwitzResult:
+                           caps: tuple[int, ...] | None = None) -> HurwitzResult:
     """[z^r] of the content-product character sum for a rational weight.
 
     The value is a MultiPoly whose coefficient of
@@ -305,8 +304,7 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
 
     def disconnected(rr, profs, dd):
         return character_sum(
-            dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps),
-            threads=threads,
+            dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps)
         )
 
     if connected:
@@ -596,8 +594,7 @@ def gap_interval(d: int, s: int) -> tuple[Fraction, Fraction]:
 # Orbifold specialization
 # ---------------------------------------------------------------------------
 
-def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False,
-                     threads: int = 1) -> HurwitzResult:
+def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False) -> HurwitzResult:
     """Double Hurwitz numbers against the uniform profile (t, t, ..., t).
 
     Exactly zero whenever t does not divide d.
@@ -612,7 +609,7 @@ def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False,
             value=Fraction(0), genus=None,
         )
     nu = (t,) * (d // t)
-    base = completed_hurwitz(r, 1, (mu, nu), connected=connected, threads=threads)
+    base = completed_hurwitz(r, 1, (mu, nu), connected=connected)
     return HurwitzResult(
         kind="orbifold", d=d, r=r, s=1, t=t, profiles=(mu, nu),
         connected=connected, value=base.value, genus=base.genus,

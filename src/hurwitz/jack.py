@@ -21,16 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import GSpec
+from .core import GSpec, _resolve_degree, content_product
 from .errors import DomainError, SingularParameterError, SizeLimitError
-from .exactnum import (
-    MultiPoly,
-    TruncSeries,
-    affine_factor,
-    coeff_z,
-    geometric_factor,
-    geometric_power,
-)
+from .exactnum import MultiPoly
 from .partitions import (
     Partition,
     check_partition,
@@ -258,26 +251,13 @@ def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
     """
     if r < 0:
         raise DomainError(f"r must be nonnegative: {r}")
-    profiles = tuple(check_partition(mu) for mu in profiles)
-    if profiles:
-        sizes = {sum(mu) for mu in profiles}
-        if len(sizes) != 1:
-            raise DomainError(f"profiles of mixed degrees: {profiles}")
-        dd = sizes.pop()
-        if d is not None and d != dd:
-            raise DomainError(f"explicit d={d} contradicts profiles of size {dd}")
-        d = dd
-    if d is None:
-        raise DomainError("degree d is required when no profiles are given")
+    d, profiles = _resolve_degree(profiles, d)
     _check_jack_degree(d, ceiling)
     alpha = Fraction(b) + 1
     if alpha == 0:
         raise SingularParameterError("b = -1 degenerates the deformation (alpha = 0)")
-    nvars = gspec.nvars
-    u_vars = [MultiPoly.variable(nvars, i) for i in range(gspec.L)]
-    v_vars = [MultiPoly.variable(nvars, gspec.L + j) for j in range(gspec.M)]
 
-    total = MultiPoly.zero(nvars)
+    total = MultiPoly.zero(gspec.nvars)
     for lam in enumerate_partitions(d):
         norm = jack_norm(lam, alpha)
         if norm == 0:
@@ -293,15 +273,6 @@ def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
             weight *= theta
         if weight == 0:
             continue
-        series = TruncSeries.one(nvars, r)
-        for c in deformed_contents(lam, alpha):
-            if c == 0:
-                continue
-            if gspec.K:
-                series = series.mul(geometric_power(c, gspec.K, r, nvars), caps)
-            for u in u_vars:
-                series = series.mul(affine_factor(c, u, r), caps)
-            for v in v_vars:
-                series = series.mul(geometric_factor(c, v, r), caps)
-        total = total + coeff_z(series, r).scale(weight)
+        coefficient = content_product(deformed_contents(lam, alpha), gspec, r, caps)
+        total = total + coefficient.scale(weight)
     return total

@@ -22,6 +22,7 @@ from .asymptotics import (
 )
 from .core import (
     GSpec,
+    _resolve_degree,
     completed_hurwitz,
     f_bar,
     gap_interval,
@@ -32,7 +33,7 @@ from .core import (
     structure_coefficients,
     structure_resummation,
 )
-from .errors import EmptyReportError
+from .errors import DomainError, EmptyReportError
 from .exactnum import stirling
 from .jack import b_hurwitz_coefficient, deformed_contents, jack_in_psums, jack_norm
 from .partitions import (
@@ -389,72 +390,69 @@ def verify_poles(max_d: int = 7, max_k: int = 3, max_lm: int = 2,
 # Ratio sweeps
 # ---------------------------------------------------------------------------
 
-def _tolerance_ok(report, tolerance: Fraction) -> bool:
-    return report.final_error <= tolerance
+def ratio_family(kind: str, *, d: int | None = None, s: int = 1, profiles=(),
+                 k: int = 1, a_vec=(), b_vec=(), b=0, gw_s: int = 2):
+    """The resolved degree and the exact and leading-term functions of r
+    for one asymptotic family, as ``(d, exact, leading)``.
+
+    ``classical``/``completed`` use ``s``; ``monotone`` extracts the
+    ``u^a_vec v^b_vec`` coefficient at K = ``k``; ``b`` is the b-content
+    family at K = ``k``; ``gw`` takes two profiles and sweeps the count of
+    ``gw_s`` insertions.
+    """
+    if kind not in ("classical", "completed", "monotone", "b", "gw"):
+        raise DomainError(f"unknown ratio kind {kind!r}")
+    if kind == "gw" and len(profiles) != 2:
+        raise DomainError("gw ratio needs two profiles")
+    d, profiles = _resolve_degree(profiles, d)
+    n = len(profiles)
+    ell = sum(len(mu) for mu in profiles)
+    if kind in ("classical", "completed"):
+        def exact(r):
+            return completed_hurwitz(r, s, profiles, d=d).value
+
+        return d, exact, lambda r: completed_leading_term(r, d, s, n, ell)
+    if kind == "monotone":
+        gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
+        caps = tuple(a_vec) + tuple(b_vec)
+
+        def exact(r):
+            return hypergeometric_hurwitz(r, gspec, profiles, d=d,
+                                          caps=caps).value.coefficient(caps)
+
+        return d, exact, lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec)
+    if kind == "b":
+        gspec = GSpec(K=k)
+
+        def exact(r):
+            return b_hurwitz_coefficient(r, gspec, profiles, b, d=d).constant_value()
+
+        return d, exact, lambda r: b_leading_term(r, d, n, ell, k, (), (), b)
+    mu, nu = profiles
+
+    def exact(m):
+        return gw_correlator(mu, nu, {gw_s: m})
+
+    return d, exact, lambda m: gw_leading_term(mu, nu, {gw_s: m})
 
 
-def verify_ratio(kind: str, *, d: int, r_max: int = 40, s: int = 1,
+def verify_ratio(kind: str, *, d: int | None = None, r_max: int = 40, s: int = 1,
                  profiles=(), k: int = 1, a_vec=(), b_vec=(), b=0,
                  gw_s: int = 2, tolerance=Fraction(1, 1000)) -> dict:
     """Ratio-to-leading-term checks for one asymptotic family."""
     checks: list[dict] = []
     tolerance = Fraction(tolerance)
-    n = len(profiles)
-    ell = sum(len(mu) for mu in profiles)
-    rs = range(0, r_max + 1)
+    d, exact, leading = ratio_family(kind, d=d, s=s, profiles=profiles, k=k,
+                                     a_vec=a_vec, b_vec=b_vec, b=b, gw_s=gw_s)
     try:
-        if kind in ("classical", "completed"):
-            rep = ratio_report(
-                lambda r: completed_hurwitz(r, s, profiles, d=d).value,
-                lambda r: completed_leading_term(r, d, s, n, ell),
-                rs,
-            )
-        elif kind == "monotone":
-            gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
-            caps = tuple(a_vec) + tuple(b_vec)
-            expo = caps
-
-            def exact(r):
-                return hypergeometric_hurwitz(
-                    r, gspec, profiles, d=d, caps=caps
-                ).value.coefficient(expo)
-
-            rep = ratio_report(
-                exact,
-                lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec),
-                rs,
-            )
-        elif kind == "b":
-            gspec = GSpec(K=k)
-
-            def exact(r):
-                return b_hurwitz_coefficient(r, gspec, profiles, b, d=d).constant_value()
-
-            rep = ratio_report(
-                exact,
-                lambda r: b_leading_term(r, d, n, ell, k, (), (), b),
-                rs,
-            )
-        elif kind == "gw":
-            mu, nu = profiles
-
-            def exact(m):
-                return gw_correlator(mu, nu, {gw_s: m})
-
-            rep = ratio_report(
-                exact,
-                lambda m: gw_leading_term(mu, nu, {gw_s: m}),
-                rs,
-            )
-        else:
-            raise ValueError(f"unknown ratio kind {kind!r}")
+        rep = ratio_report(exact, leading, range(0, r_max + 1))
     except EmptyReportError:
         _check(checks, f"{kind} ratio d={d}", False, "empty report: exact values all zero")
         return _report("ratio", checks, kind=kind, d=d, r_max=r_max)
     _check(
         checks,
         f"{kind} ratio d={d} final |ratio-1| <= {tolerance}",
-        _tolerance_ok(rep, tolerance),
+        rep.final_error <= tolerance,
         f"final |ratio-1| = {rep.final_error_decimal} at r={rep.entries[-1].r}",
     )
     return _report("ratio", checks, kind=kind, d=d, r_max=r_max,

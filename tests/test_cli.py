@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hurwitz.cli import (
     EXIT_OK,
     EXIT_SIZE_LIMIT,
@@ -77,14 +79,16 @@ class TestCompute:
     def test_dhr_normalization(self, capsys):
         _, paper, _ = run(capsys, "compute", "--kind", "completed", "--d", "3",
                           "--profiles", "3", "--r", "2")
-        _, dhr, _ = run(capsys, "compute", "--kind", "completed", "--d", "3",
-                        "--profiles", "3", "--r", "2", "--normalization", "dhr")
         paper_value = json.loads(paper)["results"][0]["value"]
-        blob = json.loads(dhr)["results"][0]
         assert paper_value == "1/2"
-        assert blob["value_paper"] == "1/2"
-        # times d! = 6 and the single profile part 3
-        assert blob["value"] == "9"
+        # compute and table --what hurwitz share one results path
+        for command in (("compute",), ("table", "--what", "hurwitz")):
+            _, dhr, _ = run(capsys, *command, "--kind", "completed", "--d", "3",
+                            "--profiles", "3", "--r", "2", "--normalization", "dhr")
+            blob = json.loads(dhr)["results"][0]
+            assert blob["value_paper"] == "1/2"
+            # times d! = 6 and the single profile part 3
+            assert blob["value"] == "9"
 
     def test_connected_flag(self, capsys):
         _, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "2",
@@ -115,6 +119,14 @@ class TestVerify:
                            "--K", "1", "--r-max", "6", "--tolerance", "1/1000000000")
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(out)["pass"] is False
+
+    def test_ratio_degree_from_profiles(self, capsys):
+        code, out, _ = run(capsys, "verify", "ratio", "--kind", "completed",
+                           "--profiles", "3,1", "--r-max", "10")
+        assert code == EXIT_OK
+        blob = json.loads(out)
+        assert blob["config"]["d"] == 4
+        assert blob["checks"][0]["name"].startswith("completed ratio d=4 ")
 
 
 class TestTable:
@@ -173,6 +185,26 @@ class TestExitCodes:
     def test_missing_r(self, capsys):
         code, _, _ = run(capsys, "compute", "--kind", "classical", "--d", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "ratio", "--kind", "bogus", "--d", "3"), "unknown ratio kind"),
+        (("table", "--what", "ratio", "--kind", "bogus", "--d", "3", "--r", "2"),
+         "unknown ratio kind"),
+        (("verify", "ratio", "--kind", "gw", "--d", "3", "--profiles", "3"),
+         "two profiles"),
+        (("compute", "--kind", "b-content", "--d", "0", "--K", "1", "--r", "0"),
+         "degree must be positive"),
+        (("compute", "--kind", "b-content", "--d", "2", "--K", "1", "--r", "2",
+          "--connected"), "no connected version"),
+        (("compute", "--kind", "classical", "--d", "3", "--profiles", "3", "--r", "2"),
+         "takes no profiles"),
+    ], ids=["verify-ratio-unknown-kind", "table-ratio-unknown-kind",
+            "verify-ratio-gw-one-profile", "b-content-degree-zero",
+            "b-content-connected", "classical-profiles"])
+    def test_rejected_request(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert message in err
 
 
 class TestCeilingOverride:

@@ -124,12 +124,6 @@ class TestCompleted:
                     d=d, profiles=profiles, blocks=(Block(r, "none"),)))
                 assert got == want
 
-    def test_threads_do_not_change_values(self):
-        for r in range(0, 6):
-            a = completed_hurwitz(r, 2, ((2, 1, 1),), threads=1).value
-            b = completed_hurwitz(r, 2, ((2, 1, 1),), threads=4).value
-            assert a == b
-
     def test_classical_alias(self):
         res = classical_hurwitz(4, 3)
         assert res.kind == "classical"

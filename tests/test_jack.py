@@ -5,7 +5,7 @@ import pytest
 
 from hurwitz.characters import char_table, dim
 from hurwitz.core import GSpec, hypergeometric_hurwitz
-from hurwitz.errors import SingularParameterError, SizeLimitError
+from hurwitz.errors import DomainError, SingularParameterError, SizeLimitError
 from hurwitz.jack import (
     b_hurwitz_coefficient,
     deformed_contents,
@@ -175,6 +175,8 @@ class TestBContentEngine:
             b_hurwitz_coefficient(1, GSpec(K=1), (), 0, d=9)
         with pytest.raises(SingularParameterError):
             b_hurwitz_coefficient(1, GSpec(K=1), (), -1, d=2)
+        with pytest.raises(DomainError):
+            b_hurwitz_coefficient(0, GSpec(K=1), (), 0, d=0)
 
 
 class TestSerializationJack:
