@@ -166,12 +166,15 @@ def _store_cached(table: CharTable) -> None:
         pass  # the disk cache is best-effort
 
 
-def char_table(d: int, ceiling: int = DEFAULT_TABLE_CEILING) -> CharTable:
-    """The memoized character table for degree ``d`` (immutable once built)."""
+def char_table(d: int, ceiling: int | None = None) -> CharTable:
+    """The memoized character table for degree ``d`` (immutable once built).
+
+    ``ceiling`` (default ``DEFAULT_TABLE_CEILING``, read at call time)
+    guards only the building of a table: one already memoized or on the
+    disk cache is returned whatever its degree.
+    """
     if d < 0:
         raise DomainError(f"degree must be nonnegative: {d}")
-    if d > ceiling:
-        raise SizeLimitError(f"degree {d} exceeds the character-table ceiling {ceiling}")
     table = _tables.get(d)
     if table is not None:
         return table
@@ -181,6 +184,10 @@ def char_table(d: int, ceiling: int = DEFAULT_TABLE_CEILING) -> CharTable:
             return table
         table = _load_cached(d)
         if table is None:
+            ceiling = DEFAULT_TABLE_CEILING if ceiling is None else ceiling
+            if d > ceiling:
+                raise SizeLimitError(
+                    f"degree {d} exceeds the character-table ceiling {ceiling}")
             parts = tuple(enumerate_partitions(d))
             entries = tuple(
                 tuple(character(lam, mu) for mu in parts) for lam in parts

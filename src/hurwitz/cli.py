@@ -133,6 +133,14 @@ def _dhr_factor(d: int, profiles) -> Fraction:
     return factor
 
 
+def _char_table(d: int, max_d: int | None) -> characters.CharTable:
+    """The degree-d table under a ``--max-d`` ceiling: a degree above it
+    exits 2, and a missing table is built under it, not the default."""
+    if max_d and d > max_d:
+        raise SizeLimitError(f"degree {d} exceeds the character-table ceiling {max_d}")
+    return characters.char_table(d, ceiling=max_d or None)
+
+
 def _config(args) -> dict:
     return {k: v for k, v in vars(args).items()
             if k not in ("func", "output") and v is not None}
@@ -192,6 +200,7 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
             profiles = ((1,) * args.d,)  # unramified over the distinguished point
         if len(profiles) != 1:
             raise DomainError("--kind orbifold needs one profile (or --d)")
+        _resolve_degree(profiles, args.d)
         return orbifold_hurwitz(r, args.t, profiles[0], connected=args.connected)
     if kind == "b-content":
         if args.connected:
@@ -209,6 +218,7 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
     if kind == "gw":
         if len(profiles) != 2:
             raise DomainError("--kind gw needs exactly two profiles (mu;nu)")
+        _resolve_degree(profiles, args.d)
         insertions = _parse_insertions(args.insertions)
         value = gw_correlator(profiles[0], profiles[1], insertions,
                               connected=args.connected)
@@ -228,9 +238,9 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
 
 def _cmd_compute(args) -> int:
     """``compute``, and ``table --what hurwitz``: one result per requested r."""
-    if args.max_d:  # a character-table ceiling override
+    if args.max_d:
         d, _ = _resolve_degree(_parse_profiles(args.profiles), args.d)
-        characters.char_table(d, ceiling=args.max_d)
+        _char_table(d, args.max_d)
     results = []
     for r in _r_values(args):
         out = _compute_one(args, r)
@@ -337,7 +347,7 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_chartable(args) -> int:
-    table = characters.char_table(args.d, ceiling=args.max_d or 18)
+    table = _char_table(args.d, args.max_d)
     config = {"command": "chartable", "d": args.d}
     payload = {
         "config": config,

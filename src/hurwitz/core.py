@@ -14,10 +14,16 @@ is ``content_product`` over the box contents; the b-deformed engine in
 ``hurwitz.jack`` runs the same product over deformed contents.
 ``_resolve_degree`` is the one place that turns (profiles, d) into a
 checked degree.
+
+Connected numbers come from any disconnected evaluator through
+``connected_transform_multi``: the exponential formula, solved by the
+recursion on the component that holds sheet 1, with every sub-instance
+memoized for the duration of one call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -137,10 +143,11 @@ def character_sum(d: int, profiles, factor):
     """
     table = characters.char_table(d)
     fact2 = Fraction(1, math.factorial(d)) ** 2
+    power = 2 - len(profiles)  # of dim; negative past two profiles
     total = None
     for lam in table.partitions:
         dim = table.value(lam, (1,) * d)
-        weight = fact2 * dim ** (2 - len(profiles))
+        weight = fact2 * dim ** power if power >= 0 else fact2 / dim ** -power
         for mu in profiles:
             chi = table.value(lam, mu)
             if chi == 0:
@@ -343,28 +350,8 @@ def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=()
 
 
 # ---------------------------------------------------------------------------
-# Connected numbers by inclusion-exclusion
+# Connected numbers by the exponential formula
 # ---------------------------------------------------------------------------
-
-def _weak_compositions(total: int, k: int):
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _compositions(total: int, k: int):
-    """Ordered k-tuples of positive integers summing to total."""
-    if k == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - k + 2):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
 
 def _sub_multisets(mu: Partition, size: int):
     """All sub-multisets of mu with the given total, as sorted tuples."""
@@ -392,112 +379,69 @@ def _multiset_difference(mu: Partition, sub: Partition) -> Partition:
     return tuple(remaining)
 
 
-def _profile_splits(profiles, sizes):
-    """Ordered splits of every profile into sub-profiles of the given sizes."""
-    if not profiles:
-        yield ()
-        return
-
-    def split_one(mu, sizes):
-        if len(sizes) == 1:
-            if sum(mu) == sizes[0]:
-                yield (mu,)
-            return
-        for sub in _sub_multisets(mu, sizes[0]):
-            rest = _multiset_difference(mu, sub)
-            for tail in split_one(rest, sizes[1:]):
-                yield (sub,) + tail
-
-    def rec(idx):
-        if idx == len(profiles):
-            yield ()
-            return
-        for head in split_one(profiles[idx], sizes):
-            for tail in rec(idx + 1):
-                yield (head,) + tail
-
-    # yields, per split, a tuple over j of tuples over components
-    yield from rec(0)
-
-
-def _multinomial(counts) -> int:
-    total = sum(counts)
-    out = 1
-    for c in counts:
-        out *= math.comb(total, c)
-        total -= c
-    return out
-
-
 def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
                               d: int) -> Fraction | MultiPoly:
     """Connected value from a disconnected evaluator with typed insertions.
 
     ``counts`` lists how many insertions of each type the instance
-    carries; the inclusion-exclusion runs over ordered tuples of
-    components with positive sub-degrees, sub-multiset splits of every
-    profile, and weak compositions of every insertion count (with the
-    corresponding multinomials), in the sheet-labelled normalization.
+    carries.  Let ``h(c, P, d)`` be the disconnected value times the
+    profile class sizes.  Summed against ``x^d y^c / c!`` (``h`` already
+    carries the sheets' ``1/d!``), with the profile parts as ordinary
+    variables, the series of ``h`` is the exponential of the series of
+    its connected part ``h°``.  The sheet derivative of that identity is
+    the recursion on the component that holds sheet 1 (Stanley, EC2
+    §5.1)::
+
+        h°(c, P, d) = h(c, P, d) - (1/d) sum_{d1 < d} d1
+            sum_{P1 within P, |P1_j| = d1} sum_{c1 <= c} prod_t C(c_t, c1_t)
+            h°(c1, P1, d1) h(c - c1, P - P1, d - d1)
+
     The evaluator is called as ``evaluator(sub_counts, sub_profiles,
     sub_degree)`` and must return the disconnected number in the same
-    normalization as the target.
+    normalization as the target; a sub-instance is evaluated only when
+    the connected factor it multiplies is nonzero.
     """
     d, profiles = _resolve_degree(profiles, d)
-    n = len(profiles)
-
-    memo: dict = {}
+    h_memo: dict = {}
+    connected_memo: dict = {}
 
     def h_tilde(sub_counts, sub_profiles, dd):
         key = (sub_counts, sub_profiles, dd)
-        if key not in memo:
+        if key not in h_memo:
             value = evaluator(sub_counts, sub_profiles, dd)
-            scale = 1
-            for mu in sub_profiles:
-                scale *= class_data(mu).class_size
-            memo[key] = value * scale if isinstance(value, MultiPoly) else Fraction(value) * scale
-        return memo[key]
+            scale = math.prod(class_data(mu).class_size for mu in sub_profiles)
+            h_memo[key] = value * scale if isinstance(value, MultiPoly) else Fraction(value) * scale
+        return h_memo[key]
 
-    total = None
-    for k in range(1, d + 1):
-        sign = Fraction((-1) ** (k - 1), k)
-        for sizes in _compositions(d, k):
-            for split in _profile_splits(profiles, sizes):
-                # split[j][i] is the piece of profile j on component i
-                pieces_profiles = [
-                    tuple(split[j][i] for j in range(n)) for i in range(k)
-                ]
-                for count_splits in _count_splits(counts, k):
-                    weight = sign
-                    for c, parts in zip(counts, count_splits):
-                        weight *= _multinomial(parts)
-                    term = None
-                    for i in range(k):
-                        sub_counts = tuple(parts[i] for parts in count_splits)
-                        val = h_tilde(sub_counts, pieces_profiles[i], sizes[i])
-                        term = val if term is None else _value_mul(term, val)
-                        if _value_is_zero(term):
-                            term = None
-                            break
-                    if term is None:
+    def h_connected(sub_counts, sub_profiles, dd):
+        key = (sub_counts, sub_profiles, dd)
+        if key in connected_memo:
+            return connected_memo[key]
+        rest = None
+        for d1 in range(1, dd):
+            for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in sub_profiles)):
+                p2 = tuple(_multiset_difference(mu, sub) for mu, sub in zip(sub_profiles, p1))
+                for c1 in itertools.product(*(range(m + 1) for m in sub_counts)):
+                    first = h_connected(c1, p1, d1)
+                    if _value_is_zero(first):
                         continue
-                    term = _value_scale(term, weight)
-                    total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    scale = 1
-    for mu in profiles:
-        scale *= class_data(mu).class_size
-    return _value_scale(total, Fraction(1, scale))
+                    second = h_tilde(tuple(m - m1 for m, m1 in zip(sub_counts, c1)),
+                                     p2, dd - d1)
+                    if _value_is_zero(second):
+                        continue
+                    weight = d1
+                    for m, m1 in zip(sub_counts, c1):
+                        weight *= math.comb(m, m1)
+                    term = _value_scale(_value_mul(first, second), weight)
+                    rest = term if rest is None else rest + term
+        value = h_tilde(sub_counts, sub_profiles, dd)
+        if rest is not None:
+            value = value + _value_scale(rest, Fraction(-1, dd))
+        connected_memo[key] = value
+        return value
 
-
-def _count_splits(counts, k):
-    """Cartesian product of weak compositions, one per insertion type."""
-    if not counts:
-        yield ()
-        return
-    for head in _weak_compositions(counts[0], k):
-        for tail in _count_splits(counts[1:], k):
-            yield (head,) + tail
+    scale = math.prod(class_data(mu).class_size for mu in profiles)
+    return _value_scale(h_connected(tuple(counts), profiles, d), Fraction(1, scale))
 
 
 def _value_mul(a, b):
@@ -635,7 +579,7 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
 
     Value = (1/(z(mu) z(nu))) sum_lam chi chi / d!^2 *
     prod_s (f_bar_{s+1}/s!)^{m_s}; the connected version applies the
-    typed inclusion-exclusion over components.
+    connected transform with one insertion count per order s.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)

@@ -98,11 +98,16 @@ class TestTable:
             for mu in t.partitions:
                 assert brute[lam][mu] == t.value(lam, mu)
 
-    def test_ceiling(self):
+    def test_ceiling(self, monkeypatch):
+        # the ceiling guards building only, so start from an empty memo
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
         with pytest.raises(SizeLimitError):
             char_table(19)
         with pytest.raises(SizeLimitError):
             char_table(7, ceiling=6)
+        built = char_table(7)
+        assert char_table(7, ceiling=6) is built
 
     def test_csv_rows(self):
         rows = char_table(3).csv_rows()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hurwitz import characters
 from hurwitz.cli import (
     EXIT_OK,
     EXIT_SIZE_LIMIT,
@@ -89,6 +90,12 @@ class TestCompute:
             assert blob["value_paper"] == "1/2"
             # times d! = 6 and the single profile part 3
             assert blob["value"] == "9"
+
+    def test_three_profiles_exact(self, capsys):
+        code, out, _ = run(capsys, "compute", "--kind", "completed",
+                           "--profiles", "3;3;2,1", "--r", "1", "--format", "csv")
+        assert code == EXIT_OK
+        assert out.strip().splitlines()[2] == "1,1/6"
 
     def test_connected_flag(self, capsys):
         _, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "2",
@@ -198,9 +205,14 @@ class TestExitCodes:
           "--connected"), "no connected version"),
         (("compute", "--kind", "classical", "--d", "3", "--profiles", "3", "--r", "2"),
          "takes no profiles"),
+        (("compute", "--kind", "orbifold", "--d", "7", "--profiles", "2,1", "--t", "3",
+          "--r", "1"), "contradicts profiles"),
+        (("compute", "--kind", "gw", "--d", "5", "--profiles", "1;1", "--insertions",
+          "2:1", "--r", "0"), "contradicts profiles"),
     ], ids=["verify-ratio-unknown-kind", "table-ratio-unknown-kind",
             "verify-ratio-gw-one-profile", "b-content-degree-zero",
-            "b-content-connected", "classical-profiles"])
+            "b-content-connected", "classical-profiles", "orbifold-contradicting-d",
+            "gw-contradicting-d"])
     def test_rejected_request(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -220,6 +232,22 @@ class TestCeilingOverride:
         code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "10",
                            "--r", "0", "--max-d", "10")
         assert code == EXIT_OK
+
+    def test_max_d_raises_ceiling(self, capsys, monkeypatch):
+        # a lowered default stands in for 18, so no large table is built
+        monkeypatch.setattr(characters, "DEFAULT_TABLE_CEILING", 5)
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        argv = ("compute", "--kind", "classical", "--d", "6", "--r", "2")
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_SIZE_LIMIT and "ceiling 5" in err
+        code, out, _ = run(capsys, *argv, "--max-d", "6")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["value"] == "1/48"
+        # a lower --max-d still exits 2 once the table is built
+        for lowered in (argv, ("chartable", "--d", "6")):
+            code, _, err = run(capsys, *lowered, "--max-d", "5")
+            assert code == EXIT_SIZE_LIMIT and "ceiling 5" in err
 
 
 class TestVerifySuitesSmoke:

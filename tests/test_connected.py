@@ -1,0 +1,247 @@
+"""The connected transform against closed forms, permutations and the
+inclusion-exclusion it replaced."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+
+from hurwitz import oracle
+from hurwitz.core import (
+    GSpec,
+    _multiset_difference,
+    _resolve_degree,
+    _sub_multisets,
+    _value_is_zero,
+    _value_mul,
+    _value_scale,
+    character_sum,
+    classical_hurwitz,
+    completed_hurwitz,
+    connected_transform_multi,
+    f_bar,
+    hypergeometric_hurwitz,
+    orbifold_hurwitz,
+)
+from hurwitz.partitions import class_data
+
+
+# ---------------------------------------------------------------------------
+# Reference: inclusion-exclusion over ordered tuples of components
+# ---------------------------------------------------------------------------
+
+def _weak_compositions(total, k):
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def _compositions(total, k):
+    """Ordered k-tuples of positive integers summing to total."""
+    if k == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - k + 2):
+        for rest in _compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def _profile_splits(profiles, sizes):
+    """Ordered splits of every profile into sub-profiles of the given sizes;
+    per split, a tuple over profiles of tuples over components."""
+    def split_one(mu, sizes):
+        if len(sizes) == 1:
+            if sum(mu) == sizes[0]:
+                yield (mu,)
+            return
+        for sub in _sub_multisets(mu, sizes[0]):
+            rest = _multiset_difference(mu, sub)
+            for tail in split_one(rest, sizes[1:]):
+                yield (sub,) + tail
+
+    def rec(idx):
+        if idx == len(profiles):
+            yield ()
+            return
+        for head in split_one(profiles[idx], sizes):
+            for tail in rec(idx + 1):
+                yield (head,) + tail
+
+    yield from rec(0)
+
+
+def _count_splits(counts, k):
+    """Cartesian product of weak compositions, one per insertion type."""
+    if not counts:
+        yield ()
+        return
+    for head in _weak_compositions(counts[0], k):
+        for tail in _count_splits(counts[1:], k):
+            yield (head,) + tail
+
+
+def _multinomial(counts):
+    total = sum(counts)
+    out = 1
+    for c in counts:
+        out *= math.comb(total, c)
+        total -= c
+    return out
+
+
+def reference_transform(evaluator, counts, profiles, *, d):
+    """log of the disconnected series, expanded as sum_k (-1)^(k-1)/k F^k
+    over ordered compositions of d, profile splits and weak compositions
+    of the insertion counts; exponential in the number of components."""
+    d, profiles = _resolve_degree(profiles, d)
+    n = len(profiles)
+    memo = {}
+
+    def h_tilde(sub_counts, sub_profiles, dd):
+        key = (sub_counts, sub_profiles, dd)
+        if key not in memo:
+            value = evaluator(sub_counts, sub_profiles, dd)
+            scale = 1
+            for mu in sub_profiles:
+                scale *= class_data(mu).class_size
+            memo[key] = _value_scale(value, scale)
+        return memo[key]
+
+    total = None
+    for k in range(1, d + 1):
+        sign = Fraction((-1) ** (k - 1), k)
+        for sizes in _compositions(d, k):
+            for split in _profile_splits(profiles, sizes):
+                pieces = [tuple(split[j][i] for j in range(n)) for i in range(k)]
+                for count_splits in _count_splits(counts, k):
+                    weight = sign
+                    for parts in count_splits:
+                        weight *= _multinomial(parts)
+                    term = None
+                    for i in range(k):
+                        sub_counts = tuple(parts[i] for parts in count_splits)
+                        val = h_tilde(sub_counts, pieces[i], sizes[i])
+                        term = val if term is None else _value_mul(term, val)
+                        if _value_is_zero(term):
+                            term = None
+                            break
+                    if term is None:
+                        continue
+                    term = _value_scale(term, weight)
+                    total = term if total is None else total + term
+    if total is None:
+        return Fraction(0)
+    scale = 1
+    for mu in profiles:
+        scale *= class_data(mu).class_size
+    return _value_scale(total, Fraction(1, scale))
+
+
+# ---------------------------------------------------------------------------
+# Evaluators, in the normalization each family's front door uses
+# ---------------------------------------------------------------------------
+
+def _completed(s):
+    return lambda counts, profiles, d: completed_hurwitz(counts[0], s, profiles, d=d).value
+
+
+def _hypergeometric(gspec):
+    return lambda counts, profiles, d: hypergeometric_hurwitz(
+        counts[0], gspec, profiles, d=d).value
+
+
+def _typed_gw(orders):
+    def evaluator(counts, profiles, d):
+        def factor(lam):
+            acc = Fraction(1)
+            for s, m in zip(orders, counts):
+                acc *= f_bar(lam, s + 1) ** m
+            return acc
+        return character_sum(d, profiles, factor)
+    return evaluator
+
+
+GW_PROFILES = ((2, 1, 1), (2, 2))
+TWO_PROFILES = ((3, 1, 1), (2, 2, 1))
+HYPERGEOMETRIC = GSpec(K=1, L=1, M=1)
+THREE_PROFILES = ((2, 1, 1), (2, 1, 1), (3, 1))
+
+# family -> (new value from counts, evaluator, counts to try, profiles, d)
+FAMILIES = {
+    "classical": (
+        lambda c: classical_hurwitz(c[0], 5, connected=True).value,
+        _completed(1), [(r,) for r in range(9)], (), 5),
+    "completed-two-profiles": (
+        lambda c: completed_hurwitz(c[0], 2, TWO_PROFILES, connected=True).value,
+        _completed(2), [(r,) for r in range(5)], TWO_PROFILES, None),
+    "hypergeometric": (
+        lambda c: hypergeometric_hurwitz(c[0], HYPERGEOMETRIC, (), d=4,
+                                         connected=True).value,
+        _hypergeometric(HYPERGEOMETRIC), [(r,) for r in range(5)], (), 4),
+    "typed-gw": (
+        lambda c: connected_transform_multi(_typed_gw((1, 2)), c, GW_PROFILES, d=4),
+        _typed_gw((1, 2)), list(itertools.product(range(3), range(3))), GW_PROFILES,
+        None),
+    "orbifold": (
+        lambda c: orbifold_hurwitz(c[0], 2, (3, 1), connected=True).value,
+        _completed(1), [(r,) for r in range(7)], ((3, 1), (2, 2)), None),
+    "three-profiles": (
+        lambda c: completed_hurwitz(c[0], 1, THREE_PROFILES, connected=True).value,
+        _completed(1), [(r,) for r in range(5)], THREE_PROFILES, None),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_matches_inclusion_exclusion(family):
+    new, evaluator, counts_list, profiles, d = FAMILIES[family]
+    nonzero = 0
+    for counts in counts_list:
+        want = reference_transform(evaluator, counts, profiles, d=d)
+        got = new(counts)
+        assert got == want, (family, counts)
+        nonzero += not _value_is_zero(want)
+    assert nonzero  # the family is not checked on zeros alone
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_hurwitz_genus_zero_formula(d):
+    # connected genus-0 covers with 2d - 2 simple branch points
+    r = 2 * d - 2
+    want = Fraction(math.factorial(r)) * Fraction(d) ** (d - 3) / math.factorial(d)
+    assert classical_hurwitz(r, d, connected=True).value == want
+
+
+def _transitive_identity_tuples(d, r):
+    """r-tuples of transpositions with product 1 generating a transitive group."""
+    perms = [p for p, _ in oracle.transpositions(d)]
+    identity = oracle.identity(d)
+    count = 0
+    for word in itertools.product(perms, repeat=r):
+        product = identity
+        for t in word:
+            product = oracle.compose(product, t)
+        if product != identity:
+            continue
+        orbit = {0}
+        grew = True
+        while grew:
+            grew = False
+            for t in word:
+                moved = {i for i in range(d) if t[i] != i}
+                if moved & orbit and not moved <= orbit:
+                    orbit |= moved
+                    grew = True
+        count += len(orbit) == d
+    return count
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_permutation_oracle(d):
+    for r in range(7):
+        want = Fraction(_transitive_identity_tuples(d, r), math.factorial(d))
+        assert classical_hurwitz(r, d, connected=True).value == want, r

@@ -124,6 +124,14 @@ class TestCompleted:
                     d=d, profiles=profiles, blocks=(Block(r, "none"),)))
                 assert got == want
 
+    def test_three_profiles_stay_exact(self):
+        # the dimension weight dim^(2 - N) has a negative exponent here
+        profiles = ((3,), (3,), (2, 1))
+        value = completed_hurwitz(1, 1, profiles).value
+        assert type(value) is Fraction and value == Fraction(1, 6)
+        assert value == count_factorizations(FactorizationQuery(
+            d=3, profiles=profiles, blocks=(Block(1, "none"),)))
+
     def test_classical_alias(self):
         res = classical_hurwitz(4, 3)
         assert res.kind == "classical"
