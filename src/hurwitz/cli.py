@@ -136,9 +136,9 @@ def _dhr_factor(d: int, profiles) -> Fraction:
 def _char_table(d: int, max_d: int | None) -> characters.CharTable:
     """The degree-d table under a ``--max-d`` ceiling: a degree above it
     exits 2, and a missing table is built under it, not the default."""
-    if max_d and d > max_d:
+    if max_d is not None and d > max_d:
         raise SizeLimitError(f"degree {d} exceeds the character-table ceiling {max_d}")
-    return characters.char_table(d, ceiling=max_d or None)
+    return characters.char_table(d, ceiling=max_d)
 
 
 def _config(args) -> dict:
@@ -238,7 +238,7 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
 
 def _cmd_compute(args) -> int:
     """``compute``, and ``table --what hurwitz``: one result per requested r."""
-    if args.max_d:
+    if args.max_d is not None:
         d, _ = _resolve_degree(_parse_profiles(args.profiles), args.d)
         _char_table(d, args.max_d)
     results = []
@@ -273,6 +273,8 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     suite = args.suite
     profiles = _parse_profiles(args.profiles)
+    if args.max_d is not None and args.max_d < 1:
+        raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
     if suite == "oracle":
         report = verify.verify_oracle(max_d=args.max_d or 4,
                                       max_transpositions=args.max_transpositions)
@@ -291,7 +293,8 @@ def _cmd_verify(args) -> int:
     elif suite == "eigenvalue-order":
         report = verify.verify_eigenvalue_order(max_d=args.max_d or 10)
     elif suite == "ratio":
-        report = verify.verify_ratio(args.kind, r_max=args.r_max or 40,
+        r_max = 40 if args.r_max is None else args.r_max
+        report = verify.verify_ratio(args.kind, r_max=r_max,
                                      tolerance=_parse_fraction(args.tolerance),
                                      **_ratio_options(args))
     else:
@@ -332,8 +335,9 @@ def _cmd_table(args) -> int:
         _emit(args, payload, rows)
         return EXIT_OK
     if args.what == "ratio":
-        _, exact, leading = verify.ratio_family(args.kind, **_ratio_options(args))
-        report = ratio_report(exact, leading, _r_values(args))
+        r_values = _r_values(args)
+        _, exact, leading = verify.ratio_family(args.kind, r_values, **_ratio_options(args))
+        report = ratio_report(exact.__getitem__, leading, r_values)
         payload = {"config": _config(args), **report.to_json()}
         _emit(args, payload, report.csv_rows())
         return EXIT_OK

@@ -8,12 +8,14 @@ The two evaluation routes are:
   coefficient of the product of ``G`` evaluated at ``z`` times each box
   content, kept as an exact polynomial in the formal u/v variables.
 
-Both share ``character_sum``, which runs the partition loop and its
-left-to-right reduction in canonical order.  The hypergeometric factor
-is ``content_product`` over the box contents; the b-deformed engine in
-``hurwitz.jack`` runs the same product over deformed contents.
-``_resolve_degree`` is the one place that turns (profiles, d) into a
-checked degree.
+Both share ``character_weights``, the partition loop over the nonzero
+weights in canonical order, and ``character_sum``, its left-to-right
+reduction.  The hypergeometric factor is ``content_product``: the z^r
+coefficient factors into elementary and complete symmetric functions of
+the nonzero contents (``content_sequences``, plain integer sequences),
+so no series is multiplied.  The b-deformed engine in ``hurwitz.jack``
+runs the same product over deformed contents.  ``_resolve_degree`` is
+the one place that turns (profiles, d) into a checked degree.
 
 Connected numbers come from any disconnected evaluator through
 ``connected_transform_multi``: the exponential formula, solved by the
@@ -31,16 +33,7 @@ from functools import lru_cache
 
 from . import characters
 from .errors import DomainError
-from .exactnum import (
-    MultiPoly,
-    TruncSeries,
-    affine_factor,
-    coeff_z,
-    format_rational,
-    geometric_factor,
-    geometric_power,
-    zeta_neg,
-)
+from .exactnum import MultiPoly, format_rational, zeta_neg
 from .partitions import (
     Partition,
     check_partition,
@@ -135,27 +128,32 @@ def admissible_parity(r: int, s: int, d: int, profiles) -> bool:
     return rh_genus(r, s, d, profiles).denominator == 1
 
 
-def character_sum(d: int, profiles, factor):
-    """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam).
-
-    ``factor`` may return a Fraction or a MultiPoly; the reduction runs
-    left-to-right over the canonical partition order.
-    """
+def character_weights(d: int, profiles):
+    """Yield ``(lam, weight)`` for every nonzero weight
+    (dim/d!)^2 prod_i chi_lam(mu_i)/dim, in canonical partition order."""
     table = characters.char_table(d)
     fact2 = Fraction(1, math.factorial(d)) ** 2
     power = 2 - len(profiles)  # of dim; negative past two profiles
-    total = None
     for lam in table.partitions:
         dim = table.value(lam, (1,) * d)
         weight = fact2 * dim ** power if power >= 0 else fact2 / dim ** -power
         for mu in profiles:
             chi = table.value(lam, mu)
             if chi == 0:
-                weight = 0
                 break
             weight *= chi
-        if weight == 0:
-            continue
+        else:
+            yield lam, weight
+
+
+def character_sum(d: int, profiles, factor):
+    """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam).
+
+    ``factor`` may return a Fraction or a MultiPoly; the reduction runs
+    left-to-right over the canonical partition order.
+    """
+    total = None
+    for lam, weight in character_weights(d, profiles):
         value = factor(lam)
         if isinstance(value, MultiPoly):
             term = value.scale(weight)
@@ -260,27 +258,60 @@ def classical_hurwitz(r: int, d: int, *, connected: bool = False) -> HurwitzResu
 # Hypergeometric Hurwitz numbers
 # ---------------------------------------------------------------------------
 
+def _complete_sequence(weights, r: int) -> list:
+    """h_0..h_r of the weights: the z-coefficients of prod_c 1/(1 - cz)."""
+    seq = [1] + [0] * r
+    for c in weights:
+        for n in range(1, r + 1):
+            seq[n] += c * seq[n - 1]
+    return seq
+
+
+def content_sequences(weights, gspec: GSpec, r: int):
+    """The symmetric functions of the nonzero weights, to order r.
+
+    Returns ``(e, h, hk)``: ``e[k]`` and ``h[n]`` are the elementary and
+    complete symmetric functions (``None`` when ``gspec`` has no u, or
+    no v, blocks), and ``hk[n]`` is h_n of the weights repeated K times.
+    They are the z-coefficients of prod_c (1 + cz), prod_c 1/(1 - cz)
+    and prod_c (1 - cz)^{-K}.  Ints for contents, Fractions for deformed
+    contents.
+    """
+    nonzero = [c for c in weights if c]
+    e = h = None
+    if gspec.L:
+        e = [1] + [0] * r
+        for i, c in enumerate(nonzero):
+            for k in range(min(i + 1, r), 0, -1):
+                e[k] += c * e[k - 1]
+    if gspec.M:
+        h = _complete_sequence(nonzero, r)
+    return e, h, _complete_sequence(nonzero * gspec.K, r)
+
+
 def content_product(weights, gspec: GSpec, r: int,
                     caps: tuple[int, ...] | None = None) -> MultiPoly:
     """[z^r] of the product over box weights c of G(z * c), exact in u's and v's.
 
     The weights are the box contents, or the deformed contents of the
-    b-deformed engine; zero weights contribute the factor 1.
+    b-deformed engine; zero weights contribute the factor 1.  The
+    coefficient of ``u^a v^b`` is prod e_{a_i} prod h_{b_j} hk_{r-|a|-|b|}
+    (see ``content_sequences``); ``caps`` drops monomials beyond them.
     """
-    nvars = gspec.nvars
-    series = TruncSeries.one(nvars, r)
-    u_vars = [MultiPoly.variable(nvars, i) for i in range(gspec.L)]
-    v_vars = [MultiPoly.variable(nvars, gspec.L + j) for j in range(gspec.M)]
-    for c in weights:
-        if c == 0:
+    e, h, hk = content_sequences(weights, gspec, r)
+    seqs = [e] * gspec.L + [h] * gspec.M
+    caps = (r,) * gspec.nvars if caps is None else caps
+    out = MultiPoly(gspec.nvars)
+    for expo in itertools.product(*(range(min(cap, r) + 1) for cap in caps)):
+        rest = r - sum(expo)
+        if rest < 0:
             continue
-        if gspec.K:
-            series = series.mul(geometric_power(c, gspec.K, r, nvars), caps)
-        for u in u_vars:
-            series = series.mul(affine_factor(c, u, r), caps)
-        for v in v_vars:
-            series = series.mul(geometric_factor(c, v, r), caps)
-    return coeff_z(series, r)
+        coeff = hk[rest]
+        for seq, a in zip(seqs, expo):
+            coeff *= seq[a]
+        if coeff:
+            out.terms[expo] = Fraction(coeff)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -320,6 +351,8 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
         value = disconnected(r, profiles, d)
     if isinstance(value, Fraction):
         value = MultiPoly.constant(gspec.nvars, value)
+    if caps is not None:  # the connected transform multiplies capped values
+        value = value.truncate(caps)
     return HurwitzResult(
         kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
         value=value, gspec=gspec, genus=rh_genus(r, 1, d, profiles),
@@ -603,10 +636,15 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
         value = connected_transform_multi(mixed, counts, (mu, nu), d=d)
     else:
         value = mixed(counts, (mu, nu), d)
+    return value * _gw_scale(mu, nu, ins)
+
+
+def _gw_scale(mu, nu, ins) -> Fraction:
+    """1/(z(mu) z(nu)) prod_s (1/s!)^{m_s} for normalized insertions."""
     scale = Fraction(1, class_data(mu).stabilizer * class_data(nu).stabilizer)
     for s, m in ins:
         scale /= Fraction(math.factorial(s)) ** m
-    return value * scale
+    return scale
 
 
 def gw_genus(mu, nu, insertions) -> Fraction:

@@ -5,9 +5,9 @@ floating point never appears (reports render ratios through ``decimal``
 at a configurable precision, see :mod:`hurwitz.asymptotics`).
 
 ``MultiPoly`` is a sparse polynomial in a fixed tuple of formal
-variables (the u's and v's of rational weight functions), and
-``TruncSeries`` is a power series in one extra variable ``z`` truncated
-at a fixed order, with ``MultiPoly`` coefficients.
+variables (the u's and v's of rational weight functions).  ``TruncSeries``
+(a z-series truncated at a fixed order, with ``MultiPoly`` coefficients)
+and its factors are the independent reference for the content engine.
 """
 
 from __future__ import annotations

@@ -241,6 +241,29 @@ def deformed_contents(lam, alpha) -> list[Fraction]:
     return [alpha * j - i for i, p in enumerate(lam) for j in range(p)]
 
 
+def jack_weights(d: int, profiles, b, ceiling: int = DEFAULT_JACK_CEILING):
+    """Yield ``(lam, weight)`` for every nonzero Jack weight
+    prod_i theta_lam(mu_i) / j_lam at alpha = b + 1, in canonical order."""
+    _check_jack_degree(d, ceiling)
+    alpha = Fraction(b) + 1
+    if alpha == 0:
+        raise SingularParameterError("b = -1 degenerates the deformation (alpha = 0)")
+    for lam in enumerate_partitions(d):
+        norm = jack_norm(lam, alpha)
+        if norm == 0:
+            raise SingularParameterError(
+                f"vanishing Jack norm at {lam} for alpha={alpha}"
+            )
+        weight = Fraction(1) / norm
+        for mu in profiles:
+            theta = jack_character(lam, mu, alpha, ceiling)
+            if theta == 0:
+                break
+            weight *= theta
+        else:
+            yield lam, weight
+
+
 def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
                           d: int | None = None,
                           caps: tuple[int, ...] | None = None,
@@ -252,27 +275,9 @@ def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
     if r < 0:
         raise DomainError(f"r must be nonnegative: {r}")
     d, profiles = _resolve_degree(profiles, d)
-    _check_jack_degree(d, ceiling)
     alpha = Fraction(b) + 1
-    if alpha == 0:
-        raise SingularParameterError("b = -1 degenerates the deformation (alpha = 0)")
-
     total = MultiPoly.zero(gspec.nvars)
-    for lam in enumerate_partitions(d):
-        norm = jack_norm(lam, alpha)
-        if norm == 0:
-            raise SingularParameterError(
-                f"vanishing Jack norm at {lam} for alpha={alpha}"
-            )
-        weight = Fraction(1) / norm
-        for mu in profiles:
-            theta = jack_character(lam, mu, alpha, ceiling)
-            if theta == 0:
-                weight = Fraction(0)
-                break
-            weight *= theta
-        if weight == 0:
-            continue
+    for lam, weight in jack_weights(d, profiles, b, ceiling):
         coefficient = content_product(deformed_contents(lam, alpha), gspec, r, caps)
         total = total + coefficient.scale(weight)
     return total

@@ -22,11 +22,13 @@ from .asymptotics import (
 )
 from .core import (
     GSpec,
+    _gw_scale,
     _resolve_degree,
+    character_weights,
     completed_hurwitz,
+    content_sequences,
     f_bar,
     gap_interval,
-    gw_correlator,
     hypergeometric_hurwitz,
     m_ds,
     mixed_simple_hypergeometric,
@@ -35,7 +37,8 @@ from .core import (
 )
 from .errors import DomainError, EmptyReportError
 from .exactnum import stirling
-from .jack import b_hurwitz_coefficient, deformed_contents, jack_in_psums, jack_norm
+from .jack import (b_hurwitz_coefficient, deformed_contents, jack_in_psums, jack_norm,
+                   jack_weights)
 from .partitions import (
     class_data,
     contents,
@@ -390,50 +393,59 @@ def verify_poles(max_d: int = 7, max_k: int = 3, max_lm: int = 2,
 # Ratio sweeps
 # ---------------------------------------------------------------------------
 
-def ratio_family(kind: str, *, d: int | None = None, s: int = 1, profiles=(),
-                 k: int = 1, a_vec=(), b_vec=(), b=0, gw_s: int = 2):
-    """The resolved degree and the exact and leading-term functions of r
-    for one asymptotic family, as ``(d, exact, leading)``.
+def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
+                 profiles=(), k: int = 1, a_vec=(), b_vec=(), b=0, gw_s: int = 2):
+    """The resolved degree, the exact values at every r of ``r_values``
+    and the leading-term function of r for one asymptotic family, as
+    ``(d, exact, leading)`` with ``exact`` a dict keyed by r.
 
     ``classical``/``completed`` use ``s``; ``monotone`` extracts the
     ``u^a_vec v^b_vec`` coefficient at K = ``k``; ``b`` is the b-content
     family at K = ``k``; ``gw`` takes two profiles and sweeps the count of
-    ``gw_s`` insertions.
+    ``gw_s`` insertions.  The sweep is one pass: the weights, ``f_bar``
+    and the content sequences up to the largest r are computed once per
+    partition, and each r is one sum over the partitions.
     """
     if kind not in ("classical", "completed", "monotone", "b", "gw"):
         raise DomainError(f"unknown ratio kind {kind!r}")
     if kind == "gw" and len(profiles) != 2:
         raise DomainError("gw ratio needs two profiles")
     d, profiles = _resolve_degree(profiles, d)
+    r_values = list(r_values)
+    if any(r < 0 for r in r_values):
+        raise DomainError(f"r must be nonnegative: {min(r_values)}")
+    top = max(r_values, default=0)
     n = len(profiles)
     ell = sum(len(mu) for mu in profiles)
-    if kind in ("classical", "completed"):
-        def exact(r):
-            return completed_hurwitz(r, s, profiles, d=d).value
-
-        return d, exact, lambda r: completed_leading_term(r, d, s, n, ell)
+    if kind in ("classical", "completed", "gw"):
+        order = gw_s if kind == "gw" else s
+        if order < 1:
+            raise DomainError(f"s must be positive: {order}")
+        pairs = [(w, f_bar(lam, order + 1)) for lam, w in character_weights(d, profiles)]
+        exact = {r: sum((w * f**r for w, f in pairs), Fraction(0)) for r in r_values}
+        if kind != "gw":
+            return d, exact, lambda r: completed_leading_term(r, d, s, n, ell)
+        mu, nu = profiles
+        exact = {m: v * _gw_scale(mu, nu, ((gw_s, m),)) for m, v in exact.items()}
+        return d, exact, lambda m: gw_leading_term(mu, nu, {gw_s: m})
     if kind == "monotone":
         gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
         caps = tuple(a_vec) + tuple(b_vec)
-
-        def exact(r):
-            return hypergeometric_hurwitz(r, gspec, profiles, d=d,
-                                          caps=caps).value.coefficient(caps)
-
+        shift = sum(caps)
+        terms = []  # (weight times the u/v part, the K sequence) per partition
+        if shift <= top and min(caps, default=0) >= 0:
+            for lam, w in character_weights(d, profiles):
+                e, h, hk = content_sequences(contents(lam), gspec, top)
+                terms.append((w * math.prod(e[a] for a in a_vec)
+                              * math.prod(h[j] for j in b_vec), hk))
+        exact = {r: sum((c * hk[r - shift] for c, hk in terms if r >= shift), Fraction(0))
+                 for r in r_values}
         return d, exact, lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec)
-    if kind == "b":
-        gspec = GSpec(K=k)
-
-        def exact(r):
-            return b_hurwitz_coefficient(r, gspec, profiles, b, d=d).constant_value()
-
-        return d, exact, lambda r: b_leading_term(r, d, n, ell, k, (), (), b)
-    mu, nu = profiles
-
-    def exact(m):
-        return gw_correlator(mu, nu, {gw_s: m})
-
-    return d, exact, lambda m: gw_leading_term(mu, nu, {gw_s: m})
+    gspec, alpha = GSpec(K=k), Fraction(b) + 1
+    terms = [(w, content_sequences(deformed_contents(lam, alpha), gspec, top)[2])
+             for lam, w in jack_weights(d, profiles, b)]
+    exact = {r: sum((w * hk[r] for w, hk in terms), Fraction(0)) for r in r_values}
+    return d, exact, lambda r: b_leading_term(r, d, n, ell, k, (), (), b)
 
 
 def verify_ratio(kind: str, *, d: int | None = None, r_max: int = 40, s: int = 1,
@@ -442,10 +454,11 @@ def verify_ratio(kind: str, *, d: int | None = None, r_max: int = 40, s: int = 1
     """Ratio-to-leading-term checks for one asymptotic family."""
     checks: list[dict] = []
     tolerance = Fraction(tolerance)
-    d, exact, leading = ratio_family(kind, d=d, s=s, profiles=profiles, k=k,
+    r_values = range(0, r_max + 1)
+    d, exact, leading = ratio_family(kind, r_values, d=d, s=s, profiles=profiles, k=k,
                                      a_vec=a_vec, b_vec=b_vec, b=b, gw_s=gw_s)
     try:
-        rep = ratio_report(exact, leading, range(0, r_max + 1))
+        rep = ratio_report(exact.__getitem__, leading, r_values)
     except EmptyReportError:
         _check(checks, f"{kind} ratio d={d}", False, "empty report: exact values all zero")
         return _report("ratio", checks, kind=kind, d=d, r_max=r_max)

@@ -219,6 +219,33 @@ class TestExitCodes:
         assert message in err
 
 
+class TestZeroFlags:
+    """A zero --max-d or --r-max is a value, not a missing flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--kind", "classical", "--d", "3", "--r", "2"),
+        ("chartable", "--d", "3"),
+    ], ids=["compute", "chartable"])
+    def test_max_d_zero_is_a_ceiling(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--max-d", "0")
+        assert code == EXIT_SIZE_LIMIT and "ceiling 0" in err
+
+    def test_r_max_zero_checks_r_zero_only(self, capsys):
+        code, out, _ = run(capsys, "verify", "ratio", "--kind", "classical", "--d", "4",
+                           "--r-max", "0")
+        blob = json.loads(out)
+        assert blob["config"]["r_max"] == 0
+        assert blob["checks"][0]["detail"].endswith("at r=0")
+        assert code == (EXIT_OK if blob["pass"] else EXIT_VERIFY_FAILED)
+
+    @pytest.mark.parametrize("suite", ["oracle", "characters", "stirling", "jack",
+                                       "poles", "eigenvalue-order"])
+    @pytest.mark.parametrize("max_d", ["0", "-1"])
+    def test_verify_max_d_below_one(self, capsys, suite, max_d):
+        code, _, err = run(capsys, "verify", suite, "--max-d", max_d)
+        assert code == EXIT_USAGE and "--max-d" in err
+
+
 class TestCeilingOverride:
     def test_compute_ceiling_exit(self, capsys):
         code, _, err = run(capsys, "compute", "--kind", "classical", "--d", "19",

@@ -245,3 +245,12 @@ def test_permutation_oracle(d):
     for r in range(7):
         want = Fraction(_transitive_identity_tuples(d, r), math.factorial(d))
         assert classical_hurwitz(r, d, connected=True).value == want, r
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (2, 2)])
+def test_capped_connected_value_is_truncated(caps):
+    g = GSpec(L=1, M=1)
+    full = hypergeometric_hurwitz(4, g, (), d=4, connected=True).value
+    assert full.coefficient((2, 2)) == Fraction(-5, 8)
+    capped = hypergeometric_hurwitz(4, g, (), d=4, connected=True, caps=caps).value
+    assert capped == full.truncate(caps)
