@@ -1,11 +1,14 @@
 """Exact irreducible characters of symmetric groups.
 
-Values are computed by the Murnaghan-Nakayama rule, implemented on
-beta-sets (first-column hook lengths) and memoized on the pair
-(remaining shape, remaining cycle multiset).  Everything is an exact
-Python integer; no linear algebra is involved.
+Values come from the Murnaghan-Nakayama rule on beta-sets (first-column
+hook lengths), as exact Python integers; no linear algebra is involved.
 
-``char_table(d)`` builds and memoizes the full table for one degree.
+``char_table(d)`` builds and memoizes the full table for one degree,
+column by column: read as ``p_k s_nu = sum +-s_lam``, the rule gives the
+column of ``mu`` from that of ``mu[1:]`` by adding border strips of size
+``mu[0]``.  ``character(lam, mu)`` removes strips instead, memoized on
+(remaining shape, remaining cycles): the single-value path, and the
+reference the column build is tested against.
 Construction is single-writer behind a lock; the published table is
 immutable and may be shared freely between threads.  Setting the
 environment variable ``HURWITZ_CACHE_DIR`` enables an on-disk JSON cache
@@ -84,6 +87,43 @@ def character(lam, mu) -> int:
     return _mn(lam, tuple(sorted(mu, reverse=True)))
 
 
+def _add_strips(nu: Partition, k: int) -> list[tuple[Partition, int]]:
+    """Every ``(lam, sign)`` with lam = nu plus a border strip of size k:
+    a bead moves from b to b + k on a beta-set of len(nu) + k beads, and
+    the sign counts the beads it passes."""
+    n = len(nu) + k
+    beta = [p + n - 1 - i for i, p in enumerate(nu)] + list(range(k - 1, -1, -1))
+    bset = set(beta)
+    out = []
+    for b in beta:
+        if b + k not in bset:
+            moved = sorted((bset - {b}) | {b + k}, reverse=True)
+            lam = tuple(x - (n - 1 - i) for i, x in enumerate(moved) if x > n - 1 - i)
+            out.append((lam, (-1) ** sum(1 for x in beta if b < x < b + k)))
+    return out
+
+
+def _column_entries(parts: tuple[Partition, ...]) -> tuple[tuple[int, ...], ...]:
+    """Table rows over ``parts``, built column by column from the column of
+    mu[1:]; both memos live for one build only."""
+    strips: dict = {}
+    columns: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+
+    def column(mu: Partition) -> dict[Partition, int]:
+        if mu not in columns:
+            col, k = {}, mu[0]
+            for nu, chi in column(mu[1:]).items():
+                if (nu, k) not in strips:
+                    strips[nu, k] = _add_strips(nu, k)
+                for lam, sign in strips[nu, k]:
+                    col[lam] = col.get(lam, 0) + sign * chi
+            columns[mu] = {lam: v for lam, v in col.items() if v}
+        return columns[mu]
+
+    cols = [column(mu) for mu in parts]
+    return tuple(tuple(col.get(lam, 0) for col in cols) for lam in parts)
+
+
 @dataclass(frozen=True)
 class CharTable:
     """Full character table of one degree, rows lambda, columns mu."""
@@ -93,7 +133,10 @@ class CharTable:
     entries: tuple[tuple[int, ...], ...]
 
     def index(self, lam) -> int:
-        return _partition_index(self.degree)[check_partition(lam)]
+        try:
+            return _partition_index(self.degree)[tuple(lam)]
+        except (KeyError, TypeError):
+            raise DomainError(f"not a partition of {self.degree}: {lam!r}") from None
 
     def value(self, lam, mu) -> int:
         return self.entries[self.index(lam)][self.index(mu)]
@@ -189,10 +232,7 @@ def char_table(d: int, ceiling: int | None = None) -> CharTable:
                 raise SizeLimitError(
                     f"degree {d} exceeds the character-table ceiling {ceiling}")
             parts = tuple(enumerate_partitions(d))
-            entries = tuple(
-                tuple(character(lam, mu) for mu in parts) for lam in parts
-            )
-            table = CharTable(d, parts, entries)
+            table = CharTable(d, parts, _column_entries(parts))
             _store_cached(table)
         _tables[d] = table
     return table

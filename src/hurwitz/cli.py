@@ -275,6 +275,8 @@ def _cmd_verify(args) -> int:
     profiles = _parse_profiles(args.profiles)
     if args.max_d is not None and args.max_d < 1:
         raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
+    if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
+        raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
     if suite == "oracle":
         report = verify.verify_oracle(max_d=args.max_d or 4,
                                       max_transpositions=args.max_transpositions)

@@ -132,13 +132,15 @@ def character_weights(d: int, profiles):
     """Yield ``(lam, weight)`` for every nonzero weight
     (dim/d!)^2 prod_i chi_lam(mu_i)/dim, in canonical partition order."""
     table = characters.char_table(d)
+    one = table.index((1,) * d)
+    cols = [table.index(mu) for mu in profiles]
     fact2 = Fraction(1, math.factorial(d)) ** 2
     power = 2 - len(profiles)  # of dim; negative past two profiles
-    for lam in table.partitions:
-        dim = table.value(lam, (1,) * d)
+    for lam, row in zip(table.partitions, table.entries):
+        dim = row[one]
         weight = fact2 * dim ** power if power >= 0 else fact2 / dim ** -power
-        for mu in profiles:
-            chi = table.value(lam, mu)
+        for j in cols:
+            chi = row[j]
             if chi == 0:
                 break
             weight *= chi
@@ -527,16 +529,16 @@ def structure_coefficients(s: int, profiles=(), *, d: int | None = None
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
     table = characters.char_table(d)
-    n = len(profiles)
+    one = table.index((1,) * d)
+    cols = [table.index(mu) for mu in profiles]
     out: dict[Fraction, Fraction] = {}
-    for lam in table.partitions:
+    for lam, row in zip(table.partitions, table.entries):
         f = f_bar(lam, s + 1)
         if s % 2 == 1 and f <= 0:
             continue  # the transpose carries the representative
-        dim = table.value(lam, (1,) * d)
-        weight = Fraction(dim) ** (2 - n)
-        for mu in profiles:
-            weight *= table.value(lam, mu)
+        weight = Fraction(row[one]) ** (2 - len(cols))
+        for j in cols:
+            weight *= row[j]
         if s % 2 == 0:
             weight /= 2
         if weight == 0:

@@ -109,6 +109,15 @@ class TestTable:
         built = char_table(7)
         assert char_table(7, ceiling=6) is built
 
+    def test_value_outside_the_degree(self):
+        t = char_table(4)
+        for bad in ((2, 1), (1, 3), (5,), ()):
+            with pytest.raises(DomainError):
+                t.value(bad, (4,))
+            with pytest.raises(DomainError):
+                t.value((4,), bad)
+        assert t.value([2, 1, 1], [3, 1]) == 0 and t.index([1, 1, 1, 1]) == 4
+
     def test_csv_rows(self):
         rows = char_table(3).csv_rows()
         assert rows[0] == ["lambda\\mu", "3", "2+1", "1+1+1"]
@@ -158,3 +167,25 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
+
+
+class TestColumnBuild:
+    @pytest.mark.parametrize("d", range(15))
+    def test_equals_single_values(self, d, monkeypatch):
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        t = char_table(d)
+        assert t.entries == tuple(
+            tuple(character(lam, mu) for mu in t.partitions) for lam in t.partitions)
+
+    def test_build_does_not_evaluate_single_values(self, monkeypatch):
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+
+        def refuse(lam, mu):
+            raise AssertionError("character() called by a table build")
+
+        monkeypatch.setattr(characters, "character", refuse)
+        characters._mn.cache_clear()
+        char_table(12)
+        assert characters._mn.cache_info().currsize == 0

@@ -245,6 +245,11 @@ class TestZeroFlags:
         code, _, err = run(capsys, "verify", suite, "--max-d", max_d)
         assert code == EXIT_USAGE and "--max-d" in err
 
+    @pytest.mark.parametrize("suite", ["poles", "eigenvalue-order"])
+    def test_verify_sweep_from_two_needs_max_d_two(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--max-d", "1", "--format", "csv")
+        assert code == EXIT_USAGE and "--max-d" in err and out == ""
+
 
 class TestCeilingOverride:
     def test_compute_ceiling_exit(self, capsys):
@@ -259,6 +264,15 @@ class TestCeilingOverride:
         code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "10",
                            "--r", "0", "--max-d", "10")
         assert code == EXIT_OK
+
+    def test_max_d_builds_degree_nineteen(self, capsys, monkeypatch):
+        # an empty memo, so the table is built here and not kept afterwards
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "19",
+                           "--r", "0", "--max-d", "19")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["value"] == "1/121645100408832000"
 
     def test_max_d_raises_ceiling(self, capsys, monkeypatch):
         # a lowered default stands in for 18, so no large table is built
