@@ -135,7 +135,7 @@ def _dhr_factor(d: int, profiles) -> Fraction:
 
 def _char_table(d: int, max_d: int | None) -> characters.CharTable:
     """The degree-d table under a ``--max-d`` ceiling: a degree above it
-    exits 2, and a missing table is built under it, not the default."""
+    exits 2, and a missing table is created under it, not the default."""
     if max_d is not None and d > max_d:
         raise SizeLimitError(f"degree {d} exceeds the character-table ceiling {max_d}")
     return characters.char_table(d, ceiling=max_d)
@@ -241,8 +241,12 @@ def _cmd_compute(args) -> int:
     if args.max_d is not None:
         d, _ = _resolve_degree(_parse_profiles(args.profiles), args.d)
         _char_table(d, args.max_d)
+    r_values = _r_values(args)
+    if args.kind == "gw" and r_values != [0]:
+        raise DomainError("--kind gw takes no --r: its order is set by --insertions, "
+                          "so only --r 0 is accepted")
     results = []
-    for r in _r_values(args):
+    for r in r_values:
         out = _compute_one(args, r)
         if isinstance(out, HurwitzResult):
             blob = out.to_json_dict()

@@ -39,7 +39,7 @@ from .partitions import (
     check_partition,
     class_data,
     contents,
-    frobenius_shifted,
+    transpose,
 )
 
 
@@ -58,11 +58,15 @@ def f_bar(lam: Partition, s: int) -> Fraction:
     lam = check_partition(lam)
     if s < 2:
         raise DomainError(f"f_bar index must be at least 2, got {s}")
-    fc = frobenius_shifted(lam)
-    acc = _c_const(s)
-    for a, b in zip(fc.a, fc.b):
-        acc += a**s - (-b) ** s
-    return acc / s
+    # a' = (2a+1)/2 and b' = (2b+1)/2 over the diagonal hooks (a, b)
+    lt = transpose(lam)
+    num = 0
+    for i, p in enumerate(lam):
+        if p <= i:
+            break
+        num += (2 * (p - i) - 1) ** s - (1 - 2 * (lt[i] - i)) ** s
+    c = _c_const(s)
+    return Fraction(num * c.denominator + c.numerator * 2**s, 2**s * c.denominator * s)
 
 
 def m_ds(d: int, s: int) -> Fraction:
@@ -132,15 +136,13 @@ def character_weights(d: int, profiles):
     """Yield ``(lam, weight)`` for every nonzero weight
     (dim/d!)^2 prod_i chi_lam(mu_i)/dim, in canonical partition order."""
     table = characters.char_table(d)
-    one = table.index((1,) * d)
-    cols = [table.index(mu) for mu in profiles]
+    cols = [table.column(mu) for mu in profiles]
     fact2 = Fraction(1, math.factorial(d)) ** 2
     power = 2 - len(profiles)  # of dim; negative past two profiles
-    for lam, row in zip(table.partitions, table.entries):
-        dim = row[one]
+    for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
         weight = fact2 * dim ** power if power >= 0 else fact2 / dim ** -power
-        for j in cols:
-            chi = row[j]
+        for col in cols:
+            chi = col[i]
             if chi == 0:
                 break
             weight *= chi
@@ -529,16 +531,15 @@ def structure_coefficients(s: int, profiles=(), *, d: int | None = None
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
     table = characters.char_table(d)
-    one = table.index((1,) * d)
-    cols = [table.index(mu) for mu in profiles]
+    cols = [table.column(mu) for mu in profiles]
     out: dict[Fraction, Fraction] = {}
-    for lam, row in zip(table.partitions, table.entries):
+    for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
         f = f_bar(lam, s + 1)
         if s % 2 == 1 and f <= 0:
             continue  # the transpose carries the representative
-        weight = Fraction(row[one]) ** (2 - len(cols))
-        for j in cols:
-            weight *= row[j]
+        weight = Fraction(dim) ** (2 - len(cols))
+        for col in cols:
+            weight *= col[i]
         if s % 2 == 0:
             weight /= 2
         if weight == 0:
@@ -554,7 +555,11 @@ def structure_resummation(r: int, s: int, profiles=(), *, d: int | None = None
     """(2/d!^2) sum_m C(m) m^r -- must match the direct character sum at
     every admissible r >= 1."""
     d, profiles = _resolve_degree(profiles, d)
-    coeffs = structure_coefficients(s, profiles, d=d)
+    return resum_structure(structure_coefficients(s, profiles, d=d), r, d)
+
+
+def resum_structure(coeffs: dict[Fraction, Fraction], r: int, d: int) -> Fraction:
+    """(2/d!^2) sum_m C(m) m^r of the structure coefficients of degree d."""
     acc = Fraction(0)
     for m, c in coeffs.items():
         acc += c * m**r

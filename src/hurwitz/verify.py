@@ -32,8 +32,8 @@ from .core import (
     hypergeometric_hurwitz,
     m_ds,
     mixed_simple_hypergeometric,
+    resum_structure,
     structure_coefficients,
-    structure_resummation,
 )
 from .errors import DomainError, EmptyReportError
 from .exactnum import stirling
@@ -43,7 +43,6 @@ from .partitions import (
     class_data,
     contents,
     enumerate_partitions,
-    frobenius_shifted,
     transpose,
 )
 
@@ -70,14 +69,15 @@ def verify_characters(max_d: int = 6, bruteforce_d: int = 5) -> dict:
     for d in range(1, max_d + 1):
         table = characters.char_table(d)
         parts = table.partitions
-        sizes = {mu: class_data(mu).class_size for mu in parts}
+        sizes = [class_data(mu).class_size for mu in parts]
         order = math.factorial(d)
 
+        rows = table.entries
         ok = all(
-            sum(sizes[mu] * table.value(lam, mu) * table.value(eta, mu) for mu in parts)
-            == (order if lam == eta else 0)
-            for lam in parts
-            for eta in parts
+            sum(z * x * y for z, x, y in zip(sizes, row, other))
+            == (order if i == j else 0)
+            for i, row in enumerate(rows)
+            for j, other in enumerate(rows)
         )
         _check(checks, f"row-orthogonality d={d}", ok)
 
@@ -101,9 +101,9 @@ def verify_characters(max_d: int = 6, bruteforce_d: int = 5) -> dict:
         table = characters.char_table(d)
         brute = oracle.bruteforce_character_table(d)
         ok = all(
-            brute[lam][mu] == table.value(lam, mu)
-            for lam in table.partitions
-            for mu in table.partitions
+            brute[lam][mu] == value
+            for lam, row in zip(table.partitions, table.entries)
+            for mu, value in zip(table.partitions, row)
         )
         _check(checks, f"permutation-module bruteforce d={d}", ok)
     return _report("characters", checks, max_d=max_d, bruteforce_d=bruteforce_d)
@@ -350,11 +350,10 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
 
     ok = True
     detail = ""
-    for r in range(1, resum_r + 1):
-        if s % 2 == 1 and (r + n * d - ell) % 2 != 0:
-            continue
-        lhs = structure_resummation(r, s, profiles, d=d)
-        rhs = completed_hurwitz(r, s, profiles, d=d).value
+    rs = [r for r in range(1, resum_r + 1) if s % 2 == 0 or (r + n * d - ell) % 2 == 0]
+    _, direct, _ = ratio_family("completed", rs, d=d, s=s, profiles=profiles)
+    for r in rs:
+        lhs, rhs = resum_structure(coeffs, r, d), direct[r]
         if lhs != rhs:
             ok = False
             detail = f"r={r}: {lhs} != {rhs}"

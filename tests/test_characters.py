@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from hurwitz import characters, oracle
 from hurwitz.characters import CharTable, char_table, character, dim
 from hurwitz.errors import DomainError, SizeLimitError
-from hurwitz.partitions import class_data, enumerate_partitions, transpose
+from hurwitz.partitions import class_data, enumerate_partitions, hook_lengths, transpose
 
 
 def count_standard_tableaux(shape):
@@ -129,6 +131,7 @@ class TestDiskCache:
         monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(characters, "_tables", {})
         table = char_table(4)
+        table.entries  # the full table is built, and stored, on first access
         path = tmp_path / "character-table-d4.json"
         assert path.is_file()
         blob = json.loads(path.read_text())
@@ -149,8 +152,90 @@ class TestDiskCache:
     def test_garbage_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(characters, "_tables", {})
-        (tmp_path / "character-table-d3.json").write_text("{not json")
-        assert char_table(3).value((2, 1), (3,)) == -1
+        path = tmp_path / "character-table-d3.json"
+        path.write_text("{not json")
+        table = char_table(3)
+        table.entries  # only the full table reads the disk cache
+        assert table.value((2, 1), (3,)) == -1
+        assert json.loads(path.read_text())["degree"] == 3
+
+    def test_file_that_is_not_an_object(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(characters, "_tables", {})
+        path = tmp_path / "character-table-d3.json"
+        path.write_text("[1]")
+        assert characters._load_cached(3) is None
+        assert char_table(3).entries == ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
+        assert json.loads(path.read_text())["degree"] == 3
+
+    @pytest.mark.parametrize("bad", ["1", 1.0, True], ids=["string", "float", "bool"])
+    def test_entries_must_be_json_integers(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(characters, "_tables", {})
+        good = char_table(4).entries
+        path = tmp_path / "character-table-d4.json"
+        blob = json.loads(path.read_text())
+        assert blob["entries"][0][0] == 1
+        blob["entries"][0][0] = bad  # equal to 1 under int(), but not an int
+        path.write_text(json.dumps(blob))
+        assert characters._load_cached(4) is None
+
+        monkeypatch.setattr(characters, "_tables", {})
+        assert char_table(4).entries == good
+        rewritten = json.loads(path.read_text())["entries"]
+        assert all(type(v) is int for row in rewritten for v in row)
+        assert characters._load_cached(4) == good
+
+    def test_stored_table_is_used_above_the_ceiling(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(characters, "_tables", {})
+        entries = char_table(19, ceiling=19).entries
+        assert (tmp_path / "character-table-d19.json").is_file()
+
+        monkeypatch.setattr(characters, "_tables", {})
+        table = char_table(19)  # above the default ceiling of 18
+        assert table._entries == entries
+        assert table.dims[0] == 1 and table.column((1,) * 19) == table.dims
+
+
+class TestLazyFill:
+    """A handle computes only the dimensions and columns asked for."""
+
+    @pytest.mark.parametrize("d", range(15))
+    def test_columns_equal_single_values(self, d, monkeypatch):
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        t = char_table(d)
+        for mu in t.partitions:
+            assert t.column(mu) == tuple(character(lam, mu) for lam in t.partitions)
+        assert t._entries is None
+
+    @pytest.mark.parametrize("d", range(19))
+    def test_dims_equal_hook_lengths(self, d):
+        t = char_table(d)
+        want = tuple(math.factorial(d) // math.prod(itertools.chain(*hook_lengths(lam)))
+                     for lam in t.partitions)
+        assert t.dims == want
+        assert tuple(dim(lam) for lam in t.partitions) == want
+
+    def test_column_rejects_other_degrees(self):
+        t = char_table(4)
+        for bad in ((2, 1), (5,), (1, 3)):
+            with pytest.raises(DomainError):
+                t.column(bad)
+        assert t.column([2, 1, 1]) == t.column((2, 1, 1))
+
+    def test_entries_reuse_and_drop_the_column_memos(self, monkeypatch):
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        t = char_table(8)
+        col = t.column((3, 3, 2))
+        assert t._strips and t._subcolumns
+        assert t.entries == tuple(zip(*(t.column(mu) for mu in t.partitions)))
+        assert not t._columns and not t._strips and not t._subcolumns
+        assert t.column((3, 3, 2)) == col
+        assert t.value((4, 4), (3, 3, 2)) == col[t.index((4, 4))]
+        assert not t._columns and not t._strips and not t._subcolumns
 
 
 class TestConcurrency:
@@ -167,6 +252,37 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert all(r is results[0] for r in results)
+
+    def test_concurrent_fill(self, monkeypatch):
+        # columns fill without a lock while another thread builds the entries
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        table = char_table(11)
+        want = tuple(tuple(character(lam, mu) for mu in table.partitions)
+                     for lam in table.partitions)
+        seen: list = []
+
+        def fill(i):
+            order = table.partitions[::-1] if i % 2 else table.partitions
+            cols = {mu: table.column(mu) for mu in order}
+            seen.append((table.entries, cols, table.dims))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 8
+        for entries, cols, dims in seen:
+            assert entries is seen[0][0] and entries == want
+            assert all(cols[mu] == tuple(row[j] for row in want)
+                       for j, mu in enumerate(table.partitions))
+            assert dims == tuple(row[-1] for row in want)  # the (1^d) column
 
 
 class TestColumnBuild:
@@ -187,5 +303,7 @@ class TestColumnBuild:
 
         monkeypatch.setattr(characters, "character", refuse)
         characters._mn.cache_clear()
-        char_table(12)
+        t = char_table(12)
+        assert t._entries is None
+        assert len(t.entries) == len(t.partitions) == 77
         assert characters._mn.cache_info().currsize == 0

@@ -218,6 +218,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert message in err
 
+    @pytest.mark.parametrize("orders", [("--r", "5"), ("--r-min", "0", "--r-max", "2"),
+                                        ("--r-min", "1")], ids=["r5", "r0-2", "r1"])
+    @pytest.mark.parametrize("command", [("compute",), ("table", "--what", "hurwitz")])
+    def test_gw_takes_only_r_zero(self, capsys, command, orders):
+        argv = (*command, "--kind", "gw", "--profiles", "1;1", "--insertions", "2:1",
+                "--format", "csv")
+        code, out, err = run(capsys, *argv, *orders)
+        assert code == EXIT_USAGE and "--r" in err and out == ""
+        code, out, _ = run(capsys, *argv, "--r", "0")
+        assert code == EXIT_OK and out.splitlines()[1:] == ["r,value", ",247/5760"]
+
 
 class TestZeroFlags:
     """A zero --max-d or --r-max is a value, not a missing flag."""
@@ -266,13 +277,16 @@ class TestCeilingOverride:
         assert code == EXIT_OK
 
     def test_max_d_builds_degree_nineteen(self, capsys, monkeypatch):
-        # an empty memo, so the table is built here and not kept afterwards
+        # an empty memo, so the table is created here and not kept afterwards
         monkeypatch.setattr(characters, "_tables", {})
         monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
-        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "19",
-                           "--r", "0", "--max-d", "19")
+        argv = ("compute", "--kind", "classical", "--d", "19", "--r", "0")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_SIZE_LIMIT and "ceiling 18" in err and out == ""
+        code, out, _ = run(capsys, *argv, "--max-d", "19")
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["value"] == "1/121645100408832000"
+        assert characters._tables[19]._entries is None  # the dimensions suffice
 
     def test_max_d_raises_ceiling(self, capsys, monkeypatch):
         # a lowered default stands in for 18, so no large table is built
@@ -289,6 +303,29 @@ class TestCeilingOverride:
         for lowered in (argv, ("chartable", "--d", "6")):
             code, _, err = run(capsys, *lowered, "--max-d", "5")
             assert code == EXIT_SIZE_LIMIT and "ceiling 5" in err
+
+
+class TestCharacterSumsReadColumns:
+    """Completed sums and structure tables read dimensions and profile
+    columns only: no full table, and no disk cache."""
+
+    def test_no_full_table_at_degree_eighteen(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(characters, "_tables", {})
+
+        def refuse(*args):
+            raise AssertionError("the disk cache was touched")
+
+        monkeypatch.setattr(characters, "_load_cached", refuse)
+        monkeypatch.setattr(characters, "_store_cached", refuse)
+        code, out, _ = run(capsys, "compute", "--kind", "completed", "--profiles",
+                           "6,6,6;3,3,3,3,3,3", "--r", "2")
+        assert code == EXIT_OK and json.loads(out)["results"][0]["d"] == 18
+        code, out, _ = run(capsys, "table", "--what", "structure", "--d", "18",
+                           "--s", "1", "--format", "csv")
+        assert code == EXIT_OK and out.splitlines()[1] == "m,C"
+        assert list(tmp_path.iterdir()) == []
+        assert characters._tables[18]._entries is None
 
 
 class TestVerifySuitesSmoke:

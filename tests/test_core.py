@@ -64,6 +64,19 @@ class TestEigenvalues:
             for s in range(2, 6):
                 assert f_bar(lam, s) == f_bar_via_row_shifts(lam, s)
 
+    @pytest.mark.parametrize("d", range(0, 13))
+    def test_matches_frobenius_formula(self, d):
+        from hurwitz.exactnum import zeta_neg
+        from hurwitz.partitions import frobenius_shifted
+
+        for lam in enumerate_partitions(d):
+            fc = frobenius_shifted(lam)
+            for s in range(2, 7):
+                acc = (1 - Fraction(1, 2**s)) * zeta_neg(s)
+                for a, b in zip(fc.a, fc.b):
+                    acc += a**s - (-b) ** s
+                assert f_bar(lam, s) == acc / s
+
     def test_transpose_antisymmetry(self):
         from hurwitz.partitions import transpose
 
@@ -231,6 +244,27 @@ class TestStructure:
         for r in (1, 3, 5, 7):
             assert structure_resummation(r, 1, (mu,)) == \
                 completed_hurwitz(r, 1, (mu,)).value
+
+    @pytest.mark.parametrize("d, s, profiles", [
+        (6, 1, ()), (5, 2, ()), (5, 1, ((3, 1, 1),)), (5, 3, ((2, 2, 1), (3, 1, 1)))])
+    def test_gap_resummation_catches_a_perturbed_coefficient(self, monkeypatch,
+                                                             d, s, profiles):
+        from hurwitz import verify
+
+        assert verify.verify_gap(d, s, profiles)["pass"]
+        exact = structure_coefficients
+
+        def perturbed(*args, **kwargs):
+            coeffs = exact(*args, **kwargs)
+            low = min(coeffs)  # not the leading key, so only the resummation fails
+            coeffs[low] += Fraction(1, 7)
+            return coeffs
+
+        monkeypatch.setattr(verify, "structure_coefficients", perturbed)
+        checks = verify.verify_gap(d, s, profiles)["checks"]
+        assert [c["pass"] for c in checks] == [True, True, False]
+        assert checks[2]["name"].startswith("resummation identity")
+        assert checks[2]["detail"].startswith("r=")
 
     def test_even_index_keys_are_signed(self):
         coeffs = structure_coefficients(2, (), d=3)
