@@ -147,14 +147,10 @@ def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, 
 # Leading terms of the asymptotic theorems
 # ---------------------------------------------------------------------------
 
-def monotone_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
-                          a_vec=(), b_vec=()) -> Fraction:
-    """Leading term for rational weights with K weak blocks growing with r.
-
-    2 * r^{K-1}/(K-1)! * (d-1)^{(d-2)K - sum a - sum b + r} /
-    (d!^2 (d-2)!^K) * prod [d; d-a_i] * prod {b_j+d-1; d-1}.
-    Returns 0 when some a_i >= d (the Stirling factor vanishes).
-    """
+def _block_stirling(r: int, d: int, k: int, a_vec, b_vec) -> tuple[int, int]:
+    """Check K >= 1, d >= 2 and r >= 0, and return the Stirling factor
+    prod [d; d-a_i] prod {b_j+d-1; d-1} of the u and v blocks (0 when some
+    a_i >= d) with the exponent (d-2)K - sum a - sum b + r of d - 1."""
     if k < 1:
         raise DomainError(f"need K >= 1, got {k}")
     if d < 2:
@@ -168,9 +164,20 @@ def monotone_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
         stir *= stirling(1, d, d - a) if a < d else 0
     for b in b_vec:
         stir *= stirling(2, b + d - 1, d - 1)
+    return stir, (d - 2) * k - sum(a_vec) - sum(b_vec) + r
+
+
+def monotone_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
+                          a_vec=(), b_vec=()) -> Fraction:
+    """Leading term for rational weights with K weak blocks growing with r.
+
+    2 * r^{K-1}/(K-1)! * (d-1)^{(d-2)K - sum a - sum b + r} /
+    (d!^2 (d-2)!^K) * prod [d; d-a_i] * prod {b_j+d-1; d-1}.
+    Returns 0 when some a_i >= d (the Stirling factor vanishes).
+    """
+    stir, exponent = _block_stirling(r, d, k, a_vec, b_vec)
     if stir == 0:
         return Fraction(0)
-    exponent = (d - 2) * k - sum(a_vec) - sum(b_vec) + r
     return (
         2
         * Fraction(r ** (k - 1), math.factorial(k - 1))
@@ -200,23 +207,10 @@ def b_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
     alpha = 1).  Returns a Fraction when the value is real, otherwise a
     GaussianRational.
     """
-    if k < 1:
-        raise DomainError(f"need K >= 1, got {k}")
-    if d < 2:
-        raise DomainError(f"need d >= 2, got {d}")
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
+    stir, exponent = _block_stirling(r, d, k, a_vec, b_vec)
     alpha = GaussianRational.of(b) + 1
-    a_vec = tuple(int(a) for a in a_vec)
-    b_vec = tuple(int(x) for x in b_vec)
-    stir = 1
-    for a in a_vec:
-        stir *= stirling(1, d, d - a) if a < d else 0
-    for bb in b_vec:
-        stir *= stirling(2, bb + d - 1, d - 1)
     if stir == 0:
         return Fraction(0)
-    exponent = k * (d - 2) - sum(a_vec) - sum(b_vec) + r
     common = GaussianRational.of(
         Fraction(r ** (k - 1), math.factorial(k - 1))
         * Fraction(d - 1) ** exponent

@@ -86,16 +86,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise DomainError(f"cannot parse rational from {text!r}") from exc
 
 
-def _parse_degrees(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _parse_degrees(text: str | None, flag: str) -> tuple[int, ...]:
+    """The degrees of a comma-list flag such as ``--u-deg``, each at least 0."""
+    tokens = [t.strip() for t in (text or "").split(",") if t.strip()]
+    if not all(t.isdecimal() for t in tokens):
+        raise DomainError(f"{flag} wants a comma list of nonnegative integers, got {text!r}")
+    return tuple(int(t) for t in tokens)
 
 
 def _caps(args, gspec: GSpec) -> tuple[int, ...] | None:
     """The --u-deg/--v-deg monomial as one cap per u and v block, or None."""
-    a_vec = _parse_degrees(args.u_deg)
-    b_vec = _parse_degrees(args.v_deg)
+    a_vec = _parse_degrees(args.u_deg, "--u-deg")
+    b_vec = _parse_degrees(args.v_deg, "--v-deg")
     if not (a_vec or b_vec):
         return None
     if len(a_vec) != gspec.L or len(b_vec) != gspec.M:
@@ -107,8 +109,8 @@ def _ratio_options(args) -> dict:
     """The family options of ``verify ratio`` and ``table --what ratio``."""
     return {
         "d": args.d, "s": args.s, "profiles": _parse_profiles(args.profiles),
-        "k": args.K, "a_vec": _parse_degrees(args.u_deg),
-        "b_vec": _parse_degrees(args.v_deg), "b": _parse_fraction(args.b),
+        "k": args.K, "a_vec": _parse_degrees(args.u_deg, "--u-deg"),
+        "b_vec": _parse_degrees(args.v_deg, "--v-deg"), "b": _parse_fraction(args.b),
         "gw_s": args.gw_s,
     }
 
@@ -158,8 +160,12 @@ def _emit(args, payload: dict, csv_rows: list[list[str]] | None = None):
             writer.writerow(row)
         text = buf.getvalue().rstrip("\n")
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DomainError(
+                f"--output cannot write {args.output!r}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -317,6 +323,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
+    if args.K is None:  # compute's default for hurwitz tables, one block otherwise
+        args.K = 0 if args.what == "hurwitz" else 1
     if args.what == "structure":
         d, profiles = _resolve_degree(_parse_profiles(args.profiles), args.d)
         coeffs = structure_coefficients(args.s, profiles, d=d)
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--r-min", type=int)
     pt.add_argument("--r-max", type=int)
     pt.add_argument("--s", type=int, default=1)
-    pt.add_argument("--K", type=int, default=1)
+    pt.add_argument("--K", type=int)
     pt.add_argument("--L", type=int, default=0)
     pt.add_argument("--M", type=int, default=0)
     pt.add_argument("--profiles")

@@ -8,14 +8,17 @@ The two evaluation routes are:
   coefficient of the product of ``G`` evaluated at ``z`` times each box
   content, kept as an exact polynomial in the formal u/v variables.
 
-Both share ``character_weights``, the partition loop over the nonzero
-weights in canonical order, and ``character_sum``, its left-to-right
-reduction.  The hypergeometric factor is ``content_product``: the z^r
-coefficient factors into elementary and complete symmetric functions of
-the nonzero contents (``content_sequences``, plain integer sequences),
-so no series is multiplied.  The b-deformed engine in ``hurwitz.jack``
-runs the same product over deformed contents.  ``_resolve_degree`` is
-the one place that turns (profiles, d) into a checked degree.
+Every family is a sum over partitions of a weight times a factor, and
+``weighted_sweep``, the one reducer, sums it for every r of a sweep at
+once.  ``character_weights`` supplies the weights (``hurwitz.jack`` the
+Jack weights); ``completed_sweep`` and ``character_sum`` are its
+completed-cycle and one-r cases.  The hypergeometric factor is
+``content_product``: the z^r coefficient factors into elementary and
+complete symmetric functions of the nonzero contents
+(``content_sequences``, plain integer sequences), so no series is
+multiplied.  The b-deformed engine in ``hurwitz.jack`` runs the same
+product over deformed contents.  ``_resolve_degree`` is the one place
+that turns (profiles, d) into a checked degree.
 
 Connected numbers come from any disconnected evaluator through
 ``connected_transform_multi``: the exponential formula, solved by the
@@ -150,23 +153,44 @@ def character_weights(d: int, profiles):
             yield lam, weight
 
 
-def character_sum(d: int, profiles, factor):
-    """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam).
+def weighted_sweep(weights, factor, r_values) -> dict:
+    """{r: sum over (lam, weight) of weight * factor(lam)(r)} for every r.
 
-    ``factor`` may return a Fraction or a MultiPoly; the reduction runs
-    left-to-right over the canonical partition order.
+    ``factor(lam)`` is called once per partition and returns its term as
+    a function of r, a Fraction or a MultiPoly (they share ``*``, ``+``
+    and ``== 0``).  Each sum runs left to right over the canonical order
+    of ``weights``; an empty sum is ``Fraction(0)``.
     """
-    total = None
-    for lam, weight in character_weights(d, profiles):
-        value = factor(lam)
-        if isinstance(value, MultiPoly):
-            term = value.scale(weight)
+    r_values = list(r_values)
+    totals = None
+    for lam, weight in weights:
+        term = factor(lam)
+        if totals is None:
+            totals = [term(r) * weight for r in r_values]
         else:
-            term = weight * Fraction(value)
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
+            totals = [total + term(r) * weight for total, r in zip(totals, r_values)]
+    return dict(zip(r_values, totals or [Fraction(0)] * len(r_values)))
+
+
+def character_sum(d: int, profiles, factor):
+    """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam),
+    the one-r case of ``weighted_sweep``."""
+    weights = character_weights(d, profiles)
+    return weighted_sweep(weights, lambda lam: lambda _: factor(lam), (0,))[0]
+
+
+def completed_sweep(r_values, s: int, profiles, d: int) -> dict:
+    """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``."""
+    def factor(lam):
+        f = f_bar(lam, s + 1)
+        return lambda r: f**r
+    return weighted_sweep(character_weights(d, profiles), factor, r_values)
+
+
+def _as_polynomial(value, nvars: int) -> MultiPoly:
+    """A sum of polynomial terms as a polynomial: the empty sum,
+    ``Fraction(0)``, is the one value that is not one already."""
+    return value or MultiPoly.zero(nvars)
 
 
 @dataclass
@@ -239,7 +263,7 @@ def completed_hurwitz(r: int, s: int, profiles=(), *, d: int | None = None,
     d, profiles = _resolve_degree(profiles, d)
 
     def disconnected(rr, profs, dd):
-        return character_sum(dd, profs, lambda lam: f_bar(lam, s + 1) ** rr)
+        return completed_sweep((rr,), s, profs, dd)[rr]
 
     if connected:
         value = connected_transform(disconnected, r, profiles, d=d)
@@ -353,8 +377,7 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
         value = connected_transform(disconnected, r, profiles, d=d)
     else:
         value = disconnected(r, profiles, d)
-    if isinstance(value, Fraction):
-        value = MultiPoly.constant(gspec.nvars, value)
+    value = _as_polynomial(value, gspec.nvars)
     if caps is not None:  # the connected transform multiplies capped values
         value = value.truncate(caps)
     return HurwitzResult(
@@ -377,13 +400,9 @@ def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=()
     d, profiles = _resolve_degree(profiles, d)
 
     def factor(lam):
-        poly = _content_coefficient(d, lam, gspec, r, caps)
-        return poly.scale(f_bar(lam, 2) ** r_simple)
+        return _content_coefficient(d, lam, gspec, r, caps) * f_bar(lam, 2) ** r_simple
 
-    value = character_sum(d, profiles, factor)
-    if isinstance(value, Fraction):
-        value = MultiPoly.constant(gspec.nvars, value)
-    return value
+    return _as_polynomial(character_sum(d, profiles, factor), gspec.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +464,8 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     def h_tilde(sub_counts, sub_profiles, dd):
         key = (sub_counts, sub_profiles, dd)
         if key not in h_memo:
-            value = evaluator(sub_counts, sub_profiles, dd)
             scale = math.prod(class_data(mu).class_size for mu in sub_profiles)
-            h_memo[key] = value * scale if isinstance(value, MultiPoly) else Fraction(value) * scale
+            h_memo[key] = evaluator(sub_counts, sub_profiles, dd) * scale
         return h_memo[key]
 
     def h_connected(sub_counts, sub_profiles, dd):
@@ -460,43 +478,25 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
                 p2 = tuple(_multiset_difference(mu, sub) for mu, sub in zip(sub_profiles, p1))
                 for c1 in itertools.product(*(range(m + 1) for m in sub_counts)):
                     first = h_connected(c1, p1, d1)
-                    if _value_is_zero(first):
+                    if first == 0:
                         continue
                     second = h_tilde(tuple(m - m1 for m, m1 in zip(sub_counts, c1)),
                                      p2, dd - d1)
-                    if _value_is_zero(second):
+                    if second == 0:
                         continue
                     weight = d1
                     for m, m1 in zip(sub_counts, c1):
                         weight *= math.comb(m, m1)
-                    term = _value_scale(_value_mul(first, second), weight)
+                    term = first * second * weight
                     rest = term if rest is None else rest + term
         value = h_tilde(sub_counts, sub_profiles, dd)
         if rest is not None:
-            value = value + _value_scale(rest, Fraction(-1, dd))
+            value = value + rest * Fraction(-1, dd)
         connected_memo[key] = value
         return value
 
     scale = math.prod(class_data(mu).class_size for mu in profiles)
-    return _value_scale(h_connected(tuple(counts), profiles, d), Fraction(1, scale))
-
-
-def _value_mul(a, b):
-    if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-        if not isinstance(a, MultiPoly):
-            a, b = b, a
-        if isinstance(b, MultiPoly):
-            return a.mul(b)
-        return a.scale(b)
-    return a * b
-
-
-def _value_scale(a, q):
-    return a.scale(q) if isinstance(a, MultiPoly) else a * q
-
-
-def _value_is_zero(a) -> bool:
-    return a.is_zero() if isinstance(a, MultiPoly) else a == 0
+    return h_connected(tuple(counts), profiles, d) * Fraction(1, scale)
 
 
 def connected_transform(evaluator, r: int, profiles=(), *, d: int | None = None):
@@ -530,21 +530,13 @@ def structure_coefficients(s: int, profiles=(), *, d: int | None = None
     if s < 1:
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
-    table = characters.char_table(d)
-    cols = [table.column(mu) for mu in profiles]
+    scale = Fraction(math.factorial(d) ** 2, 1 if s % 2 else 2)
     out: dict[Fraction, Fraction] = {}
-    for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
+    for lam, weight in character_weights(d, profiles):
         f = f_bar(lam, s + 1)
         if s % 2 == 1 and f <= 0:
             continue  # the transpose carries the representative
-        weight = Fraction(dim) ** (2 - len(cols))
-        for col in cols:
-            weight *= col[i]
-        if s % 2 == 0:
-            weight /= 2
-        if weight == 0:
-            continue
-        out[f] = out.get(f, Fraction(0)) + weight
+        out[f] = out.get(f, Fraction(0)) + weight * scale
         if out[f] == 0:
             del out[f]
     return out
@@ -672,8 +664,7 @@ def higher_genus_target(h: int, base: HurwitzResult) -> HurwitzResult:
     if h < 0:
         raise DomainError(f"target genus must be nonnegative: {h}")
     scale = Fraction(math.factorial(base.d)) ** (2 * h)
-    value = base.value.scale(scale) if isinstance(base.value, MultiPoly) \
-        else base.value * scale
+    value = base.value * scale
     r = None if base.r is None else base.r + 2 * base.d * h
     return HurwitzResult(
         kind=base.kind, d=base.d, r=r, s=base.s, t=base.t,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import GSpec, _resolve_degree, content_product
+from .core import GSpec, _as_polynomial, _resolve_degree, content_product, weighted_sweep
 from .errors import DomainError, SingularParameterError, SizeLimitError
 from .exactnum import MultiPoly
 from .partitions import (
@@ -118,9 +118,9 @@ class PSumExpansion:
         return {",".join(map(str, mu)): str(c) for mu, c in self.coeffs}
 
 
-def _check_jack_degree(d: int, ceiling: int):
-    if d > ceiling:
-        raise SizeLimitError(f"degree {d} exceeds the Jack ceiling {ceiling}")
+def _check_jack_degree(d: int):
+    if d > DEFAULT_JACK_CEILING:
+        raise SizeLimitError(f"degree {d} exceeds the Jack ceiling {DEFAULT_JACK_CEILING}")
 
 
 _jack_cache: dict[tuple[int, Fraction], dict[Partition, dict[Partition, Fraction]]] = {}
@@ -192,11 +192,11 @@ def _jack_basis(d: int, alpha: Fraction) -> dict[Partition, dict[Partition, Frac
     return jays
 
 
-def jack_in_psums(lam, alpha, ceiling: int = DEFAULT_JACK_CEILING) -> PSumExpansion:
+def jack_in_psums(lam, alpha) -> PSumExpansion:
     """J-normalised Jack polynomial of shape lam over the power-sum basis."""
     lam = check_partition(lam)
     d = sum(lam)
-    _check_jack_degree(d, ceiling)
+    _check_jack_degree(d)
     alpha = Fraction(alpha)
     vec = _jack_basis(d, alpha)[lam]
     coeffs = tuple(
@@ -220,13 +220,13 @@ def jack_norm(lam, alpha) -> Fraction:
     return out
 
 
-def jack_character(lam, mu, alpha, ceiling: int = DEFAULT_JACK_CEILING) -> Fraction:
+def jack_character(lam, mu, alpha) -> Fraction:
     """Normalised Jack character: coefficient of p_mu in J_lam over |class(mu)|."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise DomainError(f"size mismatch: |{lam}| != |{mu}|")
-    expansion = jack_in_psums(lam, alpha, ceiling)
+    expansion = jack_in_psums(lam, alpha)
     return expansion.coefficient(mu) / class_data(mu).class_size
 
 
@@ -241,10 +241,10 @@ def deformed_contents(lam, alpha) -> list[Fraction]:
     return [alpha * j - i for i, p in enumerate(lam) for j in range(p)]
 
 
-def jack_weights(d: int, profiles, b, ceiling: int = DEFAULT_JACK_CEILING):
+def jack_weights(d: int, profiles, b):
     """Yield ``(lam, weight)`` for every nonzero Jack weight
     prod_i theta_lam(mu_i) / j_lam at alpha = b + 1, in canonical order."""
-    _check_jack_degree(d, ceiling)
+    _check_jack_degree(d)
     alpha = Fraction(b) + 1
     if alpha == 0:
         raise SingularParameterError("b = -1 degenerates the deformation (alpha = 0)")
@@ -256,7 +256,7 @@ def jack_weights(d: int, profiles, b, ceiling: int = DEFAULT_JACK_CEILING):
             )
         weight = Fraction(1) / norm
         for mu in profiles:
-            theta = jack_character(lam, mu, alpha, ceiling)
+            theta = jack_character(lam, mu, alpha)
             if theta == 0:
                 break
             weight *= theta
@@ -266,8 +266,7 @@ def jack_weights(d: int, profiles, b, ceiling: int = DEFAULT_JACK_CEILING):
 
 def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
                           d: int | None = None,
-                          caps: tuple[int, ...] | None = None,
-                          ceiling: int = DEFAULT_JACK_CEILING) -> MultiPoly:
+                          caps: tuple[int, ...] | None = None) -> MultiPoly:
     """[z^r] of the b-deformed content-product sum, exact in u's and v's.
 
     At b = 0 this coincides with the undeformed hypergeometric engine.
@@ -276,8 +275,10 @@ def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
         raise DomainError(f"r must be nonnegative: {r}")
     d, profiles = _resolve_degree(profiles, d)
     alpha = Fraction(b) + 1
-    total = MultiPoly.zero(gspec.nvars)
-    for lam, weight in jack_weights(d, profiles, b, ceiling):
-        coefficient = content_product(deformed_contents(lam, alpha), gspec, r, caps)
-        total = total + coefficient.scale(weight)
-    return total
+
+    def factor(lam):
+        deformed = deformed_contents(lam, alpha)
+        return lambda rr: content_product(deformed, gspec, rr, caps)
+
+    total = weighted_sweep(jack_weights(d, profiles, b), factor, (r,))[r]
+    return _as_polynomial(total, gspec.nvars)

@@ -166,6 +166,17 @@ class TestTable:
         assert code == EXIT_OK and out == ""
         assert json.loads(target.read_text())["rows"][0] == {"m": "6", "C": "1"}
 
+    def test_hurwitz_table_defaults_to_compute_block_count(self, capsys):
+        # --K defaults to 0 as in compute; the ratio tables keep one block
+        argv = ("--kind", "hypergeometric", "--d", "3", "--r", "2", "--format", "csv")
+        _, compute, _ = run(capsys, "compute", *argv)
+        _, table, _ = run(capsys, "table", "--what", "hurwitz", *argv)
+        assert compute.splitlines()[1:] == table.splitlines()[1:] == ["r,value", "2,0"]
+        assert '"K": 0' in table.splitlines()[0]
+        _, ratio, _ = run(capsys, "table", "--what", "ratio", "--kind", "monotone",
+                          "--d", "3", "--r-max", "4", "--format", "csv")
+        assert '"K": 1' in ratio.splitlines()[0]
+
 
 class TestCharTableCommand:
     def test_csv_dump(self, capsys):
@@ -228,6 +239,38 @@ class TestExitCodes:
         assert code == EXIT_USAGE and "--r" in err and out == ""
         code, out, _ = run(capsys, *argv, "--r", "0")
         assert code == EXIT_OK and out.splitlines()[1:] == ["r,value", ",247/5760"]
+
+
+MONOTONE = ("--kind", "hypergeometric", "--d", "3", "--r", "2", "--K", "1")
+
+
+class TestBadFlagValues:
+    """A malformed flag value is a usage error naming the flag, not a traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("compute", *MONOTONE, "--L", "1", "--u-deg", "x"), "--u-deg"),
+        (("compute", *MONOTONE, "--M", "2", "--v-deg", "1,x"), "--v-deg"),
+        (("compute", *MONOTONE, "--M", "1", "--v-deg", "-1"), "--v-deg"),
+        (("table", "--what", "ratio", "--kind", "monotone", "--d", "3", "--r-max", "4",
+          "--u-deg", "x"), "--u-deg"),
+        (("table", "--what", "ratio", "--kind", "monotone", "--d", "3", "--r-max", "4",
+          "--v-deg", "-1"), "--v-deg"),
+        (("verify", "ratio", "--kind", "monotone", "--d", "3", "--v-deg", "1,x"),
+         "--v-deg"),
+    ], ids=["compute-u-deg", "compute-v-deg-list", "compute-v-deg-negative",
+            "table-ratio-u-deg", "table-ratio-v-deg-negative", "verify-ratio-v-deg"])
+    def test_bad_degrees(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and flag in err and out == ""
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-dir", "a-dir"])
+    @pytest.mark.parametrize("command", [
+        ("compute", "--kind", "classical", "--d", "3", "--r", "2"),
+        ("verify", "gap", "--d", "3"),
+    ], ids=["compute", "verify"])
+    def test_unwritable_output(self, capsys, tmp_path, command, target):
+        code, out, err = run(capsys, *command, "--output", str(tmp_path / target))
+        assert code == EXIT_USAGE and "--output" in err and out == ""
 
 
 class TestZeroFlags:

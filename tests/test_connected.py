@@ -13,9 +13,6 @@ from hurwitz.core import (
     _multiset_difference,
     _resolve_degree,
     _sub_multisets,
-    _value_is_zero,
-    _value_mul,
-    _value_scale,
     character_sum,
     classical_hurwitz,
     completed_hurwitz,
@@ -24,6 +21,7 @@ from hurwitz.core import (
     hypergeometric_hurwitz,
     orbifold_hurwitz,
 )
+from hurwitz.exactnum import MultiPoly
 from hurwitz.partitions import class_data
 
 
@@ -109,7 +107,7 @@ def reference_transform(evaluator, counts, profiles, *, d):
             scale = 1
             for mu in sub_profiles:
                 scale *= class_data(mu).class_size
-            memo[key] = _value_scale(value, scale)
+            memo[key] = value * scale
         return memo[key]
 
     total = None
@@ -126,20 +124,20 @@ def reference_transform(evaluator, counts, profiles, *, d):
                     for i in range(k):
                         sub_counts = tuple(parts[i] for parts in count_splits)
                         val = h_tilde(sub_counts, pieces[i], sizes[i])
-                        term = val if term is None else _value_mul(term, val)
-                        if _value_is_zero(term):
+                        term = val if term is None else term * val
+                        if term == 0:
                             term = None
                             break
                     if term is None:
                         continue
-                    term = _value_scale(term, weight)
+                    term = term * weight
                     total = term if total is None else total + term
     if total is None:
         return Fraction(0)
     scale = 1
     for mu in profiles:
         scale *= class_data(mu).class_size
-    return _value_scale(total, Fraction(1, scale))
+    return total * Fraction(1, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +202,30 @@ def test_matches_inclusion_exclusion(family):
         want = reference_transform(evaluator, counts, profiles, d=d)
         got = new(counts)
         assert got == want, (family, counts)
-        nonzero += not _value_is_zero(want)
+        nonzero += want != 0
     assert nonzero  # the family is not checked on zeros alone
+
+
+def test_zero_fraction_and_polynomial_sub_instances_mix():
+    # a sum with no nonzero term is Fraction(0); beside polynomial-valued
+    # sub-instances it must act as the zero polynomial
+    g, profiles = GSpec(K=1, L=1), ((2, 1, 1),)
+    seen = set()
+
+    def evaluator(counts, profs, d):
+        value = hypergeometric_hurwitz(counts[0], g, profs, d=d).value
+        value = value if value != 0 else Fraction(0)
+        seen.add(type(value))
+        return value
+
+    nonzero = 0
+    for r in range(5):
+        want = hypergeometric_hurwitz(r, g, profiles, connected=True).value
+        assert isinstance(want, MultiPoly)
+        assert connected_transform_multi(evaluator, (r,), profiles, d=4) == want, r
+        assert reference_transform(evaluator, (r,), profiles, d=4) == want, r
+        nonzero += want != 0
+    assert nonzero and seen == {Fraction, MultiPoly}
 
 
 @pytest.mark.parametrize("d", range(1, 11))
