@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -23,18 +25,18 @@ from .core import (
     GSpec,
     HurwitzResult,
     _resolve_degree,
-    classical_hurwitz,
-    completed_hurwitz,
+    classical_hurwitz_sweep,
+    completed_hurwitz_sweep,
     gw_correlator,
     gw_genus,
-    hypergeometric_hurwitz,
+    hypergeometric_hurwitz_sweep,
     m_ds,
-    orbifold_hurwitz,
+    orbifold_hurwitz_sweep,
     structure_coefficients,
 )
 from .errors import DomainError, HurwitzError, SizeLimitError
 from .exactnum import format_rational
-from .jack import b_hurwitz_coefficient
+from .jack import b_hurwitz_sweep
 from .partitions import parse_partition
 
 EXIT_OK = 0
@@ -148,6 +150,21 @@ def _config(args) -> dict:
             if k not in ("func", "output") and v is not None}
 
 
+def _check_output(path: str):
+    """Refuse an ``--output`` that cannot be written, before any work is
+    done; the file itself is opened only once the result exists."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no directory {folder!r}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "it is not writable"  # a new file needs a writable directory
+    else:
+        return
+    raise DomainError(f"--output cannot write {path!r}: {problem}")
+
+
 def _emit(args, payload: dict, csv_rows: list[list[str]] | None = None):
     text: str
     if args.format == "json":
@@ -174,7 +191,8 @@ def _emit(args, payload: dict, csv_rows: list[list[str]] | None = None):
 # compute
 # ---------------------------------------------------------------------------
 
-def _compute_one(args, r: int) -> HurwitzResult | dict:
+def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
+    """One result per r of ``r_values``, from one pass of the family's sweep."""
     profiles = _parse_profiles(args.profiles)
     kind = args.kind
     if kind == "classical":
@@ -182,9 +200,10 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
             raise DomainError("--kind classical needs --d")
         if profiles:
             raise DomainError("--kind classical takes no profiles (use --kind completed)")
-        return classical_hurwitz(r, args.d, connected=args.connected)
+        return classical_hurwitz_sweep(r_values, args.d, connected=args.connected)
     if kind == "completed":
-        return completed_hurwitz(r, args.s, profiles, d=args.d, connected=args.connected)
+        return completed_hurwitz_sweep(r_values, args.s, profiles, d=args.d,
+                                       connected=args.connected)
     if kind in ("hypergeometric", "hciz"):
         if kind == "hciz":
             if len(profiles) != 2:
@@ -193,21 +212,22 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
         else:
             gspec = GSpec(K=args.K, L=args.L, M=args.M)
         caps = _caps(args, gspec)
-        result = hypergeometric_hurwitz(r, gspec, profiles, d=args.d,
-                                        connected=args.connected, caps=caps)
-        if caps is not None:
-            result.extra["monomial"] = {"u": list(caps[:gspec.L]), "v": list(caps[gspec.L:])}
-            result.value = result.value.coefficient(caps)
-        if kind == "hciz":
-            result.kind = "hciz"
-        return result
+        results = hypergeometric_hurwitz_sweep(r_values, gspec, profiles, d=args.d,
+                                               connected=args.connected, caps=caps)
+        for result in results:
+            if caps is not None:
+                result.extra["monomial"] = {"u": list(caps[:gspec.L]),
+                                            "v": list(caps[gspec.L:])}
+                result.value = result.value.coefficient(caps)
+            result.kind = kind
+        return results
     if kind == "orbifold":
         if not profiles and args.d:
             profiles = ((1,) * args.d,)  # unramified over the distinguished point
         if len(profiles) != 1:
             raise DomainError("--kind orbifold needs one profile (or --d)")
         _resolve_degree(profiles, args.d)
-        return orbifold_hurwitz(r, args.t, profiles[0], connected=args.connected)
+        return orbifold_hurwitz_sweep(r_values, args.t, profiles[0], connected=args.connected)
     if kind == "b-content":
         if args.connected:
             raise DomainError("--kind b-content has no connected version")
@@ -215,12 +235,12 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
         caps = _caps(args, gspec)
         b = _parse_fraction(args.b)
         d, profiles = _resolve_degree(profiles, args.d)
-        poly = b_hurwitz_coefficient(r, gspec, profiles, b, d=d, caps=caps)
-        return HurwitzResult(
+        polys = b_hurwitz_sweep(r_values, gspec, profiles, b, d=d, caps=caps)
+        return [HurwitzResult(
             kind="b_content", d=d, r=r, profiles=profiles, connected=False,
             value=poly.coefficient(caps) if caps is not None else poly, gspec=gspec,
             extra={"b": format_rational(b)},
-        )
+        ) for r, poly in polys.items()]
     if kind == "gw":
         if len(profiles) != 2:
             raise DomainError("--kind gw needs exactly two profiles (mu;nu)")
@@ -229,7 +249,7 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
         value = gw_correlator(profiles[0], profiles[1], insertions,
                               connected=args.connected)
         genus = gw_genus(profiles[0], profiles[1], insertions)
-        return {
+        return [{
             "kind": "gw",
             "d": sum(profiles[0]),
             "profiles": [list(mu) for mu in profiles],
@@ -238,7 +258,7 @@ def _compute_one(args, r: int) -> HurwitzResult | dict:
             "g_integral": genus.denominator == 1,
             "connected": args.connected,
             "value": format_rational(value),
-        }
+        }]
     raise DomainError(f"unknown kind {args.kind!r}")
 
 
@@ -252,12 +272,8 @@ def _cmd_compute(args) -> int:
         raise DomainError("--kind gw takes no --r: its order is set by --insertions, "
                           "so only --r 0 is accepted")
     results = []
-    for r in r_values:
-        out = _compute_one(args, r)
-        if isinstance(out, HurwitzResult):
-            blob = out.to_json_dict()
-        else:
-            blob = out
+    for out in _compute(args, r_values):
+        blob = out.to_json_dict() if isinstance(out, HurwitzResult) else out
         if args.normalization == "dhr" and not isinstance(blob.get("value"), list):
             profiles = _parse_profiles(args.profiles)
             factor = _dhr_factor(blob["d"], profiles)
@@ -322,9 +338,17 @@ def _cmd_verify(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _cmd_table(args) -> int:
+# Flags that ratio and structure tables do not read.
+_UNREAD_BY_TABLES = ("connected", "normalization", "L", "M", "t", "insertions")
+
+
+def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     if args.K is None:  # compute's default for hurwitz tables, one block otherwise
         args.K = 0 if args.what == "hurwitz" else 1
+    if args.what in ("structure", "ratio"):
+        for name in _UNREAD_BY_TABLES:
+            if getattr(args, name) != parser.get_default(name):
+                raise DomainError(f"--{name} has no effect on table --what {args.what}")
     if args.what == "structure":
         d, profiles = _resolve_degree(_parse_profiles(args.profiles), args.d)
         coeffs = structure_coefficients(args.s, profiles, d=d)
@@ -386,7 +410,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-d", type=int, help="resource ceiling override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="hurwitz",
                      description="Exact Hurwitz numbers and their large-genus asymptotics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -453,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--connected", action="store_true")
     pt.add_argument("--normalization", choices=("paper", "dhr"), default="paper")
     _add_common(pt)
-    pt.set_defaults(func=_cmd_table)
+    pt.set_defaults(func=functools.partial(_cmd_table, parser=pt))
 
     pch = sub.add_parser("chartable", help="dump a character table")
     pch.add_argument("--d", type=int, required=True)
@@ -467,9 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,10 +20,12 @@ multiplied.  The b-deformed engine in ``hurwitz.jack`` runs the same
 product over deformed contents.  ``_resolve_degree`` is the one place
 that turns (profiles, d) into a checked degree.
 
-Connected numbers come from any disconnected evaluator through
-``connected_transform_multi``: the exponential formula, solved by the
-recursion on the component that holds sheet 1, with every sub-instance
-memoized for the duration of one call.
+Each family evaluates a whole r-range in one pass (its ``*_sweep``
+function, reading the weights once), and its single-r function is the
+one-r case.  Connected numbers come from any disconnected evaluator
+through ``connected_transform_multi``: the exponential formula, solved
+by the recursion on the component that holds sheet 1, with every
+sub-instance memoized across every r of a sweep (``connected_sweep``).
 """
 
 from __future__ import annotations
@@ -253,33 +255,56 @@ class HurwitzResult:
 # Completed-cycle Hurwitz numbers
 # ---------------------------------------------------------------------------
 
-def completed_hurwitz(r: int, s: int, profiles=(), *, d: int | None = None,
-                      connected: bool = False) -> HurwitzResult:
-    """Hurwitz numbers with r completed (s+1)-cycles and fixed profiles."""
-    if r < 0:
-        raise DomainError(f"r must be nonnegative: {r}")
+def _orders(r_values) -> list[int]:
+    r_values = list(r_values)
+    if any(r < 0 for r in r_values):
+        raise DomainError(f"r must be nonnegative: {min(r_values)}")
+    return r_values
+
+
+def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = None,
+                            connected: bool = False) -> list[HurwitzResult]:
+    """``completed_hurwitz`` at every r of ``r_values``, in one pass.
+
+    The disconnected values are one ``completed_sweep``; the connected
+    ones share one transform memo.
+    """
+    r_values = _orders(r_values)
     if s < 1:
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
-
-    def disconnected(rr, profs, dd):
-        return completed_sweep((rr,), s, profs, dd)[rr]
-
     if connected:
-        value = connected_transform(disconnected, r, profiles, d=d)
+        def disconnected(rr, profs, dd):
+            return completed_sweep((rr,), s, profs, dd)[rr]
+
+        values = connected_sweep(disconnected, r_values, profiles, d=d)
     else:
-        value = disconnected(r, profiles, d)
-    return HurwitzResult(
+        values = completed_sweep(r_values, s, profiles, d)
+    return [HurwitzResult(
         kind="completed", d=d, r=r, s=s, profiles=profiles, connected=connected,
-        value=value, genus=rh_genus(r, s, d, profiles),
-    )
+        value=values[r], genus=rh_genus(r, s, d, profiles),
+    ) for r in r_values]
+
+
+def completed_hurwitz(r: int, s: int, profiles=(), *, d: int | None = None,
+                      connected: bool = False) -> HurwitzResult:
+    """Hurwitz numbers with r completed (s+1)-cycles and fixed profiles."""
+    return completed_hurwitz_sweep((r,), s, profiles, d=d, connected=connected)[0]
+
+
+def classical_hurwitz_sweep(r_values, d: int, *, connected: bool = False
+                            ) -> list[HurwitzResult]:
+    """Simple-branch-points-only counts, completed cycles with s = 1 and
+    N = 0, at every r of ``r_values``."""
+    results = completed_hurwitz_sweep(r_values, 1, (), d=d, connected=connected)
+    for result in results:
+        result.kind = "classical"
+    return results
 
 
 def classical_hurwitz(r: int, d: int, *, connected: bool = False) -> HurwitzResult:
-    """Simple-branch-points-only count: completed cycles with s = 1, N = 0."""
-    out = completed_hurwitz(r, 1, (), d=d, connected=connected)
-    out.kind = "classical"
-    return out
+    """The one-r case of ``classical_hurwitz_sweep``."""
+    return classical_hurwitz_sweep((r,), d, connected=connected)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +374,46 @@ def _content_coefficient(d: int, lam: Partition, gspec: GSpec, r: int,
     return content_product(contents(lam), gspec, r, caps)
 
 
+def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
+                                 d: int | None = None, connected: bool = False,
+                                 caps: tuple[int, ...] | None = None
+                                 ) -> list[HurwitzResult]:
+    """``hypergeometric_hurwitz`` at every r of ``r_values``, in one pass.
+
+    The disconnected values are one ``weighted_sweep`` over the memoized
+    ``_content_coefficient``; the connected ones share one transform memo.
+    """
+    r_values = _orders(r_values)
+    d, profiles = _resolve_degree(profiles, d)
+    if caps is not None:
+        caps = tuple(caps)
+        if len(caps) != gspec.nvars:
+            raise DomainError(f"caps arity {len(caps)} != {gspec.nvars} variables")
+
+    if connected:
+        def disconnected(rr, profs, dd):
+            return character_sum(
+                dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps)
+            )
+
+        values = connected_sweep(disconnected, r_values, profiles, d=d)
+    else:
+        def factor(lam):
+            return lambda rr: _content_coefficient(d, lam, gspec, rr, caps)
+
+        values = weighted_sweep(character_weights(d, profiles), factor, r_values)
+    results = []
+    for r in r_values:
+        value = _as_polynomial(values[r], gspec.nvars)
+        if caps is not None:  # the connected transform multiplies capped values
+            value = value.truncate(caps)
+        results.append(HurwitzResult(
+            kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
+            value=value, gspec=gspec, genus=rh_genus(r, 1, d, profiles),
+        ))
+    return results
+
+
 def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                            d: int | None = None, connected: bool = False,
                            caps: tuple[int, ...] | None = None) -> HurwitzResult:
@@ -360,30 +425,8 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
     tracked degree per formal variable (coefficients inside the caps
     stay exact).
     """
-    if r < 0:
-        raise DomainError(f"r must be nonnegative: {r}")
-    d, profiles = _resolve_degree(profiles, d)
-    if caps is not None:
-        caps = tuple(caps)
-        if len(caps) != gspec.nvars:
-            raise DomainError(f"caps arity {len(caps)} != {gspec.nvars} variables")
-
-    def disconnected(rr, profs, dd):
-        return character_sum(
-            dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps)
-        )
-
-    if connected:
-        value = connected_transform(disconnected, r, profiles, d=d)
-    else:
-        value = disconnected(r, profiles, d)
-    value = _as_polynomial(value, gspec.nvars)
-    if caps is not None:  # the connected transform multiplies capped values
-        value = value.truncate(caps)
-    return HurwitzResult(
-        kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
-        value=value, gspec=gspec, genus=rh_genus(r, 1, d, profiles),
-    )
+    return hypergeometric_hurwitz_sweep((r,), gspec, profiles, d=d, connected=connected,
+                                        caps=caps)[0]
 
 
 def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=(),
@@ -436,7 +479,7 @@ def _multiset_difference(mu: Partition, sub: Partition) -> Partition:
 
 
 def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
-                              d: int) -> Fraction | MultiPoly:
+                              d: int, memo: dict | None = None) -> Fraction | MultiPoly:
     """Connected value from a disconnected evaluator with typed insertions.
 
     ``counts`` lists how many insertions of each type the instance
@@ -455,11 +498,15 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     The evaluator is called as ``evaluator(sub_counts, sub_profiles,
     sub_degree)`` and must return the disconnected number in the same
     normalization as the target; a sub-instance is evaluated only when
-    the connected factor it multiplies is nonzero.
+    the connected factor it multiplies is nonzero.  Both kinds of
+    sub-instance are memoized in ``memo``: calls that pass the same dict
+    with the same evaluator and profiles (the r of a sweep) compute
+    each sub-instance once.
     """
     d, profiles = _resolve_degree(profiles, d)
-    h_memo: dict = {}
-    connected_memo: dict = {}
+    memo = {} if memo is None else memo
+    h_memo = memo.setdefault("disconnected", {})
+    connected_memo = memo.setdefault("connected", {})
 
     def h_tilde(sub_counts, sub_profiles, dd):
         key = (sub_counts, sub_profiles, dd)
@@ -499,18 +546,28 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     return h_connected(tuple(counts), profiles, d) * Fraction(1, scale)
 
 
-def connected_transform(evaluator, r: int, profiles=(), *, d: int | None = None):
-    """Connected number from a disconnected evaluator over (r, profiles).
+def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None) -> dict:
+    """{r: connected number} for every r of ``r_values``, from a
+    disconnected evaluator over (r, profiles), with one memo for them all.
 
     ``evaluator(r_i, sub_profiles, d_i)`` supplies every sub-instance;
     zero-insertion components are legal (they carry the unramified
     sheets), but every component covers at least one sheet.
     """
     d, profiles = _resolve_degree(profiles, d)
-    return connected_transform_multi(
-        lambda counts, profs, dd: evaluator(counts[0], profs, dd),
-        (r,), profiles, d=d,
-    )
+    memo: dict = {}
+
+    def multi(counts, profs, dd):
+        return evaluator(counts[0], profs, dd)
+
+    return {r: connected_transform_multi(multi, (r,), profiles, d=d, memo=memo)
+            for r in r_values}
+
+
+def connected_transform(evaluator, r: int, profiles=(), *, d: int | None = None):
+    """Connected number from a disconnected evaluator over (r, profiles),
+    the one-r case of ``connected_sweep``."""
+    return connected_sweep(evaluator, (r,), profiles, d=d)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +627,10 @@ def gap_interval(d: int, s: int) -> tuple[Fraction, Fraction]:
 # Orbifold specialization
 # ---------------------------------------------------------------------------
 
-def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False) -> HurwitzResult:
-    """Double Hurwitz numbers against the uniform profile (t, t, ..., t).
+def orbifold_hurwitz_sweep(r_values, t: int, mu, *, connected: bool = False
+                           ) -> list[HurwitzResult]:
+    """Double Hurwitz numbers against the uniform profile (t, t, ..., t)
+    at every r of ``r_values``, in one pass.
 
     Exactly zero whenever t does not divide d.
     """
@@ -580,16 +639,19 @@ def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False) -> HurwitzR
     mu = check_partition(mu)
     d = sum(mu)
     if d % t:
-        return HurwitzResult(
+        return [HurwitzResult(
             kind="orbifold", d=d, r=r, t=t, profiles=(mu,), connected=connected,
             value=Fraction(0), genus=None,
-        )
-    nu = (t,) * (d // t)
-    base = completed_hurwitz(r, 1, (mu, nu), connected=connected)
-    return HurwitzResult(
-        kind="orbifold", d=d, r=r, s=1, t=t, profiles=(mu, nu),
-        connected=connected, value=base.value, genus=base.genus,
-    )
+        ) for r in r_values]
+    results = completed_hurwitz_sweep(r_values, 1, (mu, (t,) * (d // t)), connected=connected)
+    for result in results:
+        result.kind, result.t = "orbifold", t
+    return results
+
+
+def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False) -> HurwitzResult:
+    """The one-r case of ``orbifold_hurwitz_sweep``."""
+    return orbifold_hurwitz_sweep((r,), t, mu, connected=connected)[0]
 
 
 # ---------------------------------------------------------------------------

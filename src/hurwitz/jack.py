@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import GSpec, _as_polynomial, _resolve_degree, content_product, weighted_sweep
+from .core import (GSpec, _as_polynomial, _orders, _resolve_degree, content_product,
+                   weighted_sweep)
 from .errors import DomainError, SingularParameterError, SizeLimitError
 from .exactnum import MultiPoly
 from .partitions import (
@@ -264,15 +265,15 @@ def jack_weights(d: int, profiles, b):
             yield lam, weight
 
 
-def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
-                          d: int | None = None,
-                          caps: tuple[int, ...] | None = None) -> MultiPoly:
-    """[z^r] of the b-deformed content-product sum, exact in u's and v's.
+def b_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), b=0, *,
+                    d: int | None = None,
+                    caps: tuple[int, ...] | None = None) -> dict:
+    """{r: [z^r] of the b-deformed content-product sum} for every r of
+    ``r_values``, exact in u's and v's, in one ``weighted_sweep``.
 
     At b = 0 this coincides with the undeformed hypergeometric engine.
     """
-    if r < 0:
-        raise DomainError(f"r must be nonnegative: {r}")
+    r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
     alpha = Fraction(b) + 1
 
@@ -280,5 +281,13 @@ def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
         deformed = deformed_contents(lam, alpha)
         return lambda rr: content_product(deformed, gspec, rr, caps)
 
-    total = weighted_sweep(jack_weights(d, profiles, b), factor, (r,))[r]
-    return _as_polynomial(total, gspec.nvars)
+    totals = weighted_sweep(jack_weights(d, profiles, b), factor, r_values)
+    return {r: _as_polynomial(total, gspec.nvars) for r, total in totals.items()}
+
+
+def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,
+                          d: int | None = None,
+                          caps: tuple[int, ...] | None = None) -> MultiPoly:
+    """[z^r] of the b-deformed content-product sum, exact in u's and v's,
+    the one-r case of ``b_hurwitz_sweep``."""
+    return b_hurwitz_sweep((r,), gspec, profiles, b, d=d, caps=caps)[r]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hurwitz import characters
+from hurwitz import characters, cli, verify
 from hurwitz.cli import (
     EXIT_OK,
     EXIT_SIZE_LIMIT,
@@ -395,3 +395,110 @@ class TestVerifySuitesSmoke:
         lines = out.strip().splitlines()
         assert code == EXIT_OK and lines[1] == "r,value"
         assert lines[2] == "0,1/2" and lines[3] == "1,0"
+
+
+class TestOutputCheckedFirst:
+    """A bad --output exits 3 before any work, and the file is written
+    only once the result exists."""
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-dir", "a-dir"])
+    def test_suite_never_runs(self, capsys, monkeypatch, tmp_path, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, "verify_gap", refuse)
+        code, out, err = run(capsys, "verify", "gap", "--d", "3",
+                             "--output", str(tmp_path / target))
+        assert code == EXIT_USAGE and "--output" in err and out == ""
+
+    def test_failed_request_leaves_the_file_alone(self, capsys, tmp_path):
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("kept\n")
+        for target in (new, old):
+            code, _, _ = run(capsys, "compute", "--kind", "classical", "--r", "2",
+                             "--output", str(target))
+            assert code == EXIT_USAGE  # no --d
+        assert not new.exists() and old.read_text() == "kept\n"
+
+
+RATIO_TABLE = ("table", "--what", "ratio", "--kind", "classical", "--d", "4", "--r-max", "8",
+               "--format", "csv")
+STRUCTURE_TABLE = ("table", "--what", "structure", "--d", "4", "--format", "csv")
+
+
+class TestUnreadTableFlags:
+    """Ratio and structure tables exit 3 on a flag they would ignore."""
+
+    @pytest.mark.parametrize("table", [RATIO_TABLE, STRUCTURE_TABLE],
+                             ids=["ratio", "structure"])
+    @pytest.mark.parametrize("extra", [
+        ("--connected",), ("--normalization", "dhr"), ("--L", "2"), ("--M", "1"),
+        ("--insertions", "2:1"), ("--t", "3"),
+    ], ids=["connected", "dhr", "L", "M", "insertions", "t"])
+    def test_exits_naming_the_flag(self, capsys, table, extra):
+        code, out, err = run(capsys, *table, *extra)
+        assert code == EXIT_USAGE and extra[0] in err and out == ""
+
+    @pytest.mark.parametrize("table", [RATIO_TABLE, STRUCTURE_TABLE],
+                             ids=["ratio", "structure"])
+    def test_default_values_are_accepted(self, capsys, table):
+        _, plain, _ = run(capsys, *table)
+        code, out, _ = run(capsys, *table, "--normalization", "paper", "--L", "0",
+                           "--M", "0", "--t", "1")
+        assert code == EXIT_OK and out == plain
+
+
+# Requests that resolve defaults differently, run in one process.
+INTERLEAVED = (
+    ("table", "--what", "hurwitz", "--kind", "hypergeometric", "--d", "3", "--r", "2"),
+    ("table", "--what", "ratio", "--kind", "monotone", "--d", "3", "--r-max", "4"),
+    ("chartable", "--d", "4"),
+    ("compute", "--kind", "completed", "--profiles", "3,1;2,2", "--r", "2",
+     "--format", "json"),
+    ("compute", "--kind", "nonsense"),
+    ("compute", "--kind", "classical", "--r", "2"),
+)
+
+
+class TestSharedParser:
+    """One parser serves every main() call of a process."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        builds = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        cli.build_parser.cache_clear()
+        try:
+            cli.build_parser()
+            one_build = len(builds)  # the parser and its subcommand parsers
+            for _ in range(3):
+                for argv in INTERLEAVED:
+                    run(capsys, *argv)
+        finally:
+            cli.build_parser.cache_clear()
+        assert one_build > 0 and len(builds) == one_build
+
+    def test_same_bytes_as_a_fresh_parser(self, capsys):
+        fresh = []
+        for argv in INTERLEAVED:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        shared = [run(capsys, *argv) for argv in INTERLEAVED + INTERLEAVED]
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [EXIT_OK] * 4 + [EXIT_USAGE] * 2
+        assert json.loads(fresh[0][1])["results"][0]["value"] == "0"
+        assert json.loads(fresh[1][1])["config"]["K"] == 1
+        assert fresh[2][1].startswith("# config:")
+
+    def test_resolved_defaults_stay_in_their_request(self, capsys):
+        for argv in INTERLEAVED:
+            run(capsys, *argv)
+        args = cli.build_parser().parse_args(list(INTERLEAVED[0]))
+        assert args.K is None
+        _, out, _ = run(capsys, *INTERLEAVED[0])
+        assert json.loads(out)["config"]["K"] == 0

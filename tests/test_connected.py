@@ -15,6 +15,7 @@ from hurwitz.core import (
     _sub_multisets,
     character_sum,
     classical_hurwitz,
+    classical_hurwitz_sweep,
     completed_hurwitz,
     connected_transform_multi,
     f_bar,
@@ -265,6 +266,15 @@ def test_permutation_oracle(d):
     for r in range(7):
         want = Fraction(_transitive_identity_tuples(d, r), math.factorial(d))
         assert classical_hurwitz(r, d, connected=True).value == want, r
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_range_matches_permutation_oracle(d):
+    # one sweep over r, with one transform memo for every r
+    results = classical_hurwitz_sweep(range(7), d, connected=True)
+    for res in results:
+        want = Fraction(_transitive_identity_tuples(d, res.r), math.factorial(d))
+        assert res.value == want, res.r
 
 
 @pytest.mark.parametrize("caps", [(1, 1), (2, 2)])
