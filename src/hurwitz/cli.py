@@ -338,17 +338,31 @@ def _cmd_verify(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-# Flags that ratio and structure tables do not read.
+# Flags that ratio and structure tables do not read, beside those that
+# only some ratio kinds read.
 _UNREAD_BY_TABLES = ("connected", "normalization", "L", "M", "t", "insertions")
+_UNREAD_BY_STRUCTURE = ("K", "r", "r_min", "r_max", "kind", "u_deg", "v_deg", "b", "gw_s")
+_COMPLETED_UNREAD = ("K", "u_deg", "v_deg", "b", "gw_s")
+_UNREAD_BY_RATIO = {
+    "classical": _COMPLETED_UNREAD,
+    "completed": _COMPLETED_UNREAD,
+    "monotone": ("s", "b", "gw_s"),
+    "b": ("s", "u_deg", "v_deg", "gw_s"),
+    "gw": ("s", "K", "u_deg", "v_deg", "b"),
+}
 
 
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
+    if args.what in ("structure", "ratio"):
+        unread = _UNREAD_BY_TABLES + (_UNREAD_BY_STRUCTURE if args.what == "structure"
+                                      else _UNREAD_BY_RATIO.get(args.kind, ()))
+        for name in unread:  # before --K takes its default below
+            if getattr(args, name) != parser.get_default(name):
+                table = "structure" if args.what == "structure" else f"ratio --kind {args.kind}"
+                raise DomainError(f"--{name.replace('_', '-')} has no effect on "
+                                  f"table --what {table}")
     if args.K is None:  # compute's default for hurwitz tables, one block otherwise
         args.K = 0 if args.what == "hurwitz" else 1
-    if args.what in ("structure", "ratio"):
-        for name in _UNREAD_BY_TABLES:
-            if getattr(args, name) != parser.get_default(name):
-                raise DomainError(f"--{name} has no effect on table --what {args.what}")
     if args.what == "structure":
         d, profiles = _resolve_degree(_parse_profiles(args.profiles), args.d)
         coeffs = structure_coefficients(args.s, profiles, d=d)

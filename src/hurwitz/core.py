@@ -26,6 +26,14 @@ one-r case.  Connected numbers come from any disconnected evaluator
 through ``connected_transform_multi``: the exponential formula, solved
 by the recursion on the component that holds sheet 1, with every
 sub-instance memoized across every r of a sweep (``connected_sweep``).
+
+The sums run on Python ints over one known denominator per value.  A
+character weight is an integer ``W`` over ``D = d!^2 prod |C_mu|``
+(the central characters are integers), ``f_bar(lam, s) Q_s`` is an
+integer for ``Q_s = f_bar_denominator(s)``, and the connected recursion,
+scaled by ``d!^2 prod |C_P| prod_t Q_t^{c_t}``, has integer
+coefficients in place of its ``1/d``.  Each returned value is one
+division of an integer (or an int-coefficient polynomial) total.
 """
 
 from __future__ import annotations
@@ -137,31 +145,101 @@ def admissible_parity(r: int, s: int, d: int, profiles) -> bool:
     return rh_genus(r, s, d, profiles).denominator == 1
 
 
+def f_bar_denominator(s: int) -> int:
+    """``Q_s``, the least common denominator of ``f_bar(lam, s)`` over
+    every partition, so that ``f_bar(lam, s) * Q_s`` is an integer.
+
+    ``f_bar(lam, s)`` is ``c_s/s`` plus, over the boxes of ``lam``,
+    ``g(c) = ((c + 1/2)^s - (c - 1/2)^s)/s`` at the box content ``c``.
+    ``g`` has degree ``s - 1``, so ``Q g`` is integer-valued once it is
+    integral at ``s`` consecutive integers.  ``Q_2 = 1``: ``f_bar(lam, 2)``
+    is the content sum.
+    """
+    if s < 2:
+        raise DomainError(f"f_bar index must be at least 2, got {s}")
+    c_s = _c_const(s)
+    q = c_s.denominator * s // math.gcd(c_s.numerator, s)  # that of c_s/s
+    scale = s * 2**s  # g(c) = ((2c+1)^s - (2c-1)^s) / scale
+    for c in range(s):
+        q = math.lcm(q, scale // math.gcd((2 * c + 1) ** s - (2 * c - 1) ** s, scale))
+    return q
+
+
+def _scaled_f_bar(lam: Partition, s: int, q: int) -> int:
+    """``f_bar(lam, s) * q`` for a multiple ``q`` of ``f_bar_denominator(s)``."""
+    f = f_bar(lam, s)
+    return f.numerator * (q // f.denominator)
+
+
 def character_weights(d: int, profiles):
-    """Yield ``(lam, weight)`` for every nonzero weight
-    (dim/d!)^2 prod_i chi_lam(mu_i)/dim, in canonical partition order."""
+    """The character weights over one denominator, as ``(D, weights)``.
+
+    ``weights`` yields ``(lam, W)`` for every nonzero
+    ``W = dim^2 prod_i omega_lam(mu_i)``, in canonical partition order,
+    and ``D = d!^2 prod_i |C_{mu_i}|``, so the weight
+    ``(dim/d!)^2 prod_i chi_lam(mu_i)/dim`` is ``W/D``.  The central
+    character ``omega_lam(mu) = |C_mu| chi_lam(mu)/dim`` is an integer
+    (Isaacs, Character Theory of Finite Groups, Thm 3.7), so every ``W``
+    is an int.
+    """
     table = characters.char_table(d)
+    sizes = [class_data(mu).class_size for mu in profiles]
     cols = [table.column(mu) for mu in profiles]
-    fact2 = Fraction(1, math.factorial(d)) ** 2
-    power = 2 - len(profiles)  # of dim; negative past two profiles
-    for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
-        weight = fact2 * dim ** power if power >= 0 else fact2 / dim ** -power
-        for col in cols:
-            chi = col[i]
-            if chi == 0:
-                break
-            weight *= chi
-        else:
-            yield lam, weight
+
+    def weights():
+        for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
+            weight = dim * dim
+            for size, col in zip(sizes, cols):
+                chi = col[i]
+                if chi == 0:
+                    break
+                weight *= size * chi // dim
+            else:
+                yield lam, weight
+
+    return math.factorial(d) ** 2 * math.prod(sizes), weights()
 
 
-def weighted_sweep(weights, factor, r_values) -> dict:
-    """{r: sum over (lam, weight) of weight * factor(lam)(r)} for every r.
+def _weights(memo: dict | None, d: int, profiles):
+    """``character_weights(d, profiles)``; with a connected transform's
+    per-call ``memo``, the weights are listed once and every later
+    sub-instance of the same (profiles, degree) reads that list."""
+    if memo is None:
+        return character_weights(d, profiles)
+    lists = memo.setdefault("weights", {})
+    if (d, profiles) not in lists:
+        denominator, weights = character_weights(d, profiles)
+        lists[d, profiles] = denominator, list(weights)
+    return lists[d, profiles]
+
+
+def _over(total, denominator: int):
+    """``total / denominator`` for an int, Fraction or MultiPoly total."""
+    if isinstance(total, MultiPoly):
+        return total.scale(Fraction(1, denominator))
+    return Fraction(total, denominator)
+
+
+def _integral(value):
+    """``value`` with every integral coefficient as an int, so that sums
+    and products of it run on ints."""
+    if isinstance(value, MultiPoly):
+        out = MultiPoly(value.nvars)
+        out.terms = {e: _integral(c) for e, c in value.terms.items()}
+        return out
+    return value.numerator if value.denominator == 1 else value
+
+
+def weighted_sweep(weights, factor, r_values, denominator=None) -> dict:
+    """{r: sum over (lam, weight) of weight * factor(lam)(r), divided by
+    ``denominator(r)``} for every r.
 
     ``factor(lam)`` is called once per partition and returns its term as
-    a function of r, a Fraction or a MultiPoly (they share ``*``, ``+``
-    and ``== 0``).  Each sum runs left to right over the canonical order
-    of ``weights``; an empty sum is ``Fraction(0)``.
+    a function of r: an int, a Fraction or a MultiPoly (they share ``*``,
+    ``+`` and ``== 0``).  Int weights and terms keep the sums on Python
+    ints; ``denominator`` (omitted: no division) then divides each total
+    once.  Each sum runs left to right over the canonical order of
+    ``weights``; an empty sum is ``Fraction(0)``.
     """
     r_values = list(r_values)
     totals = None
@@ -171,22 +249,40 @@ def weighted_sweep(weights, factor, r_values) -> dict:
             totals = [term(r) * weight for r in r_values]
         else:
             totals = [total + term(r) * weight for total, r in zip(totals, r_values)]
-    return dict(zip(r_values, totals or [Fraction(0)] * len(r_values)))
+    totals = totals or [Fraction(0)] * len(r_values)
+    if denominator is not None:
+        totals = [_over(total, denominator(r)) for total, r in zip(totals, r_values)]
+    return dict(zip(r_values, totals))
 
 
-def character_sum(d: int, profiles, factor):
-    """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam),
-    the one-r case of ``weighted_sweep``."""
-    weights = character_weights(d, profiles)
-    return weighted_sweep(weights, lambda lam: lambda _: factor(lam), (0,))[0]
+def character_sum(d: int, profiles, factor, denominator: int = 1,
+                  memo: dict | None = None):
+    """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam) /
+    denominator, the one-r case of ``weighted_sweep``.
+
+    A ``factor`` with int values over one ``denominator`` keeps the sum
+    on ints; ``memo`` is a connected transform's per-call memo (see
+    ``_weights``).
+    """
+    weight_denominator, weights = _weights(memo, d, profiles)
+    return weighted_sweep(weights, lambda lam: lambda _: factor(lam), (0,),
+                          lambda _: weight_denominator * denominator)[0]
 
 
-def completed_sweep(r_values, s: int, profiles, d: int) -> dict:
-    """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``."""
+def completed_sweep(r_values, s: int, profiles, d: int, memo: dict | None = None) -> dict:
+    """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``.
+
+    The sums run on ints: ``W F^r`` with ``F = f_bar(lam, s+1) Q_{s+1}``
+    (``f_bar_denominator``), over ``D Q_{s+1}^r``.  ``memo`` is as for
+    ``character_sum``.
+    """
+    q = f_bar_denominator(s + 1)
+    denominator, weights = _weights(memo, d, profiles)
+
     def factor(lam):
-        f = f_bar(lam, s + 1)
+        f = _scaled_f_bar(lam, s + 1, q)
         return lambda r: f**r
-    return weighted_sweep(character_weights(d, profiles), factor, r_values)
+    return weighted_sweep(weights, factor, r_values, lambda r: denominator * q**r)
 
 
 def _as_polynomial(value, nvars: int) -> MultiPoly:
@@ -274,10 +370,13 @@ def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = No
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
     if connected:
-        def disconnected(rr, profs, dd):
-            return completed_sweep((rr,), s, profs, dd)[rr]
+        memo: dict = {}
 
-        values = connected_sweep(disconnected, r_values, profiles, d=d)
+        def disconnected(rr, profs, dd):
+            return completed_sweep((rr,), s, profs, dd, memo)[rr]
+
+        values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
+                                 denominator=f_bar_denominator(s + 1))
     else:
         values = completed_sweep(r_values, s, profiles, d)
     return [HurwitzResult(
@@ -370,8 +469,10 @@ def content_product(weights, gspec: GSpec, r: int,
 @lru_cache(maxsize=None)
 def _content_coefficient(d: int, lam: Partition, gspec: GSpec, r: int,
                          caps: tuple[int, ...] | None) -> MultiPoly:
-    """[z^r] of prod over boxes of G(z * content), exact in u's and v's."""
-    return content_product(contents(lam), gspec, r, caps)
+    """[z^r] of prod over boxes of G(z * content), exact in u's and v's;
+    the contents are integers, and so are its coefficients (kept as ints,
+    so that the character sums over it run on ints)."""
+    return _integral(content_product(contents(lam), gspec, r, caps))
 
 
 def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
@@ -381,7 +482,8 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
     """``hypergeometric_hurwitz`` at every r of ``r_values``, in one pass.
 
     The disconnected values are one ``weighted_sweep`` over the memoized
-    ``_content_coefficient``; the connected ones share one transform memo.
+    ``_content_coefficient``; the connected ones share one transform memo,
+    whose products drop the monomials beyond ``caps``.
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
@@ -391,27 +493,27 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
             raise DomainError(f"caps arity {len(caps)} != {gspec.nvars} variables")
 
     if connected:
+        memo: dict = {}
+
         def disconnected(rr, profs, dd):
             return character_sum(
-                dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps)
+                dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps),
+                memo=memo,
             )
 
-        values = connected_sweep(disconnected, r_values, profiles, d=d)
+        values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
+                                 caps=caps)
     else:
         def factor(lam):
             return lambda rr: _content_coefficient(d, lam, gspec, rr, caps)
 
-        values = weighted_sweep(character_weights(d, profiles), factor, r_values)
-    results = []
-    for r in r_values:
-        value = _as_polynomial(values[r], gspec.nvars)
-        if caps is not None:  # the connected transform multiplies capped values
-            value = value.truncate(caps)
-        results.append(HurwitzResult(
-            kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
-            value=value, gspec=gspec, genus=rh_genus(r, 1, d, profiles),
-        ))
-    return results
+        denominator, weights = character_weights(d, profiles)
+        values = weighted_sweep(weights, factor, r_values, lambda rr: denominator)
+    return [HurwitzResult(
+        kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
+        value=_as_polynomial(values[r], gspec.nvars), gspec=gspec,
+        genus=rh_genus(r, 1, d, profiles),
+    ) for r in r_values]
 
 
 def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
@@ -442,8 +544,9 @@ def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=()
         raise DomainError("orders must be nonnegative")
     d, profiles = _resolve_degree(profiles, d)
 
-    def factor(lam):
-        return _content_coefficient(d, lam, gspec, r, caps) * f_bar(lam, 2) ** r_simple
+    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
+        simple = _scaled_f_bar(lam, 2, 1) ** r_simple
+        return _content_coefficient(d, lam, gspec, r, caps) * simple
 
     return _as_polynomial(character_sum(d, profiles, factor), gspec.nvars)
 
@@ -479,7 +582,9 @@ def _multiset_difference(mu: Partition, sub: Partition) -> Partition:
 
 
 def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
-                              d: int, memo: dict | None = None) -> Fraction | MultiPoly:
+                              d: int, memo: dict | None = None,
+                              denominators: tuple[int, ...] | None = None,
+                              caps: tuple[int, ...] | None = None) -> Fraction | MultiPoly:
     """Connected value from a disconnected evaluator with typed insertions.
 
     ``counts`` lists how many insertions of each type the instance
@@ -489,78 +594,122 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     variables, the series of ``h`` is the exponential of the series of
     its connected part ``h°``.  The sheet derivative of that identity is
     the recursion on the component that holds sheet 1 (Stanley, EC2
-    §5.1)::
+    §5.1).  It is solved on ``a(c, P, d) = d!^2 prod_t Q_t^{c_t} h(c, P, d)``
+    and the same scaling ``b`` of ``h°``, where ``d1 C(d, d1)^2 / d =
+    C(d, d1) C(d-1, d1-1)`` takes the place of the ``1/d``::
 
-        h°(c, P, d) = h(c, P, d) - (1/d) sum_{d1 < d} d1
+        b(c, P, d) = a(c, P, d) - sum_{d1 < d} C(d, d1) C(d-1, d1-1)
             sum_{P1 within P, |P1_j| = d1} sum_{c1 <= c} prod_t C(c_t, c1_t)
-            h°(c1, P1, d1) h(c - c1, P - P1, d - d1)
+            b(c1, P1, d1) a(c - c1, P - P1, d - d1)
+
+    ``Q_t`` is ``denominators[t]`` (default 1).  For a sum over the
+    character weights whose factor has integer values over ``Q_t^{c_t}``
+    (``f_bar_denominator``), every ``a`` is an int, or a polynomial with
+    int coefficients, and the recursion runs on them; the connected
+    value is ``b`` divided once, by ``d!^2 prod |C_P| prod_t Q_t^{c_t}``.
+    Other values (a Fraction or MultiPoly evaluator) run through the same
+    recursion.  ``caps`` drops the monomials beyond it from every
+    product of polynomial values.
 
     The evaluator is called as ``evaluator(sub_counts, sub_profiles,
     sub_degree)`` and must return the disconnected number in the same
     normalization as the target; a sub-instance is evaluated only when
     the connected factor it multiplies is nonzero.  Both kinds of
-    sub-instance are memoized in ``memo``: calls that pass the same dict
-    with the same evaluator and profiles (the r of a sweep) compute
-    each sub-instance once.
+    sub-instance, the profile splits and the per-(profiles, degree)
+    scales are memoized in ``memo``: calls that pass the same dict with
+    the same evaluator, profiles, denominators and caps (the r of a
+    sweep) compute each once.  A family's evaluator may keep its own
+    per-(profiles, degree) weights there too (``_weights``).
     """
     d, profiles = _resolve_degree(profiles, d)
+    counts = tuple(counts)
+    denominators = (1,) * len(counts) if denominators is None else tuple(denominators)
     memo = {} if memo is None else memo
-    h_memo = memo.setdefault("disconnected", {})
-    connected_memo = memo.setdefault("connected", {})
+    a_memo = memo.setdefault("disconnected", {})
+    b_memo = memo.setdefault("connected", {})
+    scales = memo.setdefault("scales", {})
+    splits = memo.setdefault("splits", {})
+    count_splits = memo.setdefault("insertion splits", {})
 
-    def h_tilde(sub_counts, sub_profiles, dd):
-        key = (sub_counts, sub_profiles, dd)
-        if key not in h_memo:
-            scale = math.prod(class_data(mu).class_size for mu in sub_profiles)
-            h_memo[key] = evaluator(sub_counts, sub_profiles, dd) * scale
-        return h_memo[key]
+    def scale(sub_counts, sub_profiles, dd):
+        if (sub_profiles, dd) not in scales:
+            scales[sub_profiles, dd] = math.factorial(dd) ** 2 * math.prod(
+                class_data(mu).class_size for mu in sub_profiles)
+        out = scales[sub_profiles, dd]
+        for q, m in zip(denominators, sub_counts):
+            out *= q**m
+        return out
 
-    def h_connected(sub_counts, sub_profiles, dd):
+    def a(sub_counts, sub_profiles, dd):
         key = (sub_counts, sub_profiles, dd)
-        if key in connected_memo:
-            return connected_memo[key]
+        if key not in a_memo:
+            value = evaluator(sub_counts, sub_profiles, dd)
+            a_memo[key] = _integral(value * scale(sub_counts, sub_profiles, dd))
+        return a_memo[key]
+
+    def profile_splits(sub_profiles, d1):
+        if (sub_profiles, d1) not in splits:
+            splits[sub_profiles, d1] = [
+                (p1, tuple(_multiset_difference(mu, sub) for mu, sub in zip(sub_profiles, p1)))
+                for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in sub_profiles))]
+        return splits[sub_profiles, d1]
+
+    def insertion_splits(sub_counts):
+        # (c1, c - c1, prod_t C(c_t, c1_t)) for every c1 <= c
+        if sub_counts not in count_splits:
+            count_splits[sub_counts] = [
+                (c1, tuple(m - m1 for m, m1 in zip(sub_counts, c1)),
+                 math.prod(math.comb(m, m1) for m, m1 in zip(sub_counts, c1)))
+                for c1 in itertools.product(*(range(m + 1) for m in sub_counts))]
+        return count_splits[sub_counts]
+
+    def b(sub_counts, sub_profiles, dd):
+        key = (sub_counts, sub_profiles, dd)
+        if key in b_memo:
+            return b_memo[key]
         rest = None
         for d1 in range(1, dd):
-            for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in sub_profiles)):
-                p2 = tuple(_multiset_difference(mu, sub) for mu, sub in zip(sub_profiles, p1))
-                for c1 in itertools.product(*(range(m + 1) for m in sub_counts)):
-                    first = h_connected(c1, p1, d1)
+            pairs = math.comb(dd, d1) * math.comb(dd - 1, d1 - 1)
+            for p1, p2 in profile_splits(sub_profiles, d1):
+                for c1, c2, binomials in insertion_splits(sub_counts):
+                    first = b(c1, p1, d1)
                     if first == 0:
                         continue
-                    second = h_tilde(tuple(m - m1 for m, m1 in zip(sub_counts, c1)),
-                                     p2, dd - d1)
+                    second = a(c2, p2, dd - d1)
                     if second == 0:
                         continue
-                    weight = d1
-                    for m, m1 in zip(sub_counts, c1):
-                        weight *= math.comb(m, m1)
-                    term = first * second * weight
+                    term = first * second if caps is None else first.mul(second, caps)
+                    term = term * (pairs * binomials)
                     rest = term if rest is None else rest + term
-        value = h_tilde(sub_counts, sub_profiles, dd)
+        value = a(sub_counts, sub_profiles, dd)
         if rest is not None:
-            value = value + rest * Fraction(-1, dd)
-        connected_memo[key] = value
+            value = value - rest
+        b_memo[key] = value
         return value
 
-    scale = math.prod(class_data(mu).class_size for mu in profiles)
-    return h_connected(tuple(counts), profiles, d) * Fraction(1, scale)
+    return _over(b(counts, profiles, d), scale(counts, profiles, d))
 
 
-def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None) -> dict:
+def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None,
+                    memo: dict | None = None, denominator: int = 1,
+                    caps: tuple[int, ...] | None = None) -> dict:
     """{r: connected number} for every r of ``r_values``, from a
     disconnected evaluator over (r, profiles), with one memo for them all.
 
     ``evaluator(r_i, sub_profiles, d_i)`` supplies every sub-instance;
     zero-insertion components are legal (they carry the unramified
-    sheets), but every component covers at least one sheet.
+    sheets), but every component covers at least one sheet.  ``memo``,
+    ``denominator`` (the one insertion type's ``Q``) and ``caps`` are
+    as for ``connected_transform_multi``.
     """
     d, profiles = _resolve_degree(profiles, d)
-    memo: dict = {}
+    memo = {} if memo is None else memo
 
     def multi(counts, profs, dd):
         return evaluator(counts[0], profs, dd)
 
-    return {r: connected_transform_multi(multi, (r,), profiles, d=d, memo=memo)
+    return {r: connected_transform_multi(multi, (r,), profiles, d=d, memo=memo,
+                                         denominators=(denominator,), caps=caps)
             for r in r_values}
 
 
@@ -587,16 +736,16 @@ def structure_coefficients(s: int, profiles=(), *, d: int | None = None
     if s < 1:
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
-    scale = Fraction(math.factorial(d) ** 2, 1 if s % 2 else 2)
-    out: dict[Fraction, Fraction] = {}
-    for lam, weight in character_weights(d, profiles):
+    denominator, weights = character_weights(d, profiles)
+    # the weight W/D times d!^2, halved for even s
+    scale = denominator // math.factorial(d) ** 2 * (1 if s % 2 else 2)
+    sums: dict[Fraction, int] = {}
+    for lam, weight in weights:
         f = f_bar(lam, s + 1)
         if s % 2 == 1 and f <= 0:
             continue  # the transpose carries the representative
-        out[f] = out.get(f, Fraction(0)) + weight * scale
-        if out[f] == 0:
-            del out[f]
-    return out
+        sums[f] = sums.get(f, 0) + weight
+    return {f: Fraction(total, scale) for f, total in sums.items() if total}
 
 
 def structure_resummation(r: int, s: int, profiles=(), *, d: int | None = None
@@ -683,18 +832,22 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
     ins = _normalize_insertions(insertions)
     orders = tuple(s for s, _ in ins)
     counts = tuple(m for _, m in ins)
+    denominators = tuple(f_bar_denominator(s + 1) for s in orders)
+    memo: dict = {}
 
     def mixed(sub_counts, profs, dd):
         def factor(lam):
-            acc = Fraction(1)
-            for s, m in zip(orders, sub_counts):
+            acc = 1
+            for s, q, m in zip(orders, denominators, sub_counts):
                 if m:
-                    acc *= f_bar(lam, s + 1) ** m
+                    acc *= _scaled_f_bar(lam, s + 1, q) ** m
             return acc
-        return character_sum(dd, profs, factor)
+        return character_sum(dd, profs, factor,
+                             math.prod(q**m for q, m in zip(denominators, sub_counts)), memo)
 
     if connected:
-        value = connected_transform_multi(mixed, counts, (mu, nu), d=d)
+        value = connected_transform_multi(mixed, counts, (mu, nu), d=d, memo=memo,
+                                          denominators=denominators)
     else:
         value = mixed(counts, (mu, nu), d)
     return value * _gw_scale(mu, nu, ins)

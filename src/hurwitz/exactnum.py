@@ -180,7 +180,9 @@ class MultiPoly:
     """Sparse polynomial over a fixed number of formal variables.
 
     Exponent keys are tuples of length ``nvars``; zero coefficients are
-    never stored, so ``terms == {}`` is the canonical zero.
+    never stored, so ``terms == {}`` is the canonical zero.  Coefficients
+    are Fractions, or ints where every operand was an int (the content
+    products and the connected transform's scaled values).
     """
 
     __slots__ = ("nvars", "terms")
@@ -244,7 +246,7 @@ class MultiPoly:
         out = MultiPoly(self.nvars)
         out.terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            s = out.terms.get(expo, Fraction(0)) + coeff
+            s = out.terms.get(expo, 0) + coeff
             if s:
                 out.terms[expo] = s
             else:
@@ -263,8 +265,11 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def scale(self, q) -> "MultiPoly":
-        q = _as_fraction(q)
+        q = q if isinstance(q, int) else _as_fraction(q)  # ints stay ints
         out = MultiPoly(self.nvars)
         if q:
             out.terms = {e: c * q for e, c in self.terms.items()}
@@ -282,7 +287,7 @@ class MultiPoly:
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 if caps is not None and any(e > cap for e, cap in zip(expo, caps)):
                     continue
-                s = acc.get(expo, Fraction(0)) + c1 * c2
+                s = acc.get(expo, 0) + c1 * c2
                 if s:
                     acc[expo] = s
                 else:

@@ -437,8 +437,8 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
             return lambda r: uv * hk[r - shift] if r >= shift else 0
 
         live = shift <= top and min(caps, default=0) >= 0
-        exact = weighted_sweep(character_weights(d, profiles) if live else (), monomial,
-                               r_values)
+        denominator, weights = character_weights(d, profiles) if live else (1, ())
+        exact = weighted_sweep(weights, monomial, r_values, lambda r: denominator)
         return d, exact, lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec)
     gspec, alpha = GSpec(K=k), Fraction(b) + 1
     exact = weighted_sweep(

@@ -448,6 +448,55 @@ class TestUnreadTableFlags:
         assert code == EXIT_OK and out == plain
 
 
+class TestFlagsOnlySomeTablesRead:
+    """Structure tables read no order, kind or block flag, and each ratio
+    kind reads only its own family's flags; any other exits 3."""
+
+    @pytest.mark.parametrize("extra", [
+        ("--K", "3"), ("--K", "1"), ("--r", "5"), ("--r-min", "1"), ("--r-max", "3"),
+        ("--kind", "monotone"), ("--u-deg", "1"), ("--v-deg", "1"), ("--b", "2"),
+        ("--gw-s", "3"),
+    ], ids=["K", "K-ratio-default", "r", "r-min", "r-max", "kind", "u-deg", "v-deg", "b",
+            "gw-s"])
+    def test_structure_exits_naming_the_flag(self, capsys, extra):
+        code, out, err = run(capsys, *STRUCTURE_TABLE, *extra)
+        assert code == EXIT_USAGE and extra[0] in err and out == ""
+
+    @pytest.mark.parametrize("extra", [
+        ("--K", "3"), ("--u-deg", "1"), ("--v-deg", "1"), ("--b", "2"), ("--gw-s", "3"),
+    ], ids=["K", "u-deg", "v-deg", "b", "gw-s"])
+    def test_classical_ratio_exits_naming_the_flag(self, capsys, extra):
+        code, out, err = run(capsys, *RATIO_TABLE, *extra)
+        assert code == EXIT_USAGE and extra[0] in err and out == ""
+        assert "--kind classical" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--kind", "completed", "--d", "4", "--K", "2"), "--K"),
+        (("--kind", "monotone", "--d", "3", "--K", "2", "--s", "2"), "--s"),
+        (("--kind", "b", "--d", "3", "--b", "1/2", "--gw-s", "3"), "--gw-s"),
+        (("--kind", "gw", "--profiles", "2,1;3", "--u-deg", "1"), "--u-deg"),
+    ], ids=["completed-K", "monotone-s", "b-gw-s", "gw-u-deg"])
+    def test_other_ratio_kinds_exit_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, "table", "--what", "ratio", *argv, "--r-max", "4")
+        assert code == EXIT_USAGE and flag in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "classical", "--d", "4", "--s", "2"),
+        ("--kind", "monotone", "--d", "3", "--K", "2", "--u-deg", "1"),
+        ("--kind", "b", "--d", "5", "--K", "1", "--b", "1/2"),
+        ("--kind", "gw", "--profiles", "2,1;3", "--gw-s", "3"),
+    ], ids=["classical-s", "monotone", "b", "gw"])
+    def test_ratio_kinds_accept_their_own_flags(self, capsys, argv):
+        code, out, _ = run(capsys, "table", "--what", "ratio", *argv, "--r-max", "4")
+        assert code == EXIT_OK and out
+
+    def test_structure_accepts_the_default_values(self, capsys):
+        _, plain, _ = run(capsys, *STRUCTURE_TABLE)
+        code, out, _ = run(capsys, *STRUCTURE_TABLE, "--kind", "classical", "--b", "0",
+                           "--gw-s", "2")
+        assert code == EXIT_OK and out == plain
+
+
 # Requests that resolve defaults differently, run in one process.
 INTERLEAVED = (
     ("table", "--what", "hurwitz", "--kind", "hypergeometric", "--d", "3", "--r", "2"),

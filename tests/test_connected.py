@@ -19,6 +19,7 @@ from hurwitz.core import (
     completed_hurwitz,
     connected_transform_multi,
     f_bar,
+    gw_correlator,
     hypergeometric_hurwitz,
     orbifold_hurwitz,
 )
@@ -169,6 +170,29 @@ GW_PROFILES = ((2, 1, 1), (2, 2))
 TWO_PROFILES = ((3, 1, 1), (2, 2, 1))
 HYPERGEOMETRIC = GSpec(K=1, L=1, M=1)
 THREE_PROFILES = ((2, 1, 1), (2, 1, 1), (3, 1))
+CAPS = (1, 1)
+
+
+def _capped_hypergeometric(counts):
+    """The capped connected value, with the uncapped value's monomials
+    beyond the caps added back: it equals the uncapped value exactly when
+    every monomial inside the caps does and none lies beyond them."""
+    full = hypergeometric_hurwitz(counts[0], HYPERGEOMETRIC, (), d=4, connected=True).value
+    capped = hypergeometric_hurwitz(counts[0], HYPERGEOMETRIC, (), d=4, connected=True,
+                                    caps=CAPS).value
+    return capped + (full - full.truncate(CAPS))
+
+
+def _gw_connected(orders):
+    """``gw_correlator``'s connected value without its scale
+    1/(z(mu) z(nu) prod_s s!^{m_s})."""
+    def value(counts):
+        scale = math.prod(class_data(mu).stabilizer for mu in GW_PROFILES)
+        for s, m in zip(orders, counts):
+            scale *= math.factorial(s) ** m
+        return gw_correlator(*GW_PROFILES, dict(zip(orders, counts)), connected=True) * scale
+    return value
+
 
 # family -> (new value from counts, evaluator, counts to try, profiles, d)
 FAMILIES = {
@@ -192,6 +216,16 @@ FAMILIES = {
     "three-profiles": (
         lambda c: completed_hurwitz(c[0], 1, THREE_PROFILES, connected=True).value,
         _completed(1), [(r,) for r in range(5)], THREE_PROFILES, None),
+    # denominators other than 1: Q_4 = 4, and Q_2, Q_3, Q_4 = 1, 2880, 4
+    "completed-s3-two-profiles": (
+        lambda c: completed_hurwitz(c[0], 3, TWO_PROFILES, connected=True).value,
+        _completed(3), [(r,) for r in range(5)], TWO_PROFILES, None),
+    "gw-orders-1-2-3": (
+        _gw_connected((1, 2, 3)), _typed_gw((1, 2, 3)),
+        list(itertools.product(range(3), range(2), range(2))), GW_PROFILES, None),
+    "hypergeometric-capped": (
+        _capped_hypergeometric, _hypergeometric(HYPERGEOMETRIC), [(r,) for r in range(6)],
+        (), 4),
 }
 
 
