@@ -9,7 +9,6 @@ digits), so reports carry no rounding noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,14 +21,14 @@ from .exactnum import (
     stirling,
 )
 from .partitions import check_partition, class_data, contents
+from .records import Frozen, set_field
 
 
 # ---------------------------------------------------------------------------
 # Dominant pole coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoleCoefficient:
+class PoleCoefficient(Frozen):
     """Top coefficient of a dominant pole of the generating function.
 
     ``rho`` is +-(d-1): the pole sits at 1/rho and contributes
@@ -39,10 +38,22 @@ class PoleCoefficient:
     is an exact polynomial.
     """
 
-    rho: int
-    order: int
-    coefficient: MultiPoly
-    v_order: int
+    __slots__ = ("rho", "order", "coefficient", "v_order")
+
+    def __init__(self, rho: int, order: int, coefficient: MultiPoly, v_order: int):
+        set_field(self, "rho", rho)
+        set_field(self, "order", order)
+        set_field(self, "coefficient", coefficient)
+        set_field(self, "v_order", v_order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rho, self.order, self.coefficient, self.v_order)
+                == (other.rho, other.order, other.coefficient, other.v_order))
+
+    def __hash__(self):
+        return hash((self.rho, self.order, self.coefficient, self.v_order))
 
 
 def _sign_exponent(d: int, profiles) -> int:
@@ -273,24 +284,52 @@ def _decimal_str(q: Fraction, digits: int) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-@dataclass(frozen=True)
-class RatioEntry:
-    r: int
-    exact: Fraction
-    asymptotic: Fraction
-    ratio: Fraction
-    ratio_decimal: str
+class RatioEntry(Frozen):
+    __slots__ = ("r", "exact", "asymptotic", "ratio", "ratio_decimal")
+
+    def __init__(self, r: int, exact: Fraction, asymptotic: Fraction, ratio: Fraction,
+                 ratio_decimal: str):
+        set_field(self, "r", r)
+        set_field(self, "exact", exact)
+        set_field(self, "asymptotic", asymptotic)
+        set_field(self, "ratio", ratio)
+        set_field(self, "ratio_decimal", ratio_decimal)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.r, self.exact, self.asymptotic, self.ratio, self.ratio_decimal)
+                == (other.r, other.exact, other.asymptotic, other.ratio, other.ratio_decimal))
+
+    def __hash__(self):
+        return hash((self.r, self.exact, self.asymptotic, self.ratio, self.ratio_decimal))
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Frozen):
     """Exact/asymptotic comparison over an r sweep, zero rows dropped."""
 
-    entries: tuple[RatioEntry, ...]
-    final_error: Fraction
-    final_error_decimal: str
-    monotone_from: int | None
-    diverging: bool
+    __slots__ = ("entries", "final_error", "final_error_decimal", "monotone_from",
+                 "diverging")
+
+    def __init__(self, entries: tuple[RatioEntry, ...], final_error: Fraction,
+                 final_error_decimal: str, monotone_from: int | None, diverging: bool):
+        set_field(self, "entries", entries)
+        set_field(self, "final_error", final_error)
+        set_field(self, "final_error_decimal", final_error_decimal)
+        set_field(self, "monotone_from", monotone_from)
+        set_field(self, "diverging", diverging)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.entries, self.final_error, self.final_error_decimal,
+                 self.monotone_from, self.diverging)
+                == (other.entries, other.final_error, other.final_error_decimal,
+                    other.monotone_from, other.diverging))
+
+    def __hash__(self):
+        return hash((self.entries, self.final_error, self.final_error_decimal,
+                     self.monotone_from, self.diverging))
 
     def to_json(self) -> dict:
         return {

@@ -117,6 +117,27 @@ def _ratio_options(args) -> dict:
     }
 
 
+# Flags that ratio and structure tables do not read, beside those that
+# only some ratio kinds read (``verify ratio`` checks the latter too).
+_UNREAD_BY_TABLES = ("connected", "normalization", "L", "M", "t", "insertions")
+_UNREAD_BY_STRUCTURE = ("K", "r", "r_min", "r_max", "kind", "u_deg", "v_deg", "b", "gw_s")
+_COMPLETED_UNREAD = ("K", "u_deg", "v_deg", "b", "gw_s")
+_UNREAD_BY_RATIO = {
+    "classical": _COMPLETED_UNREAD,
+    "completed": _COMPLETED_UNREAD,
+    "monotone": ("s", "b", "gw_s"),
+    "b": ("s", "u_deg", "v_deg", "gw_s"),
+    "gw": ("s", "K", "u_deg", "v_deg", "b"),
+}
+
+
+def _refuse_unread(args, parser: argparse.ArgumentParser, names, command: str):
+    """Exit 3 on the first of ``names`` set away from ``parser``'s default."""
+    for name in names:
+        if getattr(args, name) != parser.get_default(name):
+            raise DomainError(f"--{name.replace('_', '-')} has no effect on {command}")
+
+
 def _r_values(args) -> list[int]:
     if args.r is not None:
         return [args.r]
@@ -296,7 +317,7 @@ def _cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     suite = args.suite
     profiles = _parse_profiles(args.profiles)
     if args.max_d is not None and args.max_d < 1:
@@ -321,6 +342,8 @@ def _cmd_verify(args) -> int:
     elif suite == "eigenvalue-order":
         report = verify.verify_eigenvalue_order(max_d=args.max_d or 10)
     elif suite == "ratio":
+        _refuse_unread(args, parser, _UNREAD_BY_RATIO.get(args.kind, ()),
+                       f"verify ratio --kind {args.kind}")
         r_max = 40 if args.r_max is None else args.r_max
         report = verify.verify_ratio(args.kind, r_max=r_max,
                                      tolerance=_parse_fraction(args.tolerance),
@@ -338,29 +361,13 @@ def _cmd_verify(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-# Flags that ratio and structure tables do not read, beside those that
-# only some ratio kinds read.
-_UNREAD_BY_TABLES = ("connected", "normalization", "L", "M", "t", "insertions")
-_UNREAD_BY_STRUCTURE = ("K", "r", "r_min", "r_max", "kind", "u_deg", "v_deg", "b", "gw_s")
-_COMPLETED_UNREAD = ("K", "u_deg", "v_deg", "b", "gw_s")
-_UNREAD_BY_RATIO = {
-    "classical": _COMPLETED_UNREAD,
-    "completed": _COMPLETED_UNREAD,
-    "monotone": ("s", "b", "gw_s"),
-    "b": ("s", "u_deg", "v_deg", "gw_s"),
-    "gw": ("s", "K", "u_deg", "v_deg", "b"),
-}
-
-
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
-    if args.what in ("structure", "ratio"):
-        unread = _UNREAD_BY_TABLES + (_UNREAD_BY_STRUCTURE if args.what == "structure"
-                                      else _UNREAD_BY_RATIO.get(args.kind, ()))
-        for name in unread:  # before --K takes its default below
-            if getattr(args, name) != parser.get_default(name):
-                table = "structure" if args.what == "structure" else f"ratio --kind {args.kind}"
-                raise DomainError(f"--{name.replace('_', '-')} has no effect on "
-                                  f"table --what {table}")
+    if args.what == "structure":  # before --K takes its default below
+        _refuse_unread(args, parser, _UNREAD_BY_TABLES + _UNREAD_BY_STRUCTURE,
+                       "table --what structure")
+    elif args.what == "ratio":
+        _refuse_unread(args, parser, _UNREAD_BY_TABLES + _UNREAD_BY_RATIO.get(args.kind, ()),
+                       f"table --what ratio --kind {args.kind}")
     if args.K is None:  # compute's default for hurwitz tables, one block otherwise
         args.K = 0 if args.what == "hurwitz" else 1
     if args.what == "structure":
@@ -404,13 +411,13 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_chartable(args) -> int:
     table = _char_table(args.d, args.max_d)
-    config = {"command": "chartable", "d": args.d}
-    payload = {
-        "config": config,
-        "partitions": [list(p) for p in table.partitions],
-        "entries": [list(row) for row in table.entries],
-    }
-    _emit(args, payload, table.csv_rows())
+    payload = {"config": {"command": "chartable", "d": args.d}}
+    if args.format == "json":  # json writes the tuples as lists
+        payload["partitions"] = table.partitions
+        payload["entries"] = table.entries
+        _emit(args, payload)
+    else:
+        _emit(args, payload, table.csv_rows())
     return EXIT_OK
 
 
@@ -470,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--gw-s", type=int, default=2)
     pv.add_argument("--tolerance", default="1/1000")
     _add_common(pv)
-    pv.set_defaults(func=_cmd_verify)
+    pv.set_defaults(func=functools.partial(_cmd_verify, parser=pv))
 
     pt = sub.add_parser("table", help="parameter sweeps as CSV/JSON tables")
     pt.add_argument("--what", required=True, choices=("structure", "ratio", "hurwitz"))

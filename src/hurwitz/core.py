@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,6 +53,7 @@ from .partitions import (
     contents,
     transpose,
 )
+from .records import Frozen, Record, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +94,25 @@ def m_ds(d: int, s: int) -> Fraction:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GSpec:
+class GSpec(Frozen):
     """Rational weight shape: (1-z)^{-K} times L strict (u) and M weak (v) blocks."""
 
-    K: int = 0
-    L: int = 0
-    M: int = 0
+    __slots__ = ("K", "L", "M")
 
-    def __post_init__(self):
-        if self.K < 0 or self.L < 0 or self.M < 0:
+    def __init__(self, K: int = 0, L: int = 0, M: int = 0):
+        set_field(self, "K", K)
+        set_field(self, "L", L)
+        set_field(self, "M", M)
+        if K < 0 or L < 0 or M < 0:
             raise DomainError(f"GSpec wants nonnegative counts, got {self}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.K, self.L, self.M) == (other.K, other.L, other.M)
+
+    def __hash__(self):
+        return hash((self.K, self.L, self.M))
 
     @property
     def nvars(self) -> int:
@@ -291,21 +299,36 @@ def _as_polynomial(value, nvars: int) -> MultiPoly:
     return value or MultiPoly.zero(nvars)
 
 
-@dataclass
-class HurwitzResult:
-    """An exact Hurwitz number together with the data that produced it."""
+class HurwitzResult(Record):
+    """An exact Hurwitz number together with the data that produced it.
 
-    kind: str
-    d: int
-    r: int | None
-    profiles: tuple[Partition, ...]
-    connected: bool
-    value: Fraction | MultiPoly
-    s: int | None = None
-    t: int | None = None
-    gspec: GSpec | None = None
-    genus: Fraction | None = None
-    extra: dict = field(default_factory=dict)
+    Mutable and unhashable; ``extra`` is a fresh dict unless one is given.
+    """
+
+    __slots__ = ("kind", "d", "r", "profiles", "connected", "value", "s", "t",
+                 "gspec", "genus", "extra")
+
+    def __init__(self, kind: str, d: int, r: int | None, profiles: tuple[Partition, ...],
+                 connected: bool, value: Fraction | MultiPoly, s: int | None = None,
+                 t: int | None = None, gspec: GSpec | None = None,
+                 genus: Fraction | None = None, extra: dict | None = None):
+        self.kind = kind
+        self.d = d
+        self.r = r
+        self.profiles = profiles
+        self.connected = connected
+        self.value = value
+        self.s = s
+        self.t = t
+        self.gspec = gspec
+        self.genus = genus
+        self.extra = {} if extra is None else extra
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in self.__slots__)
+                == tuple(getattr(other, name) for name in self.__slots__))
 
     @property
     def genus_integral(self) -> bool:

@@ -13,12 +13,12 @@ and its factors are the independent reference for the content engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational as _RationalABC
 
 from .errors import DomainError
+from .records import Frozen, set_field
 
 
 def format_rational(q: Fraction) -> str:
@@ -95,12 +95,22 @@ def stirling(kind: int, n: int, k: int) -> int:
 # Exact Gaussian rationals (for complex deformation parameters)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """Exact complex number with rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        set_field(self, "re", re)
+        set_field(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     @classmethod
     def of(cls, value) -> "GaussianRational":

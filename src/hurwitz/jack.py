@@ -17,7 +17,6 @@ norms, characters by Jack characters, and each box content ``j - i`` by
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,6 +31,7 @@ from .partitions import (
     enumerate_partitions,
     transpose,
 )
+from .records import Frozen, set_field
 
 DEFAULT_JACK_CEILING = 8
 
@@ -97,13 +97,24 @@ def _m_in_p_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
 # Jack basis by Gram-Schmidt
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PSumExpansion:
+class PSumExpansion(Frozen):
     """A degree-d symmetric function as exact coefficients over p_mu."""
 
-    degree: int
-    alpha: Fraction
-    coeffs: tuple[tuple[Partition, Fraction], ...]
+    __slots__ = ("degree", "alpha", "coeffs")
+
+    def __init__(self, degree: int, alpha: Fraction,
+                 coeffs: tuple[tuple[Partition, Fraction], ...]):
+        set_field(self, "degree", degree)
+        set_field(self, "alpha", alpha)
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.alpha, self.coeffs) == (other.degree, other.alpha, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.degree, self.alpha, self.coeffs))
 
     def coefficient(self, mu) -> Fraction:
         mu = check_partition(mu)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, SizeLimitError
 from .partitions import Partition, check_partition, class_data, enumerate_partitions
+from .records import Frozen, set_field
 
 ORACLE_MAX_DEGREE = 6
 ORACLE_MAX_TRANSPOSITIONS = 10
@@ -239,33 +239,39 @@ class GroupAlgebraElement:
 CONSTRAINTS = ("none", "weak", "strict")
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """One run of transpositions with a monotonicity constraint."""
 
-    count: int
-    constraint: str
+    __slots__ = ("count", "constraint")
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise DomainError(f"block count must be nonnegative: {self.count}")
-        if self.constraint not in CONSTRAINTS:
-            raise DomainError(f"unknown constraint {self.constraint!r}")
+    def __init__(self, count: int, constraint: str):
+        set_field(self, "count", count)
+        set_field(self, "constraint", constraint)
+        if count < 0:
+            raise DomainError(f"block count must be nonnegative: {count}")
+        if constraint not in CONSTRAINTS:
+            raise DomainError(f"unknown constraint {constraint!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.count, self.constraint) == (other.count, other.constraint)
+
+    def __hash__(self):
+        return hash((self.count, self.constraint))
 
 
-@dataclass(frozen=True)
-class FactorizationQuery:
+class FactorizationQuery(Frozen):
     """Count factorizations id = sigma_1..sigma_N * (transposition blocks)."""
 
-    d: int
-    profiles: tuple[Partition, ...] = ()
-    blocks: tuple[Block, ...] = ()
+    __slots__ = ("d", "profiles", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "profiles",
-                           tuple(check_partition(mu) for mu in self.profiles))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        _check_degree(self.d)
+    def __init__(self, d: int, profiles: tuple[Partition, ...] = (),
+                 blocks: tuple[Block, ...] = ()):
+        set_field(self, "d", d)
+        set_field(self, "profiles", tuple(check_partition(mu) for mu in profiles))
+        set_field(self, "blocks", tuple(blocks))
+        _check_degree(d)
         for mu in self.profiles:
             if sum(mu) != self.d:
                 raise DomainError(f"profile {mu} does not partition {self.d}")
@@ -274,6 +280,14 @@ class FactorizationQuery:
                 f"{self.total_transpositions()} transpositions exceed the guard "
                 f"{ORACLE_MAX_TRANSPOSITIONS}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.profiles, self.blocks) == (other.d, other.profiles, other.blocks)
+
+    def __hash__(self):
+        return hash((self.d, self.profiles, self.blocks))
 
     def total_transpositions(self) -> int:
         return sum(b.count for b in self.blocks)

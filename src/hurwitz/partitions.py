@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, SizeLimitError
+from .records import Frozen, set_field
 
 Partition = tuple[int, ...]
 
@@ -77,13 +77,25 @@ def hook_lengths(lam) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Frozen):
     """Conjugacy-class data of a cycle type: |class|, stabilizer order, multiplicities."""
 
-    class_size: int
-    stabilizer: int
-    multiplicities: tuple[tuple[int, int], ...]
+    __slots__ = ("class_size", "stabilizer", "multiplicities")
+
+    def __init__(self, class_size: int, stabilizer: int,
+                 multiplicities: tuple[tuple[int, int], ...]):
+        set_field(self, "class_size", class_size)
+        set_field(self, "stabilizer", stabilizer)
+        set_field(self, "multiplicities", multiplicities)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.class_size, self.stabilizer, self.multiplicities)
+                == (other.class_size, other.stabilizer, other.multiplicities))
+
+    def __hash__(self):
+        return hash((self.class_size, self.stabilizer, self.multiplicities))
 
     def multiplicity(self, part: int) -> int:
         for p, m in self.multiplicities:
@@ -109,17 +121,27 @@ def class_data(mu) -> ClassData:
     )
 
 
-@dataclass(frozen=True)
-class FrobeniusShifted:
+class FrobeniusShifted(Frozen):
     """Shifted Frobenius coordinates: R diagonal boxes, half-integer arms/legs.
 
     Both coordinate lists are strictly decreasing, all entries >= 1/2,
     and their total sum equals the size of the partition.
     """
 
-    r: int
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    __slots__ = ("r", "a", "b")
+
+    def __init__(self, r: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
+        set_field(self, "r", r)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.a, self.b) == (other.r, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.r, self.a, self.b))
 
 
 def frobenius_shifted(lam) -> FrobeniusShifted:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,9 @@ from hurwitz.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -189,6 +195,17 @@ class TestCharTableCommand:
         code, _, err = run(capsys, "chartable", "--d", "25")
         assert code == EXIT_SIZE_LIMIT
         assert "ceiling" in err
+
+    def test_json_dump_builds_no_csv_rows(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("csv rows built for a JSON dump")
+
+        monkeypatch.setattr(characters.CharTable, "csv_rows", refuse)
+        code, out, _ = run(capsys, "chartable", "--d", "3", "--format", "json")
+        blob = json.loads(out)
+        assert code == EXIT_OK and blob["config"] == {"command": "chartable", "d": 3}
+        assert blob["partitions"] == [[3], [2, 1], [1, 1, 1]]
+        assert blob["entries"] == [[1, 1, 1], [-1, 0, 2], [1, -1, 1]]
 
 
 class TestExitCodes:
@@ -495,6 +512,70 @@ class TestFlagsOnlySomeTablesRead:
         code, out, _ = run(capsys, *STRUCTURE_TABLE, "--kind", "classical", "--b", "0",
                            "--gw-s", "2")
         assert code == EXIT_OK and out == plain
+
+
+class TestVerifyRatioReadsOnlyItsKindsFlags:
+    """``verify ratio`` exits 3 on a flag its kind does not read, as the
+    ratio tables do, comparing with the verify parser's defaults."""
+
+    CLASSICAL = ("verify", "ratio", "--kind", "classical", "--d", "4", "--r-max", "20",
+                 "--format", "csv")
+
+    @pytest.mark.parametrize("extra", [
+        ("--K", "3"), ("--u-deg", "1"), ("--v-deg", "1"), ("--b", "2"), ("--gw-s", "3"),
+    ], ids=["K", "u-deg", "v-deg", "b", "gw-s"])
+    def test_classical_exits_naming_the_flag(self, capsys, extra):
+        code, out, err = run(capsys, *self.CLASSICAL, *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert f"{extra[0]} has no effect on verify ratio --kind classical" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--kind", "completed", "--d", "4", "--K", "2"), "--K"),
+        (("--kind", "monotone", "--d", "3", "--K", "2", "--s", "2"), "--s"),
+        (("--kind", "b", "--d", "3", "--b", "1/2", "--gw-s", "3"), "--gw-s"),
+        (("--kind", "gw", "--profiles", "2,1;3", "--u-deg", "1"), "--u-deg"),
+    ], ids=["completed-K", "monotone-s", "b-gw-s", "gw-u-deg"])
+    def test_other_kinds_exit_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", "ratio", *argv, "--r-max", "4")
+        assert code == EXIT_USAGE and flag in err and out == ""
+
+    def test_verify_defaults_are_accepted(self, capsys):
+        _, plain, _ = run(capsys, *self.CLASSICAL)
+        code, out, _ = run(capsys, *self.CLASSICAL, "--K", "1", "--b", "0", "--gw-s", "2")
+        assert code == EXIT_OK and out == plain
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "classical", "--d", "4", "--s", "2"),
+        ("--kind", "monotone", "--d", "3", "--K", "2", "--u-deg", "1"),
+        ("--kind", "b", "--d", "5", "--K", "1", "--b", "1/2"),
+        ("--kind", "gw", "--profiles", "2,1;3", "--gw-s", "3"),
+    ], ids=["classical-s", "monotone", "b", "gw"])
+    def test_kinds_accept_their_own_flags(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", "ratio", *argv, "--r-max", "4")
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED) and json.loads(out)["checks"]
+
+
+class TestShellEntryPoint:
+    """A fresh interpreter, as a shell invocation of the CLI starts one."""
+
+    @staticmethod
+    def python(*args):
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        proc = self.python("-c", "import sys; before = set(sys.modules); import hurwitz.cli; "
+                                 "print(sorted({'dataclasses', 'inspect'} & "
+                                 "(set(sys.modules) - before)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_compute_as_a_module(self):
+        proc = self.python("-m", "hurwitz.cli", "compute", "--kind", "classical", "--d", "3",
+                           "--r", "2")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["results"][0]["value"] == "1/2"
 
 
 # Requests that resolve defaults differently, run in one process.
