@@ -46,15 +46,6 @@ class PoleCoefficient(Frozen):
         set_field(self, "coefficient", coefficient)
         set_field(self, "v_order", v_order)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.rho, self.order, self.coefficient, self.v_order)
-                == (other.rho, other.order, other.coefficient, other.v_order))
-
-    def __hash__(self):
-        return hash((self.rho, self.order, self.coefficient, self.v_order))
-
 
 def _sign_exponent(d: int, profiles) -> int:
     return d * len(profiles) - sum(len(mu) for mu in profiles)
@@ -295,15 +286,6 @@ class RatioEntry(Frozen):
         set_field(self, "ratio", ratio)
         set_field(self, "ratio_decimal", ratio_decimal)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.r, self.exact, self.asymptotic, self.ratio, self.ratio_decimal)
-                == (other.r, other.exact, other.asymptotic, other.ratio, other.ratio_decimal))
-
-    def __hash__(self):
-        return hash((self.r, self.exact, self.asymptotic, self.ratio, self.ratio_decimal))
-
 
 class RatioReport(Frozen):
     """Exact/asymptotic comparison over an r sweep, zero rows dropped."""
@@ -318,18 +300,6 @@ class RatioReport(Frozen):
         set_field(self, "final_error_decimal", final_error_decimal)
         set_field(self, "monotone_from", monotone_from)
         set_field(self, "diverging", diverging)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.entries, self.final_error, self.final_error_decimal,
-                 self.monotone_from, self.diverging)
-                == (other.entries, other.final_error, other.final_error_decimal,
-                    other.monotone_from, other.diverging))
-
-    def __hash__(self):
-        return hash((self.entries, self.final_error, self.final_error_decimal,
-                     self.monotone_from, self.diverging))
 
     def to_json(self) -> dict:
         return {

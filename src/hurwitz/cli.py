@@ -130,6 +130,19 @@ _UNREAD_BY_RATIO = {
     "gw": ("s", "K", "u_deg", "v_deg", "b"),
 }
 
+# The flags each verify suite reads; it refuses the others, and a ratio
+# kind also those in ``_UNREAD_BY_RATIO``.
+_READ_BY_SUITE = {
+    "oracle": ("max_d", "max_transpositions"),
+    **dict.fromkeys(("characters", "stirling", "jack", "poles", "eigenvalue-order"),
+                    ("max_d",)),
+    "gap": ("d", "s", "profiles"),
+    "ratio": ("kind", "d", "s", "profiles", "K", "r_max", "u_deg", "v_deg", "b", "gw_s",
+              "tolerance"),
+}
+# what every suite reads, and the parsed names that are not flags
+_READ_BY_EVERY_SUITE = ("command", "suite", "format", "output", "func")
+
 
 def _refuse_unread(args, parser: argparse.ArgumentParser, names, command: str):
     """Exit 3 on the first of ``names`` set away from ``parser``'s default."""
@@ -295,7 +308,10 @@ def _cmd_compute(args) -> int:
     results = []
     for out in _compute(args, r_values):
         blob = out.to_json_dict() if isinstance(out, HurwitzResult) else out
-        if args.normalization == "dhr" and not isinstance(blob.get("value"), list):
+        if args.normalization == "dhr":
+            if isinstance(blob["value"], list):
+                raise DomainError("--normalization dhr has no effect on a polynomial value; "
+                                  "select one coefficient with --u-deg/--v-deg")
             profiles = _parse_profiles(args.profiles)
             factor = _dhr_factor(blob["d"], profiles)
             paper = _parse_fraction(blob["value"])
@@ -319,37 +335,31 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     suite = args.suite
-    profiles = _parse_profiles(args.profiles)
+    command = f"verify {suite}"
+    read = _READ_BY_SUITE[suite] + _READ_BY_EVERY_SUITE
+    unread = [name for name in vars(args) if name not in read]
+    if suite == "ratio":
+        command += f" --kind {args.kind}"
+        unread += _UNREAD_BY_RATIO.get(args.kind, ())
+    _refuse_unread(args, parser, unread, command)
     if args.max_d is not None and args.max_d < 1:
         raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
     if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
         raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
+    sizes = {} if args.max_d is None else {"max_d": args.max_d}  # else the suite's default
     if suite == "oracle":
-        report = verify.verify_oracle(max_d=args.max_d or 4,
-                                      max_transpositions=args.max_transpositions)
-    elif suite == "characters":
-        report = verify.verify_characters(max_d=args.max_d or 6)
-    elif suite == "stirling":
-        report = verify.verify_stirling(max_d=min(args.max_d or 5, 5))
-    elif suite == "jack":
-        report = verify.verify_jack(max_d=args.max_d or 5)
+        report = verify.verify_oracle(max_transpositions=args.max_transpositions, **sizes)
     elif suite == "gap":
         if args.d is None:
             raise DomainError("verify gap needs --d")
-        report = verify.verify_gap(args.d, args.s, profiles)
-    elif suite == "poles":
-        report = verify.verify_poles(max_d=args.max_d or 6)
-    elif suite == "eigenvalue-order":
-        report = verify.verify_eigenvalue_order(max_d=args.max_d or 10)
+        report = verify.verify_gap(args.d, args.s, _parse_profiles(args.profiles))
     elif suite == "ratio":
-        _refuse_unread(args, parser, _UNREAD_BY_RATIO.get(args.kind, ()),
-                       f"verify ratio --kind {args.kind}")
         r_max = 40 if args.r_max is None else args.r_max
         report = verify.verify_ratio(args.kind, r_max=r_max,
                                      tolerance=_parse_fraction(args.tolerance),
                                      **_ratio_options(args))
-    else:
-        raise DomainError(f"unknown suite {suite!r}")
+    else:  # a sweep over d that reads only --max-d
+        report = getattr(verify, "verify_" + suite.replace("-", "_"))(**sizes)
     rows = [["check", "pass", "detail"]]
     for c in report["checks"]:
         rows.append([c["name"], "pass" if c["pass"] else "FAIL", c["detail"]])

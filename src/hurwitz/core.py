@@ -106,14 +106,6 @@ class GSpec(Frozen):
         if K < 0 or L < 0 or M < 0:
             raise DomainError(f"GSpec wants nonnegative counts, got {self}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.K, self.L, self.M) == (other.K, other.L, other.M)
-
-    def __hash__(self):
-        return hash((self.K, self.L, self.M))
-
     @property
     def nvars(self) -> int:
         return self.L + self.M
@@ -323,12 +315,6 @@ class HurwitzResult(Record):
         self.gspec = gspec
         self.genus = genus
         self.extra = {} if extra is None else extra
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (tuple(getattr(self, name) for name in self.__slots__)
-                == tuple(getattr(other, name) for name in self.__slots__))
 
     @property
     def genus_integral(self) -> bool:

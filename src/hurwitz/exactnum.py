@@ -104,14 +104,6 @@ class GaussianRational(Frozen):
         set_field(self, "re", re)
         set_field(self, "im", im)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     @classmethod
     def of(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):

@@ -108,14 +108,6 @@ class PSumExpansion(Frozen):
         set_field(self, "alpha", alpha)
         set_field(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.alpha, self.coeffs) == (other.degree, other.alpha, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.degree, self.alpha, self.coeffs))
-
     def coefficient(self, mu) -> Fraction:
         mu = check_partition(mu)
         for part, c in self.coeffs:

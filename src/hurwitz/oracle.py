@@ -252,14 +252,6 @@ class Block(Frozen):
         if constraint not in CONSTRAINTS:
             raise DomainError(f"unknown constraint {constraint!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.count, self.constraint) == (other.count, other.constraint)
-
-    def __hash__(self):
-        return hash((self.count, self.constraint))
-
 
 class FactorizationQuery(Frozen):
     """Count factorizations id = sigma_1..sigma_N * (transposition blocks)."""
@@ -280,14 +272,6 @@ class FactorizationQuery(Frozen):
                 f"{self.total_transpositions()} transpositions exceed the guard "
                 f"{ORACLE_MAX_TRANSPOSITIONS}"
             )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.profiles, self.blocks) == (other.d, other.profiles, other.blocks)
-
-    def __hash__(self):
-        return hash((self.d, self.profiles, self.blocks))
 
     def total_transpositions(self) -> int:
         return sum(b.count for b in self.blocks)

@@ -88,15 +88,6 @@ class ClassData(Frozen):
         set_field(self, "stabilizer", stabilizer)
         set_field(self, "multiplicities", multiplicities)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.class_size, self.stabilizer, self.multiplicities)
-                == (other.class_size, other.stabilizer, other.multiplicities))
-
-    def __hash__(self):
-        return hash((self.class_size, self.stabilizer, self.multiplicities))
-
     def multiplicity(self, part: int) -> int:
         for p, m in self.multiplicities:
             if p == part:
@@ -134,14 +125,6 @@ class FrobeniusShifted(Frozen):
         set_field(self, "r", r)
         set_field(self, "a", a)
         set_field(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.a, self.b) == (other.r, other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.r, self.a, self.b))
 
 
 def frobenius_shifted(lam) -> FrobeniusShifted:

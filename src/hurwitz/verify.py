@@ -37,7 +37,7 @@ from .core import (
     structure_coefficients,
     weighted_sweep,
 )
-from .errors import DomainError, EmptyReportError
+from .errors import DomainError, EmptyReportError, SizeLimitError
 from .exactnum import stirling
 from .jack import (b_hurwitz_coefficient, deformed_contents, jack_in_psums, jack_norm,
                    jack_weights)
@@ -181,7 +181,15 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6,
 # Stirling and Jucys-Murphy identities
 # ---------------------------------------------------------------------------
 
-def verify_stirling(max_n: int = 10, max_d: int = 5, max_k: int = 6) -> dict:
+# the top degree of the Jucys-Murphy checks: up to d=6 the suite takes about
+# 11 s, against 0.4 s up to d=5 (Python 3.11, a shared 2-core box)
+STIRLING_MAX_D = 5
+
+
+def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6) -> dict:
+    if max_d > STIRLING_MAX_D:
+        raise SizeLimitError(f"verify stirling checks degrees up to its ceiling "
+                             f"{STIRLING_MAX_D}, not {max_d}")
     checks: list[dict] = []
     from .exactnum import MultiPoly, TruncSeries, affine_factor, geometric_factor
 
@@ -206,7 +214,7 @@ def verify_stirling(max_n: int = 10, max_d: int = 5, max_k: int = 6) -> dict:
         )
         _check(checks, f"prod 1/(1-iz) vs second kind, n={n}", ok)
 
-    for d in range(2, min(max_d, oracle.ORACLE_MAX_DEGREE) + 1):
+    for d in range(2, max_d + 1):
         for k in range(0, max_k + 1):
             e = oracle.jm_symmetric_evaluate("e", k, d)
             # Jucys: e_k is the sum of permutations needing exactly k transpositions
@@ -367,7 +375,7 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
 # Pole coefficients
 # ---------------------------------------------------------------------------
 
-def verify_poles(max_d: int = 7, max_k: int = 3, max_lm: int = 2,
+def verify_poles(max_d: int = 6, max_k: int = 3, max_lm: int = 2,
                  v_order: int = 3) -> dict:
     checks: list[dict] = []
     for d in range(2, max_d + 1):

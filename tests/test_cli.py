@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -553,6 +554,86 @@ class TestVerifyRatioReadsOnlyItsKindsFlags:
     def test_kinds_accept_their_own_flags(self, capsys, argv):
         code, out, _ = run(capsys, "verify", "ratio", *argv, "--r-max", "4")
         assert code in (EXIT_OK, EXIT_VERIFY_FAILED) and json.loads(out)["checks"]
+
+
+class TestVerifySuitesReadOnlyTheirFlags:
+    """Each verify suite exits 3 on a flag it does not read, before any work."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("oracle", "--max-d", "2", "--d", "7"), "--d"),
+        (("oracle", "--max-d", "2", "--kind", "gw"), "--kind"),
+        (("characters", "--max-d", "2", "--s", "2"), "--s"),
+        (("stirling", "--max-d", "2", "--max-transpositions", "3"), "--max-transpositions"),
+        (("jack", "--max-d", "2", "--profiles", "2,1"), "--profiles"),
+        (("poles", "--max-d", "2", "--K", "2"), "--K"),
+        (("eigenvalue-order", "--max-d", "3", "--tolerance", "1/2"), "--tolerance"),
+        (("gap", "--d", "4", "--max-d", "3"), "--max-d"),
+        (("gap", "--d", "4", "--r-max", "5"), "--r-max"),
+        (("ratio", "--kind", "classical", "--d", "4", "--max-transpositions", "3"),
+         "--max-transpositions"),
+        (("ratio", "--kind", "classical", "--d", "4", "--max-d", "3"), "--max-d"),
+    ], ids=["oracle-d", "oracle-kind", "characters-s", "stirling-max-transpositions",
+            "jack-profiles", "poles-K", "eigenvalue-order-tolerance", "gap-max-d",
+            "gap-r-max", "ratio-max-transpositions", "ratio-max-d"])
+    def test_exits_naming_the_flag(self, capsys, monkeypatch, argv, flag):
+        monkeypatch.setattr(verify, "verify_" + argv[0].replace("-", "_"), None)
+        code, out, err = run(capsys, "verify", *argv, "--format", "csv")
+        assert code == EXIT_USAGE and out == ""
+        assert f"{flag} has no effect on verify {argv[0]}" in err
+
+    def test_default_values_are_accepted(self, capsys):
+        argv = ("verify", "oracle", "--max-d", "2", "--format", "csv")
+        _, plain, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--kind", "classical", "--s", "1", "--K", "1")
+        assert code == EXIT_OK and out == plain
+
+
+class TestVerifySuiteDefaults:
+    """Without --max-d a suite sweeps to the default in its own signature."""
+
+    @pytest.mark.parametrize("suite", ["oracle", "characters", "stirling", "jack",
+                                       "poles", "eigenvalue-order"])
+    def test_max_d_passed_only_when_given(self, capsys, monkeypatch, suite):
+        calls = []
+
+        def fake(**kwargs):
+            calls.append(kwargs)
+            return {"pass": True, "checks": []}
+
+        monkeypatch.setattr(verify, "verify_" + suite.replace("-", "_"), fake)
+        assert run(capsys, "verify", suite)[0] == EXIT_OK
+        assert run(capsys, "verify", suite, "--max-d", "3")[0] == EXIT_OK
+        assert [call.get("max_d") for call in calls] == [None, 3]
+
+    def test_poles_default_is_the_cli_sweep(self):
+        assert inspect.signature(verify.verify_poles).parameters["max_d"].default == 6
+
+
+class TestStirlingCeiling:
+    def test_above_five_exits_naming_the_ceiling(self, capsys):
+        code, out, err = run(capsys, "verify", "stirling", "--max-d", "6")
+        assert code == EXIT_SIZE_LIMIT and out == "" and "ceiling 5" in err
+
+    def test_at_the_ceiling_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "stirling", "--max-d", "5")
+        blob = json.loads(out)
+        assert code == EXIT_OK and blob["pass"] and blob["config"]["max_d"] == 5
+
+
+class TestDhrNormalizationOfPolynomials:
+    @pytest.mark.parametrize("command", [("compute",), ("table", "--what", "hurwitz")],
+                             ids=["compute", "table"])
+    def test_polynomial_value_exits_naming_the_flag(self, capsys, command):
+        code, out, err = run(capsys, *command, "--kind", "hypergeometric", "--d", "2",
+                             "--K", "1", "--L", "1", "--r", "2", "--normalization", "dhr")
+        assert code == EXIT_USAGE and out == "" and "--normalization dhr" in err
+
+    def test_one_coefficient_is_scaled(self, capsys):
+        code, out, _ = run(capsys, "compute", "--kind", "hypergeometric", "--d", "2",
+                           "--K", "1", "--L", "1", "--r", "2", "--u-deg", "1",
+                           "--normalization", "dhr")
+        blob = json.loads(out)["results"][0]
+        assert code == EXIT_OK and (blob["value_paper"], blob["value"]) == ("1/2", "1")
 
 
 class TestShellEntryPoint:

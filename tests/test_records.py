@@ -13,6 +13,7 @@ from hurwitz.exactnum import GaussianRational, MultiPoly
 from hurwitz.jack import PSumExpansion
 from hurwitz.oracle import Block, FactorizationQuery
 from hurwitz.partitions import ClassData, FrobeniusShifted
+from hurwitz.records import Frozen, Record, set_field
 
 HALF = Fraction(1, 2)
 ENTRY = RatioEntry(3, Fraction(2), Fraction(1), Fraction(2), "2")
@@ -175,3 +176,56 @@ class TestConstructorChecks:
     def test_factorization_query(self, kwargs, error):
         with pytest.raises(error):
             FactorizationQuery(**kwargs)
+
+
+class Pair(Frozen):
+    """A frozen record that writes only ``__slots__`` and ``__init__``."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right=0):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+
+class Box(Frozen):
+    __slots__ = ("item",)
+
+    def __init__(self, item):
+        set_field(self, "item", item)
+
+
+class Cell(Record):
+    __slots__ = ("item",)
+
+    def __init__(self, item):
+        self.item = item
+
+
+class TestFieldsFromSlots:
+    """The bases build equality, hashing, repr and pickling from ``__slots__``."""
+
+    def test_compares_and_hashes_by_fields(self):
+        a, b = Pair(1, HALF), Pair(left=1, right=HALF)
+        assert a == b and not (a != b) and hash(a) == hash(b)
+        assert a != Pair(1) and a != Pair(2, HALF) and len({a, b, Pair(1)}) == 2
+        assert a != (1, HALF) and a.__eq__((1, HALF)) is NotImplemented
+
+    def test_prints_and_pickles_by_fields(self):
+        value = Pair(1, HALF)
+        assert repr(value) == "Pair(left=1, right=Fraction(1, 2))"
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and twin is not value
+
+    def test_one_field(self):
+        assert Box(3) == Box(3) and hash(Box(3)) == hash(Box(3)) and Box(3) != Box(4)
+        assert Box(3) != Cell(3) and repr(Box(3)) == "Box(item=3)"
+
+    def test_mutable_record_compares_but_does_not_hash(self):
+        cell = Cell([1])
+        assert cell == Cell([1])
+        cell.item.append(2)
+        assert cell != Cell([1]) and cell == Cell([1, 2])
+        with pytest.raises(TypeError):
+            hash(cell)
