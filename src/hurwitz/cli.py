@@ -117,38 +117,59 @@ def _ratio_options(args) -> dict:
     }
 
 
-# Flags that ratio and structure tables do not read, beside those that
-# only some ratio kinds read (``verify ratio`` checks the latter too).
-_UNREAD_BY_TABLES = ("connected", "normalization", "L", "M", "t", "insertions")
-_UNREAD_BY_STRUCTURE = ("K", "r", "r_min", "r_max", "kind", "u_deg", "v_deg", "b", "gw_s")
-_COMPLETED_UNREAD = ("K", "u_deg", "v_deg", "b", "gw_s")
-_UNREAD_BY_RATIO = {
-    "classical": _COMPLETED_UNREAD,
-    "completed": _COMPLETED_UNREAD,
-    "monotone": ("s", "b", "gw_s"),
-    "b": ("s", "u_deg", "v_deg", "gw_s"),
-    "gw": ("s", "K", "u_deg", "v_deg", "b"),
+# The flags each request reads, keyed as its messages name it.  ``main``
+# exits 3 on any other optional flag set away from its default; a request
+# with no key (an unknown kind) is refused where it is dispatched.
+_RANGE = ("r", "r_min", "r_max")
+_COMPUTE = ("d", "profiles", "connected", "normalization", "max_d", *_RANGE)
+_BLOCKS = ("K", "L", "M", "u_deg", "v_deg")
+_COMPUTE_KINDS = {"classical": (), "completed": ("s",), "hypergeometric": _BLOCKS, "hciz": (),
+                  "orbifold": ("t",), "b-content": _BLOCKS + ("b",), "gw": ("insertions",)}
+_RATIO_KINDS = {"classical": ("s",), "completed": ("s",), "monotone": ("K", "u_deg", "v_deg"),
+                "b": ("K", "b"), "gw": ("gw_s",)}
+_READS = {
+    **{f"compute --kind {k}": _COMPUTE + reads for k, reads in _COMPUTE_KINDS.items()},
+    **{f"table --what hurwitz --kind {k}": ("kind",) + _COMPUTE + reads
+       for k, reads in _COMPUTE_KINDS.items()},
+    **{f"table --what ratio --kind {k}": ("kind", "d", "profiles", *_RANGE) + reads
+       for k, reads in _RATIO_KINDS.items()},
+    **{f"verify ratio --kind {k}": ("kind", "d", "profiles", "r_max", "tolerance") + reads
+       for k, reads in _RATIO_KINDS.items()},
+    "table --what structure": ("d", "profiles", "s"),
+    "verify oracle": ("max_d", "max_transpositions"),
+    **dict.fromkeys(("verify characters", "verify stirling", "verify jack", "verify poles",
+                     "verify eigenvalue-order"), ("max_d",)),
+    "verify gap": ("d", "s", "profiles"),
+    "chartable": ("d", "max_d"),
 }
 
-# The flags each verify suite reads; it refuses the others, and a ratio
-# kind also those in ``_UNREAD_BY_RATIO``.
-_READ_BY_SUITE = {
-    "oracle": ("max_d", "max_transpositions"),
-    **dict.fromkeys(("characters", "stirling", "jack", "poles", "eigenvalue-order"),
-                    ("max_d",)),
-    "gap": ("d", "s", "profiles"),
-    "ratio": ("kind", "d", "s", "profiles", "K", "r_max", "u_deg", "v_deg", "b", "gw_s",
-              "tolerance"),
-}
-# what every suite reads, and the parsed names that are not flags
-_READ_BY_EVERY_SUITE = ("command", "suite", "format", "output", "func")
+
+@functools.cache
+def _unread_flags(command: str, request: str) -> tuple:
+    """Each optional flag of ``command`` but --format and --output that
+    ``request`` does not read, with its default: read off the memoized
+    parser once per process and request."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return tuple((a.dest, a.default) for a in sub.choices[command]._actions
+                 if a.option_strings and not a.required
+                 and a.dest not in ("help", "format", "output", *_READS[request]))
 
 
-def _refuse_unread(args, parser: argparse.ArgumentParser, names, command: str):
-    """Exit 3 on the first of ``names`` set away from ``parser``'s default."""
-    for name in names:
-        if getattr(args, name) != parser.get_default(name):
-            raise DomainError(f"--{name.replace('_', '-')} has no effect on {command}")
+def _refuse_unread(args):
+    """Exit 3 on the first flag that ``args``'s request does not read and
+    that is set away from its default."""
+    request = args.command
+    if request == "verify":
+        request += " " + args.suite
+    elif request == "table":
+        request += " --what " + args.what
+    if f"{request} --kind {getattr(args, 'kind', '')}" in _READS:
+        request += " --kind " + args.kind
+    if request not in _READS:  # an unknown kind
+        return
+    for name, default in _unread_flags(args.command, request):
+        if getattr(args, name) != default:
+            raise DomainError(f"--{name.replace('_', '-')} has no effect on {request}")
 
 
 def _r_values(args) -> list[int]:
@@ -333,20 +354,15 @@ def _cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     suite = args.suite
-    command = f"verify {suite}"
-    read = _READ_BY_SUITE[suite] + _READ_BY_EVERY_SUITE
-    unread = [name for name in vars(args) if name not in read]
-    if suite == "ratio":
-        command += f" --kind {args.kind}"
-        unread += _UNREAD_BY_RATIO.get(args.kind, ())
-    _refuse_unread(args, parser, unread, command)
     if args.max_d is not None and args.max_d < 1:
         raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
     if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
         raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
-    sizes = {} if args.max_d is None else {"max_d": args.max_d}  # else the suite's default
+    # each suite reads at most one of these; without it, its signature's default
+    sizes = {name: getattr(args, name) for name in ("max_d", "r_max")
+             if getattr(args, name) is not None}
     if suite == "oracle":
         report = verify.verify_oracle(max_transpositions=args.max_transpositions, **sizes)
     elif suite == "gap":
@@ -354,10 +370,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             raise DomainError("verify gap needs --d")
         report = verify.verify_gap(args.d, args.s, _parse_profiles(args.profiles))
     elif suite == "ratio":
-        r_max = 40 if args.r_max is None else args.r_max
-        report = verify.verify_ratio(args.kind, r_max=r_max,
-                                     tolerance=_parse_fraction(args.tolerance),
-                                     **_ratio_options(args))
+        report = verify.verify_ratio(args.kind, tolerance=_parse_fraction(args.tolerance),
+                                     **sizes, **_ratio_options(args))
     else:  # a sweep over d that reads only --max-d
         report = getattr(verify, "verify_" + suite.replace("-", "_"))(**sizes)
     rows = [["check", "pass", "detail"]]
@@ -371,13 +385,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
-    if args.what == "structure":  # before --K takes its default below
-        _refuse_unread(args, parser, _UNREAD_BY_TABLES + _UNREAD_BY_STRUCTURE,
-                       "table --what structure")
-    elif args.what == "ratio":
-        _refuse_unread(args, parser, _UNREAD_BY_TABLES + _UNREAD_BY_RATIO.get(args.kind, ()),
-                       f"table --what ratio --kind {args.kind}")
+def _cmd_table(args) -> int:
     if args.K is None:  # compute's default for hurwitz tables, one block otherwise
         args.K = 0 if args.what == "hurwitz" else 1
     if args.what == "structure":
@@ -435,10 +443,26 @@ def _cmd_chartable(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(p: argparse.ArgumentParser, default_format="json"):
+    p.add_argument("--format", choices=("json", "csv"), default=default_format)
     p.add_argument("--output", help="write to a file instead of stdout")
     p.add_argument("--max-d", type=int, help="resource ceiling override")
+
+
+def _add_family(p: argparse.ArgumentParser, K=None):
+    """The family flags that ``compute`` and ``table`` share, in their order."""
+    for flag in ("--d", "--r", "--r-min", "--r-max"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--K", type=int, default=K)
+    p.add_argument("--L", type=int, default=0)
+    p.add_argument("--M", type=int, default=0)
+    p.add_argument("--profiles", help="semicolon-separated comma lists, e.g. '3;2,1'")
+    p.add_argument("--insertions", help="gw insertions 's:m,s:m'")
+    p.add_argument("--b", default="0")
+    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--u-deg", help="comma list: u-degrees to extract")
+    p.add_argument("--v-deg", help="comma list: v-degrees to extract")
 
 
 @functools.cache
@@ -449,23 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="evaluate one family at given orders")
-    pc.add_argument("--kind", required=True,
-                    choices=("classical", "completed", "hypergeometric", "hciz",
-                             "orbifold", "b-content", "gw"))
-    pc.add_argument("--d", type=int)
-    pc.add_argument("--r", type=int)
-    pc.add_argument("--r-min", type=int)
-    pc.add_argument("--r-max", type=int)
-    pc.add_argument("--s", type=int, default=1)
-    pc.add_argument("--K", type=int, default=0)
-    pc.add_argument("--L", type=int, default=0)
-    pc.add_argument("--M", type=int, default=0)
-    pc.add_argument("--profiles", help="semicolon-separated comma lists, e.g. '3;2,1'")
-    pc.add_argument("--insertions", help="gw insertions 's:m,s:m'")
-    pc.add_argument("--b", default="0")
-    pc.add_argument("--t", type=int, default=1)
-    pc.add_argument("--u-deg", help="comma list: u-degrees to extract")
-    pc.add_argument("--v-deg", help="comma list: v-degrees to extract")
+    pc.add_argument("--kind", required=True, choices=tuple(_COMPUTE_KINDS))
+    _add_family(pc, K=0)
     pc.add_argument("--connected", action="store_true")
     pc.add_argument("--normalization", choices=("paper", "dhr"), default="paper",
                     help="dhr multiplies by d! and by every profile part")
@@ -487,37 +496,21 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--gw-s", type=int, default=2)
     pv.add_argument("--tolerance", default="1/1000")
     _add_common(pv)
-    pv.set_defaults(func=functools.partial(_cmd_verify, parser=pv))
+    pv.set_defaults(func=_cmd_verify)
 
     pt = sub.add_parser("table", help="parameter sweeps as CSV/JSON tables")
     pt.add_argument("--what", required=True, choices=("structure", "ratio", "hurwitz"))
     pt.add_argument("--kind", default="classical")
-    pt.add_argument("--d", type=int)
-    pt.add_argument("--r", type=int)
-    pt.add_argument("--r-min", type=int)
-    pt.add_argument("--r-max", type=int)
-    pt.add_argument("--s", type=int, default=1)
-    pt.add_argument("--K", type=int)
-    pt.add_argument("--L", type=int, default=0)
-    pt.add_argument("--M", type=int, default=0)
-    pt.add_argument("--profiles")
-    pt.add_argument("--insertions")
-    pt.add_argument("--b", default="0")
-    pt.add_argument("--t", type=int, default=1)
-    pt.add_argument("--u-deg")
-    pt.add_argument("--v-deg")
+    _add_family(pt)  # --K: compute's 0 for hurwitz tables, 1 otherwise (_cmd_table)
     pt.add_argument("--gw-s", type=int, default=2)
     pt.add_argument("--connected", action="store_true")
     pt.add_argument("--normalization", choices=("paper", "dhr"), default="paper")
     _add_common(pt)
-    pt.set_defaults(func=functools.partial(_cmd_table, parser=pt))
+    pt.set_defaults(func=_cmd_table)
 
     pch = sub.add_parser("chartable", help="dump a character table")
     pch.add_argument("--d", type=int, required=True)
-    pch.set_defaults(format="csv")
-    pch.add_argument("--format", choices=("json", "csv"), default="csv")
-    pch.add_argument("--output")
-    pch.add_argument("--max-d", type=int)
+    _add_common(pch, default_format="csv")
     pch.set_defaults(func=_cmd_chartable)
 
     return parser
@@ -528,6 +521,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.output:
             _check_output(args.output)
+        _refuse_unread(args)
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

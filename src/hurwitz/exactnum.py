@@ -323,9 +323,6 @@ class MultiPoly:
             total += term
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- comparison / display -------------------------------------------
     def __eq__(self, other):
         if isinstance(other, _RationalABC):
@@ -399,9 +396,6 @@ class TruncSeries:
 
     def scale(self, q) -> "TruncSeries":
         return TruncSeries(self.order, [c.scale(q) for c in self.coeffs])
-
-    def scale_poly(self, p: MultiPoly, caps=None) -> "TruncSeries":
-        return TruncSeries(self.order, [c.mul(p, caps) for c in self.coeffs])
 
     def mul(self, other: "TruncSeries", caps=None) -> "TruncSeries":
         if self.order != other.order:

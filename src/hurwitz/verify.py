@@ -134,18 +134,15 @@ def _engine_value(d: int, profiles, blocks) -> Fraction:
     strict = [b.count for b in blocks if b.constraint == "strict"]
     weak = [b.count for b in blocks if b.constraint == "weak"]
     gspec = GSpec(K=0, L=len(strict), M=len(weak))
-    caps = tuple(strict + weak)
-    expo = tuple(strict + weak)
+    caps = tuple(strict + weak)  # also the exponent of the coefficient taken
     r = sum(caps)
     if gspec.nvars == 0:
-        if simple == 0:
-            return completed_hurwitz(0, 1, profiles, d=d).value
         return completed_hurwitz(simple, 1, profiles, d=d).value
     if simple == 0:
         poly = hypergeometric_hurwitz(r, gspec, profiles, d=d, caps=caps).value
     else:
         poly = mixed_simple_hypergeometric(simple, r, gspec, profiles, d=d, caps=caps)
-    return poly.coefficient(expo)
+    return poly.coefficient(caps)
 
 
 def verify_oracle(max_d: int = 4, max_transpositions: int = 6,

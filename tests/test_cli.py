@@ -608,6 +608,128 @@ class TestVerifySuiteDefaults:
     def test_poles_default_is_the_cli_sweep(self):
         assert inspect.signature(verify.verify_poles).parameters["max_d"].default == 6
 
+    def test_ratio_r_max_passed_only_when_given(self, capsys, monkeypatch):
+        calls = []
+
+        def fake(kind, **kwargs):
+            calls.append(kwargs)
+            return {"pass": True, "checks": []}
+
+        monkeypatch.setattr(verify, "verify_ratio", fake)
+        assert run(capsys, "verify", "ratio", "--d", "4")[0] == EXIT_OK
+        assert run(capsys, "verify", "ratio", "--d", "4", "--r-max", "5")[0] == EXIT_OK
+        assert [call.get("r_max") for call in calls] == [None, 5]
+
+    def test_ratio_default_is_forty(self):
+        assert inspect.signature(verify.verify_ratio).parameters["r_max"].default == 40
+
+
+# One request of each compute kind, and the flags with a default that it does not read.
+COMPUTE_KINDS = {
+    "classical": (("--d", "3", "--r", "2"), ("--s", "--K", "--L", "--M", "--b", "--t")),
+    "completed": (("--d", "3", "--profiles", "3", "--r", "2"),
+                  ("--K", "--L", "--M", "--b", "--t")),
+    "hypergeometric": (("--d", "3", "--M", "1", "--v-deg", "2", "--r", "2"),
+                       ("--s", "--b", "--t")),
+    "hciz": (("--profiles", "2;1,1", "--r", "1"), ("--s", "--K", "--L", "--M", "--b", "--t")),
+    "orbifold": (("--d", "3", "--t", "2", "--r", "2"), ("--s", "--K", "--L", "--M", "--b")),
+    "b-content": (("--d", "2", "--K", "1", "--b", "1", "--r", "2"), ("--s", "--t")),
+    "gw": (("--profiles", "1;1", "--insertions", "2:1", "--r", "0"),
+           ("--s", "--K", "--L", "--M", "--b", "--t")),
+}
+# each flag's default on compute, and another value
+DEFAULT_AND_OTHER = {"--s": ("1", "2"), "--K": ("0", "3"), "--L": ("0", "1"),
+                     "--M": ("0", "1"), "--b": ("0", "1/2"), "--t": ("1", "4")}
+
+
+class TestComputeReadsOnlyItsKindsFlags:
+    """Each compute kind exits 3 on a flag it does not read, as every other
+    request does, and accepts the flag at its default."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("compute", "--kind", "orbifold", "--d", "3", "--t", "2", "--r", "2", "--s", "2"),
+         "--s"),
+        (("compute", "--kind", "hciz", "--profiles", "2;1,1", "--r", "1", "--K", "3",
+          "--L", "1"), "--K"),
+        (("compute", "--kind", "gw", "--profiles", "1;1", "--insertions", "2:1", "--r", "0",
+          "--s", "4"), "--s"),
+        (("compute", "--kind", "classical", "--d", "3", "--r", "2", "--K", "2"), "--K"),
+        (("compute", "--kind", "completed", "--d", "3", "--profiles", "3", "--r", "2",
+          "--u-deg", "1"), "--u-deg"),
+        (("compute", "--kind", "b-content", "--d", "2", "--K", "1", "--b", "1", "--r", "2",
+          "--t", "4"), "--t"),
+        (("table", "--what", "hurwitz", "--kind", "gw", "--profiles", "1;1", "--insertions",
+          "2:1", "--r", "0", "--gw-s", "5"), "--gw-s"),
+    ], ids=["orbifold-s", "hciz-K-L", "gw-s", "classical-K", "completed-u-deg", "b-content-t",
+            "hurwitz-table-gw-gw-s"])
+    def test_probe_exits_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"{flag} has no effect on {' '.join(argv[:argv.index('--kind') + 2])}" in err
+
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag) for kind, (_, unread) in COMPUTE_KINDS.items() for flag in unread])
+    def test_unread_flag_exits_naming_it(self, capsys, kind, flag):
+        argv, _ = COMPUTE_KINDS[kind]
+        code, out, err = run(capsys, "compute", "--kind", kind, *argv,
+                             flag, DEFAULT_AND_OTHER[flag][1])
+        assert code == EXIT_USAGE and out == ""
+        assert f"{flag} has no effect on compute --kind {kind}" in err
+
+    @pytest.mark.parametrize("kind", COMPUTE_KINDS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unread_flags_at_their_default_change_no_byte(self, capsys, kind, fmt):
+        argv, unread = COMPUTE_KINDS[kind]
+        plain = run(capsys, "compute", "--kind", kind, *argv, "--format", fmt)
+        defaults = [arg for flag in unread for arg in (flag, DEFAULT_AND_OTHER[flag][0])]
+        assert plain[0] == EXIT_OK
+        assert run(capsys, "compute", "--kind", kind, *argv, *defaults,
+                   "--format", fmt) == plain
+
+    def test_defaults_read_once_per_process(self, capsys):
+        cli._unread_flags.cache_clear()
+        for _ in range(3):
+            run(capsys, "compute", "--kind", "classical", "--d", "3", "--r", "2")
+        assert cli._unread_flags.cache_info().misses == 1
+
+
+class TestTablesReadNoMaxD:
+    @pytest.mark.parametrize("table", [RATIO_TABLE, STRUCTURE_TABLE],
+                             ids=["ratio", "structure"])
+    def test_max_d_exits_naming_the_flag(self, capsys, table):
+        code, out, err = run(capsys, *table, "--max-d", "2")
+        assert code == EXIT_USAGE and out == "" and "--max-d has no effect on table" in err
+
+
+def _subcommands():
+    return next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+
+
+class TestEveryFlagIsRead:
+    """No flag can be silently ignored: each is read by some request, which
+    refuses the flags it does not read."""
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "table", "chartable"])
+    def test_every_flag_is_read_or_names_the_request(self, command):
+        keys = [key for key in cli._READS if key.split()[0] == command]
+        read = {name for key in keys for name in cli._READS[key]}
+        for action in _subcommands()[command]._actions:
+            if not action.option_strings or action.dest in ("help", "format", "output"):
+                continue
+            named = any(action.option_strings[0] in key.split() for key in keys)
+            assert action.dest in read or named, action.option_strings[0]
+
+    def test_every_kind_and_suite_has_an_entry(self):
+        compute_kinds = next(a for a in _subcommands()["compute"]._actions
+                             if a.dest == "kind").choices
+        wanted = [f"compute --kind {k}" for k in compute_kinds]
+        wanted += [f"table --what hurwitz --kind {k}" for k in compute_kinds]
+        for kind in ("classical", "completed", "monotone", "b", "gw"):
+            wanted += [f"table --what ratio --kind {kind}", f"verify ratio --kind {kind}"]
+        wanted += [f"verify {suite}" for suite in verify.SUITES if suite != "ratio"]
+        wanted += ["table --what structure", "chartable"]
+        assert sorted(wanted) == sorted(cli._READS)
+
 
 class TestStirlingCeiling:
     def test_above_five_exits_naming_the_ceiling(self, capsys):
