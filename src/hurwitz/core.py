@@ -26,6 +26,9 @@ one-r case.  Connected numbers come from any disconnected evaluator
 through ``connected_transform_multi``: the exponential formula, solved
 by the recursion on the component that holds sheet 1, with every
 sub-instance memoized across every r of a sweep (``connected_sweep``).
+The character-weight families take their sub-instances from one sweep
+per (profiles, degree) over every order the transform can ask for
+(``_sub_instance``), and hand it their integer totals.
 
 The sums run on Python ints over one known denominator per value.  A
 character weight is an integer ``W`` over ``D = d!^2 prod |C_mu|``
@@ -203,7 +206,7 @@ def character_weights(d: int, profiles):
 def _weights(memo: dict | None, d: int, profiles):
     """``character_weights(d, profiles)``; with a connected transform's
     per-call ``memo``, the weights are listed once and every later
-    sub-instance of the same (profiles, degree) reads that list."""
+    ``character_sum`` of the same (profiles, degree) reads that list."""
     if memo is None:
         return character_weights(d, profiles)
     lists = memo.setdefault("weights", {})
@@ -269,20 +272,45 @@ def character_sum(d: int, profiles, factor, denominator: int = 1,
                           lambda _: weight_denominator * denominator)[0]
 
 
-def completed_sweep(r_values, s: int, profiles, d: int, memo: dict | None = None) -> dict:
+def _sub_instance(memo: dict, r: int, profiles, d: int, factor, r_max: int, q: int = 1):
+    """A connected transform's disconnected sub-instance ``(r, profiles,
+    d)`` as the pair ``(total, D q^r)``, or the int 0 for a zero total.
+
+    ``factor(d)`` is the family's factor at degree d, with integer (or
+    int-coefficient polynomial) terms over ``q^r``.  The first
+    sub-instance of a (profiles, degree) runs one ``weighted_sweep`` over
+    r = 0..r_max and keeps its totals in the transform's ``memo``; every
+    later one reads them.
+    """
+    sweeps = memo.setdefault("sweeps", {})
+    if (d, profiles) not in sweeps:
+        denominator, weights = character_weights(d, profiles)
+        sweeps[d, profiles] = denominator, weighted_sweep(weights, factor(d),
+                                                          range(r_max + 1))
+    denominator, totals = sweeps[d, profiles]
+    total = totals[r]
+    return 0 if total == 0 else (total, denominator * q**r)
+
+
+def _f_bar_powers(s: int, q: int):
+    """The completed-cycle factor: ``lam -> (r -> F^r)`` with the integer
+    ``F = f_bar(lam, s) q``."""
+    def factor(lam):
+        f = _scaled_f_bar(lam, s, q)
+        return lambda r: f**r
+    return factor
+
+
+def completed_sweep(r_values, s: int, profiles, d: int) -> dict:
     """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``.
 
     The sums run on ints: ``W F^r`` with ``F = f_bar(lam, s+1) Q_{s+1}``
-    (``f_bar_denominator``), over ``D Q_{s+1}^r``.  ``memo`` is as for
-    ``character_sum``.
+    (``f_bar_denominator``), over ``D Q_{s+1}^r``.
     """
     q = f_bar_denominator(s + 1)
-    denominator, weights = _weights(memo, d, profiles)
-
-    def factor(lam):
-        f = _scaled_f_bar(lam, s + 1, q)
-        return lambda r: f**r
-    return weighted_sweep(weights, factor, r_values, lambda r: denominator * q**r)
+    denominator, weights = character_weights(d, profiles)
+    return weighted_sweep(weights, _f_bar_powers(s + 1, q), r_values,
+                          lambda r: denominator * q**r)
 
 
 def _as_polynomial(value, nvars: int) -> MultiPoly:
@@ -372,7 +400,7 @@ def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = No
     """``completed_hurwitz`` at every r of ``r_values``, in one pass.
 
     The disconnected values are one ``completed_sweep``; the connected
-    ones share one transform memo.
+    ones share one transform memo and one sweep per (profiles, degree).
     """
     r_values = _orders(r_values)
     if s < 1:
@@ -380,12 +408,15 @@ def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = No
     d, profiles = _resolve_degree(profiles, d)
     if connected:
         memo: dict = {}
+        q = f_bar_denominator(s + 1)
+        factor = _f_bar_powers(s + 1, q)
+        r_max = max(r_values, default=0)
 
         def disconnected(rr, profs, dd):
-            return completed_sweep((rr,), s, profs, dd, memo)[rr]
+            return _sub_instance(memo, rr, profs, dd, lambda _: factor, r_max, q)
 
         values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
-                                 denominator=f_bar_denominator(s + 1))
+                                 denominator=q)
     else:
         values = completed_sweep(r_values, s, profiles, d)
     return [HurwitzResult(
@@ -491,8 +522,9 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
     """``hypergeometric_hurwitz`` at every r of ``r_values``, in one pass.
 
     The disconnected values are one ``weighted_sweep`` over the memoized
-    ``_content_coefficient``; the connected ones share one transform memo,
-    whose products drop the monomials beyond ``caps``.
+    ``_content_coefficient``; the connected ones share one transform memo
+    and one sweep per (profiles, degree), and the transform's products
+    drop the monomials beyond ``caps``.
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
@@ -501,23 +533,23 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
         if len(caps) != gspec.nvars:
             raise DomainError(f"caps arity {len(caps)} != {gspec.nvars} variables")
 
+    def factor(dd):
+        def content(lam):
+            return lambda rr: _content_coefficient(dd, lam, gspec, rr, caps)
+        return content
+
     if connected:
         memo: dict = {}
+        r_max = max(r_values, default=0)
 
         def disconnected(rr, profs, dd):
-            return character_sum(
-                dd, profs, lambda lam: _content_coefficient(dd, lam, gspec, rr, caps),
-                memo=memo,
-            )
+            return _sub_instance(memo, rr, profs, dd, factor, r_max)
 
         values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
                                  caps=caps)
     else:
-        def factor(lam):
-            return lambda rr: _content_coefficient(d, lam, gspec, rr, caps)
-
         denominator, weights = character_weights(d, profiles)
-        values = weighted_sweep(weights, factor, r_values, lambda rr: denominator)
+        values = weighted_sweep(weights, factor(d), r_values, lambda rr: denominator)
     return [HurwitzResult(
         kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
         value=_as_polynomial(values[r], gspec.nvars), gspec=gspec,
@@ -590,6 +622,15 @@ def _multiset_difference(mu: Partition, sub: Partition) -> Partition:
     return tuple(remaining)
 
 
+@lru_cache(maxsize=4096)
+def _profile_splits(profiles, d1: int) -> tuple:
+    """``(P1, P - P1)`` for every choice of a sub-multiset ``P1_j`` of
+    total ``d1`` of each profile ``P_j``."""
+    return tuple(
+        (p1, tuple(_multiset_difference(mu, sub) for mu, sub in zip(profiles, p1)))
+        for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in profiles)))
+
+
 def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
                               d: int, memo: dict | None = None,
                               denominators: tuple[int, ...] | None = None,
@@ -611,24 +652,34 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
             sum_{P1 within P, |P1_j| = d1} sum_{c1 <= c} prod_t C(c_t, c1_t)
             b(c1, P1, d1) a(c - c1, P - P1, d - d1)
 
-    ``Q_t`` is ``denominators[t]`` (default 1).  For a sum over the
-    character weights whose factor has integer values over ``Q_t^{c_t}``
-    (``f_bar_denominator``), every ``a`` is an int, or a polynomial with
-    int coefficients, and the recursion runs on them; the connected
-    value is ``b`` divided once, by ``d!^2 prod |C_P| prod_t Q_t^{c_t}``.
-    Other values (a Fraction or MultiPoly evaluator) run through the same
-    recursion.  ``caps`` drops the monomials beyond it from every
-    product of polynomial values.
+    ``Q_t`` is ``denominators[t]`` (default 1), and the scale of a
+    sub-instance is ``d!^2 prod |C_P| prod_t Q_t^{c_t}``.  The connected
+    value is ``b`` divided once by its scale.  ``caps`` drops the
+    monomials beyond it from every product of polynomial values.
 
     The evaluator is called as ``evaluator(sub_counts, sub_profiles,
-    sub_degree)`` and must return the disconnected number in the same
-    normalization as the target; a sub-instance is evaluated only when
-    the connected factor it multiplies is nonzero.  Both kinds of
-    sub-instance, the profile splits and the per-(profiles, degree)
-    scales are memoized in ``memo``: calls that pass the same dict with
-    the same evaluator, profiles, denominators and caps (the r of a
-    sweep) compute each once.  A family's evaluator may keep its own
-    per-(profiles, degree) weights there too (``_weights``).
+    sub_degree)`` and returns the disconnected number in the same
+    normalization as the target, in one of two forms:
+
+    * a value (a Fraction, an int or a MultiPoly), which is multiplied by
+      the scale to give ``a``;
+    * a pair ``(total, denominator)`` for the value ``total /
+      denominator``.  When ``denominator`` is the scale, ``a`` is
+      ``total`` itself, with no division; the character-weight families
+      hand over their integer totals this way (``_sub_instance``), since
+      their denominator ``d!^2 prod |C_P|`` times ``Q_t^{c_t}`` is the
+      scale.  Any other denominator takes the value path.
+
+    A zero is returned as the int 0, never as a pair (a pair does not
+    compare equal to 0, and the recursion skips only zero factors).  A
+    sub-instance is evaluated only when the connected factor it
+    multiplies is nonzero.  Both kinds of
+    sub-instance and the per-(profiles, degree) scales are memoized in
+    ``memo``: calls that pass the same dict with the same evaluator,
+    profiles, denominators and caps (the r of a sweep) compute each once.
+    A family's evaluator may keep its own per-(profiles, degree) sweeps
+    or weights there too.  Profile splits are cached across calls
+    (``_profile_splits``).
     """
     d, profiles = _resolve_degree(profiles, d)
     counts = tuple(counts)
@@ -637,7 +688,6 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     a_memo = memo.setdefault("disconnected", {})
     b_memo = memo.setdefault("connected", {})
     scales = memo.setdefault("scales", {})
-    splits = memo.setdefault("splits", {})
     count_splits = memo.setdefault("insertion splits", {})
 
     def scale(sub_counts, sub_profiles, dd):
@@ -653,15 +703,15 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
         key = (sub_counts, sub_profiles, dd)
         if key not in a_memo:
             value = evaluator(sub_counts, sub_profiles, dd)
-            a_memo[key] = _integral(value * scale(sub_counts, sub_profiles, dd))
+            target = scale(sub_counts, sub_profiles, dd)
+            if isinstance(value, tuple):
+                total, denominator = value
+                if denominator == target:
+                    a_memo[key] = total
+                    return total
+                value = _over(total, denominator)
+            a_memo[key] = _integral(value * target)
         return a_memo[key]
-
-    def profile_splits(sub_profiles, d1):
-        if (sub_profiles, d1) not in splits:
-            splits[sub_profiles, d1] = [
-                (p1, tuple(_multiset_difference(mu, sub) for mu, sub in zip(sub_profiles, p1)))
-                for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in sub_profiles))]
-        return splits[sub_profiles, d1]
 
     def insertion_splits(sub_counts):
         # (c1, c - c1, prod_t C(c_t, c1_t)) for every c1 <= c
@@ -679,7 +729,7 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
         rest = None
         for d1 in range(1, dd):
             pairs = math.comb(dd, d1) * math.comb(dd - 1, d1 - 1)
-            for p1, p2 in profile_splits(sub_profiles, d1):
+            for p1, p2 in _profile_splits(sub_profiles, d1):
                 for c1, c2, binomials in insertion_splits(sub_counts):
                     first = b(c1, p1, d1)
                     if first == 0:

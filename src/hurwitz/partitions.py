@@ -100,7 +100,11 @@ class ClassData(Frozen):
 
 def class_data(mu) -> ClassData:
     """Class size d!/z(mu), stabilizer z(mu) = prod i^{m_i} m_i!, multiplicity map."""
-    mu = check_partition(mu)
+    return _class_data(check_partition(mu))
+
+
+@lru_cache(maxsize=4096)
+def _class_data(mu: Partition) -> ClassData:
     mult = Counter(mu)
     stab = 1
     for part, m in mult.items():

@@ -7,20 +7,25 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import oracle
+from hurwitz import core, oracle
 from hurwitz.core import (
     GSpec,
+    _content_coefficient,
     _multiset_difference,
     _resolve_degree,
     _sub_multisets,
     character_sum,
+    character_weights,
     classical_hurwitz,
     classical_hurwitz_sweep,
     completed_hurwitz,
+    completed_hurwitz_sweep,
     connected_transform_multi,
     f_bar,
+    f_bar_denominator,
     gw_correlator,
     hypergeometric_hurwitz,
+    hypergeometric_hurwitz_sweep,
     orbifold_hurwitz,
 )
 from hurwitz.exactnum import MultiPoly
@@ -318,3 +323,92 @@ def test_capped_connected_value_is_truncated(caps):
     assert full.coefficient((2, 2)) == Fraction(-5, 8)
     capped = hypergeometric_hurwitz(4, g, (), d=4, connected=True, caps=caps).value
     assert capped == full.truncate(caps)
+
+
+# ---------------------------------------------------------------------------
+# The evaluator's pair form (total, denominator)
+# ---------------------------------------------------------------------------
+
+def _pair_and_value(totals, rescale):
+    """Two evaluators of the same values from ``totals(counts, profiles,
+    d) -> (total, D)``: the pair ``(rescale * total, rescale * D)`` (the
+    int 0 for a zero total) and the value ``total / D``."""
+    def as_pair(counts, profiles, d):
+        total, denominator = totals(counts, profiles, d)
+        return 0 if total == 0 else (total * rescale, denominator * rescale)
+
+    def as_value(counts, profiles, d):
+        total, denominator = totals(counts, profiles, d)
+        return total * Fraction(1, denominator)
+    return as_pair, as_value
+
+
+# rescale 1: the denominator is the transform's scale, so the total is
+# taken as it is; rescale 6: it is not, and the pair is divided first
+@pytest.mark.parametrize("rescale", [1, 6])
+def test_pair_matches_value_for_integer_totals(rescale):
+    s = 2
+    q = f_bar_denominator(s + 1)
+
+    def totals(counts, profiles, d):
+        denominator, weights = character_weights(d, profiles)
+        total = sum(w * int(f_bar(lam, s + 1) * q) ** counts[0] for lam, w in weights)
+        return total, denominator * q ** counts[0]
+
+    as_pair, as_value = _pair_and_value(totals, rescale)
+    nonzero = 0
+    for c in range(5):
+        want = completed_hurwitz(c, s, TWO_PROFILES, connected=True).value
+        for evaluator in (as_pair, as_value):
+            got = connected_transform_multi(evaluator, (c,), TWO_PROFILES, d=5,
+                                            denominators=(q,))
+            assert got == want, (c, evaluator)
+        nonzero += want != 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("rescale", [1, 6])
+def test_pair_matches_value_for_polynomial_totals(rescale):
+    def totals(counts, profiles, d):
+        denominator, weights = character_weights(d, profiles)
+        total = MultiPoly.zero(HYPERGEOMETRIC.nvars)
+        for lam, w in weights:
+            total = total + _content_coefficient(d, lam, HYPERGEOMETRIC, counts[0], None) * w
+        assert all(type(coeff) is int for coeff in total.terms.values())
+        return total, denominator
+
+    as_pair, as_value = _pair_and_value(totals, rescale)
+    nonzero = 0
+    for c in range(5):
+        want = hypergeometric_hurwitz(c, HYPERGEOMETRIC, (), d=4, connected=True).value
+        for evaluator in (as_pair, as_value):
+            got = connected_transform_multi(evaluator, (c,), (), d=4)
+            assert got == want, (c, evaluator)
+        nonzero += want != 0
+    assert nonzero
+
+
+def test_family_evaluators_return_zero_as_the_int_0(monkeypatch):
+    # a zero total handed over as a pair would not read as zero: the
+    # recursion's zero skip would multiply it
+    returned = []
+    original = core.connected_transform_multi
+
+    def transform(evaluator, *args, **kwargs):
+        def recorded(*key):
+            value = evaluator(*key)
+            returned.append(value)
+            return value
+        return original(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(core, "connected_transform_multi", transform)
+    classical_hurwitz_sweep(range(9), 5, connected=True)
+    completed_hurwitz_sweep(range(5), 2, TWO_PROFILES, connected=True)
+    orbifold_hurwitz(6, 2, (3, 1), connected=True)
+    hypergeometric_hurwitz_sweep(range(6), HYPERGEOMETRIC, (), d=4, connected=True,
+                                 caps=CAPS)
+    pairs = [value for value in returned if isinstance(value, tuple)]
+    zeros = [value for value in returned if not isinstance(value, tuple)]
+    assert pairs and zeros
+    assert all(total != 0 for total, _ in pairs)
+    assert all(type(value) is int and value == 0 for value in zeros)

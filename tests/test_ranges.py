@@ -117,3 +117,30 @@ def test_connected_range_evaluates_each_sub_instance_once(capsys, monkeypatch, c
     assert code == EXIT_OK and evaluated
     assert len(evaluated) == len(set(evaluated))
 
+
+@pytest.mark.parametrize("case", CONNECTED)
+def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch, case):
+    original_transform, original_sweep = core.connected_transform_multi, core.weighted_sweep
+    evaluated, sweeps = set(), []
+
+    def transform(evaluator, *args, **kwargs):
+        def recorded(counts, profiles, d):
+            evaluated.add((profiles, d))
+            return evaluator(counts, profiles, d)
+        return original_transform(recorded, *args, **kwargs)
+
+    def sweep(*args, **kwargs):
+        sweeps.append(args)
+        return original_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(core, "connected_transform_multi", transform)
+    monkeypatch.setattr(core, "weighted_sweep", sweep)
+    code, _ = run(capsys, ["compute", *shlex.split(CONNECTED[case])])
+    assert code == EXIT_OK and evaluated
+    assert len(sweeps) == len(evaluated)
+
+
+def test_empty_connected_range_is_empty():
+    assert core.classical_hurwitz_sweep((), 5, connected=True) == []
+    assert core.hypergeometric_hurwitz_sweep((), core.GSpec(K=1, L=1), (), d=4,
+                                             connected=True) == []
