@@ -8,11 +8,13 @@ digits), so reports carry no rounding noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
-from .core import GSpec, m_ds
+from .core import GSpec, _gw_profiles, _normalize_insertions, content_sequences, m_ds
 from .errors import DomainError, EmptyReportError
 from .exactnum import (
     GaussianRational,
@@ -47,22 +49,38 @@ class PoleCoefficient(Frozen):
         set_field(self, "v_order", v_order)
 
 
-def _sign_exponent(d: int, profiles) -> int:
-    return d * len(profiles) - sum(len(mu) for mu in profiles)
+def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
+    """The Stirling pole constant A of the monomial u^a_vec v^b_vec,
+
+        A = (d-1)^{(d-2)K - sum a - sum b} prod [d; d-a_i] prod {b_j+d-1; d-1}
+            / (d!^2 (d-2)!^K),
+
+    0 when some a_i >= d.  A pole of order K at 1/(d-1) with top
+    coefficient A adds A r^{K-1}/(K-1)! (d-1)^r to [z^r] (Flajolet and
+    Sedgewick, Analytic Combinatorics, Thm IV.9).
+    """
+    if k < 1:
+        raise DomainError(f"need K >= 1, got {k}")
+    if d < 2:
+        raise DomainError(f"need d >= 2, got {d}")
+    a_vec = tuple(int(a) for a in a_vec)
+    b_vec = tuple(int(b) for b in b_vec)
+    stir = math.prod(stirling(1, d, d - a) if a < d else 0 for a in a_vec)
+    stir *= math.prod(stirling(2, b + d - 1, d - 1) for b in b_vec)
+    exponent = (d - 2) * k - sum(a_vec) - sum(b_vec)
+    return Fraction(stir * (d - 1) ** max(exponent, 0),
+                    math.factorial(d) ** 2 * math.factorial(d - 2) ** k
+                    * (d - 1) ** max(-exponent, 0))
 
 
-def _caps(gspec: GSpec, d: int, v_order: int) -> tuple[int, ...]:
-    return (d - 1,) * gspec.L + (v_order,) * gspec.M
+def _pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int,
+          make_coefficient) -> PoleCoefficient:
+    """Check the arguments of a pole coefficient and assemble it.
 
-
-def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
-                     v_order: int = 6) -> PoleCoefficient:
-    """Top pole coefficient by literal limit evaluation.
-
-    Only the row partition (sign +) or the column partition (sign -)
-    reaches the extreme content +-(d-1); cancelling the vanishing
-    literal factor of that box and substituting z = sign/(d-1) in every
-    remaining factor gives the limit exactly.
+    ``make_coefficient()`` runs once the arguments are valid and returns
+    ``coefficient(a_vec, b_vec)``, the coefficient of u^a_vec v^b_vec
+    before the profile sign.  It is read on the box a_i <= d-1 (the u
+    part is a polynomial of that degree) and b_j <= ``v_order``.
     """
     if gspec.K < 1:
         raise DomainError("pole_coefficient needs at least one literal pole (K >= 1)")
@@ -74,119 +92,74 @@ def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
     for mu in profiles:
         if sum(mu) != d:
             raise DomainError(f"profile {mu} does not partition {d}")
+    # prefactor (+-1)^{Nd - sum l}; the sign bites only for the column case
+    flip = sign == -1 and (d * len(profiles) - sum(map(len, profiles))) % 2
+    coefficient = make_coefficient()
+    poly = MultiPoly(gspec.nvars)
+    for expo in itertools.product(*[range(d)] * gspec.L, *[range(v_order + 1)] * gspec.M):
+        q = coefficient(expo[:gspec.L], expo[gspec.L:])
+        if q:
+            poly.terms[expo] = -q if flip else q
+    return PoleCoefficient(rho=sign * (d - 1), order=gspec.K, coefficient=poly,
+                           v_order=v_order)
 
-    lam = (d,) if sign == 1 else (1,) * d
-    z0 = Fraction(sign, d - 1)
-    caps = _caps(gspec, d, v_order)
-    nvars = gspec.nvars
-    # prefactor (+-1)^{Nd - sum l} / d!^2; the sign bites only for the column case
-    sgn = 1 if sign == 1 or _sign_exponent(d, profiles) % 2 == 0 else -1
-    acc = MultiPoly.constant(nvars, Fraction(sgn, math.factorial(d) ** 2))
-    for c in contents(lam):
-        if c == 0:
-            continue
-        cz = c * z0
-        if cz == 1:
-            # the vanishing literal factor: its K powers cancel the K powers
-            # of (1 -+ z(d-1)); u and v factors of this box still contribute
-            pass
-        else:
-            acc = acc.scale(Fraction(1, 1) / (1 - cz) ** gspec.K)
-        for i in range(gspec.L):
-            u = MultiPoly.variable(nvars, i)
-            acc = acc.mul(MultiPoly.constant(nvars, 1) + u.scale(cz), caps)
-        for j in range(gspec.M):
-            v = MultiPoly.variable(nvars, gspec.L + j)
-            geo = MultiPoly.constant(nvars, 1)
-            power = MultiPoly.constant(nvars, 1)
-            for _ in range(v_order):
-                power = power.mul(v).scale(cz)
-                geo = geo + power
-            acc = acc.mul(geo, caps)
-    return PoleCoefficient(rho=sign * (d - 1), order=gspec.K,
-                           coefficient=acc, v_order=v_order)
+
+def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
+                     v_order: int = 6) -> PoleCoefficient:
+    """Top pole coefficient by literal limit evaluation.
+
+    Only the row partition (sign +) or the column partition (sign -)
+    reaches the extreme content +-(d-1); cancelling the vanishing
+    literal factor of that box and substituting z = sign/(d-1) in every
+    remaining factor gives the limit exactly.  The u and v factors of
+    every box, the vanishing one included, multiply to the e and h
+    sequences of the scaled contents c*z; the other literal factors are
+    one scalar.
+    """
+    def make_coefficient():
+        z0 = Fraction(sign, d - 1)
+        scaled = [c * z0 for c in contents((d,) if sign == 1 else (1,) * d)]
+        e, h, _ = content_sequences(scaled, gspec, max(d - 1, v_order))
+        limit = Fraction(1, math.factorial(d) ** 2)
+        for w in scaled:
+            if w and w != 1:  # w = 1 is the vanishing factor the pole cancels
+                limit /= (1 - w) ** gspec.K
+        return lambda a_vec, b_vec: (limit * math.prod(e[a] for a in a_vec)
+                                     * math.prod(h[b] for b in b_vec))
+
+    return _pole(d, gspec, profiles, sign, v_order, make_coefficient)
 
 
 def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
                               v_order: int = 6) -> PoleCoefficient:
-    """The same coefficient from the Stirling-number generating series."""
-    if gspec.K < 1:
-        raise DomainError("pole_coefficient needs at least one literal pole (K >= 1)")
-    if d < 2:
-        raise DomainError(f"degree {d} has no pole (need d >= 2)")
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    profiles = tuple(check_partition(mu) for mu in profiles)
-    nvars = gspec.nvars
-    caps = _caps(gspec, d, v_order)
-    sgn = 1 if sign == 1 or _sign_exponent(d, profiles) % 2 == 0 else -1
-    scalar = Fraction(sgn * (d - 1) ** (gspec.K * (d - 2)),
-                      math.factorial(d) ** 2 * math.factorial(d - 2) ** gspec.K)
-    acc = MultiPoly.constant(nvars, scalar)
-    # the u/v series are identical at both poles: content and z0 signs cancel
-    for i in range(gspec.L):
-        u = MultiPoly.variable(nvars, i)
-        poly = MultiPoly.zero(nvars)
-        power = MultiPoly.constant(nvars, 1)
-        for a in range(d):
-            poly = poly + power.scale(Fraction(stirling(1, d, d - a), (d - 1) ** a))
-            power = power.mul(u)
-        acc = acc.mul(poly, caps)
-    for j in range(gspec.M):
-        v = MultiPoly.variable(nvars, gspec.L + j)
-        poly = MultiPoly.zero(nvars)
-        power = MultiPoly.constant(nvars, 1)
-        for b in range(v_order + 1):
-            poly = poly + power.scale(Fraction(stirling(2, b + d - 1, d - 1),
-                                               (d - 1) ** b))
-            power = power.mul(v)
-        acc = acc.mul(poly, caps)
-    return PoleCoefficient(rho=sign * (d - 1), order=gspec.K,
-                           coefficient=acc, v_order=v_order)
+    """The same coefficient, read from the Stirling pole constant at each
+    monomial; the u/v series are identical at both poles (content and z0
+    signs cancel)."""
+    return _pole(d, gspec, profiles, sign, v_order,
+                 lambda: partial(_pole_constant, d, gspec.K))
 
 
 # ---------------------------------------------------------------------------
 # Leading terms of the asymptotic theorems
 # ---------------------------------------------------------------------------
 
-def _block_stirling(r: int, d: int, k: int, a_vec, b_vec) -> tuple[int, int]:
-    """Check K >= 1, d >= 2 and r >= 0, and return the Stirling factor
-    prod [d; d-a_i] prod {b_j+d-1; d-1} of the u and v blocks (0 when some
-    a_i >= d) with the exponent (d-2)K - sum a - sum b + r of d - 1."""
-    if k < 1:
-        raise DomainError(f"need K >= 1, got {k}")
-    if d < 2:
-        raise DomainError(f"need d >= 2, got {d}")
+def _transfer(r: int, d: int, k: int, constant) -> Fraction:
+    """The leading term constant * r^{K-1}/(K-1)! * (d-1)^r of [z^r] at a
+    pole of order K at 1/(d-1)."""
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}")
-    a_vec = tuple(int(a) for a in a_vec)
-    b_vec = tuple(int(b) for b in b_vec)
-    stir = 1
-    for a in a_vec:
-        stir *= stirling(1, d, d - a) if a < d else 0
-    for b in b_vec:
-        stir *= stirling(2, b + d - 1, d - 1)
-    return stir, (d - 2) * k - sum(a_vec) - sum(b_vec) + r
+    return Fraction(r ** (k - 1), math.factorial(k - 1)) * (d - 1) ** r * constant
 
 
 def monotone_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
                           a_vec=(), b_vec=()) -> Fraction:
     """Leading term for rational weights with K weak blocks growing with r.
 
-    2 * r^{K-1}/(K-1)! * (d-1)^{(d-2)K - sum a - sum b + r} /
-    (d!^2 (d-2)!^K) * prod [d; d-a_i] * prod {b_j+d-1; d-1}.
-    Returns 0 when some a_i >= d (the Stirling factor vanishes).
+    The transfer 2 * r^{K-1}/(K-1)! * (d-1)^r * A of the pole constant A
+    (``_pole_constant``), the poles at +-(d-1) adding alike.  Returns 0
+    when some a_i >= d (the Stirling factor vanishes).
     """
-    stir, exponent = _block_stirling(r, d, k, a_vec, b_vec)
-    if stir == 0:
-        return Fraction(0)
-    return (
-        2
-        * Fraction(r ** (k - 1), math.factorial(k - 1))
-        * Fraction(d - 1) ** exponent
-        / (Fraction(math.factorial(d)) ** 2 * Fraction(math.factorial(d - 2)) ** k)
-        * stir
-    )
+    return 2 * _transfer(r, d, k, _pole_constant(d, k, a_vec, b_vec))
 
 
 def completed_leading_term(r: int, d: int, s: int, n_profiles: int = 0,
@@ -209,15 +182,13 @@ def b_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
     alpha = 1).  Returns a Fraction when the value is real, otherwise a
     GaussianRational.
     """
-    stir, exponent = _block_stirling(r, d, k, a_vec, b_vec)
+    constant = _pole_constant(d, k, a_vec, b_vec)
+    # the Jack norms below replace the d! of the constant's d!^2
+    common = _transfer(r, d, k, constant * math.factorial(d))
     alpha = GaussianRational.of(b) + 1
-    if stir == 0:
+    if not constant:
         return Fraction(0)
-    common = GaussianRational.of(
-        Fraction(r ** (k - 1), math.factorial(k - 1))
-        * Fraction(d - 1) ** exponent
-        * Fraction(stir, math.factorial(d) * math.factorial(d - 2) ** k)
-    )
+    common = GaussianRational.of(common)
     norm_row = GaussianRational.of(1)
     norm_col = alpha
     for m in range(1, d):
@@ -250,18 +221,11 @@ def b_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
 
 def gw_leading_term(mu, nu, insertions) -> Fraction:
     """(2/(z(mu) z(nu) d!^2)) * prod_s (M_{d,s}/s!)^{m_s}."""
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError(f"profiles of different degrees: {mu}, {nu}")
-    d = sum(mu)
+    mu, nu, d = _gw_profiles(mu, nu)
     acc = Fraction(2, class_data(mu).stabilizer * class_data(nu).stabilizer
                    * math.factorial(d) ** 2)
-    for s, m in sorted(dict(insertions).items()):
-        if s < 1 or m < 0:
-            raise DomainError(f"bad insertion {s}:{m}")
-        if m:
-            acc *= (m_ds(d, s) / math.factorial(s)) ** m
+    for s, m in _normalize_insertions(insertions):
+        acc *= (m_ds(d, s) / math.factorial(s)) ** m
     return acc
 
 

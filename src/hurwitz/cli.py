@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import characters, verify
@@ -77,15 +76,12 @@ def _parse_insertions(text: str | None) -> dict[int, int]:
     return out
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    """The rational value of ``flag``, such as 1/2, 2 or 0.25."""
     try:
         return Fraction(text)
-    except ValueError:
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except Exception as exc:
-        raise DomainError(f"cannot parse rational from {text!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{flag} wants a rational such as 1/2 or 0.25, got {text!r}") from exc
 
 
 def _parse_degrees(text: str | None, flag: str) -> tuple[int, ...]:
@@ -112,7 +108,7 @@ def _ratio_options(args) -> dict:
     return {
         "d": args.d, "s": args.s, "profiles": _parse_profiles(args.profiles),
         "k": args.K, "a_vec": _parse_degrees(args.u_deg, "--u-deg"),
-        "b_vec": _parse_degrees(args.v_deg, "--v-deg"), "b": _parse_fraction(args.b),
+        "b_vec": _parse_degrees(args.v_deg, "--v-deg"), "b": _parse_fraction(args.b, "--b"),
         "gw_s": args.gw_s,
     }
 
@@ -288,7 +284,7 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
             raise DomainError("--kind b-content has no connected version")
         gspec = GSpec(K=args.K, L=args.L, M=args.M)
         caps = _caps(args, gspec)
-        b = _parse_fraction(args.b)
+        b = _parse_fraction(args.b, "--b")
         d, profiles = _resolve_degree(profiles, args.d)
         polys = b_hurwitz_sweep(r_values, gspec, profiles, b, d=d, caps=caps)
         return [HurwitzResult(
@@ -335,7 +331,7 @@ def _cmd_compute(args) -> int:
                                   "select one coefficient with --u-deg/--v-deg")
             profiles = _parse_profiles(args.profiles)
             factor = _dhr_factor(blob["d"], profiles)
-            paper = _parse_fraction(blob["value"])
+            paper = Fraction(blob["value"])
             blob["normalization"] = "dhr"
             blob["value_paper"] = blob["value"]
             blob["value"] = format_rational(paper * factor)
@@ -370,8 +366,9 @@ def _cmd_verify(args) -> int:
             raise DomainError("verify gap needs --d")
         report = verify.verify_gap(args.d, args.s, _parse_profiles(args.profiles))
     elif suite == "ratio":
-        report = verify.verify_ratio(args.kind, tolerance=_parse_fraction(args.tolerance),
-                                     **sizes, **_ratio_options(args))
+        tolerance = _parse_fraction(args.tolerance, "--tolerance")
+        report = verify.verify_ratio(args.kind, tolerance=tolerance, **sizes,
+                                     **_ratio_options(args))
     else:  # a sweep over d that reads only --max-d
         report = getattr(verify, "verify_" + suite.replace("-", "_"))(**sizes)
     rows = [["check", "pass", "detail"]]

@@ -866,6 +866,15 @@ def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False) -> HurwitzR
 # Stationary Gromov-Witten correlators of the sphere
 # ---------------------------------------------------------------------------
 
+def _gw_profiles(mu, nu) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The checked GW profiles ``(mu, nu)`` and their common degree."""
+    mu = check_partition(mu)
+    nu = check_partition(nu)
+    if sum(mu) != sum(nu):
+        raise DomainError(f"profiles of different degrees: {mu}, {nu}")
+    return mu, nu, sum(mu)
+
+
 def _normalize_insertions(insertions) -> tuple[tuple[int, int], ...]:
     out = []
     for s, m in sorted(dict(insertions).items()):
@@ -883,11 +892,7 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
     prod_s (f_bar_{s+1}/s!)^{m_s}; the connected version applies the
     connected transform with one insertion count per order s.
     """
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError(f"profiles of different degrees: {mu}, {nu}")
-    d = sum(mu)
+    mu, nu, d = _gw_profiles(mu, nu)
     ins = _normalize_insertions(insertions)
     orders = tuple(s for s, _ in ins)
     counts = tuple(m for _, m in ins)
@@ -922,8 +927,7 @@ def _gw_scale(mu, nu, ins) -> Fraction:
 
 def gw_genus(mu, nu, insertions) -> Fraction:
     """Genus from the dimension constraint sum s m_s = 2g - 2 + l(mu) + l(nu)."""
-    mu = check_partition(mu)
-    nu = check_partition(nu)
+    mu, nu, _ = _gw_profiles(mu, nu)
     weight = sum(s * m for s, m in _normalize_insertions(insertions))
     return Fraction(weight + 2 - len(mu) - len(nu), 2)
 

@@ -23,6 +23,7 @@ from .asymptotics import (
 from .core import (
     GSpec,
     _gw_scale,
+    _orders,
     _resolve_degree,
     character_weights,
     completed_hurwitz,
@@ -415,9 +416,7 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
     if kind == "gw" and len(profiles) != 2:
         raise DomainError("gw ratio needs two profiles")
     d, profiles = _resolve_degree(profiles, d)
-    r_values = list(r_values)
-    if any(r < 0 for r in r_values):
-        raise DomainError(f"r must be nonnegative: {min(r_values)}")
+    r_values = _orders(r_values)
     top = max(r_values, default=0)
     n = len(profiles)
     ell = sum(len(mu) for mu in profiles)

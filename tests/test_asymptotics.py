@@ -15,7 +15,7 @@ from hurwitz.asymptotics import (
 )
 from hurwitz.core import GSpec, completed_hurwitz, m_ds
 from hurwitz.errors import DomainError, EmptyReportError
-from hurwitz.exactnum import stirling
+from hurwitz.exactnum import MultiPoly, stirling
 
 
 class TestPoleCoefficient:
@@ -65,13 +65,43 @@ class TestPoleCoefficient:
         # Nd - sum(l) = 3 - 2 = 1, so the column pole flips sign
         assert pc.coefficient == -Fraction(1, 18)
 
-    def test_errors(self):
+    @pytest.mark.parametrize("pole", [pole_coefficient, pole_coefficient_stirling],
+                             ids=["pole_coefficient", "pole_coefficient_stirling"])
+    def test_errors(self, pole):
         with pytest.raises(DomainError):
-            pole_coefficient(1, GSpec(K=1))
+            pole(1, GSpec(K=1))
         with pytest.raises(DomainError):
-            pole_coefficient(3, GSpec(K=0))
+            pole(3, GSpec(K=0))
         with pytest.raises(DomainError):
-            pole_coefficient(3, GSpec(K=1), sign=2)
+            pole(3, GSpec(K=1), sign=2)
+        with pytest.raises(DomainError, match="does not partition"):
+            pole(3, GSpec(K=1), profiles=((2,),))
+
+    def test_no_polynomial_product(self, monkeypatch):
+        """Pole coefficients and leading terms read the pole constant
+        monomial by monomial; no ``MultiPoly`` product is formed."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial product was used")
+
+        monkeypatch.setattr(MultiPoly, "mul", refuse)
+        g = GSpec(K=2, L=1, M=1)
+        for sign in (1, -1):
+            assert pole_coefficient(4, g, ((2, 2),), sign, v_order=3).coefficient == \
+                pole_coefficient_stirling(4, g, ((2, 2),), sign, v_order=3).coefficient
+        assert monotone_leading_term(6, 4, 0, 0, 2, (1,), (2,)) > 0
+        assert b_leading_term(6, 4, 0, 0, 2, (1,), (2,), Fraction(1, 2)) > 0
+        assert completed_leading_term(6, 4, 2) > 0
+        assert gw_leading_term((2, 1), (3,), {2: 3}) > 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_monotone_leading_term_is_the_pole_transfer(self, d):
+        for k, a_vec, b_vec in [(1, (), ()), (2, (1,), ()), (1, (d - 1,), (2,)),
+                                (3, (0, 1), (1, 0))]:
+            pole = pole_coefficient_stirling(d, GSpec(k, len(a_vec), len(b_vec)), v_order=2)
+            constant = pole.coefficient.coefficient(a_vec + b_vec)
+            for r in (0, 1, 5, 12):
+                assert monotone_leading_term(r, d, 0, 0, k, a_vec, b_vec) == \
+                    2 * Fraction(r ** (k - 1), math.factorial(k - 1)) * (d - 1) ** r * constant
 
 
 class TestMonotoneLeading:

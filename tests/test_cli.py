@@ -281,6 +281,19 @@ class TestBadFlagValues:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and flag in err and out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("compute", "--kind", "b-content", "--d", "2", "--b", "1/0", "--r", "1"), "--b"),
+        (("verify", "ratio", "--kind", "classical", "--d", "3", "--tolerance", "1/0"),
+         "--tolerance"),
+        (("table", "--what", "ratio", "--kind", "b", "--d", "3", "--b", "1/0", "--r-max", "4"),
+         "--b"),
+        (("compute", "--kind", "b-content", "--d", "2", "--b", "x", "--r", "1"), "--b"),
+    ], ids=["compute-b-zero-denominator", "verify-ratio-tolerance-zero-denominator",
+            "table-ratio-b-zero-denominator", "compute-b-not-a-number"])
+    def test_bad_rationals(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and flag in err and out == ""
+
     @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-dir", "a-dir"])
     @pytest.mark.parametrize("command", [
         ("compute", "--kind", "classical", "--d", "3", "--r", "2"),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz import oracle
+from hurwitz.asymptotics import gw_leading_term
 from hurwitz.core import (
     GSpec,
     admissible_parity,
@@ -310,6 +311,12 @@ class TestGromovWitten:
     def test_genus_bookkeeping(self):
         assert gw_genus((2,), (2,), {1: 2}) == Fraction(1)
         assert gw_genus((1,), (1,), {2: 1}) == Fraction(1)
+
+    @pytest.mark.parametrize("gw", [gw_genus, gw_correlator, gw_leading_term],
+                             ids=["gw_genus", "gw_correlator", "gw_leading_term"])
+    def test_profiles_of_different_degrees(self, gw):
+        with pytest.raises(DomainError, match="different degrees"):
+            gw((2, 1), (1,), {1: 1})
 
     def test_connected_variant(self):
         # degree 1 covers are connected
