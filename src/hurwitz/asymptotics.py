@@ -49,6 +49,16 @@ class PoleCoefficient(Frozen):
         set_field(self, "v_order", v_order)
 
 
+def _block_degrees(a_vec, b_vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The degrees of the u blocks (a) and the v blocks (b) as ints,
+    refused when one is negative."""
+    a_vec, b_vec = tuple(map(int, a_vec)), tuple(map(int, b_vec))
+    for name, vec in (("a", a_vec), ("b", b_vec)):
+        if min(vec, default=0) < 0:
+            raise DomainError(f"{name} block degrees must be nonnegative: {name}_vec={vec}")
+    return a_vec, b_vec
+
+
 def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
     """The Stirling pole constant A of the monomial u^a_vec v^b_vec,
 
@@ -63,8 +73,7 @@ def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
         raise DomainError(f"need K >= 1, got {k}")
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
-    a_vec = tuple(int(a) for a in a_vec)
-    b_vec = tuple(int(b) for b in b_vec)
+    a_vec, b_vec = _block_degrees(a_vec, b_vec)
     stir = math.prod(stirling(1, d, d - a) if a < d else 0 for a in a_vec)
     stir *= math.prod(stirling(2, b + d - 1, d - 1) for b in b_vec)
     exponent = (d - 2) * k - sum(a_vec) - sum(b_vec)

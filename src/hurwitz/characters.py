@@ -9,11 +9,14 @@ computes only what it is asked for:
 * ``dims``: every dimension, by the beta-set formula;
 * ``column(mu)``: one column.  Read as ``p_k s_nu = sum +-s_lam``, the
   rule gives the column of ``mu`` from that of ``mu[1:]`` by adding
-  border strips of size ``mu[0]``; strip lists and sub-columns are
-  memoized on the table;
-* ``entries``: the full table, loaded from the disk cache or built from
-  every column (and then stored), after which the column, strip and
-  sub-column memos are dropped and ``column`` reads from the entries.
+  border strips of size ``mu[0]``.  Shapes are integer indices into the
+  partitions of their size: a strip list is memoized on
+  (n, index of nu, k) as the signed indices ``+-(j + 1)`` of its shapes,
+  and a sub-column is a sparse ``{index: chi}`` dict;
+* ``entries``: the full table, loaded from the disk cache or filled in
+  place from every sparse column (and then stored, streamed row by row);
+  the column, strip and sub-column memos are dropped before the rows
+  are frozen, and ``column`` then reads from the entries.
 
 A character sum needs only the dimensions and one column per profile,
 so it never fills the full table.  ``character(lam, mu)`` removes strips
@@ -26,22 +29,27 @@ published table and one full set of entries.  ``dims`` and ``column``
 fill without the lock: two threads may compute the same value, and both
 read equal immutable tuples.  Setting the environment variable
 ``HURWITZ_CACHE_DIR`` enables an on-disk JSON cache of full tables with a
-self-describing versioned header.
+self-describing versioned header; a file that fails a check is named on
+stderr with the reason, and the table is rebuilt.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import operator
 import os
+import sys
 import threading
+from collections.abc import Iterator
 from functools import lru_cache
 from pathlib import Path
 
 from .errors import DomainError, SizeLimitError
 from .partitions import (
     Partition,
+    _partitions_rec,
     check_partition,
     enumerate_partitions,
 )
@@ -112,20 +120,32 @@ def character(lam, mu) -> int:
     return _mn(lam, tuple(sorted(mu, reverse=True)))
 
 
-def _add_strips(nu: Partition, k: int) -> list[tuple[Partition, int]]:
-    """Every ``(lam, sign)`` with lam = nu plus a border strip of size k:
-    a bead moves from b to b + k on a beta-set of len(nu) + k beads, and
-    the sign counts the beads it passes."""
-    n = len(nu) + k
-    beta = [p + n - 1 - i for i, p in enumerate(nu)] + list(range(k - 1, -1, -1))
-    bset = set(beta)
+def _add_strips(n: int, i: int, k: int) -> tuple[int, ...]:
+    """Every lam = nu plus a border strip of size k, for nu the i-th
+    partition of n, as ``sign * (j + 1)`` with j the index of lam among
+    the partitions of n + k.
+
+    On the beta-set ``p_t - t`` of nu padded with k zero parts, a strip
+    moves the bead of row t up by k, to a free place just below the q
+    beads above it: row q takes the moved bead's new part, rows q+1..t
+    take the parts of rows q..t-1 plus one, and the sign counts the t - q
+    beads passed."""
+    nu = _partitions_rec(n, max(n, 1))[i]
+    index = _partition_index(n + k)
+    padded = nu + (0,) * k
+    beta = [p - t for t, p in enumerate(padded)]  # strictly decreasing
     out = []
-    for b in beta:
-        if b + k not in bset:
-            moved = sorted((bset - {b}) | {b + k}, reverse=True)
-            lam = tuple(x - (n - 1 - i) for i, x in enumerate(moved) if x > n - 1 - i)
-            out.append((lam, (-1) ** sum(1 for x in beta if b < x < b + k)))
-    return out
+    q = 0  # beads above b + k; it only grows as b falls
+    for t, b in enumerate(beta):
+        while beta[q] > b + k:
+            q += 1
+        if beta[q] == b + k:
+            continue
+        lam = (padded[:q] + (padded[t] + k - t + q,)
+               + tuple(p + 1 for p in padded[q:t]) + nu[t + 1:])
+        j = index[lam] + 1
+        out.append(-j if (t - q) % 2 else j)
+    return tuple(out)
 
 
 class CharTable:
@@ -139,8 +159,8 @@ class CharTable:
         self._entries = entries
         self._dims: tuple[int, ...] | None = None
         self._columns: dict[Partition, tuple[int, ...]] = {}
-        self._strips: dict[tuple[Partition, int], list[tuple[Partition, int]]] = {}
-        self._subcolumns: dict[Partition, dict[Partition, int]] = {}
+        self._strips: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._subcolumns: dict[Partition, dict[int, int]] = {}
 
     def index(self, lam) -> int:
         try:
@@ -168,35 +188,53 @@ class CharTable:
         if col is None:
             sparse = self._sparse_column(mu)
             col = self._columns.setdefault(
-                mu, tuple(sparse.get(lam, 0) for lam in self.partitions))
+                mu, tuple(sparse.get(i, 0) for i in range(len(self.partitions))))
         return col
 
-    def _sparse_column(self, mu: Partition) -> dict[Partition, int]:
-        """The column of mu as {lam: chi} with the zeros left out, from the
-        memoized column of mu[1:]."""
+    def _sparse_column(self, mu: Partition) -> dict[int, int]:
+        """The column of mu as {index of lam: chi} with the zeros left out,
+        from the memoized column of mu[1:]."""
         if not mu:
-            return {(): 1}
-        return self._extend(self._sub_column(mu[1:]), mu[0])
+            return {0: 1}
+        nu = mu[1:]
+        return self._extend(self._sub_column(nu), sum(nu), mu[0])
 
-    def _sub_column(self, mu: Partition) -> dict[Partition, int]:
+    def _sub_column(self, mu: Partition) -> dict[int, int]:
         """The memoized sparse column of a partition of a lower degree."""
         col = self._subcolumns.get(mu)
         if col is None:
             col = self._subcolumns.setdefault(mu, self._sparse_column(mu))
         return col
 
-    def _extend(self, sub: dict[Partition, int], k: int) -> dict[Partition, int]:
-        """The column of (k, *nu) from the column ``sub`` of nu, by adding
-        every border strip of size k to every shape of ``sub``."""
+    def _extend(self, sub: dict[int, int], n: int, k: int) -> dict[int, int]:
+        """The column of (k, *nu) from the column ``sub`` of the partitions
+        nu of n, by adding every border strip of size k to every shape of
+        ``sub``."""
         strips = self._strips
-        col: dict[Partition, int] = {}
-        for nu, chi in sub.items():
-            added = strips.get((nu, k))
+        col: dict[int, int] = {}
+        for i, chi in sub.items():
+            added = strips.get((n, i, k))
             if added is None:
-                added = strips.setdefault((nu, k), _add_strips(nu, k))
-            for lam, sign in added:
-                col[lam] = col.get(lam, 0) + sign * chi
-        return {lam: v for lam, v in col.items() if v}
+                added = strips.setdefault((n, i, k), _add_strips(n, i, k))
+            for s in added:  # keyed by +-(j + 1) until the end
+                if s > 0:
+                    col[s] = col.get(s, 0) + chi
+                else:
+                    col[-s] = col.get(-s, 0) - chi
+        return {j - 1: v for j, v in col.items() if v}
+
+    def _build(self) -> tuple[tuple[int, ...], ...]:
+        """Every column, filled in place into rows of zeros; the memos are
+        dropped before the rows are frozen one at a time."""
+        size = len(self.partitions)
+        rows: list = [[0] * size for _ in range(size)]
+        for j, mu in enumerate(self.partitions):
+            for i, chi in self._sparse_column(mu).items():
+                rows[i][j] = chi
+        self._columns, self._strips, self._subcolumns = {}, {}, {}
+        for i, row in enumerate(rows):
+            rows[i] = tuple(row)
+        return tuple(rows)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -207,7 +245,7 @@ class CharTable:
                 if self._entries is None:
                     entries = _load_cached(self.degree)
                     if entries is None:
-                        entries = tuple(zip(*(self.column(mu) for mu in self.partitions)))
+                        entries = self._build()
                         _store_cached(self.degree, self.partitions, entries)
                     self._entries = entries
                     self._columns, self._strips, self._subcolumns = {}, {}, {}
@@ -219,12 +257,13 @@ class CharTable:
             return entries[self.index(lam)][self.index(mu)]
         return self.column(mu)[self.index(lam)]
 
-    def csv_rows(self) -> list[list[str]]:
-        head = ["lambda\\mu"] + ["+".join(map(str, mu)) or "0" for mu in self.partitions]
-        rows = [head]
-        for lam, row in zip(self.partitions, self.entries):
-            rows.append(["+".join(map(str, lam)) or "0"] + [str(v) for v in row])
-        return rows
+    def csv_rows(self) -> Iterator[list[str]]:
+        """The header and one row per lambda, made as they are read."""
+        entries = self.entries
+        labels = ["+".join(map(str, lam)) or "0" for lam in self.partitions]
+        yield ["lambda\\mu"] + labels
+        for label, row in zip(labels, entries):
+            yield [label] + list(map(str, row))
 
 
 @lru_cache(maxsize=None)
@@ -243,51 +282,64 @@ def _cache_path(d: int) -> Path | None:
     return Path(root) / f"character-table-d{d}.json"
 
 
+def _header(d: int) -> dict:
+    return {"format": _TABLE_FORMAT, "version": _TABLE_VERSION, "degree": d}
+
+
 def _load_cached(d: int) -> tuple[tuple[int, ...], ...] | None:
     """The entries of the cached degree-d table, or None when there is no
     file or it fails a check: header, partitions, shape, or an entry that
-    is not a JSON integer."""
+    is not a JSON integer.  A rejected file is named on stderr with the
+    reason, and the table is rebuilt (and the file rewritten)."""
     path = _cache_path(d)
     if path is None or not path.is_file():
         return None
     try:
         blob = json.loads(path.read_text())
-        if blob.get("format") != _TABLE_FORMAT or blob.get("version") != _TABLE_VERSION:
-            return None
-        if blob.get("degree") != d:
-            return None
-        parts = [tuple(p) for p in blob["partitions"]]
-        if parts != enumerate_partitions(d):
-            return None
-        rows = blob["entries"]
-        if len(rows) != len(parts) or any(len(r) != len(parts) for r in rows):
-            return None
-        if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
-            return None
-        return tuple(map(tuple, rows))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
+    except (OSError, ValueError) as exc:
+        return _reject(path, f"unreadable JSON ({exc})")
+    if not isinstance(blob, dict) or any(blob.get(k) != v for k, v in _header(d).items()):
+        return _reject(path, "bad header")
+    parts = blob.get("partitions")
+    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts) \
+            or list(map(tuple, parts)) != enumerate_partitions(d):
+        return _reject(path, "wrong partitions")
+    rows = blob.get("entries")
+    if not isinstance(rows, list) or len(rows) != len(parts) \
+            or any(not isinstance(r, list) or len(r) != len(parts) for r in rows):
+        return _reject(path, "wrong shape")
+    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+        return _reject(path, "an entry is not a JSON integer")
+    return tuple(map(tuple, rows))
+
+
+def _reject(path: Path, reason: str) -> None:
+    print(f"warning: character-table cache {path} rejected: {reason}", file=sys.stderr)
 
 
 def _store_cached(d: int, parts: tuple[Partition, ...],
                   entries: tuple[tuple[int, ...], ...]) -> None:
+    """Write the table as one JSON object, a row at a time, through a
+    temporary file of this writer's own that then replaces the cache
+    file; the bytes are those of ``json.dumps`` of the whole object."""
     path = _cache_path(d)
     if path is None:
         return
+    head = json.dumps({**_header(d), "partitions": parts})
+    # a random name opened exclusively: unique like mkstemp's, but with
+    # the umask's file mode
+    tmp = path.with_name(f"{path.stem}-{os.urandom(6).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = {
-            "format": _TABLE_FORMAT,
-            "version": _TABLE_VERSION,
-            "degree": d,
-            "partitions": [list(p) for p in parts],
-            "entries": [list(row) for row in entries],
-        }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(blob))
+        with open(tmp, "x") as fh:
+            fh.write(head[:-1] + ', "entries": [')
+            for i, row in enumerate(entries):
+                fh.write((", " if i else "") + json.dumps(row))
+            fh.write("]}")
         tmp.replace(path)
-    except OSError:
-        pass  # the disk cache is best-effort
+    except OSError:  # the disk cache is best-effort
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def char_table(d: int, ceiling: int | None = None) -> CharTable:

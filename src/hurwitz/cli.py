@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import characters, verify
@@ -216,26 +216,56 @@ def _check_output(path: str):
     raise DomainError(f"--output cannot write {path!r}: {problem}")
 
 
-def _emit(args, payload: dict, csv_rows: list[list[str]] | None = None):
-    text: str
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
+def _emit(args, payload: dict, csv_rows: Iterable[list[str]] = ()):
+    """Write ``payload`` as indented JSON, or its config line and then
+    ``csv_rows`` as CSV, piece by piece to ``--output`` or stdout."""
+    if not args.output:
+        _write(args.format, payload, csv_rows, sys.stdout)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            _write(args.format, payload, csv_rows, fh)
+    except OSError as exc:
+        raise DomainError(
+            f"--output cannot write {args.output!r}: {exc.strerror or exc}") from exc
+
+
+def _write(fmt: str, payload: dict, csv_rows: Iterable[list[str]], out) -> None:
+    if fmt == "json":
+        out.writelines(_json_chunks(payload))
+        out.write("\n")
     else:
-        buf = io.StringIO()
-        buf.write("# config: " + json.dumps(payload.get("config", {}), sort_keys=True) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows or []:
-            writer.writerow(row)
-        text = buf.getvalue().rstrip("\n")
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise DomainError(
-                f"--output cannot write {args.output!r}: {exc.strerror or exc}") from exc
-    else:
-        print(text)
+        out.write("# config: " + json.dumps(payload.get("config", {}), sort_keys=True) + "\n")
+        csv.writer(out, lineterminator="\n").writerows(csv_rows)
+
+
+def _is_table(value) -> bool:
+    """A nonempty list of lists of ints, which ``json`` indents one int a line."""
+    return bool(value) and isinstance(value, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and set(map(type, row)) <= {int} for row in value)
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` in pieces: a table at the top
+    level is one piece per row, and every other value one piece."""
+    tables = {key for key, value in payload.items() if _is_table(value)}
+    if not tables or not all(type(key) is str for key in payload):
+        yield json.dumps(payload, indent=2)
+        return
+    opening = "{"
+    for key, value in payload.items():
+        yield f"{opening}\n  {json.dumps(key)}: "
+        opening = ","
+        if key not in tables:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            continue
+        sep = "["
+        for row in value:
+            yield f"{sep}\n    " + ("[\n      " + ",\n      ".join(map(str, row))
+                                    + "\n    ]" if row else "[]")
+            sep = ","
+        yield "\n  ]"
+    yield "\n}"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import characters, oracle
 from .asymptotics import (
+    _block_degrees,
     b_leading_term,
     completed_leading_term,
     gw_leading_term,
@@ -431,17 +432,16 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         exact = {m: v * _gw_scale(mu, nu, ((gw_s, m),)) for m, v in exact.items()}
         return d, exact, lambda m: gw_leading_term(mu, nu, {gw_s: m})
     if kind == "monotone":
+        a_vec, b_vec = _block_degrees(a_vec, b_vec)
         gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
-        caps = tuple(a_vec) + tuple(b_vec)
-        shift = sum(caps)
+        shift = sum(a_vec) + sum(b_vec)
 
         def monomial(lam):  # the u^a_vec v^b_vec coefficient at every r
             e, h, hk = content_sequences(contents(lam), gspec, top)
             uv = math.prod(e[a] for a in a_vec) * math.prod(h[j] for j in b_vec)
             return lambda r: uv * hk[r - shift] if r >= shift else 0
 
-        live = shift <= top and min(caps, default=0) >= 0
-        denominator, weights = character_weights(d, profiles) if live else (1, ())
+        denominator, weights = character_weights(d, profiles) if shift <= top else (1, ())
         exact = weighted_sweep(weights, monomial, r_values, lambda r: denominator)
         return d, exact, lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec)
     gspec, alpha = GSpec(K=k), Fraction(b) + 1

@@ -131,6 +131,14 @@ class TestMonotoneLeading:
         with pytest.raises(DomainError):
             monotone_leading_term(2, 3, 0, 0, 0)
 
+    @pytest.mark.parametrize("blocks, name", [
+        (((), (-1,)), "b"), (((), (-3,)), "b"), (((-1,), ()), "a"), (((1, -2), (0,)), "a")])
+    def test_negative_block_degrees(self, blocks, name):
+        with pytest.raises(DomainError, match=f"{name} block degrees must be nonnegative"):
+            monotone_leading_term(5, 3, 0, 0, 1, *blocks)
+        with pytest.raises(DomainError, match=f"{name} block"):
+            b_leading_term(5, 3, 0, 0, 1, *blocks, b=1)
+
 
 class TestCompletedLeading:
     def test_degree_two_is_exact(self):

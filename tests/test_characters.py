@@ -122,12 +122,14 @@ class TestTable:
 
     def test_csv_rows(self):
         rows = char_table(3).csv_rows()
+        assert iter(rows) is rows  # rows are made as they are read
+        rows = list(rows)
         assert rows[0] == ["lambda\\mu", "3", "2+1", "1+1+1"]
         assert rows[2] == ["2+1", "-1", "0", "2"]
 
 
 class TestDiskCache:
-    def test_roundtrip_and_corruption(self, tmp_path, monkeypatch):
+    def test_roundtrip_and_corruption(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(characters, "_tables", {})
         table = char_table(4)
@@ -142,12 +144,50 @@ class TestDiskCache:
         monkeypatch.setattr(characters, "_tables", {})
         assert char_table(4).entries == table.entries
 
-        # corrupted or mismatched headers are ignored, then rewritten
-        path.write_text(json.dumps({"format": "other"}))
+        assert capsys.readouterr().err == ""
+
+        # a rejected file is named on stderr with the reason, then rewritten
+        good = path.read_text()
+        bad_parts = dict(blob, partitions=blob["partitions"][::-1])
+        bad_shape = dict(blob, entries=blob["entries"][:-1])
+        bad_entry = dict(blob, entries=[[1.0] + row[1:] for row in blob["entries"]])
+        for text, reason in [("{not json", "unreadable JSON"),
+                             (json.dumps({"format": "other"}), "bad header"),
+                             (json.dumps(bad_parts), "wrong partitions"),
+                             (json.dumps(bad_shape), "wrong shape"),
+                             (json.dumps(bad_entry), "an entry is not a JSON integer")]:
+            path.write_text(text)
+            monkeypatch.setattr(characters, "_tables", {})
+            rebuilt = char_table(4)
+            assert rebuilt.entries == table.entries
+            assert path.read_text() == good
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and str(path) in err[0] and reason in err[0], err
+
+    def test_stored_bytes_are_one_json_dump(self, tmp_path, monkeypatch):
+        # the store streams its rows; the file is what one json.dumps wrote
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(characters, "_tables", {})
-        rebuilt = char_table(4)
-        assert rebuilt.entries == table.entries
-        assert json.loads(path.read_text())["format"] == characters._TABLE_FORMAT
+        for d in range(9):
+            table = char_table(d)
+            blob = {
+                "format": characters._TABLE_FORMAT,
+                "version": characters._TABLE_VERSION,
+                "degree": d,
+                "partitions": [list(p) for p in table.partitions],
+                "entries": [list(row) for row in table.entries],
+            }
+            assert (tmp_path / f"character-table-d{d}.json").read_text() == json.dumps(blob)
+        assert len(list(tmp_path.iterdir())) == 9  # no temporary file is left
+
+    def test_each_writer_has_its_own_temporary_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(characters, "_tables", {})
+        (tmp_path / "character-table-d4.tmp").mkdir()  # a fixed temporary name is taken
+        entries = char_table(4).entries
+        assert characters._load_cached(4) == entries
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "character-table-d4.json", "character-table-d4.tmp"]
 
     def test_garbage_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -207,6 +208,40 @@ class TestCharTableCommand:
         assert code == EXIT_OK and blob["config"] == {"command": "chartable", "d": 3}
         assert blob["partitions"] == [[3], [2, 1], [1, 1, 1]]
         assert blob["entries"] == [[1, 1, 1], [-1, 0, 2], [1, -1, 1]]
+
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_json_dump_is_one_indented_dump(self, capsys, d):
+        code, out, _ = run(capsys, "chartable", "--d", str(d), "--format", "json")
+        table = characters.char_table(d)
+        payload = {"config": {"command": "chartable", "d": d},
+                   "partitions": table.partitions, "entries": table.entries}
+        assert code == EXIT_OK and out == json.dumps(payload, indent=2) + "\n"
+
+    def test_full_dump_memory_stays_near_the_table_size(self, capsys, monkeypatch):
+        # 231 x 231 entries: the build and the CSV dump stay under 3 MiB
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        tracemalloc.start()
+        try:
+            code = main(["chartable", "--d", "16"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK and len(out) == 233
+        assert peak < 3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("payload", [
+        {"config": {"command": "x", "d": 3}, "rows": [[1, -2], [], [3]], "empty": []},
+        {"table": ((1, 2), (3,)), "mixed": [[1, True]], "floats": [[1.5]], "nested": [[[1]]]},
+        {"text": "a\nb\u00e9", "records": [{"k": [0]}, {}], "none": None, "tuple": (1, 2)},
+        {"keys": {1: "an int key"}}, {1: [[2]]}, {},
+    ])
+    def test_equals_json_dumps(self, payload):
+        assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2)
 
 
 class TestExitCodes:

@@ -163,3 +163,9 @@ def test_sweep_matches_single_r_calls(family):
 def test_sweep_rejects_negative_r():
     with pytest.raises(DomainError, match="nonnegative"):
         ratio_family("classical", [2, -1], d=3)
+
+
+@pytest.mark.parametrize("blocks, name", [({"b_vec": (-1,)}, "b"), ({"a_vec": (1, -1)}, "a")])
+def test_sweep_rejects_negative_block_degrees(blocks, name):
+    with pytest.raises(DomainError, match=f"{name} block degrees must be nonnegative"):
+        ratio_family("monotone", range(5), d=3, **blocks)
