@@ -69,10 +69,12 @@ def _parse_insertions(text: str | None) -> dict[int, int]:
         if not tok:
             continue
         try:
-            s, m = tok.split(":")
-            out[int(s)] = int(m)
+            s, m = map(int, tok.split(":"))
         except ValueError as exc:
             raise DomainError(f"cannot parse insertion {tok!r} (want s:m)") from exc
+        if s in out:
+            raise DomainError(f"--insertions gives the order {s} twice")
+        out[s] = m
     return out
 
 
@@ -382,8 +384,10 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    if args.max_d is not None and args.max_d < 1:
-        raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
+    for flag, value, least in (("--max-d", args.max_d, 1), ("--r-max", args.r_max, 0),
+                               ("--max-transpositions", args.max_transpositions, 0)):
+        if value is not None and value < least:
+            raise DomainError(f"{flag} must be at least {least}, got {value}")
     if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
         raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
     # each suite reads at most one of these; without it, its signature's default
@@ -397,6 +401,8 @@ def _cmd_verify(args) -> int:
         report = verify.verify_gap(args.d, args.s, _parse_profiles(args.profiles))
     elif suite == "ratio":
         tolerance = _parse_fraction(args.tolerance, "--tolerance")
+        if tolerance < 0:
+            raise DomainError(f"--tolerance must be at least 0, got {args.tolerance}")
         report = verify.verify_ratio(args.kind, tolerance=tolerance, **sizes,
                                      **_ratio_options(args))
     else:  # a sweep over d that reads only --max-d

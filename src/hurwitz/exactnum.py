@@ -26,13 +26,6 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse rational from {text!r}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers, zeta at negative integers, Stirling numbers
 # ---------------------------------------------------------------------------

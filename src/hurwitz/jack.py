@@ -1,5 +1,9 @@
 """Jack polynomials in the power-sum basis and the b-deformed engine.
 
+The monomial symmetric functions enter over the power sums through one
+triangular solve: p_mu expands over the monomials of the coarsenings of
+mu, which dominate mu and so come first in canonical order.
+
 Jack polynomials are computed by Gram-Schmidt over monomial symmetric
 functions in dominance order, under the deformed Hall product
 ``<p_lam, p_mu> = delta * z(lam) * alpha^len(lam)``.  The reverse-lex
@@ -40,57 +44,46 @@ DEFAULT_JACK_CEILING = 8
 # Power sums versus monomial symmetric functions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _p_in_m_matrix(d: int) -> tuple[tuple[int, ...], ...]:
-    """Row mu, column lam: the coefficient of m_lam in p_mu.
-
-    Equals the number of ways to assign the (labelled) parts of mu to
-    the slots of lam so that every slot fills exactly.
-    """
-    parts = enumerate_partitions(d)
-
-    def count(mu: Partition, lam: Partition) -> int:
-        slots = list(lam)
-
-        def rec(idx: int) -> int:
-            if idx == len(mu):
-                return 1 if all(s == 0 for s in slots) else 0
-            total = 0
-            for i, s in enumerate(slots):
-                if s >= mu[idx]:
-                    slots[i] -= mu[idx]
-                    total += rec(idx + 1)
-                    slots[i] += mu[idx]
-            return total
-
-        return rec(0)
-
-    return tuple(tuple(count(mu, lam) for lam in parts) for mu in parts)
+def _fills(parts: Partition, slots: tuple[int, ...], memo: dict) -> int:
+    """The ways to send each of the labelled ``parts`` to one of the
+    ``slots`` (capacities in decreasing order) so that every slot fills
+    exactly; ``memo`` holds one row's counts, keyed on (parts left,
+    capacities left)."""
+    if not parts:
+        return 1  # the capacities left sum to 0
+    key = (len(parts), slots)
+    count = memo.get(key)
+    if count is None:
+        first, rest = parts[0], parts[1:]
+        count = memo[key] = sum(
+            _fills(rest, tuple(sorted(slots[:j] + (s - first,) + slots[j + 1:], reverse=True)),
+                   memo)
+            for j, s in enumerate(slots) if s >= first)
+    return count
 
 
 @lru_cache(maxsize=None)
 def _m_in_p_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row lam: the expansion of m_lam over the p basis (matrix inverse)."""
+    """Row lam: the expansion of m_lam over the p basis.
+
+    p_mu = sum of c(mu, lam) m_lam over the coarsenings lam of mu, with c
+    counted by ``_fills``.  A coarsening dominates mu, so it comes earlier
+    in canonical order, and the rows solve in that order:
+    m_mu = (p_mu - sum of c(mu, lam) m_lam over earlier lam) / c(mu, mu).
+    """
     parts = enumerate_partitions(d)
-    n = len(parts)
-    a = [[Fraction(v) for v in row] for row in _p_in_m_matrix(d)]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("power-sum transition matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    # p = A m with A = p_in_m, so row lam of A^{-1} expands m_lam over the p's
-    return tuple(tuple(row) for row in inv)
+    rows: list[tuple[Fraction, ...]] = []
+    for i, mu in enumerate(parts):
+        memo: dict = {}
+        row = [Fraction(0)] * len(parts)
+        row[i] = Fraction(1)  # p_mu
+        for lam, m_lam in zip(parts, rows):
+            c = _fills(mu, lam, memo)
+            if c:
+                row = [x - c * y for x, y in zip(row, m_lam)]
+        diagonal = _fills(mu, mu, memo)
+        rows.append(tuple(x / diagonal for x in row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +221,11 @@ def jack_character(lam, mu, alpha) -> Fraction:
     """Normalised Jack character: coefficient of p_mu in J_lam over |class(mu)|."""
     lam = check_partition(lam)
     mu = check_partition(mu)
-    if sum(lam) != sum(mu):
+    d = sum(lam)
+    if d != sum(mu):
         raise DomainError(f"size mismatch: |{lam}| != |{mu}|")
-    expansion = jack_in_psums(lam, alpha)
-    return expansion.coefficient(mu) / class_data(mu).class_size
+    _check_jack_degree(d)
+    return _jack_basis(d, alpha)[lam].get(mu, Fraction(0)) / class_data(mu).class_size
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,20 @@ class TestBadFlagValues:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and flag in err and out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "oracle", "--max-d", "2", "--max-transpositions", "-1"),
+         "--max-transpositions"),
+        (("verify", "ratio", "--kind", "classical", "--d", "4", "--r-max", "-1"), "--r-max"),
+        (("verify", "ratio", "--kind", "classical", "--d", "4", "--tolerance", "-1"),
+         "--tolerance"),
+        (("compute", "--kind", "gw", "--profiles", "2;2", "--insertions", "2:1,2:2",
+          "--r", "0"), "--insertions"),
+    ], ids=["verify-oracle-negative-transpositions", "verify-ratio-negative-r-max",
+            "verify-ratio-negative-tolerance", "compute-gw-repeated-insertion-order"])
+    def test_out_of_range_values(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and flag in err and out == ""
+
     @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-dir", "a-dir"])
     @pytest.mark.parametrize("command", [
         ("compute", "--kind", "classical", "--d", "3", "--r", "2"),

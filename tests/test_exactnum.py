@@ -15,7 +15,6 @@ from hurwitz.exactnum import (
     geometric_factor,
     geometric_power,
     monomial_name,
-    parse_rational,
     stirling,
     zeta_neg,
 )
@@ -58,9 +57,6 @@ class TestScalars:
     def test_rational_strings(self):
         assert format_rational(Fraction(3, 6)) == "1/2"
         assert format_rational(Fraction(4, 2)) == "2"
-        assert parse_rational("-7/3") == Fraction(-7, 3)
-        with pytest.raises(DomainError):
-            parse_rational("x")
 
 
 def expand_product(factors, order):

@@ -7,6 +7,7 @@ from hurwitz.characters import char_table, dim
 from hurwitz.core import GSpec, hypergeometric_hurwitz
 from hurwitz.errors import DomainError, SingularParameterError, SizeLimitError
 from hurwitz.jack import (
+    _m_in_p_matrix,
     b_hurwitz_coefficient,
     deformed_contents,
     jack_character,
@@ -25,6 +26,58 @@ def hall_inner(f, g, alpha):
         if other is not None:
             acc += c * other * class_data(mu).stabilizer * alpha ** len(mu)
     return acc
+
+
+def p_in_m_reference(d):
+    """Row mu, column lam: the coefficient of m_lam in p_mu, the number of
+    ways to assign the labelled parts of mu to the slots of lam so that
+    every slot fills exactly (unmemoized, exponential in len(mu))."""
+    parts = enumerate_partitions(d)
+
+    def count(mu, lam):
+        slots = list(lam)
+
+        def rec(idx):
+            if idx == len(mu):
+                return 1 if all(s == 0 for s in slots) else 0
+            total = 0
+            for i, s in enumerate(slots):
+                if s >= mu[idx]:
+                    slots[i] -= mu[idx]
+                    total += rec(idx + 1)
+                    slots[i] += mu[idx]
+            return total
+
+        return rec(0)
+
+    return [[count(mu, lam) for lam in parts] for mu in parts]
+
+
+def m_in_p_reference(d):
+    """The inverse of ``p_in_m_reference(d)`` by Gauss-Jordan elimination
+    with pivot search: row lam expands m_lam over the p basis."""
+    a = [[Fraction(v) for v in row] for row in p_in_m_reference(d)]
+    n = len(a)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = a[col][col]
+        a[col] = [v / scale for v in a[col]]
+        inv[col] = [v / scale for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(row) for row in inv)
+
+
+class TestChangeOfBasis:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_triangular_solve_matches_the_inverse(self, d):
+        assert _m_in_p_matrix(d) == m_in_p_reference(d)
 
 
 class TestExpansions:

@@ -23,7 +23,6 @@ UNBOUNDED = {
     ("exactnum", "_stirling2"),
     ("exactnum", "bernoulli"),
     ("jack", "_m_in_p_matrix"),
-    ("jack", "_p_in_m_matrix"),
     ("oracle", "_profile_products"),
     ("oracle", "block_walk"),
     ("oracle", "class_perms"),
