@@ -71,7 +71,9 @@ def _parse_insertions(text: str | None) -> dict[int, int]:
         try:
             s, m = map(int, tok.split(":"))
         except ValueError as exc:
-            raise DomainError(f"cannot parse insertion {tok!r} (want s:m)") from exc
+            raise DomainError(f"--insertions wants s:m pairs, got {tok!r}") from exc
+        if s < 1 or m < 0:
+            raise DomainError(f"--insertions wants s >= 1 and m >= 0, got {tok!r}")
         if s in out:
             raise DomainError(f"--insertions gives the order {s} twice")
         out[s] = m
@@ -94,8 +96,8 @@ def _parse_degrees(text: str | None, flag: str) -> tuple[int, ...]:
     return tuple(int(t) for t in tokens)
 
 
-def _caps(args, gspec: GSpec) -> tuple[int, ...] | None:
-    """The --u-deg/--v-deg monomial as one cap per u and v block, or None."""
+def _monomial(args, gspec: GSpec) -> tuple[int, ...] | None:
+    """The --u-deg/--v-deg monomial, one degree per u and v block, or None."""
     a_vec = _parse_degrees(args.u_deg, "--u-deg")
     b_vec = _parse_degrees(args.v_deg, "--v-deg")
     if not (a_vec or b_vec):
@@ -142,6 +144,10 @@ _READS = {
 }
 
 
+# The least value of each integer flag, wherever it is read.
+_LEAST = {"r": 0, "r_min": 0, "r_max": 0, "max_transpositions": 0, "s": 1, "t": 1, "gw_s": 1}
+
+
 @functools.cache
 def _unread_flags(command: str, request: str) -> tuple:
     """Each optional flag of ``command`` but --format and --output that
@@ -178,7 +184,7 @@ def _r_values(args) -> list[int]:
     lo = args.r_min if args.r_min is not None else 0
     hi = args.r_max if args.r_max is not None else lo
     if hi < lo:
-        raise DomainError(f"empty r range {lo}..{hi}")
+        raise DomainError(f"--r-max must be at least --r-min ({lo}), got {hi}")
     return list(range(lo, hi + 1))
 
 
@@ -294,14 +300,13 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
             gspec = GSpec(K=1, L=0, M=0)
         else:
             gspec = GSpec(K=args.K, L=args.L, M=args.M)
-        caps = _caps(args, gspec)
+        monomial = _monomial(args, gspec)
         results = hypergeometric_hurwitz_sweep(r_values, gspec, profiles, d=args.d,
-                                               connected=args.connected, caps=caps)
+                                               connected=args.connected, monomial=monomial)
         for result in results:
-            if caps is not None:
-                result.extra["monomial"] = {"u": list(caps[:gspec.L]),
-                                            "v": list(caps[gspec.L:])}
-                result.value = result.value.coefficient(caps)
+            if monomial is not None:
+                result.extra["monomial"] = {"u": list(monomial[:gspec.L]),
+                                            "v": list(monomial[gspec.L:])}
             result.kind = kind
         return results
     if kind == "orbifold":
@@ -315,15 +320,14 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
         if args.connected:
             raise DomainError("--kind b-content has no connected version")
         gspec = GSpec(K=args.K, L=args.L, M=args.M)
-        caps = _caps(args, gspec)
+        monomial = _monomial(args, gspec)
         b = _parse_fraction(args.b, "--b")
         d, profiles = _resolve_degree(profiles, args.d)
-        polys = b_hurwitz_sweep(r_values, gspec, profiles, b, d=d, caps=caps)
+        values = b_hurwitz_sweep(r_values, gspec, profiles, b, d=d, monomial=monomial)
         return [HurwitzResult(
-            kind="b_content", d=d, r=r, profiles=profiles, connected=False,
-            value=poly.coefficient(caps) if caps is not None else poly, gspec=gspec,
-            extra={"b": format_rational(b)},
-        ) for r, poly in polys.items()]
+            kind="b_content", d=d, r=r, profiles=profiles, connected=False, value=value,
+            gspec=gspec, extra={"b": format_rational(b)},
+        ) for r, value in values.items()]
     if kind == "gw":
         if len(profiles) != 2:
             raise DomainError("--kind gw needs exactly two profiles (mu;nu)")
@@ -384,10 +388,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    for flag, value, least in (("--max-d", args.max_d, 1), ("--r-max", args.r_max, 0),
-                               ("--max-transpositions", args.max_transpositions, 0)):
-        if value is not None and value < least:
-            raise DomainError(f"{flag} must be at least {least}, got {value}")
+    if args.max_d is not None and args.max_d < 1:  # elsewhere 0 is a ceiling, exit 2
+        raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
     if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
         raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
     # each suite reads at most one of these; without it, its signature's default
@@ -555,6 +557,11 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output)
         _refuse_unread(args)
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise DomainError(f"--{name.replace('_', '-')} must be at least {least}, "
+                                  f"got {value}")
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

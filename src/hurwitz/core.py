@@ -13,12 +13,14 @@ Every family is a sum over partitions of a weight times a factor, and
 once.  ``character_weights`` supplies the weights (``hurwitz.jack`` the
 Jack weights); ``completed_sweep`` and ``character_sum`` are its
 completed-cycle and one-r cases.  The hypergeometric factor is
-``content_product``: the z^r coefficient factors into elementary and
+``content_factor``: the z^r coefficient factors into elementary and
 complete symmetric functions of the nonzero contents
-(``content_sequences``, plain integer sequences), so no series is
-multiplied.  The b-deformed engine in ``hurwitz.jack`` runs the same
-product over deformed contents.  ``_resolve_degree`` is the one place
-that turns (profiles, d) into a checked degree.
+(``content_sequences``, plain integer sequences, built once per
+partition for a whole sweep), so no series is multiplied, and a single
+monomial's coefficient needs no polynomial.  The b-deformed engine in
+``hurwitz.jack`` runs the same factor over deformed contents.
+``_resolve_degree`` is the one place that turns (profiles, d) into a
+checked degree.
 
 Each family evaluates a whole r-range in one pass (its ``*_sweep``
 function, reading the weights once), and its single-r function is the
@@ -44,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import characters
 from .errors import DomainError
@@ -272,21 +274,20 @@ def character_sum(d: int, profiles, factor, denominator: int = 1,
                           lambda _: weight_denominator * denominator)[0]
 
 
-def _sub_instance(memo: dict, r: int, profiles, d: int, factor, r_max: int, q: int = 1):
+def _sub_instance(memo: dict, factor, r_max: int, q: int, r: int, profiles, d: int):
     """A connected transform's disconnected sub-instance ``(r, profiles,
     d)`` as the pair ``(total, D q^r)``, or the int 0 for a zero total.
 
-    ``factor(d)`` is the family's factor at degree d, with integer (or
-    int-coefficient polynomial) terms over ``q^r``.  The first
-    sub-instance of a (profiles, degree) runs one ``weighted_sweep`` over
-    r = 0..r_max and keeps its totals in the transform's ``memo``; every
-    later one reads them.
+    ``factor`` is the family's factor, with integer (or int-coefficient
+    polynomial) terms over ``q^r``.  The first sub-instance of a
+    (profiles, degree) runs one ``weighted_sweep`` over r = 0..r_max and
+    keeps its totals in the transform's ``memo``; every later one reads
+    them.
     """
     sweeps = memo.setdefault("sweeps", {})
     if (d, profiles) not in sweeps:
         denominator, weights = character_weights(d, profiles)
-        sweeps[d, profiles] = denominator, weighted_sweep(weights, factor(d),
-                                                          range(r_max + 1))
+        sweeps[d, profiles] = denominator, weighted_sweep(weights, factor, range(r_max + 1))
     denominator, totals = sweeps[d, profiles]
     total = totals[r]
     return 0 if total == 0 else (total, denominator * q**r)
@@ -313,10 +314,13 @@ def completed_sweep(r_values, s: int, profiles, d: int) -> dict:
                           lambda r: denominator * q**r)
 
 
-def _as_polynomial(value, nvars: int) -> MultiPoly:
-    """A sum of polynomial terms as a polynomial: the empty sum,
-    ``Fraction(0)``, is the one value that is not one already."""
-    return value or MultiPoly.zero(nvars)
+def _content_value(value, nvars: int, monomial=None):
+    """A content-product sum as its value: a polynomial (the empty sum
+    made one), or the coefficient of ``monomial`` (taken here from a
+    connected sum, of capped polynomials)."""
+    if monomial is None:
+        return value or MultiPoly.zero(nvars)
+    return value.coefficient(monomial) if isinstance(value, MultiPoly) else value
 
 
 class HurwitzResult(Record):
@@ -410,11 +414,7 @@ def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = No
         memo: dict = {}
         q = f_bar_denominator(s + 1)
         factor = _f_bar_powers(s + 1, q)
-        r_max = max(r_values, default=0)
-
-        def disconnected(rr, profs, dd):
-            return _sub_instance(memo, rr, profs, dd, lambda _: factor, r_max, q)
-
+        disconnected = partial(_sub_instance, memo, factor, max(r_values, default=0), q)
         values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
                                  denominator=q)
     else:
@@ -481,6 +481,51 @@ def content_sequences(weights, gspec: GSpec, r: int):
     return e, h, _complete_sequence(nonzero * gspec.K, r)
 
 
+def _content_terms(sequences, gspec: GSpec, caps, monomial):
+    """``r -> [z^r] prod_c G(z c)`` from ``content_sequences``: the
+    polynomial without the monomials beyond ``caps``, or the coefficient
+    prod e[a_i] prod h[b_j] hk[r - |a| - |b|] of ``monomial = (a, b)``."""
+    e, h, hk = sequences
+    rows = [e] * gspec.L + [h] * gspec.M
+    if monomial is not None:
+        shift = sum(monomial)
+        uv = math.prod(row[a] for row, a in zip(rows, monomial)) if shift < len(hk) else 0
+        return lambda r: uv * hk[r - shift] if r >= shift else 0
+
+    def polynomial(r):
+        out = MultiPoly(gspec.nvars)
+        bounds = (r,) * gspec.nvars if caps is None else caps
+        for expo in itertools.product(*(range(min(cap, r) + 1) for cap in bounds)):
+            rest = r - sum(expo)
+            coeff = rest >= 0 and hk[rest] * math.prod(row[a] for row, a in zip(rows, expo))
+            if coeff:
+                out.terms[expo] = coeff
+        return out
+    return polynomial
+
+
+def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = None,
+                   monomial: tuple[int, ...] | None = None, weights_of=None):
+    """The content-product factor ``lam -> (r -> term)`` of ``weighted_sweep``
+    for r <= ``r_max``, with ``caps`` or ``monomial`` as for ``_content_terms``.
+
+    Each partition's sequences are built once: those of its box contents
+    by the ``_content_coefficient`` memo, or those of ``weights_of(lam)``
+    (the deformed contents).
+    """
+    for name, expo in (("caps", caps), ("monomial", monomial)):
+        if expo is not None and (len(expo) != gspec.nvars or min(expo, default=0) < 0):
+            raise DomainError(f"{name} {tuple(expo)} is not {gspec.nvars} nonnegative degrees")
+    if caps is not None and monomial is not None:
+        raise DomainError("give caps or a monomial, not both")
+
+    def factor(lam):
+        sequences = (_content_coefficient(lam, gspec, r_max) if weights_of is None
+                     else content_sequences(weights_of(lam), gspec, r_max))
+        return _content_terms(sequences, gspec, caps, monomial)
+    return factor
+
+
 def content_product(weights, gspec: GSpec, r: int,
                     caps: tuple[int, ...] | None = None) -> MultiPoly:
     """[z^r] of the product over box weights c of G(z * c), exact in u's and v's.
@@ -489,94 +534,77 @@ def content_product(weights, gspec: GSpec, r: int,
     b-deformed engine; zero weights contribute the factor 1.  The
     coefficient of ``u^a v^b`` is prod e_{a_i} prod h_{b_j} hk_{r-|a|-|b|}
     (see ``content_sequences``); ``caps`` drops monomials beyond them.
-    """
-    e, h, hk = content_sequences(weights, gspec, r)
-    seqs = [e] * gspec.L + [h] * gspec.M
-    caps = (r,) * gspec.nvars if caps is None else caps
-    out = MultiPoly(gspec.nvars)
-    for expo in itertools.product(*(range(min(cap, r) + 1) for cap in caps)):
-        rest = r - sum(expo)
-        if rest < 0:
-            continue
-        coeff = hk[rest]
-        for seq, a in zip(seqs, expo):
-            coeff *= seq[a]
-        if coeff:
-            out.terms[expo] = Fraction(coeff)
-    return out
+    The one-r case of ``content_factor``, with Fraction coefficients."""
+    poly = _content_terms(content_sequences(weights, gspec, r), gspec, caps, None)(r)
+    poly.terms = {expo: Fraction(coeff) for expo, coeff in poly.terms.items()}
+    return poly
 
 
-@lru_cache(maxsize=None)
-def _content_coefficient(d: int, lam: Partition, gspec: GSpec, r: int,
-                         caps: tuple[int, ...] | None) -> MultiPoly:
-    """[z^r] of prod over boxes of G(z * content), exact in u's and v's;
-    the contents are integers, and so are its coefficients (kept as ints,
-    so that the character sums over it run on ints)."""
-    return _integral(content_product(contents(lam), gspec, r, caps))
+@lru_cache(maxsize=4096)
+def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int):
+    """``content_sequences`` of the box contents of ``lam`` to ``r_max``,
+    integers, kept across calls: a verification suite asks for the same
+    partition and order under many profiles."""
+    return content_sequences(contents(lam), gspec, r_max)
 
 
 def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
                                  d: int | None = None, connected: bool = False,
-                                 caps: tuple[int, ...] | None = None
+                                 caps: tuple[int, ...] | None = None,
+                                 monomial: tuple[int, ...] | None = None
                                  ) -> list[HurwitzResult]:
     """``hypergeometric_hurwitz`` at every r of ``r_values``, in one pass.
 
-    The disconnected values are one ``weighted_sweep`` over the memoized
-    ``_content_coefficient``; the connected ones share one transform memo
-    and one sweep per (profiles, degree), and the transform's products
-    drop the monomials beyond ``caps``.
+    The disconnected values are one ``weighted_sweep`` over
+    ``content_factor``; the connected ones share one transform memo and
+    one sweep per (profiles, degree), and the transform's products drop
+    the monomials beyond ``caps`` (or beyond ``monomial``, whose
+    coefficient is then taken).
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
-    if caps is not None:
-        caps = tuple(caps)
-        if len(caps) != gspec.nvars:
-            raise DomainError(f"caps arity {len(caps)} != {gspec.nvars} variables")
-
-    def factor(dd):
-        def content(lam):
-            return lambda rr: _content_coefficient(dd, lam, gspec, rr, caps)
-        return content
-
+    r_max = max(r_values, default=0)
     if connected:
+        cap = caps if monomial is None else monomial
+        factor = content_factor(gspec, r_max, caps=cap)
         memo: dict = {}
-        r_max = max(r_values, default=0)
-
-        def disconnected(rr, profs, dd):
-            return _sub_instance(memo, rr, profs, dd, factor, r_max)
-
+        disconnected = partial(_sub_instance, memo, factor, r_max, 1)
         values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
-                                 caps=caps)
+                                 caps=cap)
     else:
+        factor = content_factor(gspec, r_max, caps=caps, monomial=monomial)
         denominator, weights = character_weights(d, profiles)
-        values = weighted_sweep(weights, factor(d), r_values, lambda rr: denominator)
+        values = weighted_sweep(weights, factor, r_values, lambda rr: denominator)
     return [HurwitzResult(
         kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
-        value=_as_polynomial(values[r], gspec.nvars), gspec=gspec,
+        value=_content_value(values[r], gspec.nvars, monomial), gspec=gspec,
         genus=rh_genus(r, 1, d, profiles),
     ) for r in r_values]
 
 
 def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                            d: int | None = None, connected: bool = False,
-                           caps: tuple[int, ...] | None = None) -> HurwitzResult:
+                           caps: tuple[int, ...] | None = None,
+                           monomial: tuple[int, ...] | None = None) -> HurwitzResult:
     """[z^r] of the content-product character sum for a rational weight.
 
     The value is a MultiPoly whose coefficient of
     ``u1^a1 .. v1^b1 ..`` refines the count by the number of
     transpositions drawn from each monotone block.  ``caps`` bounds the
     tracked degree per formal variable (coefficients inside the caps
-    stay exact).
+    stay exact); with ``monomial`` the value is that one coefficient.
     """
     return hypergeometric_hurwitz_sweep((r,), gspec, profiles, d=d, connected=connected,
-                                        caps=caps)[0]
+                                        caps=caps, monomial=monomial)[0]
 
 
 def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=(),
                                 *, d: int | None = None,
-                                caps: tuple[int, ...] | None = None) -> MultiPoly:
+                                caps: tuple[int, ...] | None = None,
+                                monomial: tuple[int, ...] | None = None):
     """Disconnected count mixing r_simple unconstrained transpositions with
-    the rational-weight blocks of ``gspec`` at z-order ``r``.
+    the rational-weight blocks of ``gspec`` at z-order ``r``: a MultiPoly,
+    or the coefficient of ``monomial``.
 
     Each central factor acts on an irreducible block by its scalar
     eigenvalue, so the weights simply multiply.
@@ -584,12 +612,13 @@ def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=()
     if r_simple < 0 or r < 0:
         raise DomainError("orders must be nonnegative")
     d, profiles = _resolve_degree(profiles, d)
+    content = content_factor(gspec, r, caps=caps, monomial=monomial)
 
     def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
         simple = _scaled_f_bar(lam, 2, 1) ** r_simple
-        return _content_coefficient(d, lam, gspec, r, caps) * simple
+        return content(lam)(r) * simple
 
-    return _as_polynomial(character_sum(d, profiles, factor), gspec.nvars)
+    return _content_value(character_sum(d, profiles, factor), gspec.nvars, monomial)
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +930,8 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
 
     def mixed(sub_counts, profs, dd):
         def factor(lam):
-            acc = 1
-            for s, q, m in zip(orders, denominators, sub_counts):
-                if m:
-                    acc *= _scaled_f_bar(lam, s + 1, q) ** m
-            return acc
+            return math.prod(_scaled_f_bar(lam, s + 1, q) ** m
+                             for s, q, m in zip(orders, denominators, sub_counts) if m)
         return character_sum(dd, profs, factor,
                              math.prod(q**m for q, m in zip(denominators, sub_counts)), memo)
 

@@ -24,7 +24,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (GSpec, _as_polynomial, _orders, _resolve_degree, content_product,
+from .core import (GSpec, _content_value, _orders, _resolve_degree, content_factor,
                    weighted_sweep)
 from .errors import DomainError, SingularParameterError, SizeLimitError
 from .exactnum import MultiPoly
@@ -263,23 +263,22 @@ def jack_weights(d: int, profiles, b):
 
 
 def b_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), b=0, *,
-                    d: int | None = None,
-                    caps: tuple[int, ...] | None = None) -> dict:
+                    d: int | None = None, caps: tuple[int, ...] | None = None,
+                    monomial: tuple[int, ...] | None = None) -> dict:
     """{r: [z^r] of the b-deformed content-product sum} for every r of
-    ``r_values``, exact in u's and v's, in one ``weighted_sweep``.
+    ``r_values``, exact in u's and v's, in one ``weighted_sweep`` over
+    ``content_factor`` of the deformed contents.  ``caps`` bounds the
+    tracked degrees; ``monomial`` makes each value that one coefficient.
 
     At b = 0 this coincides with the undeformed hypergeometric engine.
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
     alpha = Fraction(b) + 1
-
-    def factor(lam):
-        deformed = deformed_contents(lam, alpha)
-        return lambda rr: content_product(deformed, gspec, rr, caps)
-
+    factor = content_factor(gspec, max(r_values, default=0), caps=caps, monomial=monomial,
+                            weights_of=lambda lam: deformed_contents(lam, alpha))
     totals = weighted_sweep(jack_weights(d, profiles, b), factor, r_values)
-    return {r: _as_polynomial(total, gspec.nvars) for r, total in totals.items()}
+    return {r: _content_value(total, gspec.nvars, monomial) for r, total in totals.items()}
 
 
 def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,

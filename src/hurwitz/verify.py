@@ -26,29 +26,22 @@ from .core import (
     _gw_scale,
     _orders,
     _resolve_degree,
-    character_weights,
     completed_hurwitz,
     completed_sweep,
-    content_sequences,
     f_bar,
     gap_interval,
     hypergeometric_hurwitz,
+    hypergeometric_hurwitz_sweep,
     m_ds,
     mixed_simple_hypergeometric,
     resum_structure,
     structure_coefficients,
-    weighted_sweep,
 )
 from .errors import DomainError, EmptyReportError, SizeLimitError
 from .exactnum import stirling
-from .jack import (b_hurwitz_coefficient, deformed_contents, jack_in_psums, jack_norm,
-                   jack_weights)
-from .partitions import (
-    class_data,
-    contents,
-    enumerate_partitions,
-    transpose,
-)
+from .jack import (b_hurwitz_coefficient, b_hurwitz_sweep, deformed_contents, jack_in_psums,
+                   jack_norm)
+from .partitions import class_data, enumerate_partitions, transpose
 
 
 def _report(name: str, checks: list[dict], **config) -> dict:
@@ -136,15 +129,13 @@ def _engine_value(d: int, profiles, blocks) -> Fraction:
     strict = [b.count for b in blocks if b.constraint == "strict"]
     weak = [b.count for b in blocks if b.constraint == "weak"]
     gspec = GSpec(K=0, L=len(strict), M=len(weak))
-    caps = tuple(strict + weak)  # also the exponent of the coefficient taken
-    r = sum(caps)
+    monomial = tuple(strict + weak)
+    r = sum(monomial)
     if gspec.nvars == 0:
         return completed_hurwitz(simple, 1, profiles, d=d).value
     if simple == 0:
-        poly = hypergeometric_hurwitz(r, gspec, profiles, d=d, caps=caps).value
-    else:
-        poly = mixed_simple_hypergeometric(simple, r, gspec, profiles, d=d, caps=caps)
-    return poly.coefficient(caps)
+        return hypergeometric_hurwitz(r, gspec, profiles, d=d, monomial=monomial).value
+    return mixed_simple_hypergeometric(simple, r, gspec, profiles, d=d, monomial=monomial)
 
 
 def verify_oracle(max_d: int = 4, max_transpositions: int = 6,
@@ -217,13 +208,8 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
         for k in range(0, max_k + 1):
             e = oracle.jm_symmetric_evaluate("e", k, d)
             # Jucys: e_k is the sum of permutations needing exactly k transpositions
-            ok = True
-            for p in oracle.group(d):
-                codim = d - len(oracle.cycle_type(p))
-                want = Fraction(1) if codim == k else Fraction(0)
-                if e.coefficient(p) != want:
-                    ok = False
-                    break
+            ok = all(e.coefficient(p) == (1 if d - len(oracle.cycle_type(p)) == k else 0)
+                     for p in oracle.group(d))
             want_terms = stirling(1, d, d - k) if d >= k else 0
             terms_ok = len(e.coeffs) == want_terms
             _check(checks, f"e_{k}(JM) class support d={d}", ok and terms_ok)
@@ -298,32 +284,20 @@ def verify_jack(max_d: int = 5, alphas=(1, 2, Fraction(1, 2), 3),
                         (Fraction(1), "both")):
         ok = True
         for d in range(1, max_d + 1):
-            best = max(
-                max((abs(c) for c in deformed_contents(lam, alpha)), default=Fraction(0))
-                for lam in enumerate_partitions(d)
-            )
-            winners = {
-                lam
-                for lam in enumerate_partitions(d)
-                if max((abs(c) for c in deformed_contents(lam, alpha)),
-                       default=Fraction(0)) == best
-            }
+            extent = {lam: max(map(abs, deformed_contents(lam, alpha)))
+                      for lam in enumerate_partitions(d)}
+            best = max(extent.values())
             expect = {(d,): "row", (1,) * d: "column"}
             expected = {lam for lam, tag in expect.items()
                         if want in (tag, "both")} if d > 1 else {(1,)}
-            if winners != expected:
+            if {lam for lam, x in extent.items() if x == best} != expected:
                 ok = False
         _check(checks, f"extreme-content maximisers alpha={alpha}", ok)
 
     g = GSpec(K=1, L=1, M=1)
-    ok = True
-    for d in range(1, b0_max_d + 1):
-        for r in range(0, b0_max_r + 1):
-            caps = (min(r, d), r)
-            lhs = b_hurwitz_coefficient(r, g, (), 0, d=d, caps=caps)
-            rhs = hypergeometric_hurwitz(r, g, (), d=d, caps=caps).value
-            if lhs != rhs:
-                ok = False
+    ok = all(b_hurwitz_coefficient(r, g, (), 0, d=d, caps=(min(r, d), r))
+             == hypergeometric_hurwitz(r, g, (), d=d, caps=(min(r, d), r)).value
+             for d in range(1, b0_max_d + 1) for r in range(b0_max_r + 1))
     _check(checks, f"b=0 equals the undeformed engine (d<={b0_max_d}, r<={b0_max_r})", ok)
     return _report("jack", checks, max_d=max_d,
                    alphas=[str(a) for a in alphas])
@@ -408,9 +382,10 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
     ``classical``/``completed`` use ``s``; ``monotone`` extracts the
     ``u^a_vec v^b_vec`` coefficient at K = ``k``; ``b`` is the b-content
     family at K = ``k``; ``gw`` takes two profiles and sweeps the count of
-    ``gw_s`` insertions.  The sweep is one ``weighted_sweep``: the
-    weights, ``f_bar`` and the content sequences up to the largest r are
-    computed once per partition.
+    ``gw_s`` insertions.  Each is its family's one-pass sweep
+    (``completed_sweep``, ``hypergeometric_hurwitz_sweep`` or
+    ``b_hurwitz_sweep``): the weights, ``f_bar`` and the content sequences
+    up to the largest r are computed once per partition.
     """
     if kind not in ("classical", "completed", "monotone", "b", "gw"):
         raise DomainError(f"unknown ratio kind {kind!r}")
@@ -418,7 +393,6 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         raise DomainError("gw ratio needs two profiles")
     d, profiles = _resolve_degree(profiles, d)
     r_values = _orders(r_values)
-    top = max(r_values, default=0)
     n = len(profiles)
     ell = sum(len(mu) for mu in profiles)
     if kind in ("classical", "completed", "gw"):
@@ -434,21 +408,10 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
     if kind == "monotone":
         a_vec, b_vec = _block_degrees(a_vec, b_vec)
         gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
-        shift = sum(a_vec) + sum(b_vec)
-
-        def monomial(lam):  # the u^a_vec v^b_vec coefficient at every r
-            e, h, hk = content_sequences(contents(lam), gspec, top)
-            uv = math.prod(e[a] for a in a_vec) * math.prod(h[j] for j in b_vec)
-            return lambda r: uv * hk[r - shift] if r >= shift else 0
-
-        denominator, weights = character_weights(d, profiles) if shift <= top else (1, ())
-        exact = weighted_sweep(weights, monomial, r_values, lambda r: denominator)
+        exact = {result.r: result.value for result in hypergeometric_hurwitz_sweep(
+            r_values, gspec, profiles, d=d, monomial=a_vec + b_vec)}
         return d, exact, lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec)
-    gspec, alpha = GSpec(K=k), Fraction(b) + 1
-    exact = weighted_sweep(
-        jack_weights(d, profiles, b),
-        lambda lam: content_sequences(deformed_contents(lam, alpha), gspec, top)[2].__getitem__,
-        r_values)
+    exact = b_hurwitz_sweep(r_values, GSpec(K=k), profiles, b, d=d, monomial=())
     return d, exact, lambda r: b_leading_term(r, d, n, ell, k, (), (), b)
 
 

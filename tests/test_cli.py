@@ -337,8 +337,25 @@ class TestBadFlagValues:
          "--tolerance"),
         (("compute", "--kind", "gw", "--profiles", "2;2", "--insertions", "2:1,2:2",
           "--r", "0"), "--insertions"),
+        (("compute", "--kind", "completed", "--d", "3", "--s", "-1", "--r", "1"), "--s"),
+        (("verify", "ratio", "--kind", "completed", "--d", "3", "--s", "-1"), "--s"),
+        (("compute", "--kind", "orbifold", "--d", "4", "--t", "-3", "--r", "1"), "--t"),
+        (("compute", "--kind", "gw", "--profiles", "2;2", "--insertions", "2:-1",
+          "--r", "0"), "--insertions"),
+        (("compute", "--kind", "gw", "--profiles", "2;2", "--insertions", "2-1",
+          "--r", "0"), "--insertions"),
+        (("table", "--what", "ratio", "--kind", "classical", "--d", "3", "--r-max", "-1"),
+         "--r-max"),
+        (("table", "--what", "ratio", "--kind", "classical", "--d", "3", "--r-min", "-2",
+          "--r-max", "3"), "--r-min"),
+        (("compute", "--kind", "classical", "--d", "3", "--r", "-1"), "--r"),
+        (("verify", "ratio", "--kind", "gw", "--profiles", "2;2", "--gw-s", "0"), "--gw-s"),
     ], ids=["verify-oracle-negative-transpositions", "verify-ratio-negative-r-max",
-            "verify-ratio-negative-tolerance", "compute-gw-repeated-insertion-order"])
+            "verify-ratio-negative-tolerance", "compute-gw-repeated-insertion-order",
+            "compute-completed-negative-s", "verify-ratio-negative-s",
+            "compute-orbifold-negative-t", "compute-gw-negative-insertion-count",
+            "compute-gw-unparsable-insertion", "table-ratio-negative-r-max",
+            "table-ratio-negative-r-min", "compute-negative-r", "verify-ratio-zero-gw-s"])
     def test_out_of_range_values(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and flag in err and out == ""

@@ -10,7 +10,7 @@ import pytest
 from hurwitz import core, oracle
 from hurwitz.core import (
     GSpec,
-    _content_coefficient,
+    _integral,
     _multiset_difference,
     _resolve_degree,
     _sub_multisets,
@@ -21,6 +21,7 @@ from hurwitz.core import (
     completed_hurwitz,
     completed_hurwitz_sweep,
     connected_transform_multi,
+    content_product,
     f_bar,
     f_bar_denominator,
     gw_correlator,
@@ -29,7 +30,7 @@ from hurwitz.core import (
     orbifold_hurwitz,
 )
 from hurwitz.exactnum import MultiPoly
-from hurwitz.partitions import class_data
+from hurwitz.partitions import class_data, contents
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,8 @@ def test_pair_matches_value_for_polynomial_totals(rescale):
         denominator, weights = character_weights(d, profiles)
         total = MultiPoly.zero(HYPERGEOMETRIC.nvars)
         for lam, w in weights:
-            total = total + _content_coefficient(d, lam, HYPERGEOMETRIC, counts[0], None) * w
+            coefficient = _integral(content_product(contents(lam), HYPERGEOMETRIC, counts[0]))
+            total = total + coefficient * w
         assert all(type(coeff) is int for coeff in total.terms.values())
         return total, denominator
 

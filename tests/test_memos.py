@@ -17,7 +17,6 @@ UNBOUNDED = {
     ("cli", "_unread_flags"),
     ("cli", "build_parser"),
     ("core", "_c_const"),
-    ("core", "_content_coefficient"),
     ("core", "f_bar"),
     ("exactnum", "_stirling1"),
     ("exactnum", "_stirling2"),
