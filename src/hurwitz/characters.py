@@ -13,13 +13,19 @@ computes only what it is asked for:
   partitions of their size: a strip list is memoized on
   (n, index of nu, k) as the signed indices ``+-(j + 1)`` of its shapes,
   and a sub-column is a sparse ``{index: chi}`` dict;
-* ``entries``: the full table, loaded from the disk cache or filled in
-  place from every sparse column (and then stored, streamed row by row);
-  the column, strip and sub-column memos are dropped before the rows
-  are frozen, and ``column`` then reads from the entries.
+* ``fill(ceiling)``, and ``entries`` its default case: the full table,
+  loaded from the disk cache or filled in place from every sparse column
+  (and then stored, streamed row by row); the column, strip and
+  sub-column memos are dropped before the rows are frozen, and
+  ``column`` then reads from the entries.
 
-A character sum needs only the dimensions and one column per profile,
-so it never fills the full table.  ``character(lam, mu)`` removes strips
+Two ceilings bound the work.  The partition ceiling
+(``partitions.DEFAULT_PARTITION_CEILING``) bounds every degree, so every
+character sum.  The table ceiling ``DEFAULT_TABLE_CEILING`` bounds only
+the full-table fill: above it, the entries come from the disk cache or
+the fill raises ``SizeLimitError``.  A character sum needs only the
+dimensions and one column per profile, so it never fills the full table
+and never reads the disk.  ``character(lam, mu)`` removes strips
 instead, memoized on (remaining shape, remaining cycles): the
 single-value path, and the reference the column build is tested against.
 
@@ -152,11 +158,10 @@ class CharTable:
     """Character table of one degree, rows lambda, columns mu, both in
     ``partitions`` order; its parts are computed when first asked for."""
 
-    def __init__(self, degree: int, partitions: tuple[Partition, ...],
-                 entries: tuple[tuple[int, ...], ...] | None = None):
+    def __init__(self, degree: int, partitions: tuple[Partition, ...]):
         self.degree = degree
         self.partitions = partitions
-        self._entries = entries
+        self._entries: tuple[tuple[int, ...], ...] | None = None
         self._dims: tuple[int, ...] | None = None
         self._columns: dict[Partition, tuple[int, ...]] = {}
         self._strips: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -236,20 +241,30 @@ class CharTable:
             rows[i] = tuple(row)
         return tuple(rows)
 
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
+    def fill(self, ceiling: int | None = None) -> tuple[tuple[int, ...], ...]:
         """The full table, one row per lambda: read from the disk cache, or
-        built from every column and then stored there."""
+        built from every column and then stored there.  A build above
+        ``ceiling`` (default ``DEFAULT_TABLE_CEILING``, read at call time)
+        raises ``SizeLimitError``; entries already filled are returned."""
         if self._entries is None:
             with _tables_lock:
                 if self._entries is None:
                     entries = _load_cached(self.degree)
                     if entries is None:
+                        ceiling = DEFAULT_TABLE_CEILING if ceiling is None else ceiling
+                        if self.degree > ceiling:
+                            raise SizeLimitError(f"degree {self.degree} exceeds the "
+                                                 f"character-table ceiling {ceiling}")
                         entries = self._build()
                         _store_cached(self.degree, self.partitions, entries)
                     self._entries = entries
                     self._columns, self._strips, self._subcolumns = {}, {}, {}
         return self._entries
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """``fill()`` under the default table ceiling."""
+        return self.fill()
 
     def value(self, lam, mu) -> int:
         entries = self._entries
@@ -342,29 +357,15 @@ def _store_cached(d: int, parts: tuple[Partition, ...],
             tmp.unlink()
 
 
-def char_table(d: int, ceiling: int | None = None) -> CharTable:
-    """The memoized character table for degree ``d``.
-
-    Up to ``ceiling`` (default ``DEFAULT_TABLE_CEILING``, read at call
-    time) the table is created empty and fills on demand.  Above it, a
-    table already memoized or on the disk cache is returned whatever its
-    degree, and anything else raises ``SizeLimitError``.
+def char_table(d: int) -> CharTable:
+    """The memoized character table for degree ``d``, created empty: it
+    fills on demand, reads no disk, and has no ceiling of its own.  Only
+    the partition ceiling bounds ``d``; the table ceiling guards ``fill``.
     """
-    if d < 0:
-        raise DomainError(f"degree must be nonnegative: {d}")
     table = _tables.get(d)
-    if table is not None:
-        return table
-    with _tables_lock:
-        table = _tables.get(d)
-        if table is not None:
-            return table
-        ceiling = DEFAULT_TABLE_CEILING if ceiling is None else ceiling
-        entries = None
-        if d > ceiling:
-            entries = _load_cached(d)
-            if entries is None:
-                raise SizeLimitError(
-                    f"degree {d} exceeds the character-table ceiling {ceiling}")
-        table = _tables[d] = CharTable(d, tuple(enumerate_partitions(d)), entries)
+    if table is None:
+        with _tables_lock:
+            table = _tables.get(d)
+            if table is None:
+                table = _tables[d] = CharTable(d, tuple(enumerate_partitions(d)))
     return table

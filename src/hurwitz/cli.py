@@ -31,6 +31,7 @@ from .core import (
     hypergeometric_hurwitz_sweep,
     m_ds,
     orbifold_hurwitz_sweep,
+    rh_genus,
     structure_coefficients,
 )
 from .errors import DomainError, HurwitzError, SizeLimitError
@@ -121,7 +122,7 @@ def _ratio_options(args) -> dict:
 # exits 3 on any other optional flag set away from its default; a request
 # with no key (an unknown kind) is refused where it is dispatched.
 _RANGE = ("r", "r_min", "r_max")
-_COMPUTE = ("d", "profiles", "connected", "normalization", "max_d", *_RANGE)
+_COMPUTE = ("d", "profiles", "connected", "normalization", *_RANGE)
 _BLOCKS = ("K", "L", "M", "u_deg", "v_deg")
 _COMPUTE_KINDS = {"classical": (), "completed": ("s",), "hypergeometric": _BLOCKS, "hciz": (),
                   "orbifold": ("t",), "b-content": _BLOCKS + ("b",), "gw": ("insertions",)}
@@ -194,14 +195,6 @@ def _dhr_factor(d: int, profiles) -> Fraction:
         for part in mu:
             factor *= part
     return factor
-
-
-def _char_table(d: int, max_d: int | None) -> characters.CharTable:
-    """The degree-d table under a ``--max-d`` ceiling: a degree above it
-    exits 2, and a missing table is created under it, not the default."""
-    if max_d is not None and d > max_d:
-        raise SizeLimitError(f"degree {d} exceeds the character-table ceiling {max_d}")
-    return characters.char_table(d, ceiling=max_d)
 
 
 def _config(args) -> dict:
@@ -293,7 +286,7 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
     if kind == "completed":
         return completed_hurwitz_sweep(r_values, args.s, profiles, d=args.d,
                                        connected=args.connected)
-    if kind in ("hypergeometric", "hciz"):
+    if kind in ("hypergeometric", "hciz", "b-content"):  # content products, one sweep
         if kind == "hciz":
             if len(profiles) != 2:
                 raise DomainError("--kind hciz needs exactly two profiles (mu;nu)")
@@ -301,13 +294,25 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
         else:
             gspec = GSpec(K=args.K, L=args.L, M=args.M)
         monomial = _monomial(args, gspec)
-        results = hypergeometric_hurwitz_sweep(r_values, gspec, profiles, d=args.d,
-                                               connected=args.connected, monomial=monomial)
-        for result in results:
-            if monomial is not None:
+        if kind == "b-content":
+            if args.connected:
+                raise DomainError("--kind b-content has no connected version")
+            b = _parse_fraction(args.b, "--b")
+            d, profiles = _resolve_degree(profiles, args.d)
+            values = b_hurwitz_sweep(r_values, gspec, profiles, b, d=d, monomial=monomial)
+            results = [HurwitzResult(
+                kind="b_content", d=d, r=r, profiles=profiles, connected=False, value=value,
+                gspec=gspec, genus=rh_genus(r, 1, d, profiles), extra={"b": format_rational(b)},
+            ) for r, value in values.items()]
+        else:
+            results = hypergeometric_hurwitz_sweep(r_values, gspec, profiles, d=args.d,
+                                                   connected=args.connected, monomial=monomial)
+            for result in results:
+                result.kind = kind
+        if monomial is not None:
+            for result in results:
                 result.extra["monomial"] = {"u": list(monomial[:gspec.L]),
                                             "v": list(monomial[gspec.L:])}
-            result.kind = kind
         return results
     if kind == "orbifold":
         if not profiles and args.d:
@@ -316,18 +321,6 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
             raise DomainError("--kind orbifold needs one profile (or --d)")
         _resolve_degree(profiles, args.d)
         return orbifold_hurwitz_sweep(r_values, args.t, profiles[0], connected=args.connected)
-    if kind == "b-content":
-        if args.connected:
-            raise DomainError("--kind b-content has no connected version")
-        gspec = GSpec(K=args.K, L=args.L, M=args.M)
-        monomial = _monomial(args, gspec)
-        b = _parse_fraction(args.b, "--b")
-        d, profiles = _resolve_degree(profiles, args.d)
-        values = b_hurwitz_sweep(r_values, gspec, profiles, b, d=d, monomial=monomial)
-        return [HurwitzResult(
-            kind="b_content", d=d, r=r, profiles=profiles, connected=False, value=value,
-            gspec=gspec, extra={"b": format_rational(b)},
-        ) for r, value in values.items()]
     if kind == "gw":
         if len(profiles) != 2:
             raise DomainError("--kind gw needs exactly two profiles (mu;nu)")
@@ -351,9 +344,6 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
 
 def _cmd_compute(args) -> int:
     """``compute``, and ``table --what hurwitz``: one result per requested r."""
-    if args.max_d is not None:
-        d, _ = _resolve_degree(_parse_profiles(args.profiles), args.d)
-        _char_table(d, args.max_d)
     r_values = _r_values(args)
     if args.kind == "gw" and r_values != [0]:
         raise DomainError("--kind gw takes no --r: its order is set by --insertions, "
@@ -388,7 +378,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    if args.max_d is not None and args.max_d < 1:  # elsewhere 0 is a ceiling, exit 2
+    if args.max_d is not None and args.max_d < 1:  # on chartable 0 is a ceiling, exit 2
         raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
     if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
         raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
@@ -463,11 +453,12 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_chartable(args) -> int:
-    table = _char_table(args.d, args.max_d)
+    table = characters.char_table(args.d)
+    entries = table.fill(args.max_d)  # --max-d lowers or raises the table ceiling
     payload = {"config": {"command": "chartable", "d": args.d}}
     if args.format == "json":  # json writes the tuples as lists
         payload["partitions"] = table.partitions
-        payload["entries"] = table.entries
+        payload["entries"] = entries
         _emit(args, payload)
     else:
         _emit(args, payload, table.csv_rows())
@@ -481,7 +472,6 @@ def _cmd_chartable(args) -> int:
 def _add_common(p: argparse.ArgumentParser, default_format="json"):
     p.add_argument("--format", choices=("json", "csv"), default=default_format)
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.add_argument("--max-d", type=int, help="resource ceiling override")
 
 
 def _add_family(p: argparse.ArgumentParser, K=None):
@@ -531,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--gw-s", type=int, default=2)
     pv.add_argument("--tolerance", default="1/1000")
     _add_common(pv)
+    pv.add_argument("--max-d", type=int, help="top degree of the sweep")
     pv.set_defaults(func=_cmd_verify)
 
     pt = sub.add_parser("table", help="parameter sweeps as CSV/JSON tables")
@@ -546,6 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     pch = sub.add_parser("chartable", help="dump a character table")
     pch.add_argument("--d", type=int, required=True)
     _add_common(pch, default_format="csv")
+    pch.add_argument("--max-d", type=int, help="character-table ceiling "
+                     f"(default {characters.DEFAULT_TABLE_CEILING})")
     pch.set_defaults(func=_cmd_chartable)
 
     return parser

@@ -44,12 +44,14 @@ def _partitions_rec(remaining: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def enumerate_partitions(d: int, ceiling: int = DEFAULT_PARTITION_CEILING) -> list[Partition]:
-    """All partitions of ``d``, each exactly once, in reverse-lex order."""
+def enumerate_partitions(d: int) -> list[Partition]:
+    """All partitions of ``d``, each exactly once, in reverse-lex order, up
+    to ``DEFAULT_PARTITION_CEILING`` (read at call time)."""
     if d < 0:
         raise DomainError(f"cannot partition the negative integer {d}")
-    if d > ceiling:
-        raise SizeLimitError(f"degree {d} exceeds the partition ceiling {ceiling}")
+    if d > DEFAULT_PARTITION_CEILING:
+        raise SizeLimitError(
+            f"degree {d} exceeds the partition ceiling {DEFAULT_PARTITION_CEILING}")
     return list(_partitions_rec(d, max(d, 1)))
 
 

@@ -101,15 +101,21 @@ class TestTable:
                 assert brute[lam][mu] == t.value(lam, mu)
 
     def test_ceiling(self, monkeypatch):
-        # the ceiling guards building only, so start from an empty memo
+        # the table ceiling guards the full-table build only, so start from
+        # an empty memo
         monkeypatch.setattr(characters, "_tables", {})
         monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
-        with pytest.raises(SizeLimitError):
-            char_table(19)
-        with pytest.raises(SizeLimitError):
-            char_table(7, ceiling=6)
-        built = char_table(7)
-        assert char_table(7, ceiling=6) is built
+        table = char_table(19)  # a handle above the table ceiling does no table work
+        assert table._entries is None and table.dims[-1] == 1
+        with pytest.raises(SizeLimitError, match="character-table ceiling 18"):
+            table.entries
+        with pytest.raises(SizeLimitError, match="character-table ceiling 6"):
+            char_table(7).fill(ceiling=6)
+        entries = char_table(7).entries
+        assert char_table(7).fill(ceiling=6) is entries  # filled entries cost nothing
+        assert char_table(40).degree == 40
+        with pytest.raises(SizeLimitError, match="partition ceiling 40"):
+            char_table(41)
 
     def test_value_outside_the_degree(self):
         t = char_table(4)
@@ -229,12 +235,13 @@ class TestDiskCache:
     def test_stored_table_is_used_above_the_ceiling(self, tmp_path, monkeypatch):
         monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(characters, "_tables", {})
-        entries = char_table(19, ceiling=19).entries
+        entries = char_table(19).fill(ceiling=19)
         assert (tmp_path / "character-table-d19.json").is_file()
 
         monkeypatch.setattr(characters, "_tables", {})
-        table = char_table(19)  # above the default ceiling of 18
-        assert table._entries == entries
+        table = char_table(19)
+        assert table._entries is None  # creating a handle reads no disk
+        assert table.entries == entries  # above the default ceiling of 18
         assert table.dims[0] == 1 and table.column((1,) * 19) == table.dims
 
 

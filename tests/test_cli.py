@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +85,20 @@ class TestCompute:
                            "--K", "1", "--b", "1", "--r", "2")
         blob = json.loads(out)
         assert blob["results"][0]["value"] == "1/4"
+
+    @pytest.mark.parametrize("blocks", [("--K", "1", "--L", "1", "--u-deg", "1"),
+                                        ("--K", "1", "--M", "1", "--v-deg", "2"),
+                                        ("--K", "2")], ids=["u", "v", "no-monomial"])
+    def test_b_content_at_b_zero_is_hypergeometric(self, capsys, blocks):
+        flags = ("--profiles", "2,1", *blocks, "--r-min", "0", "--r-max", "5")
+        b_content = json.loads(run(capsys, "compute", "--kind", "b-content", *flags,
+                                   "--b", "0")[1])["results"]
+        hyper = json.loads(run(capsys, "compute", "--kind", "hypergeometric", *flags)[1])
+        keys = ("r", "value", "g", "g_integral", "monomial")
+        assert [[row.get(k) for k in keys] for row in b_content] == \
+            [[row.get(k) for k in keys] for row in hyper["results"]]
+        # rs = 2g - 2 - d(N - 2) + sum of profile lengths, with d=3 and N=1
+        assert [row["g"] for row in b_content] == ["-3/2", -1, "-1/2", 0, "1/2", 1]
 
     def test_dhr_normalization(self, capsys):
         _, paper, _ = run(capsys, "compute", "--kind", "completed", "--d", "3",
@@ -373,11 +388,12 @@ class TestBadFlagValues:
 class TestZeroFlags:
     """A zero --max-d or --r-max is a value, not a missing flag."""
 
-    @pytest.mark.parametrize("argv", [
-        ("compute", "--kind", "classical", "--d", "3", "--r", "2"),
-        ("chartable", "--d", "3"),
-    ], ids=["compute", "chartable"])
-    def test_max_d_zero_is_a_ceiling(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [("chartable", "--d", "3")], ids=["chartable"])
+    def test_max_d_zero_is_a_ceiling(self, capsys, monkeypatch, argv):
+        # a table filled earlier in the process costs nothing and is returned
+        # whatever the ceiling, so start as a fresh process does
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
         code, _, err = run(capsys, *argv, "--max-d", "0")
         assert code == EXIT_SIZE_LIMIT and "ceiling 0" in err
 
@@ -403,53 +419,90 @@ class TestZeroFlags:
 
 
 class TestCeilingOverride:
-    def test_compute_ceiling_exit(self, capsys):
-        code, _, err = run(capsys, "compute", "--kind", "classical", "--d", "19",
-                           "--r", "0")
-        assert code == EXIT_SIZE_LIMIT and "ceiling" in err
+    """The partition ceiling (40) bounds every request; the table ceiling
+    (18) bounds only a full table, and ``chartable --max-d`` lowers or
+    raises it.  Each test starts from an empty memo and no disk cache, as
+    a fresh process does."""
 
-    def test_max_d_lowers_ceiling(self, capsys):
-        code, _, _ = run(capsys, "compute", "--kind", "classical", "--d", "10",
-                         "--r", "0", "--max-d", "9")
-        assert code == EXIT_SIZE_LIMIT
-        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "10",
-                           "--r", "0", "--max-d", "10")
-        assert code == EXIT_OK
-
-    def test_max_d_builds_degree_nineteen(self, capsys, monkeypatch):
-        # an empty memo, so the table is created here and not kept afterwards
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, monkeypatch):
         monkeypatch.setattr(characters, "_tables", {})
         monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
-        argv = ("compute", "--kind", "classical", "--d", "19", "--r", "0")
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_SIZE_LIMIT and "ceiling 18" in err and out == ""
-        code, out, _ = run(capsys, *argv, "--max-d", "19")
+
+    def test_compute_ceiling_exit(self, capsys):
+        code, out, err = run(capsys, "compute", "--kind", "classical", "--d", "41",
+                             "--r", "0")
+        assert code == EXIT_SIZE_LIMIT and "partition ceiling 40" in err and out == ""
+
+    def test_max_d_lowers_ceiling(self, capsys):
+        code, out, err = run(capsys, "chartable", "--d", "10", "--max-d", "9")
+        assert code == EXIT_SIZE_LIMIT and "ceiling 9" in err and out == ""
+        code, out, _ = run(capsys, "chartable", "--d", "10", "--max-d", "10")
+        assert code == EXIT_OK and len(out.splitlines()) == 2 + 42
+
+    def test_max_d_builds_degree_nineteen(self, capsys):
+        # a sum creates the degree-19 handle and fixes no ceiling on it
+        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "19", "--r", "0")
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["value"] == "1/121645100408832000"
-        assert characters._tables[19]._entries is None  # the dimensions suffice
+        code, out, err = run(capsys, "chartable", "--d", "19")
+        assert code == EXIT_SIZE_LIMIT and "ceiling 18" in err and out == ""
+        code, out, _ = run(capsys, "chartable", "--d", "19", "--max-d", "19")
+        assert code == EXIT_OK and len(out.splitlines()) == 2 + 490
 
     def test_max_d_raises_ceiling(self, capsys, monkeypatch):
         # a lowered default stands in for 18, so no large table is built
         monkeypatch.setattr(characters, "DEFAULT_TABLE_CEILING", 5)
-        monkeypatch.setattr(characters, "_tables", {})
-        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
-        argv = ("compute", "--kind", "classical", "--d", "6", "--r", "2")
-        code, _, err = run(capsys, *argv)
-        assert code == EXIT_SIZE_LIMIT and "ceiling 5" in err
-        code, out, _ = run(capsys, *argv, "--max-d", "6")
+        code, out, err = run(capsys, "chartable", "--d", "6")
+        assert code == EXIT_SIZE_LIMIT and "ceiling 5" in err and out == ""
+        code, out, _ = run(capsys, "chartable", "--d", "6", "--max-d", "6")
+        sign = [str((-1) ** (6 - len(mu))) for mu in characters.char_table(6).partitions]
+        assert code == EXIT_OK and out.splitlines()[-1] == ",".join(["1+1+1+1+1+1", *sign])
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--kind", "classical", "--d", "3", "--r", "2"),
+        ("table", "--what", "hurwitz", "--kind", "classical", "--d", "3", "--r", "2"),
+    ], ids=["compute", "hurwitz-table"])
+    @pytest.mark.parametrize("max_d", ["0", "5"])
+    def test_compute_has_no_max_d(self, capsys, argv, max_d):
+        code, out, err = run(capsys, *argv, "--max-d", max_d)
+        assert code == EXIT_USAGE and out == "" and "unrecognized arguments: --max-d" in err
+
+
+class TestSumsAboveTheTableCeiling:
+    """A character sum reads dimensions and columns, never the full table,
+    so only the partition ceiling of 40 bounds it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--kind", "classical", "--d", "20", "--r", "20", "--connected"),
+        ("table", "--what", "structure", "--d", "19", "--s", "1", "--format", "csv"),
+        ("table", "--what", "ratio", "--kind", "monotone", "--d", "19", "--K", "1",
+         "--r-max", "6", "--format", "csv"),
+    ], ids=["connected-classical-20", "structure-19", "monotone-ratio-19"])
+    def test_exits_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out
+
+    def test_classical_r_zero_is_one_over_d_factorial(self, capsys):
+        # sum over lam of (dim/d!)^2 is 1/d!
+        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "40", "--r", "0")
         assert code == EXIT_OK
-        assert json.loads(out)["results"][0]["value"] == "1/48"
-        # a lower --max-d still exits 2 once the table is built
-        for lowered in (argv, ("chartable", "--d", "6")):
-            code, _, err = run(capsys, *lowered, "--max-d", "5")
-            assert code == EXIT_SIZE_LIMIT and "ceiling 5" in err
+        assert json.loads(out)["results"][0]["value"] == f"1/{math.factorial(40)}"
+
+    def test_verify_gap_at_degree_twenty(self, capsys):
+        # its resummation identity checks the structure coefficients
+        # against the direct character sum
+        code, out, _ = run(capsys, "verify", "gap", "--d", "20", "--s", "1")
+        blob = json.loads(out)
+        assert code == EXIT_OK and blob["pass"] and len(blob["checks"]) == 3
 
 
 class TestCharacterSumsReadColumns:
     """Completed sums and structure tables read dimensions and profile
-    columns only: no full table, and no disk cache."""
+    columns only: no full table, and no disk cache, at any degree."""
 
-    def test_no_full_table_at_degree_eighteen(self, capsys, monkeypatch, tmp_path):
+    @pytest.fixture(autouse=True)
+    def cache_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(characters, "_tables", {})
 
@@ -458,14 +511,26 @@ class TestCharacterSumsReadColumns:
 
         monkeypatch.setattr(characters, "_load_cached", refuse)
         monkeypatch.setattr(characters, "_store_cached", refuse)
+        yield tmp_path
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_full_table_at_degree_eighteen(self, capsys):
         code, out, _ = run(capsys, "compute", "--kind", "completed", "--profiles",
                            "6,6,6;3,3,3,3,3,3", "--r", "2")
         assert code == EXIT_OK and json.loads(out)["results"][0]["d"] == 18
         code, out, _ = run(capsys, "table", "--what", "structure", "--d", "18",
                            "--s", "1", "--format", "csv")
         assert code == EXIT_OK and out.splitlines()[1] == "m,C"
-        assert list(tmp_path.iterdir()) == []
         assert characters._tables[18]._entries is None
+
+    def test_no_full_table_above_the_table_ceiling(self, capsys):
+        code, out, _ = run(capsys, "compute", "--kind", "completed", "--profiles",
+                           "3,3,3,3,3,3,1;2,2,2,2,2,2,2,2,2,1", "--r", "2")
+        assert code == EXIT_OK and json.loads(out)["results"][0]["d"] == 19
+        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "19",
+                           "--r", "4", "--connected")
+        assert code == EXIT_OK
+        assert characters._tables[19]._entries is None
 
 
 class TestVerifySuitesSmoke:
@@ -777,7 +842,7 @@ class TestTablesReadNoMaxD:
                              ids=["ratio", "structure"])
     def test_max_d_exits_naming_the_flag(self, capsys, table):
         code, out, err = run(capsys, *table, "--max-d", "2")
-        assert code == EXIT_USAGE and out == "" and "--max-d has no effect on table" in err
+        assert code == EXIT_USAGE and out == "" and "unrecognized arguments: --max-d" in err
 
 
 def _subcommands():

@@ -75,10 +75,15 @@ class TestEnumeration:
             assert parts == sorted(parts, reverse=True)
             assert len(set(parts)) == len(parts)
 
-    def test_ceiling(self):
-        with pytest.raises(SizeLimitError, match="40"):
+    def test_ceiling(self, monkeypatch):
+        with pytest.raises(SizeLimitError, match="partition ceiling 40"):
             enumerate_partitions(41)
-        enumerate_partitions(41, ceiling=41)
+        # the ceiling is read at call time
+        monkeypatch.setattr("hurwitz.partitions.DEFAULT_PARTITION_CEILING", 5)
+        with pytest.raises(SizeLimitError, match="partition ceiling 5"):
+            enumerate_partitions(6)
+        monkeypatch.setattr("hurwitz.partitions.DEFAULT_PARTITION_CEILING", 41)
+        assert len(enumerate_partitions(41)) == 44583
 
     def test_negative(self):
         with pytest.raises(DomainError):
