@@ -9,14 +9,17 @@ computes only what it is asked for:
 * ``dims``: every dimension, by the beta-set formula;
 * ``column(mu)``: one column.  Read as ``p_k s_nu = sum +-s_lam``, the
   rule gives the column of ``mu`` from that of ``mu[1:]`` by adding
-  border strips of size ``mu[0]``.  Shapes are integer indices into the
-  partitions of their size: a strip list is memoized on
-  (n, index of nu, k) as the signed indices ``+-(j + 1)`` of its shapes,
-  and a sub-column is a sparse ``{index: chi}`` dict;
+  border strips of size ``mu[0]``; shapes are integer indices into the
+  partitions of their size.  Two bounded module caches, shared by every
+  degree, memoize ``_add_strips`` on (n, index of nu, k) and ``_column``,
+  a sparse ``{index: chi}`` dict on the partition, which ``column``
+  densifies and ``value`` reads.  The bounds count entries, not bytes: a
+  full build fits them to d = 22; at d = 24 and 26 it evicts 146 and
+  11,017 strip lists, in the time and peak RSS of unbounded memos;
 * ``fill(ceiling)``, and ``entries`` its default case: the full table,
   loaded from the disk cache or filled in place from every sparse column
-  (and then stored, streamed row by row); the column, strip and
-  sub-column memos are dropped before the rows are frozen, and
+  (and then stored, streamed row by row).  Its own columns are not
+  memoized, both caches are cleared before the rows are frozen, and
   ``column`` then reads from the entries.
 
 Two ceilings bound the work.  The partition ceiling
@@ -33,7 +36,8 @@ Creating a table and filling its ``entries`` (with the disk read and
 write) are single-writer behind one lock, so each degree has one
 published table and one full set of entries.  ``dims`` and ``column``
 fill without the lock: two threads may compute the same value, and both
-read equal immutable tuples.  Setting the environment variable
+read equal values; the two ``lru_cache`` memos may be read, filled and
+cleared from any thread.  Setting the environment variable
 ``HURWITZ_CACHE_DIR`` enables an on-disk JSON cache of full tables with a
 self-describing versioned header; a file that fails a check is named on
 stderr with the reason, and the table is rebuilt.
@@ -126,6 +130,7 @@ def character(lam, mu) -> int:
     return _mn(lam, tuple(sorted(mu, reverse=True)))
 
 
+@lru_cache(maxsize=1 << 14)
 def _add_strips(n: int, i: int, k: int) -> tuple[int, ...]:
     """Every lam = nu plus a border strip of size k, for nu the i-th
     partition of n, as ``sign * (j + 1)`` with j the index of lam among
@@ -154,6 +159,30 @@ def _add_strips(n: int, i: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _sparse_column(mu: Partition) -> dict[int, int]:
+    """The column of mu as {index of lam: chi} with the zeros left out:
+    every border strip of size mu[0] added to every shape of the memoized
+    column of mu[1:]."""
+    if not mu:
+        return {0: 1}
+    nu = mu[1:]
+    n, k = sum(nu), mu[0]
+    col: dict[int, int] = {}
+    for i, chi in _column(nu).items():
+        for s in _add_strips(n, i, k):  # keyed by +-(j + 1) until the end
+            if s > 0:
+                col[s] = col.get(s, 0) + chi
+            else:
+                col[-s] = col.get(-s, 0) - chi
+    return {j - 1: v for j, v in col.items() if v}
+
+
+@lru_cache(maxsize=1 << 12)
+def _column(mu: Partition) -> dict[int, int]:
+    """``_sparse_column(mu)``, memoized for partitions of every degree."""
+    return _sparse_column(mu)
+
+
 class CharTable:
     """Character table of one degree, rows lambda, columns mu, both in
     ``partitions`` order; its parts are computed when first asked for."""
@@ -163,9 +192,6 @@ class CharTable:
         self.partitions = partitions
         self._entries: tuple[tuple[int, ...], ...] | None = None
         self._dims: tuple[int, ...] | None = None
-        self._columns: dict[Partition, tuple[int, ...]] = {}
-        self._strips: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._subcolumns: dict[Partition, dict[int, int]] = {}
 
     def index(self, lam) -> int:
         try:
@@ -183,60 +209,27 @@ class CharTable:
 
     def column(self, mu) -> tuple[int, ...]:
         """chi_lambda(mu) for every lambda, in ``partitions`` order; read
-        from ``entries`` once they exist, and built and memoized before."""
+        from ``entries`` once they exist, and densified from the memoized
+        sparse column before."""
         j = self.index(mu)
         entries = self._entries
         if entries is not None:
             return tuple(row[j] for row in entries)
-        mu = self.partitions[j]
-        col = self._columns.get(mu)
-        if col is None:
-            sparse = self._sparse_column(mu)
-            col = self._columns.setdefault(
-                mu, tuple(sparse.get(i, 0) for i in range(len(self.partitions))))
-        return col
-
-    def _sparse_column(self, mu: Partition) -> dict[int, int]:
-        """The column of mu as {index of lam: chi} with the zeros left out,
-        from the memoized column of mu[1:]."""
-        if not mu:
-            return {0: 1}
-        nu = mu[1:]
-        return self._extend(self._sub_column(nu), sum(nu), mu[0])
-
-    def _sub_column(self, mu: Partition) -> dict[int, int]:
-        """The memoized sparse column of a partition of a lower degree."""
-        col = self._subcolumns.get(mu)
-        if col is None:
-            col = self._subcolumns.setdefault(mu, self._sparse_column(mu))
-        return col
-
-    def _extend(self, sub: dict[int, int], n: int, k: int) -> dict[int, int]:
-        """The column of (k, *nu) from the column ``sub`` of the partitions
-        nu of n, by adding every border strip of size k to every shape of
-        ``sub``."""
-        strips = self._strips
-        col: dict[int, int] = {}
-        for i, chi in sub.items():
-            added = strips.get((n, i, k))
-            if added is None:
-                added = strips.setdefault((n, i, k), _add_strips(n, i, k))
-            for s in added:  # keyed by +-(j + 1) until the end
-                if s > 0:
-                    col[s] = col.get(s, 0) + chi
-                else:
-                    col[-s] = col.get(-s, 0) - chi
-        return {j - 1: v for j, v in col.items() if v}
+        col = [0] * len(self.partitions)
+        for i, chi in _column(self.partitions[j]).items():
+            col[i] = chi
+        return tuple(col)
 
     def _build(self) -> tuple[tuple[int, ...], ...]:
-        """Every column, filled in place into rows of zeros; the memos are
-        dropped before the rows are frozen one at a time."""
+        """Every column, filled in place into rows of zeros; both memo
+        caches are cleared before the rows are frozen one at a time."""
         size = len(self.partitions)
         rows: list = [[0] * size for _ in range(size)]
         for j, mu in enumerate(self.partitions):
-            for i, chi in self._sparse_column(mu).items():
+            for i, chi in _sparse_column(mu).items():
                 rows[i][j] = chi
-        self._columns, self._strips, self._subcolumns = {}, {}, {}
+        _column.cache_clear()
+        _add_strips.cache_clear()
         for i, row in enumerate(rows):
             rows[i] = tuple(row)
         return tuple(rows)
@@ -258,7 +251,6 @@ class CharTable:
                         entries = self._build()
                         _store_cached(self.degree, self.partitions, entries)
                     self._entries = entries
-                    self._columns, self._strips, self._subcolumns = {}, {}, {}
         return self._entries
 
     @property
@@ -267,10 +259,9 @@ class CharTable:
         return self.fill()
 
     def value(self, lam, mu) -> int:
-        entries = self._entries
-        if entries is not None:
-            return entries[self.index(lam)][self.index(mu)]
-        return self.column(mu)[self.index(lam)]
+        if self._entries is not None:
+            return self._entries[self.index(lam)][self.index(mu)]
+        return _column(self.partitions[self.index(mu)]).get(self.index(lam), 0)
 
     def csv_rows(self) -> Iterator[list[str]]:
         """The header and one row per lambda, made as they are read."""

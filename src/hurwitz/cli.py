@@ -219,9 +219,17 @@ def _check_output(path: str):
 
 def _emit(args, payload: dict, csv_rows: Iterable[list[str]] = ()):
     """Write ``payload`` as indented JSON, or its config line and then
-    ``csv_rows`` as CSV, piece by piece to ``--output`` or stdout."""
+    ``csv_rows`` as CSV, piece by piece to ``--output`` or stdout.  A
+    stdout closed by its reader is refused as an unwritable ``--output``
+    is; stdout then points at the null device, so that the flush at
+    exit has nowhere to fail."""
     if not args.output:
-        _write(args.format, payload, csv_rows, sys.stdout)
+        try:
+            _write(args.format, payload, csv_rows, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise DomainError("stdout was closed before the output was written") from None
         return
     try:
         with open(args.output, "w") as fh:

@@ -63,6 +63,7 @@ def _check(checks: list[dict], name: str, ok: bool, detail: str = ""):
 
 def verify_characters(max_d: int = 6, bruteforce_d: int = 5) -> dict:
     checks: list[dict] = []
+    characters.char_table(max_d).fill()  # above the ceiling, fail before any check
     for d in range(1, max_d + 1):
         table = characters.char_table(d)
         parts = table.partitions

@@ -254,7 +254,9 @@ class TestLazyFill:
         monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
         t = char_table(d)
         for mu in t.partitions:
-            assert t.column(mu) == tuple(character(lam, mu) for lam in t.partitions)
+            col = tuple(character(lam, mu) for lam in t.partitions)
+            assert t.column(mu) == col
+            assert tuple(t.value(lam, mu) for lam in t.partitions) == col
         assert t._entries is None
 
     @pytest.mark.parametrize("d", range(19))
@@ -277,12 +279,46 @@ class TestLazyFill:
         monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
         t = char_table(8)
         col = t.column((3, 3, 2))
-        assert t._strips and t._subcolumns
+        assert characters._column.cache_info().currsize
+        assert characters._add_strips.cache_info().currsize
         assert t.entries == tuple(zip(*(t.column(mu) for mu in t.partitions)))
-        assert not t._columns and not t._strips and not t._subcolumns
+        assert characters._column.cache_info().currsize == 0
+        assert characters._add_strips.cache_info().currsize == 0
         assert t.column((3, 3, 2)) == col
         assert t.value((4, 4), (3, 3, 2)) == col[t.index((4, 4))]
-        assert not t._columns and not t._strips and not t._subcolumns
+        assert characters._column.cache_info().currsize == 0
+        # the handle itself holds no column or strip memo
+        assert set(vars(t)) == {"degree", "partitions", "_dims", "_entries"}
+
+    def test_a_build_fits_the_memo_bounds(self, monkeypatch):
+        # every sub-column and strip list of a d=18 build is still cached
+        # when the build clears them: nothing was evicted on the way
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.delenv(characters.CACHE_DIR_ENV, raising=False)
+        characters._column.cache_clear()
+        characters._add_strips.cache_clear()
+        seen = []
+        clear = characters._column.cache_clear
+
+        def spy():
+            seen.append((characters._column.cache_info(),
+                         characters._add_strips.cache_info()))
+            clear()
+
+        monkeypatch.setattr(characters._column, "cache_clear", spy)
+        assert len(char_table(18).entries) == 385
+        [(columns, strips)] = seen
+        assert 0 < columns.misses == columns.currsize <= columns.maxsize
+        assert 0 < strips.misses == strips.currsize <= strips.maxsize
+
+    def test_sub_columns_are_shared_between_degrees(self, monkeypatch):
+        monkeypatch.setattr(characters, "_tables", {})
+        characters._column.cache_clear()
+        char_table(6).column((3, 2, 1))  # caches (3, 2, 1), (2, 1), (1,), ()
+        before = characters._column.cache_info()
+        char_table(7).column((4, 2, 1))  # reads the column of (2, 1)
+        after = characters._column.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 class TestConcurrency:

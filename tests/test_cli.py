@@ -459,6 +459,20 @@ class TestCeilingOverride:
         sign = [str((-1) ** (6 - len(mu))) for mu in characters.char_table(6).partitions]
         assert code == EXIT_OK and out.splitlines()[-1] == ",".join(["1+1+1+1+1+1", *sign])
 
+    def test_verify_characters_stops_before_the_sweep(self, capsys):
+        code, out, err = run(capsys, "verify", "characters", "--max-d", "19")
+        assert code == EXIT_SIZE_LIMIT and "ceiling 18" in err and out == ""
+        assert set(characters._tables) == {19}  # no table below d=19 was created
+
+    def test_verify_characters_reads_a_cached_top_table(self, capsys, monkeypatch, tmp_path):
+        # a lowered default stands in for 18, and d=6 for a cached d=19
+        monkeypatch.setenv(characters.CACHE_DIR_ENV, str(tmp_path))
+        characters.char_table(6).fill()
+        monkeypatch.setattr(characters, "_tables", {})
+        monkeypatch.setattr(characters, "DEFAULT_TABLE_CEILING", 5)
+        code, out, _ = run(capsys, "verify", "characters", "--max-d", "6")
+        assert code == EXIT_OK and json.loads(out)["pass"]
+
     @pytest.mark.parametrize("argv", [
         ("compute", "--kind", "classical", "--d", "3", "--r", "2"),
         ("table", "--what", "hurwitz", "--kind", "classical", "--d", "3", "--r", "2"),
@@ -905,10 +919,11 @@ class TestDhrNormalizationOfPolynomials:
 class TestShellEntryPoint:
     """A fresh interpreter, as a shell invocation of the CLI starts one."""
 
-    @staticmethod
-    def python(*args):
-        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    ENV = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    @classmethod
+    def python(cls, *args):
+        return subprocess.run([sys.executable, *args], env=cls.ENV, capture_output=True,
                               text=True, timeout=120)
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
@@ -923,6 +938,20 @@ class TestShellEntryPoint:
                            "--r", "2")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["results"][0]["value"] == "1/2"
+
+    def test_closed_stdout_exits_three(self):
+        # the table is over 64 KB, more than a pipe holds; the reader takes
+        # 100 bytes unbuffered and closes its end, so the writer still has
+        # bytes to write whatever its buffer sizes
+        with subprocess.Popen([sys.executable, "-m", "hurwitz.cli", "chartable", "--d", "15"],
+                              env=self.ENV, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            first = os.read(proc.stdout.fileno(), 100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert first.startswith(b'# config: {"command": "chartable", "d": 15}\n')
+        assert proc.returncode == EXIT_USAGE
+        assert err == b"error: stdout was closed before the output was written\n"
 
 
 # Requests that resolve defaults differently, run in one process.
