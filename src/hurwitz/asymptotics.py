@@ -8,11 +8,9 @@ digits), so reports carry no rounding noise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import partial
 
 from .core import GSpec, _gw_profiles, _normalize_insertions, content_sequences, m_ds
 from .errors import DomainError, EmptyReportError
@@ -59,6 +57,17 @@ def _block_degrees(a_vec, b_vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a_vec, b_vec
 
 
+def _stirling_tables(d: int, k: int, v_order: int):
+    """``_pole_constant`` as the tables scalar = (d-1)^{(d-2)K}/(d!^2 (d-2)!^K),
+    e[a] = [d; d-a]/(d-1)^a for a < d and h[b] = {b+d-1; d-1}/(d-1)^b for
+    b <= ``v_order``: A = scalar * prod e[a_i] * prod h[b_j]."""
+    scalar = Fraction((d - 1) ** ((d - 2) * k),
+                      math.factorial(d) ** 2 * math.factorial(d - 2) ** k)
+    e = [Fraction(stirling(1, d, d - a), (d - 1) ** a) for a in range(d)]
+    h = [Fraction(stirling(2, b + d - 1, d - 1), (d - 1) ** b) for b in range(v_order + 1)]
+    return scalar, e, h
+
+
 def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
     """The Stirling pole constant A of the monomial u^a_vec v^b_vec,
 
@@ -74,12 +83,10 @@ def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
     a_vec, b_vec = _block_degrees(a_vec, b_vec)
-    stir = math.prod(stirling(1, d, d - a) if a < d else 0 for a in a_vec)
-    stir *= math.prod(stirling(2, b + d - 1, d - 1) for b in b_vec)
-    exponent = (d - 2) * k - sum(a_vec) - sum(b_vec)
-    return Fraction(stir * (d - 1) ** max(exponent, 0),
-                    math.factorial(d) ** 2 * math.factorial(d - 2) ** k
-                    * (d - 1) ** max(-exponent, 0))
+    if max(a_vec, default=0) >= d:
+        return Fraction(0)
+    scalar, e, h = _stirling_tables(d, k, max(b_vec, default=0))
+    return scalar * math.prod(e[a] for a in a_vec) * math.prod(h[b] for b in b_vec)
 
 
 def _pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int,
@@ -87,9 +94,10 @@ def _pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int,
     """Check the arguments of a pole coefficient and assemble it.
 
     ``make_coefficient()`` runs once the arguments are valid and returns
-    ``coefficient(a_vec, b_vec)``, the coefficient of u^a_vec v^b_vec
-    before the profile sign.  It is read on the box a_i <= d-1 (the u
-    part is a polynomial of that degree) and b_j <= ``v_order``.
+    tables ``(scalar, e, h)``: scalar * prod e[a_i] * prod h[b_j] is the
+    coefficient of u^a_vec v^b_vec before the profile sign.  The box
+    a_i <= d-1 (the u part is a polynomial of that degree), b_j <=
+    ``v_order`` is walked on integer numerators over one denominator.
     """
     if gspec.K < 1:
         raise DomainError("pole_coefficient needs at least one literal pole (K >= 1)")
@@ -103,12 +111,20 @@ def _pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int,
             raise DomainError(f"profile {mu} does not partition {d}")
     # prefactor (+-1)^{Nd - sum l}; the sign bites only for the column case
     flip = sign == -1 and (d * len(profiles) - sum(map(len, profiles))) % 2
-    coefficient = make_coefficient()
+    scalar, e, h = make_coefficient()
+    den = scalar.denominator
+    rows = []
+    for count, table, size in ((gspec.L, e, d), (gspec.M, h, v_order + 1)):
+        if count:
+            table = table[:size]
+            lcm = math.lcm(*(q.denominator for q in table))
+            rows += [[q.numerator * (lcm // q.denominator) for q in table]] * count
+            den *= lcm ** count
+    terms = [((), -scalar.numerator if flip else scalar.numerator)]
+    for row in rows:
+        terms = [(expo + (i,), n * x) for expo, n in terms for i, x in enumerate(row) if x]
     poly = MultiPoly(gspec.nvars)
-    for expo in itertools.product(*[range(d)] * gspec.L, *[range(v_order + 1)] * gspec.M):
-        q = coefficient(expo[:gspec.L], expo[gspec.L:])
-        if q:
-            poly.terms[expo] = -q if flip else q
+    poly.terms = {expo: Fraction(n, den) for expo, n in terms}
     return PoleCoefficient(rho=sign * (d - 1), order=gspec.K, coefficient=poly,
                            v_order=v_order)
 
@@ -133,19 +149,18 @@ def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
         for w in scaled:
             if w and w != 1:  # w = 1 is the vanishing factor the pole cancels
                 limit /= (1 - w) ** gspec.K
-        return lambda a_vec, b_vec: (limit * math.prod(e[a] for a in a_vec)
-                                     * math.prod(h[b] for b in b_vec))
+        return limit, e, h
 
     return _pole(d, gspec, profiles, sign, v_order, make_coefficient)
 
 
 def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
                               v_order: int = 6) -> PoleCoefficient:
-    """The same coefficient, read from the Stirling pole constant at each
-    monomial; the u/v series are identical at both poles (content and z0
+    """The same coefficient, read from the Stirling tables of the pole
+    constant; the u/v series are identical at both poles (content and z0
     signs cancel)."""
     return _pole(d, gspec, profiles, sign, v_order,
-                 lambda: partial(_pole_constant, d, gspec.K))
+                 lambda: _stirling_tables(d, gspec.K, v_order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact scalar and polynomial arithmetic.
 
-Everything on the computational path is an exact ``fractions.Fraction``;
-floating point never appears (reports render ratios through ``decimal``
-at a configurable precision, see :mod:`hurwitz.asymptotics`).
+Values are exact: ``int`` while every operand is an int, else
+``fractions.Fraction`` (``exact`` coerces); floats never appear (reports
+render ratios through ``decimal``, see :mod:`hurwitz.asymptotics`).
 
 ``MultiPoly`` is a sparse polynomial in a fixed tuple of formal
 variables (the u's and v's of rational weight functions).  ``TruncSeries``
@@ -163,8 +163,10 @@ class GaussianRational(Frozen):
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def exact(value) -> int | Fraction:
+    """An exact coefficient: an int stays an int, any other rational
+    becomes a Fraction, anything else (a float) is a ``DomainError``."""
+    if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, _RationalABC):
         return Fraction(value)
@@ -176,15 +178,15 @@ class MultiPoly:
 
     Exponent keys are tuples of length ``nvars``; zero coefficients are
     never stored, so ``terms == {}`` is the canonical zero.  Coefficients
-    are Fractions, or ints where every operand was an int (the content
-    products and the connected transform's scaled values).
+    are ints where every operand was an int (the content products, the
+    connected transform's scaled values), Fractions otherwise.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(int(e) for e in expo)
@@ -194,9 +196,9 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in expo):
                     raise DomainError(f"negative exponent in {expo}")
-                q = _as_fraction(coeff)
+                q = exact(coeff)
                 if q:
-                    self.terms[expo] = self.terms.get(expo, Fraction(0)) + q
+                    self.terms[expo] = self.terms.get(expo, 0) + q
                     if not self.terms[expo]:
                         del self.terms[expo]
 
@@ -207,14 +209,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise DomainError(f"variable index {index} out of range for {nvars} variables")
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {expo: Fraction(1)})
+        return cls(nvars, {expo: 1})
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -264,7 +266,7 @@ class MultiPoly:
         return -self + other
 
     def scale(self, q) -> "MultiPoly":
-        q = q if isinstance(q, int) else _as_fraction(q)  # ints stay ints
+        q = exact(q)
         out = MultiPoly(self.nvars)
         if q:
             out.terms = {e: c * q for e, c in self.terms.items()}
@@ -420,7 +422,7 @@ class TruncSeries:
 
 def geometric_factor(c, weight: MultiPoly, order: int) -> TruncSeries:
     """Truncation of 1/(1 - weight*c*z): coefficients (weight*c)^j."""
-    c = Fraction(c)
+    c = exact(c)
     coeffs = [MultiPoly.constant(weight.nvars, 1)]
     for _ in range(order):
         coeffs.append(coeffs[-1].mul(weight).scale(c))
@@ -429,7 +431,7 @@ def geometric_factor(c, weight: MultiPoly, order: int) -> TruncSeries:
 
 def affine_factor(c, weight: MultiPoly, order: int) -> TruncSeries:
     """The numerator factor 1 + weight*c*z (exact, degree <= 1)."""
-    c = Fraction(c)
+    c = exact(c)
     coeffs = [MultiPoly.constant(weight.nvars, 1)]
     if order >= 1:
         coeffs.append(weight.scale(c))
@@ -443,13 +445,9 @@ def geometric_power(c, k: int, order: int, nvars: int = 0) -> TruncSeries:
         raise DomainError(f"geometric power wants k >= 0, got {k}")
     if k == 0:
         return TruncSeries.one(nvars, order)
-    c = Fraction(c)
-    coeffs = []
-    power = Fraction(1)
-    for j in range(order + 1):
-        coeffs.append(MultiPoly.constant(nvars, math.comb(j + k - 1, j) * power))
-        power *= c
-    return TruncSeries(order, coeffs)
+    c = exact(c)
+    return TruncSeries(order, [MultiPoly.constant(nvars, math.comb(j + k - 1, j) * c ** j)
+                               for j in range(order + 1)])
 
 
 def coeff_z(series: TruncSeries, r: int) -> MultiPoly:

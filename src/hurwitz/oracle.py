@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, SizeLimitError
-from .partitions import Partition, check_partition, class_data, enumerate_partitions
+from .exactnum import MultiPoly, affine_factor, exact, geometric_factor, geometric_power
+from .partitions import Partition, check_partition, class_data, contents, enumerate_partitions
 from .records import Frozen, set_field
 
 ORACLE_MAX_DEGREE = 6
@@ -119,17 +120,18 @@ def class_representative(d: int, mu) -> Perm:
 # ---------------------------------------------------------------------------
 
 class GroupAlgebraElement:
-    """Sparse rational linear combination of permutations of S_d."""
+    """Sparse linear combination of permutations of S_d: int coefficients
+    until a rational (the dim/d! of a central idempotent) enters."""
 
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d: int, coeffs=None):
         _check_degree(d)
         self.d = d
-        self.coeffs: dict[Perm, Fraction] = {}
+        self.coeffs: dict[Perm, int | Fraction] = {}
         if coeffs:
             for p, c in coeffs.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.coeffs[tuple(p)] = c
 
@@ -153,7 +155,7 @@ class GroupAlgebraElement:
         out = cls(d)
         for p, b in transpositions(d):
             if b == k:
-                out.coeffs[p] = Fraction(1)
+                out.coeffs[p] = 1
         return out
 
     def _check(self, other: "GroupAlgebraElement"):
@@ -165,7 +167,7 @@ class GroupAlgebraElement:
         out = GroupAlgebraElement(self.d)
         out.coeffs = dict(self.coeffs)
         for p, c in other.coeffs.items():
-            s = out.coeffs.get(p, Fraction(0)) + c
+            s = out.coeffs.get(p, 0) + c
             if s:
                 out.coeffs[p] = s
             else:
@@ -181,7 +183,7 @@ class GroupAlgebraElement:
         return self + (-other)
 
     def scale(self, q) -> "GroupAlgebraElement":
-        q = Fraction(q)
+        q = exact(q)
         out = GroupAlgebraElement(self.d)
         if q:
             out.coeffs = {p: c * q for p, c in self.coeffs.items()}
@@ -195,7 +197,7 @@ class GroupAlgebraElement:
             for p, cp in self.coeffs.items():
                 for q, cq in other.coeffs.items():
                     r = compose(p, q)
-                    s = acc.get(r, Fraction(0)) + cp * cq
+                    s = acc.get(r, 0) + cp * cq
                     if s:
                         acc[r] = s
                     else:
@@ -205,8 +207,8 @@ class GroupAlgebraElement:
 
     __rmul__ = __mul__
 
-    def coefficient(self, p: Perm) -> Fraction:
-        return self.coeffs.get(tuple(p), Fraction(0))
+    def coefficient(self, p: Perm) -> int | Fraction:
+        return self.coeffs.get(tuple(p), 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -218,9 +220,9 @@ class GroupAlgebraElement:
             and self.coeffs == other.coeffs
         )
 
-    def class_coefficients(self) -> dict[Partition, Fraction]:
+    def class_coefficients(self) -> dict[Partition, int | Fraction]:
         """Per-class coefficient; raises if the element is not central."""
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, int | Fraction] = {}
         for mu in enumerate_partitions(self.d):
             vals = {self.coefficient(p) for p in class_perms(self.d, mu)}
             if len(vals) != 1:
@@ -481,9 +483,6 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
     evaluating the same product at the box contents of lambda.  All u, v
     are specialised to the supplied rationals.
     """
-    from .exactnum import affine_factor, geometric_factor, geometric_power, MultiPoly
-    from .partitions import contents
-
     lam = check_partition(lam)
     d = sum(lam)
     _check_degree(d)
@@ -498,10 +497,10 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
             orthogonal = False
             break
 
-    u_values = [Fraction(u) for u in u_values]
-    v_values = [Fraction(v) for v in v_values]
+    u_values = [exact(u) for u in u_values]
+    v_values = [exact(v) for v in v_values]
 
-    def scalar_series(c: Fraction):
+    def scalar_series(c: int):
         s = geometric_power(c, literal_order, z_order)
         one = MultiPoly.constant(0, 1)
         for u in u_values:
@@ -519,7 +518,7 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
         powers = [GroupAlgebraElement.identity(d)]
         for _ in range(z_order):
             powers.append(powers[-1] * j)
-        g = scalar_series(Fraction(1))  # G coefficients with J_i slot marked by powers
+        g = scalar_series(1)  # G coefficients with J_i slot marked by powers
         new = []
         for c in range(z_order + 1):
             acc = GroupAlgebraElement.zero(d)
@@ -530,11 +529,11 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
         series = new
 
     # scalar side: same product over the contents of lambda
-    eigen = [Fraction(1)] + [Fraction(0)] * z_order
+    eigen = [1] + [0] * z_order
     for c in contents(lam):
-        g = scalar_series(Fraction(c))
+        g = scalar_series(c)
         eigen = [
-            sum((eigen[t] * g[n - t] for t in range(n + 1)), Fraction(0))
+            sum(eigen[t] * g[n - t] for t in range(n + 1))
             for n in range(z_order + 1)
         ]
 

@@ -102,11 +102,13 @@ class ClassData(Frozen):
 
 def class_data(mu) -> ClassData:
     """Class size d!/z(mu), stabilizer z(mu) = prod i^{m_i} m_i!, multiplicity map."""
-    return _class_data(check_partition(mu))
+    return _class_data(tuple(mu))
 
 
 @lru_cache(maxsize=4096)
-def _class_data(mu: Partition) -> ClassData:
+def _class_data(mu: tuple) -> ClassData:
+    # checked on a miss only; lru_cache stores no exception, so a bad mu raises every call
+    mu = check_partition(mu)
     mult = Counter(mu)
     stab = 1
     for part, m in mult.items():

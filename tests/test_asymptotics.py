@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from hurwitz.asymptotics import (
     PoleCoefficient,
+    _pole_constant,
     b_leading_term,
     completed_leading_term,
     gw_leading_term,
@@ -13,9 +15,37 @@ from hurwitz.asymptotics import (
     pole_coefficient_stirling,
     ratio_report,
 )
-from hurwitz.core import GSpec, completed_hurwitz, m_ds
+from hurwitz.core import GSpec, completed_hurwitz, content_sequences, m_ds
 from hurwitz.errors import DomainError, EmptyReportError
 from hurwitz.exactnum import MultiPoly, stirling
+from hurwitz.partitions import contents
+
+
+def per_monomial_pole(d, gspec, profiles, sign, v_order, coefficient):
+    """The pole coefficient assembled monomial by monomial on the box
+    a_i <= d-1, b_j <= v_order from ``coefficient(a_vec, b_vec)``, with
+    the profile sign (+-1)^{Nd - sum l} at the column pole."""
+    flip = sign == -1 and (d * len(profiles) - sum(map(len, profiles))) % 2
+    poly = MultiPoly(gspec.nvars)
+    for expo in itertools.product(*[range(d)] * gspec.L, *[range(v_order + 1)] * gspec.M):
+        q = coefficient(expo[:gspec.L], expo[gspec.L:])
+        if q:
+            poly.terms[expo] = -q if flip else q
+    return poly
+
+
+def literal_limit(d, gspec, sign, v_order):
+    """``(a_vec, b_vec) -> limit * prod e[a] * prod h[b]`` over the e and
+    h sequences of the contents scaled by z0 = sign/(d-1)."""
+    z0 = Fraction(sign, d - 1)
+    scaled = [c * z0 for c in contents((d,) if sign == 1 else (1,) * d)]
+    e, h, _ = content_sequences(scaled, gspec, max(d - 1, v_order))
+    limit = Fraction(1, math.factorial(d) ** 2)
+    for w in scaled:
+        if w and w != 1:
+            limit /= (1 - w) ** gspec.K
+    return lambda a_vec, b_vec: (limit * math.prod(e[a] for a in a_vec)
+                                 * math.prod(h[b] for b in b_vec))
 
 
 class TestPoleCoefficient:
@@ -59,6 +89,34 @@ class TestPoleCoefficient:
                             b = pole_coefficient_stirling(d, g, (), sign, v_order=4)
                             assert a.coefficient == b.coefficient
                             assert (a.rho, a.order) == (b.rho, b.order)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_both_functions_match_the_per_monomial_reference(self, d):
+        v_order = 3
+        for k, l, m in itertools.product(range(1, 4), range(3), range(3)):
+            g = GSpec(K=k, L=l, M=m)
+            for sign in (1, -1):
+                limit = literal_limit(d, g, sign, v_order)
+                for profiles in ((), ((1,) * d,), ((d - 1, 1),)):
+                    want = per_monomial_pole(
+                        d, g, profiles, sign, v_order,
+                        lambda a_vec, b_vec: _pole_constant(d, k, a_vec, b_vec))
+                    assert per_monomial_pole(d, g, profiles, sign, v_order, limit) == want
+                    for pole in (pole_coefficient, pole_coefficient_stirling):
+                        got = pole(d, g, profiles, sign, v_order=v_order)
+                        assert got.coefficient == want
+                        assert (got.rho, got.order, got.v_order) == \
+                            (sign * (d - 1), k, v_order)
+
+    def test_pole_constant_zero_and_errors(self):
+        assert _pole_constant(3, 1, (3,), (1,)) == 0
+        assert _pole_constant(3, 1, (1, 5)) == 0
+        # (d-1)^{(d-2)K - 2 - 1} [3; 1] {3; 2} / 3!^2 = 2 * 3 / (2 * 36)
+        assert _pole_constant(3, 2, (2,), (1,)) == Fraction(
+            stirling(1, 3, 1) * stirling(2, 3, 2), 2 * 36)
+        for args in ((3, 0), (1, 1), (3, 1, (-1,)), (3, 1, (), (-1,))):
+            with pytest.raises(DomainError):
+                _pole_constant(*args)
 
     def test_profile_sign(self):
         pc = pole_coefficient(3, GSpec(K=1), profiles=((2, 1),), sign=-1)

@@ -126,6 +126,70 @@ class TestSeries:
         assert [c.constant_value() for c in sq.coeffs] == [1, 2, 3, 4, 5, 6]
 
 
+def _coefficients(series):
+    """The coefficients past z^0, which is the int 1 for every input."""
+    return [c for poly in series.coeffs[1:] for c in poly.terms.values()]
+
+
+class TestIntCoefficients:
+    """Int inputs keep int coefficients, equal to the Fraction-built
+    twins; a rational input makes Fractions."""
+
+    def test_constructors(self):
+        assert MultiPoly.constant(2, 3).terms == {(0, 0): 3}
+        assert type(MultiPoly.constant(2, 3).constant_value()) is int
+        assert type(MultiPoly.variable(2, 1).coefficient((0, 1))) is int
+        assert MultiPoly.constant(2, 3) == MultiPoly.constant(2, Fraction(3))
+        assert type(MultiPoly.constant(2, Fraction(3)).constant_value()) is Fraction
+        assert type(MultiPoly.constant(2, Fraction(1, 3)).constant_value()) is Fraction
+
+    @pytest.mark.parametrize("factor", [geometric_factor, affine_factor])
+    def test_weighted_factors(self, factor):
+        v = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)
+        twin = MultiPoly(2, {e: Fraction(c) for e, c in v.terms.items()})
+        for c in (-2, 0, 3):
+            got = factor(c, v, 4)
+            assert all(type(q) is int for q in _coefficients(got))
+            assert got == factor(Fraction(c), twin, 4)
+            assert all(type(q) is Fraction for q in _coefficients(factor(Fraction(c), twin, 4)))
+        assert all(type(q) is Fraction for q in _coefficients(factor(Fraction(1, 2), v, 4)))
+
+    def test_geometric_power(self):
+        for c in (-2, 1, 3):
+            got = geometric_power(c, 3, 5, nvars=1)
+            assert all(type(q) is int for q in _coefficients(got))
+            assert got == geometric_power(Fraction(c), 3, 5, nvars=1)
+            assert all(type(q) is Fraction
+                       for q in _coefficients(geometric_power(Fraction(c), 3, 5, nvars=1)))
+        assert all(type(q) is Fraction
+                   for q in _coefficients(geometric_power(Fraction(1, 2), 3, 5, nvars=1)))
+
+
+class TestFloatsRefused:
+    """A float is not an exact coefficient at any entry point."""
+
+    def test_constructor(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            MultiPoly(1, {(0,): 0.1})
+
+    def test_constant(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            MultiPoly.constant(1, 0.1)
+
+    def test_scale(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            MultiPoly(1).scale(0.5)
+
+    @pytest.mark.parametrize("factor", [geometric_factor, affine_factor])
+    def test_weighted_factors(self, factor):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            factor(0.5, MultiPoly.constant(0, 1), 3)
+
+    def test_geometric_power(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            geometric_power(0.5, 2, 3)
+
+
 @st.composite
 def polys(draw, nvars=2, max_terms=4):
     terms = {}

@@ -94,6 +94,21 @@ class TestGroupAlgebra:
         with pytest.raises(DomainError):
             g.class_coefficients()
 
+    def test_float_coefficient_refused(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            GroupAlgebraElement(2, {(1, 0): 0.1})
+
+    def test_float_scale_refused(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            GroupAlgebraElement.identity(2).scale(0.1)
+
+    def test_int_coefficients_stay_ints(self):
+        j3 = GroupAlgebraElement.jucys_murphy(3, 3)
+        c = GroupAlgebraElement.class_sum(3, (3,))
+        for el in (j3, c, GroupAlgebraElement.identity(3), j3 * c + j3 - c, j3.scale(2)):
+            assert all(type(q) is int for q in el.coeffs.values())
+        assert all(type(q) is Fraction for q in j3.scale(Fraction(1, 2)).coeffs.values())
+
 
 class TestJucysMurphy:
     def test_first_symmetric_is_all_transpositions(self):
@@ -126,6 +141,28 @@ class TestJucysMurphy:
             support = stirling(1, d, d - k) if d >= k else 0
             assert len(e.coeffs) == support
 
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_int_coefficients_match_a_fraction_seeded_expansion(self, d, monkeypatch):
+        ints = {(kind, k): jm_symmetric_evaluate(kind, k, d)
+                for kind in ("e", "h") for k in range(5)}
+        for el in ints.values():
+            assert all(type(q) is int for q in el.coeffs.values())
+
+        def seeded(make):
+            def build(cls, *args):
+                el = make(*args)
+                return cls(el.d, {p: Fraction(q) for p, q in el.coeffs.items()})
+            return classmethod(build)
+
+        monkeypatch.setattr(GroupAlgebraElement, "identity",
+                            seeded(GroupAlgebraElement.identity))
+        monkeypatch.setattr(GroupAlgebraElement, "jucys_murphy",
+                            seeded(GroupAlgebraElement.jucys_murphy))
+        for (kind, k), el in ints.items():
+            twin = jm_symmetric_evaluate(kind, k, d)
+            assert all(type(q) is Fraction for q in twin.coeffs.values())
+            assert el == twin
+
     def test_h_identity_coefficient_counts_monotone_walks(self):
         # [id] h_k equals the weak-monotone factorization count of id
         for d in (2, 3, 4):
@@ -145,6 +182,10 @@ class TestIdempotents:
         assert f_sgn.coefficient(swap) == Fraction(-1, 2)
         assert (f_sym * f_sym) == f_sym
         assert (f_sym * f_sgn).is_zero()
+
+    @pytest.mark.parametrize("lam", [(2,), (2, 1), (3, 1), (2, 2, 1)])
+    def test_idempotents_hold_fractions(self, lam):
+        assert all(type(q) is Fraction for q in central_idempotent(lam).coeffs.values())
 
     @pytest.mark.parametrize("d", range(1, 5))
     def test_resolution(self, d):

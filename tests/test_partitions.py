@@ -132,6 +132,15 @@ class TestClassData:
         assert cd.class_size * cd.stabilizer == math.factorial(sum(mu))
         assert cd.multiplicity(1) == sum(1 for p in mu if p == 1)
 
+    def test_validated_on_every_miss(self):
+        # the memo stores no exception: a refused profile is refused again
+        for _ in range(2):
+            with pytest.raises(DomainError, match="weakly decreasing"):
+                class_data((1, 2))
+        assert class_data([2, 1]) == class_data((2, 1))
+        assert class_data((2.0, 1)) == class_data((2, 1))
+        assert class_data((2.0, 1)).multiplicities == ((2, 1), (1, 1))
+
 
 class TestFrobenius:
     def test_worked_example(self):
