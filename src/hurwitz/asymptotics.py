@@ -12,7 +12,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .core import GSpec, _gw_profiles, _normalize_insertions, content_sequences, m_ds
+from .core import GSpec, _gw_profiles, _normalize_insertions, _orders, content_sequences, m_ds
 from .errors import DomainError, EmptyReportError
 from .exactnum import (
     GaussianRational,
@@ -164,93 +164,118 @@ def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, 
 
 
 # ---------------------------------------------------------------------------
-# Leading terms of the asymptotic theorems
+# Leading terms as r-sweeps: one constant per family, then the transfer at
+# each r; each single-r function is the one-r case of its sweep
 # ---------------------------------------------------------------------------
 
-def _transfer(r: int, d: int, k: int, constant) -> Fraction:
-    """The leading term constant * r^{K-1}/(K-1)! * (d-1)^r of [z^r] at a
-    pole of order K at 1/(d-1)."""
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
-    return Fraction(r ** (k - 1), math.factorial(k - 1)) * (d - 1) ** r * constant
+def first_r(k: int) -> int:
+    """The first r with a nonzero transfer: r^{K-1} vanishes at r = 0
+    once K >= 2."""
+    return 1 if k >= 2 else 0
+
+
+def _transfer(r_values, d: int, k: int, constant) -> dict:
+    """{r: constant * r^{K-1}/(K-1)! * (d-1)^r}, the leading term of [z^r]
+    at a pole of order K at 1/(d-1); 0 below ``first_r(k)``."""
+    fact = math.factorial(k - 1)
+    return {r: Fraction(r ** (k - 1), fact) * (d - 1) ** r * constant
+            for r in _orders(r_values)}
+
+
+def monotone_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: int,
+                           a_vec=(), b_vec=()) -> dict:
+    """Leading terms for rational weights with K weak blocks growing with r.
+
+    The transfer 2 * r^{K-1}/(K-1)! * (d-1)^r * A of the pole constant A
+    (``_pole_constant``), the poles at +-(d-1) adding alike.  Every term
+    is 0 when some a_i >= d (the Stirling factor vanishes).
+    """
+    return _transfer(r_values, d, k, 2 * _pole_constant(d, k, a_vec, b_vec))
 
 
 def monotone_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
                           a_vec=(), b_vec=()) -> Fraction:
-    """Leading term for rational weights with K weak blocks growing with r.
+    return monotone_leading_sweep((r,), d, n_profiles, ell_sum, k, a_vec, b_vec)[r]
 
-    The transfer 2 * r^{K-1}/(K-1)! * (d-1)^r * A of the pole constant A
-    (``_pole_constant``), the poles at +-(d-1) adding alike.  Returns 0
-    when some a_i >= d (the Stirling factor vanishes).
-    """
-    return 2 * _transfer(r, d, k, _pole_constant(d, k, a_vec, b_vec))
+
+def completed_leading_sweep(r_values, d: int, s: int, n_profiles: int = 0,
+                            ell_sum: int = 0) -> dict:
+    """{r: (2/d!^2) * M_{d,s}^r} for the completed-cycle family."""
+    scale, m = Fraction(2, math.factorial(d) ** 2), m_ds(d, s)
+    return {r: scale * m ** r for r in _orders(r_values)}
 
 
 def completed_leading_term(r: int, d: int, s: int, n_profiles: int = 0,
                            ell_sum: int = 0) -> Fraction:
-    """(2/d!^2) * M_{d,s}^r for the completed-cycle family."""
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
-    return Fraction(2, math.factorial(d) ** 2) * m_ds(d, s) ** r
+    return completed_leading_sweep((r,), d, s, n_profiles, ell_sum)[r]
+
+
+def _abs2(x) -> Fraction:
+    return x.abs2() if isinstance(x, GaussianRational) else x * x
+
+
+def b_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: int,
+                    a_vec=(), b_vec=(), b=0) -> dict:
+    """Leading terms of the b-deformed family, exact in Q or Q(i).
+
+    alpha = b+1 is a Fraction for rational b and a GaussianRational for
+    complex b.  The regime is decided by comparing |alpha| with 1
+    exactly; at |alpha| = 1 both dominant poles contribute and their
+    regime factors add.  Each pole carries the Jack norm of its own
+    extreme partition: d! prod (1+m*alpha) for the row, d! alpha prod
+    (m+alpha) for the column (as the hook-product norm gives; the two
+    agree only at alpha = 1).  A term is a Fraction when it is real,
+    otherwise a GaussianRational.
+    """
+    constant = _pole_constant(d, k, a_vec, b_vec)
+    # the Jack norms below replace the d! of the constant's d!^2
+    common = _transfer(r_values, d, k, constant * math.factorial(d))
+    alpha = b + 1 if isinstance(b, GaussianRational) else Fraction(b) + 1
+    if not constant:
+        return dict.fromkeys(common, Fraction(0))
+    norm_row, norm_col = 1, alpha
+    for m in range(1, d):
+        norm_row *= 1 + alpha * m
+        norm_col *= alpha + m
+    abs2 = _abs2(alpha)
+    row, col = abs2 >= 1, abs2 <= 1
+    if row and _abs2(norm_row) == 0:
+        raise DomainError(f"degenerate deformation: row norm vanishes at b+1={alpha}")
+    if col and _abs2(norm_col) == 0:
+        raise DomainError(f"degenerate deformation: column norm vanishes at b+1={alpha}")
+    out = {}
+    for r, c in common.items():
+        term = 0
+        if row:
+            term += alpha ** (r + (n_profiles - 1) * d - ell_sum) * norm_row ** -1
+        if col:
+            term += (-1) ** ((r + n_profiles * d - ell_sum) % 2) * norm_col ** -1
+        value = term * c
+        out[r] = value.re if isinstance(value, GaussianRational) and value.is_real else value
+    return out
 
 
 def b_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
                    a_vec=(), b_vec=(), b=0):
-    """Leading term of the b-deformed family, exact in Q or Q(i).
-
-    The regime is decided by comparing |b+1| with 1 exactly; at
-    |b+1| = 1 both dominant poles contribute and their regime factors
-    add.  Each pole carries the Jack norm of its own extreme partition:
-    d! prod (1+m*alpha) for the row, d! alpha prod (m+alpha) for the
-    column (as the hook-product norm gives; the two agree only at
-    alpha = 1).  Returns a Fraction when the value is real, otherwise a
-    GaussianRational.
-    """
-    constant = _pole_constant(d, k, a_vec, b_vec)
-    # the Jack norms below replace the d! of the constant's d!^2
-    common = _transfer(r, d, k, constant * math.factorial(d))
-    alpha = GaussianRational.of(b) + 1
-    if not constant:
-        return Fraction(0)
-    common = GaussianRational.of(common)
-    norm_row = GaussianRational.of(1)
-    norm_col = alpha
-    for m in range(1, d):
-        norm_row = norm_row * (GaussianRational.of(1) + alpha * m)
-        norm_col = norm_col * (alpha + m)
-
-    def plus_term():
-        if norm_row.abs2() == 0:
-            raise DomainError(f"degenerate deformation: row norm vanishes at b+1={alpha}")
-        return alpha ** (r + (n_profiles - 1) * d - ell_sum) / norm_row
-
-    def minus_term():
-        if norm_col.abs2() == 0:
-            raise DomainError(f"degenerate deformation: column norm vanishes at b+1={alpha}")
-        return GaussianRational.of(
-            Fraction((-1) ** ((r + n_profiles * d - ell_sum) % 2))
-        ) / norm_col
-
-    abs2 = alpha.abs2()
-    if abs2 > 1:
-        value = common * plus_term()
-    elif abs2 < 1:
-        value = common * minus_term()
-    else:
-        value = common * (plus_term() + minus_term())
-    if value.is_real:
-        return value.re
-    return value
+    return b_leading_sweep((r,), d, n_profiles, ell_sum, k, a_vec, b_vec, b)[r]
 
 
-def gw_leading_term(mu, nu, insertions) -> Fraction:
-    """(2/(z(mu) z(nu) d!^2)) * prod_s (M_{d,s}/s!)^{m_s}."""
+def gw_leading_sweep(m_values, mu, nu, s: int, insertions=()) -> dict:
+    """{m: (2/(z(mu) z(nu) d!^2)) * prod_t (M_{d,t}/t!)^{n_t} * (M_{d,s}/s!)^m}
+    over counts m of order-s insertions, beside the fixed ``insertions``
+    {t: n_t}."""
     mu, nu, d = _gw_profiles(mu, nu)
     acc = Fraction(2, class_data(mu).stabilizer * class_data(nu).stabilizer
                    * math.factorial(d) ** 2)
-    for s, m in _normalize_insertions(insertions):
-        acc *= (m_ds(d, s) / math.factorial(s)) ** m
-    return acc
+    for t, n in _normalize_insertions(insertions):
+        acc *= (m_ds(d, t) / math.factorial(t)) ** n
+    step = m_ds(d, s) / math.factorial(s)
+    return {m: acc * step ** m for m in _orders(m_values)}
+
+
+def gw_leading_term(mu, nu, insertions) -> Fraction:
+    """The leading term at the insertions {s: m_s}: the sweep at m = 0."""
+    return gw_leading_sweep((0,), mu, nu, 1, insertions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +307,7 @@ class RatioReport(Frozen):
                  "diverging")
 
     def __init__(self, entries: tuple[RatioEntry, ...], final_error: Fraction,
-                 final_error_decimal: str, monotone_from: int | None, diverging: bool):
+                 final_error_decimal: str, monotone_from: int, diverging: bool):
         set_field(self, "entries", entries)
         set_field(self, "final_error", final_error)
         set_field(self, "final_error_decimal", final_error_decimal)
@@ -337,15 +362,13 @@ def ratio_report(exact_fn, asymptotic_fn, r_values, *,
     if not entries:
         raise EmptyReportError("every exact value in the requested range is zero")
     errors = [abs(e.ratio - 1) for e in entries]
-    monotone_from = None
-    for i in range(len(errors)):
-        if all(errors[j + 1] <= errors[j] for j in range(i, len(errors) - 1)):
-            monotone_from = entries[i].r
-            break
+    i = len(errors) - 1  # back to the start of the non-increasing tail
+    while i and errors[i] <= errors[i - 1]:
+        i -= 1
     return RatioReport(
         entries=tuple(entries),
         final_error=errors[-1],
         final_error_decimal=_decimal_str(errors[-1], digits),
-        monotone_from=monotone_from,
+        monotone_from=entries[i].r,
         diverging=len(errors) > 1 and errors[-1] > errors[0],
     )

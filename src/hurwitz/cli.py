@@ -447,7 +447,7 @@ def _cmd_table(args) -> int:
     if args.what == "ratio":
         r_values = _r_values(args)
         _, exact, leading = verify.ratio_family(args.kind, r_values, **_ratio_options(args))
-        report = ratio_report(exact.__getitem__, leading, r_values)
+        report = ratio_report(exact.__getitem__, leading.__getitem__, leading)
         payload = {"config": _config(args), **report.to_json()}
         _emit(args, payload, report.csv_rows())
         return EXIT_OK

@@ -50,22 +50,16 @@ def zeta_neg(s: int) -> Fraction:
     return -bernoulli(s + 1) / (s + 1)
 
 
-@lru_cache(maxsize=None)
-def _stirling1(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return _stirling1(n - 1, k - 1) + (n - 1) * _stirling1(n - 1, k)
-
-
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return _stirling2(n - 1, k - 1) + k * _stirling2(n - 1, k)
+@lru_cache(maxsize=4096)
+def _stirling(kind: int, n: int, k: int) -> int:
+    """Rows 0..n of the triangle filled in place, cut at column k:
+    [m+1, j] = [m, j-1] + m [m, j] and {m+1, j} = {m, j-1} + j {m, j}."""
+    row = [1] + [0] * k
+    for m in range(n):
+        for j in range(min(m + 1, k), 0, -1):
+            row[j] = row[j - 1] + (m if kind == 1 else j) * row[j]
+        row[0] = 0
+    return row[k]
 
 
 def stirling(kind: int, n: int, k: int) -> int:
@@ -81,7 +75,7 @@ def stirling(kind: int, n: int, k: int) -> int:
         raise DomainError(f"stirling arguments must be nonnegative: n={n}, k={k}")
     if k > n:
         return 0
-    return _stirling1(n, k) if kind == 1 else _stirling2(n, k)
+    return _stirling(kind, n, k)
 
 
 # ---------------------------------------------------------------------------

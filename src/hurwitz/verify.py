@@ -13,10 +13,11 @@ from fractions import Fraction
 from . import characters, oracle
 from .asymptotics import (
     _block_degrees,
-    b_leading_term,
-    completed_leading_term,
-    gw_leading_term,
-    monotone_leading_term,
+    b_leading_sweep,
+    completed_leading_sweep,
+    first_r,
+    gw_leading_sweep,
+    monotone_leading_sweep,
     pole_coefficient,
     pole_coefficient_stirling,
     ratio_report,
@@ -310,6 +311,7 @@ def verify_jack(max_d: int = 5, alphas=(1, 2, Fraction(1, 2), 3),
 
 def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
     checks: list[dict] = []
+    d, profiles = _resolve_degree(profiles, d)
     coeffs = structure_coefficients(s, profiles, d=d)
     lo, hi = gap_interval(d, s)
     inside = [m for m in coeffs if lo < m < hi]
@@ -333,7 +335,7 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
     ok = True
     detail = ""
     rs = [r for r in range(1, resum_r + 1) if s % 2 == 0 or (r + n * d - ell) % 2 == 0]
-    _, direct, _ = ratio_family("completed", rs, d=d, s=s, profiles=profiles)
+    direct = completed_sweep(rs, s, profiles, d)
     for r in rs:
         lhs, rhs = resum_structure(coeffs, r, d), direct[r]
         if lhs != rhs:
@@ -376,9 +378,15 @@ def verify_poles(max_d: int = 6, max_k: int = 3, max_lm: int = 2,
 
 def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
                  profiles=(), k: int = 1, a_vec=(), b_vec=(), b=0, gw_s: int = 2):
-    """The resolved degree, the exact values at every r of ``r_values``
-    and the leading-term function of r for one asymptotic family, as
-    ``(d, exact, leading)`` with ``exact`` a dict keyed by r.
+    """The resolved degree, the exact values and the leading terms of one
+    asymptotic family, as ``(d, exact, leading)``.
+
+    ``exact`` is a dict keyed by every r of ``r_values``.  ``leading`` is
+    the family's leading-term sweep, evaluated only at the rows of its
+    ratio report: the r whose exact value is nonzero, from the sweep's
+    first r on (``first_r``: 1 for monotone and b at K >= 2, else 0).
+    ``ratio_report(exact.__getitem__, leading.__getitem__, leading)``
+    tabulates them.
 
     ``classical``/``completed`` use ``s``; ``monotone`` extracts the
     ``u^a_vec v^b_vec`` coefficient at K = ``k``; ``b`` is the b-content
@@ -394,6 +402,10 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         raise DomainError("gw ratio needs two profiles")
     d, profiles = _resolve_degree(profiles, d)
     r_values = _orders(r_values)
+    first = first_r(k) if kind in ("monotone", "b") else 0
+    if r_values and max(r_values) < first:
+        raise DomainError(f"the {kind} leading term at K={k} vanishes below r={first}; "
+                          f"ask for r >= {first}")
     n = len(profiles)
     ell = sum(len(mu) for mu in profiles)
     if kind in ("classical", "completed", "gw"):
@@ -401,19 +413,28 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         if order < 1:
             raise DomainError(f"s must be positive: {order}")
         exact = completed_sweep(r_values, order, profiles, d)
-        if kind != "gw":
-            return d, exact, lambda r: completed_leading_term(r, d, s, n, ell)
-        mu, nu = profiles
-        exact = {m: v * _gw_scale(mu, nu, ((gw_s, m),)) for m, v in exact.items()}
-        return d, exact, lambda m: gw_leading_term(mu, nu, {gw_s: m})
-    if kind == "monotone":
+        if kind == "gw":
+            mu, nu = profiles
+            exact = {m: v * _gw_scale(mu, nu, ((gw_s, m),)) for m, v in exact.items()}
+    elif kind == "monotone":
         a_vec, b_vec = _block_degrees(a_vec, b_vec)
         gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
         exact = {result.r: result.value for result in hypergeometric_hurwitz_sweep(
             r_values, gspec, profiles, d=d, monomial=a_vec + b_vec)}
-        return d, exact, lambda r: monotone_leading_term(r, d, n, ell, k, a_vec, b_vec)
-    exact = b_hurwitz_sweep(r_values, GSpec(K=k), profiles, b, d=d, monomial=())
-    return d, exact, lambda r: b_leading_term(r, d, n, ell, k, (), (), b)
+    else:
+        exact = b_hurwitz_sweep(r_values, GSpec(K=k), profiles, b, d=d, monomial=())
+    rows = [r for r in r_values if r >= first and exact[r]]
+    if not rows:  # the empty report is ratio_report's, before any leading term
+        leading = {}
+    elif kind == "gw":
+        leading = gw_leading_sweep(rows, mu, nu, gw_s)
+    elif kind == "monotone":
+        leading = monotone_leading_sweep(rows, d, n, ell, k, a_vec, b_vec)
+    elif kind == "b":
+        leading = b_leading_sweep(rows, d, n, ell, k, (), (), b)
+    else:
+        leading = completed_leading_sweep(rows, d, s, n, ell)
+    return d, exact, leading
 
 
 def verify_ratio(kind: str, *, d: int | None = None, r_max: int = 40, s: int = 1,
@@ -426,7 +447,7 @@ def verify_ratio(kind: str, *, d: int | None = None, r_max: int = 40, s: int = 1
     d, exact, leading = ratio_family(kind, r_values, d=d, s=s, profiles=profiles, k=k,
                                      a_vec=a_vec, b_vec=b_vec, b=b, gw_s=gw_s)
     try:
-        rep = ratio_report(exact.__getitem__, leading, r_values)
+        rep = ratio_report(exact.__getitem__, leading.__getitem__, leading)
     except EmptyReportError:
         _check(checks, f"{kind} ratio d={d}", False, "empty report: exact values all zero")
         return _report("ratio", checks, kind=kind, d=d, r_max=r_max)

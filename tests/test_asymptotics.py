@@ -4,21 +4,29 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, strategies as st
+
 from hurwitz.asymptotics import (
     PoleCoefficient,
     _pole_constant,
+    b_leading_sweep,
     b_leading_term,
+    completed_leading_sweep,
     completed_leading_term,
+    first_r,
+    gw_leading_sweep,
     gw_leading_term,
+    monotone_leading_sweep,
     monotone_leading_term,
     pole_coefficient,
     pole_coefficient_stirling,
     ratio_report,
 )
-from hurwitz.core import GSpec, completed_hurwitz, content_sequences, m_ds
+from hurwitz.core import (GSpec, _gw_profiles, _normalize_insertions, completed_hurwitz,
+                          content_sequences, m_ds)
 from hurwitz.errors import DomainError, EmptyReportError
-from hurwitz.exactnum import MultiPoly, stirling
-from hurwitz.partitions import contents
+from hurwitz.exactnum import GaussianRational, MultiPoly, stirling
+from hurwitz.partitions import class_data, contents
 
 
 def per_monomial_pole(d, gspec, profiles, sign, v_order, coefficient):
@@ -301,3 +309,163 @@ class TestRatioReport:
     def test_csv_header_contract(self):
         rep = ratio_report(lambda r: Fraction(1), lambda r: Fraction(1), [0, 1])
         assert rep.csv_rows()[0] == ["r", "exact", "asymptotic", "ratio"]
+
+
+# ---------------------------------------------------------------------------
+# Leading-term sweeps against the per-r formulas they replaced
+# ---------------------------------------------------------------------------
+#
+# The reference below is the per-r evaluation that rebuilt each family's
+# constant at every r, kept verbatim as the oracle of the sweeps.
+
+def reference_transfer(r, d, k, constant):
+    if r < 0:
+        raise DomainError(f"need r >= 0, got {r}")
+    return Fraction(r ** (k - 1), math.factorial(k - 1)) * (d - 1) ** r * constant
+
+
+def reference_monotone(r, d, n_profiles, ell_sum, k, a_vec=(), b_vec=()):
+    return 2 * reference_transfer(r, d, k, _pole_constant(d, k, a_vec, b_vec))
+
+
+def reference_completed(r, d, s, n_profiles=0, ell_sum=0):
+    if r < 0:
+        raise DomainError(f"need r >= 0, got {r}")
+    return Fraction(2, math.factorial(d) ** 2) * m_ds(d, s) ** r
+
+
+def reference_b(r, d, n_profiles, ell_sum, k, a_vec=(), b_vec=(), b=0):
+    constant = _pole_constant(d, k, a_vec, b_vec)
+    common = reference_transfer(r, d, k, constant * math.factorial(d))
+    alpha = GaussianRational.of(b) + 1
+    if not constant:
+        return Fraction(0)
+    common = GaussianRational.of(common)
+    norm_row = GaussianRational.of(1)
+    norm_col = alpha
+    for m in range(1, d):
+        norm_row = norm_row * (GaussianRational.of(1) + alpha * m)
+        norm_col = norm_col * (alpha + m)
+
+    def plus_term():
+        if norm_row.abs2() == 0:
+            raise DomainError(f"degenerate deformation: row norm vanishes at b+1={alpha}")
+        return alpha ** (r + (n_profiles - 1) * d - ell_sum) / norm_row
+
+    def minus_term():
+        if norm_col.abs2() == 0:
+            raise DomainError(f"degenerate deformation: column norm vanishes at b+1={alpha}")
+        return GaussianRational.of(
+            Fraction((-1) ** ((r + n_profiles * d - ell_sum) % 2))
+        ) / norm_col
+
+    abs2 = alpha.abs2()
+    if abs2 > 1:
+        value = common * plus_term()
+    elif abs2 < 1:
+        value = common * minus_term()
+    else:
+        value = common * (plus_term() + minus_term())
+    if value.is_real:
+        return value.re
+    return value
+
+
+def reference_gw(mu, nu, insertions):
+    mu, nu, d = _gw_profiles(mu, nu)
+    acc = Fraction(2, class_data(mu).stabilizer * class_data(nu).stabilizer
+                   * math.factorial(d) ** 2)
+    for s, m in _normalize_insertions(insertions):
+        acc *= (m_ds(d, s) / math.factorial(s)) ** m
+    return acc
+
+
+R_UP_TO_60 = range(61)
+
+
+def assert_same(got: dict, reference):
+    """Every r <= 60 of the sweep equals the reference, in value and type."""
+    assert list(got) == list(R_UP_TO_60)
+    for r, value in got.items():
+        want = reference(r)
+        assert value == want and type(value) is type(want), (r, value, want)
+
+
+# (n_profiles, ell_sum): Nd - sum l even, odd, and no profile
+PARITIES = [(0, 0), (1, 3), (2, 5)]
+
+
+class TestLeadingSweeps:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_monotone(self, d):
+        blocks = [((), ()), ((1,), ()), ((), (2,)), ((d - 1,), (0, 3)), ((d,), ()),
+                  ((0, d + 1), (1,))]
+        for k in (1, 2, 3):
+            for a_vec, b_vec in blocks:
+                for n, ell in PARITIES:
+                    got = monotone_leading_sweep(R_UP_TO_60, d, n, ell, k, a_vec, b_vec)
+                    assert_same(got, lambda r: reference_monotone(r, d, n, ell, k,
+                                                                  a_vec, b_vec))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_completed(self, s):
+        for d, n, ell in [(2, 0, 0), (4, 0, 0), (4, 2, 5), (6, 1, 3)]:
+            got = completed_leading_sweep(R_UP_TO_60, d, s, n, ell)
+            assert_same(got, lambda r: reference_completed(r, d, s, n, ell))
+
+    @pytest.mark.parametrize("mu, nu", [((3, 2, 1), (2, 2, 2)), ((2, 1, 1), (3, 1))])
+    def test_gw(self, mu, nu):
+        for s in (1, 2, 3):
+            assert_same(gw_leading_sweep(R_UP_TO_60, mu, nu, s),
+                        lambda m: reference_gw(mu, nu, {s: m}))
+            assert_same(gw_leading_sweep(R_UP_TO_60, mu, nu, s, {4: 2}),
+                        lambda m: reference_gw(mu, nu, {s: m, 4: 2}))
+        assert gw_leading_term(mu, nu, {1: 2, 3: 5}) == reference_gw(mu, nu, {1: 2, 3: 5})
+
+    @pytest.mark.parametrize("b", [0, Fraction(1, 2), 2, Fraction(-1, 2),
+                                   GaussianRational(Fraction(-1), Fraction(1))],
+                             ids=["0", "1/2", "2", "-1/2", "-1+i"])
+    def test_b(self, b):
+        for d in (2, 3, 4, 5):
+            for k, a_vec, b_vec in [(1, (), ()), (2, (), ()), (3, (1,), (2,)), (1, (d,), ())]:
+                for n, ell in PARITIES:
+                    got = b_leading_sweep(R_UP_TO_60, d, n, ell, k, a_vec, b_vec, b)
+                    assert_same(got, lambda r: reference_b(r, d, n, ell, k, a_vec, b_vec, b))
+
+    def test_single_r_functions_are_the_one_r_case(self):
+        for r in (0, 1, 7):
+            assert monotone_leading_term(r, 4, 1, 3, 2, (1,), (2,)) == \
+                reference_monotone(r, 4, 1, 3, 2, (1,), (2,))
+            assert completed_leading_term(r, 5, 2) == reference_completed(r, 5, 2)
+            assert b_leading_term(r, 4, 1, 3, 2, (), (), Fraction(1, 2)) == \
+                reference_b(r, 4, 1, 3, 2, (), (), Fraction(1, 2))
+
+    def test_first_r(self):
+        assert [first_r(k) for k in (1, 2, 3)] == [0, 1, 1]
+        for k in (1, 2, 3):
+            terms = monotone_leading_sweep(range(3), 3, 0, 0, k)
+            assert [r for r, value in terms.items() if value] == list(range(first_r(k), 3))
+
+    def test_sweeps_refuse_negative_r(self):
+        for sweep in (lambda rs: monotone_leading_sweep(rs, 3, 0, 0, 1),
+                      lambda rs: completed_leading_sweep(rs, 3, 1),
+                      lambda rs: b_leading_sweep(rs, 3, 0, 0, 1, b=1),
+                      lambda rs: gw_leading_sweep(rs, (2, 1), (3,), 2)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                sweep([2, -1])
+
+
+def quadratic_monotone_from(rs, errors):
+    """The first r from which every later error is no larger, by checking
+    each suffix in full."""
+    for i in range(len(errors)):
+        if all(errors[j + 1] <= errors[j] for j in range(i, len(errors) - 1)):
+            return rs[i]
+    return None
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=25))
+def test_monotone_from_matches_the_quadratic_definition(errors):
+    rs = list(range(3, 3 + len(errors)))
+    rep = ratio_report(lambda r: 1 + Fraction(errors[r - 3], 7), lambda r: Fraction(1), rs)
+    assert rep.monotone_from == quadratic_monotone_from(rs, [Fraction(e, 7) for e in errors])

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -199,6 +200,63 @@ class TestTable:
         _, ratio, _ = run(capsys, "table", "--what", "ratio", "--kind", "monotone",
                           "--d", "3", "--r-max", "4", "--format", "csv")
         assert '"K": 1' in ratio.splitlines()[0]
+
+
+class TestRatioAtTwoBlocks:
+    """At K >= 2 the leading term r^{K-1}/(K-1)! ... vanishes at r = 0, so
+    the monotone and b ratio reports start at r = 1."""
+
+    KINDS = [("monotone",), ("b", "--b", "1/2")]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["monotone", "b"])
+    def test_verify_converges_like_one_over_r(self, capsys, kind):
+        argv = ("verify", "ratio", "--kind", *kind, "--d", "4", "--K", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        detail = json.loads(out)["checks"][0]["detail"]
+        error, at = detail.removeprefix("final |ratio-1| = ").split(" at ")
+        assert at == "r=40" and abs(float(error) - 0.1) < 0.001
+        code, _, _ = run(capsys, *argv, "--tolerance", "1/5")
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["monotone", "b"])
+    def test_table_starts_at_r_one(self, capsys, kind):
+        code, out, _ = run(capsys, "table", "--what", "ratio", "--kind", *kind, "--d", "4",
+                           "--K", "2", "--r-min", "0", "--r-max", "5", "--format", "csv")
+        assert code == EXIT_OK
+        rows = [int(line.split(",")[0]) for line in out.splitlines()[2:]]
+        assert rows and min(rows) >= 1
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["monotone", "b"])
+    def test_a_range_below_the_first_r_names_it(self, capsys, kind):
+        code, out, err = run(capsys, "table", "--what", "ratio", "--kind", *kind, "--d", "4",
+                             "--K", "2", "--r-min", "0", "--r-max", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert "vanishes below r=1" in err
+
+
+class TestRatioBytes:
+    """The ratio outputs are pinned byte for byte (md5 of stdout)."""
+
+    PINS = [
+        ("9f1628be", "table --what ratio --kind classical --d 12 --r-min 0 --r-max 40"),
+        ("1512f25d", "table --what ratio --kind completed --d 10 --s 2 --r-min 0 --r-max 40"),
+        ("fecbb87f", "table --what ratio --kind monotone --d 6 --K 1 --u-deg 1 --v-deg 1 "
+                     "--r-min 0 --r-max 40"),
+        ("7a62895a", "table --what ratio --kind monotone --d 5 --K 3 --r-min 1 --r-max 40"),
+        ("c7f620ae", "table --what ratio --kind b --d 5 --b 1/2 --K 1 --r-min 0 --r-max 40"),
+        ("57ae2467", "table --what ratio --kind b --d 4 --b=-1/2 --K 1 --r-min 0 --r-max 40"),
+        ("b7b6df00", "table --what ratio --kind gw --profiles 3,2,1;2,2,2 --gw-s 2 "
+                     "--r-min 0 --r-max 40"),
+        ("ffcac478", "verify ratio --kind monotone --d 4 --K 1"),
+    ]
+
+    def test_md5_of_each_output(self, capsys):
+        got = []
+        for _, request in self.PINS:
+            code, out, _ = run(capsys, *request.split(), "--format", "csv")
+            got.append((code, hashlib.md5(out.encode()).hexdigest()[:8]))
+        assert got == [(EXIT_OK, pin) for pin, _ in self.PINS]
 
 
 class TestCharTableCommand:

@@ -1,3 +1,7 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +22,8 @@ from hurwitz.exactnum import (
     stirling,
     zeta_neg,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # classical table, an independent cross-check on the recurrence
 BERNOULLI = {
@@ -53,6 +59,25 @@ class TestScalars:
             stirling(3, 2, 1)
         with pytest.raises(DomainError):
             stirling(1, -1, 0)
+
+    def test_stirling_at_large_n_on_a_cold_cache(self):
+        # a fresh interpreter, so no smaller row is memoized first
+        code = ("from math import comb; from hurwitz.exactnum import stirling; "
+                "assert stirling(2, 900, 3) == (3**900 - 3 * 2**900 + 3) // 6; "
+                "assert stirling(1, 900, 899) == comb(900, 2)")
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_stirling_triangle_recurrences(self):
+        for n in range(1, 30):
+            for k in range(1, n + 1):
+                s1, s2 = (stirling(kind, n - 1, k - 1) for kind in (1, 2))
+                assert stirling(1, n, k) == s1 + (n - 1) * stirling(1, n - 1, k)
+                assert stirling(2, n, k) == s2 + k * stirling(2, n - 1, k)
+            assert stirling(1, n, 0) == stirling(2, n, 0) == 0
+            assert sum(stirling(1, n, k) for k in range(n + 1)) == math.factorial(n)
 
     def test_rational_strings(self):
         assert format_rational(Fraction(3, 6)) == "1/2"

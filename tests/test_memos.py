@@ -18,8 +18,6 @@ UNBOUNDED = {
     ("cli", "build_parser"),
     ("core", "_c_const"),
     ("core", "f_bar"),
-    ("exactnum", "_stirling1"),
-    ("exactnum", "_stirling2"),
     ("exactnum", "bernoulli"),
     ("jack", "_m_in_p_matrix"),
     ("oracle", "_profile_products"),
