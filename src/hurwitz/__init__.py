@@ -17,7 +17,6 @@ from .core import (
     connected_transform,
     f_bar,
     gw_correlator,
-    higher_genus_target,
     hypergeometric_hurwitz,
     m_ds,
     orbifold_hurwitz,
@@ -62,7 +61,6 @@ __all__ = [
     "f_bar",
     "frobenius_shifted",
     "gw_correlator",
-    "higher_genus_target",
     "hypergeometric_hurwitz",
     "m_ds",
     "orbifold_hurwitz",

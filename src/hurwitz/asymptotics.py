@@ -17,6 +17,7 @@ from .errors import DomainError, EmptyReportError
 from .exactnum import (
     GaussianRational,
     MultiPoly,
+    exact,
     format_rational,
     stirling,
 )
@@ -182,8 +183,7 @@ def _transfer(r_values, d: int, k: int, constant) -> dict:
             for r in _orders(r_values)}
 
 
-def monotone_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: int,
-                           a_vec=(), b_vec=()) -> dict:
+def monotone_leading_sweep(r_values, d: int, k: int, a_vec=(), b_vec=()) -> dict:
     """Leading terms for rational weights with K weak blocks growing with r.
 
     The transfer 2 * r^{K-1}/(K-1)! * (d-1)^r * A of the pole constant A
@@ -193,21 +193,18 @@ def monotone_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: i
     return _transfer(r_values, d, k, 2 * _pole_constant(d, k, a_vec, b_vec))
 
 
-def monotone_leading_term(r: int, d: int, n_profiles: int, ell_sum: int, k: int,
-                          a_vec=(), b_vec=()) -> Fraction:
-    return monotone_leading_sweep((r,), d, n_profiles, ell_sum, k, a_vec, b_vec)[r]
+def monotone_leading_term(r: int, d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
+    return monotone_leading_sweep((r,), d, k, a_vec, b_vec)[r]
 
 
-def completed_leading_sweep(r_values, d: int, s: int, n_profiles: int = 0,
-                            ell_sum: int = 0) -> dict:
+def completed_leading_sweep(r_values, d: int, s: int) -> dict:
     """{r: (2/d!^2) * M_{d,s}^r} for the completed-cycle family."""
     scale, m = Fraction(2, math.factorial(d) ** 2), m_ds(d, s)
     return {r: scale * m ** r for r in _orders(r_values)}
 
 
-def completed_leading_term(r: int, d: int, s: int, n_profiles: int = 0,
-                           ell_sum: int = 0) -> Fraction:
-    return completed_leading_sweep((r,), d, s, n_profiles, ell_sum)[r]
+def completed_leading_term(r: int, d: int, s: int) -> Fraction:
+    return completed_leading_sweep((r,), d, s)[r]
 
 
 def _abs2(x) -> Fraction:
@@ -230,7 +227,7 @@ def b_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: int,
     constant = _pole_constant(d, k, a_vec, b_vec)
     # the Jack norms below replace the d! of the constant's d!^2
     common = _transfer(r_values, d, k, constant * math.factorial(d))
-    alpha = b + 1 if isinstance(b, GaussianRational) else Fraction(b) + 1
+    alpha = b + 1 if isinstance(b, GaussianRational) else Fraction(exact(b)) + 1
     if not constant:
         return dict.fromkeys(common, Fraction(0))
     norm_row, norm_col = 1, alpha

@@ -57,12 +57,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import DomainError, SizeLimitError
-from .partitions import (
-    Partition,
-    _partitions_rec,
-    check_partition,
-    enumerate_partitions,
-)
+from .partitions import Partition, check_partition, partition_tuple
 
 DEFAULT_TABLE_CEILING = 18
 CACHE_DIR_ENV = "HURWITZ_CACHE_DIR"
@@ -141,7 +136,7 @@ def _add_strips(n: int, i: int, k: int) -> tuple[int, ...]:
     beads above it: row q takes the moved bead's new part, rows q+1..t
     take the parts of rows q..t-1 plus one, and the sign counts the t - q
     beads passed."""
-    nu = _partitions_rec(n, max(n, 1))[i]
+    nu = partition_tuple(n)[i]
     index = _partition_index(n + k)
     padded = nu + (0,) * k
     beta = [p - t for t, p in enumerate(padded)]  # strictly decreasing
@@ -272,9 +267,9 @@ class CharTable:
             yield [label] + list(map(str, row))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _partition_index(d: int) -> dict[Partition, int]:
-    return {lam: i for i, lam in enumerate(enumerate_partitions(d))}
+    return {lam: i for i, lam in enumerate(partition_tuple(d))}
 
 
 _tables: dict[int, CharTable] = {}
@@ -308,7 +303,7 @@ def _load_cached(d: int) -> tuple[tuple[int, ...], ...] | None:
         return _reject(path, "bad header")
     parts = blob.get("partitions")
     if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts) \
-            or list(map(tuple, parts)) != enumerate_partitions(d):
+            or tuple(map(tuple, parts)) != partition_tuple(d):
         return _reject(path, "wrong partitions")
     rows = blob.get("entries")
     if not isinstance(rows, list) or len(rows) != len(parts) \
@@ -358,5 +353,5 @@ def char_table(d: int) -> CharTable:
         with _tables_lock:
             table = _tables.get(d)
             if table is None:
-                table = _tables[d] = CharTable(d, tuple(enumerate_partitions(d)))
+                table = _tables[d] = CharTable(d, partition_tuple(d))
     return table

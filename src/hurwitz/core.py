@@ -956,31 +956,3 @@ def gw_genus(mu, nu, insertions) -> Fraction:
     mu, nu, _ = _gw_profiles(mu, nu)
     weight = sum(s * m for s, m in _normalize_insertions(insertions))
     return Fraction(weight + 2 - len(mu) - len(nu), 2)
-
-
-# ---------------------------------------------------------------------------
-# Higher-genus target surfaces
-# ---------------------------------------------------------------------------
-
-def higher_genus_target(h: int, base: HurwitzResult) -> HurwitzResult:
-    """Lift a sphere-target count to a genus-h target: multiply by d!^{2h}
-    after the caller has already substituted r -> r - 2dh in the base."""
-    if h < 0:
-        raise DomainError(f"target genus must be nonnegative: {h}")
-    scale = Fraction(math.factorial(base.d)) ** (2 * h)
-    value = base.value * scale
-    r = None if base.r is None else base.r + 2 * base.d * h
-    return HurwitzResult(
-        kind=base.kind, d=base.d, r=r, s=base.s, t=base.t,
-        profiles=base.profiles, connected=base.connected, value=value,
-        gspec=base.gspec, genus=None,
-        extra={**base.extra, "target_genus": h, "base_r": base.r},
-    )
-
-
-def shifted_base_order(r: int, d: int, h: int) -> int:
-    """The base-instance order r - 2dh; negative shifts are domain errors."""
-    rr = r - 2 * d * h
-    if rr < 0:
-        raise DomainError(f"r - 2dh = {rr} is negative (r={r}, d={d}, h={h})")
-    return rr

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .core import (GSpec, _content_value, _orders, _resolve_degree, content_factor,
                    weighted_sweep)
 from .errors import DomainError, SingularParameterError, SizeLimitError
-from .exactnum import MultiPoly
+from .exactnum import MultiPoly, exact
 from .partitions import (
     Partition,
     check_partition,
@@ -125,7 +125,7 @@ _jack_lock = threading.Lock()
 
 
 def _jack_basis(d: int, alpha: Fraction) -> dict[Partition, dict[Partition, Fraction]]:
-    alpha = Fraction(alpha)
+    alpha = Fraction(exact(alpha))
     if alpha == 0:
         raise SingularParameterError("alpha = 0 degenerates the Hall product")
     key = (d, alpha)
@@ -194,7 +194,7 @@ def jack_in_psums(lam, alpha) -> PSumExpansion:
     lam = check_partition(lam)
     d = sum(lam)
     _check_jack_degree(d)
-    alpha = Fraction(alpha)
+    alpha = Fraction(exact(alpha))
     vec = _jack_basis(d, alpha)[lam]
     coeffs = tuple(
         (mu, vec[mu]) for mu in enumerate_partitions(d) if mu in vec
@@ -206,7 +206,7 @@ def jack_norm(lam, alpha) -> Fraction:
     """Squared Hall norm of J_lam: the double product over diagram boxes
     of (alpha*arm + leg + 1) and (alpha*arm + leg + alpha)."""
     lam = check_partition(lam)
-    alpha = Fraction(alpha)
+    alpha = Fraction(exact(alpha))
     lt = transpose(lam)
     out = Fraction(1)
     for i in range(len(lam)):
@@ -235,7 +235,7 @@ def jack_character(lam, mu, alpha) -> Fraction:
 def deformed_contents(lam, alpha) -> list[Fraction]:
     """Box weights alpha*(j-1) - (i-1), row by row (1-based boxes)."""
     lam = check_partition(lam)
-    alpha = Fraction(alpha)
+    alpha = Fraction(exact(alpha))
     return [alpha * j - i for i, p in enumerate(lam) for j in range(p)]
 
 
@@ -243,7 +243,7 @@ def jack_weights(d: int, profiles, b):
     """Yield ``(lam, weight)`` for every nonzero Jack weight
     prod_i theta_lam(mu_i) / j_lam at alpha = b + 1, in canonical order."""
     _check_jack_degree(d)
-    alpha = Fraction(b) + 1
+    alpha = Fraction(exact(b)) + 1
     if alpha == 0:
         raise SingularParameterError("b = -1 degenerates the deformation (alpha = 0)")
     for lam in enumerate_partitions(d):
@@ -274,7 +274,7 @@ def b_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), b=0, *,
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
-    alpha = Fraction(b) + 1
+    alpha = Fraction(exact(b)) + 1
     factor = content_factor(gspec, max(r_values, default=0), caps=caps, monomial=monomial,
                             weights_of=lambda lam: deformed_contents(lam, alpha))
     totals = weighted_sweep(jack_weights(d, profiles, b), factor, r_values)

@@ -33,26 +33,54 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-@lru_cache(maxsize=None)
-def _partitions_rec(remaining: int, max_part: int) -> tuple[Partition, ...]:
-    if remaining == 0:
+@lru_cache(maxsize=64)  # above the default ceiling, so every degree stays
+def _partitions_of(d: int) -> tuple[Partition, ...]:
+    """Every partition of ``d`` in reverse-lex order, by the next-partition
+    step of Zoghbi and Stojmenovic's ZS1: lower the last part above 1, at
+    index h, by one and refill the parts after it with copies of the new
+    value, then one remainder.  ``x[h + 1:]`` are ones throughout."""
+    if d == 0:
         return ((),)
-    out = []
-    for first in range(min(remaining, max_part), 0, -1):
-        for rest in _partitions_rec(remaining - first, first):
-            out.append((first,) + rest)
+    x = [1] * d
+    x[0] = d
+    m, h = 1, 0  # the number of parts; the index of the last part above 1
+    out = [(d,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the unit taken from x[h] plus the ones after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 if t == 0 else h + 2
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(tuple(x[:m]))
     return tuple(out)
 
 
-def enumerate_partitions(d: int) -> list[Partition]:
-    """All partitions of ``d``, each exactly once, in reverse-lex order, up
-    to ``DEFAULT_PARTITION_CEILING`` (read at call time)."""
+def partition_tuple(d: int) -> tuple[Partition, ...]:
+    """All partitions of ``d``, each exactly once, in reverse-lex order, as
+    one tuple memoized per degree, up to ``DEFAULT_PARTITION_CEILING``
+    (read at call time)."""
     if d < 0:
         raise DomainError(f"cannot partition the negative integer {d}")
     if d > DEFAULT_PARTITION_CEILING:
         raise SizeLimitError(
             f"degree {d} exceeds the partition ceiling {DEFAULT_PARTITION_CEILING}")
-    return list(_partitions_rec(d, max(d, 1)))
+    return _partitions_of(d)
+
+
+def enumerate_partitions(d: int) -> list[Partition]:
+    """``partition_tuple(d)`` as a list."""
+    return list(partition_tuple(d))
 
 
 def transpose(lam) -> Partition:

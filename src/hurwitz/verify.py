@@ -216,13 +216,15 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
             terms_ok = len(e.coeffs) == want_terms
             _check(checks, f"e_{k}(JM) class support d={d}", ok and terms_ok)
 
-        f_top = oracle.central_idempotent((d,))
+        # the sum of all permutations, d! times the row idempotent F_(d): the
+        # same eigenvalue check on int coefficients
+        total = oracle.GroupAlgebraElement(d, dict.fromkeys(oracle.group(d), 1))
         for k in range(0, max_k + 1):
             e = oracle.jm_symmetric_evaluate("e", k, d)
             h = oracle.jm_symmetric_evaluate("h", k, d)
             e_eigen = stirling(1, d, d - k) if d >= k else 0
-            ok_e = (e * f_top) == f_top.scale(e_eigen)
-            ok_h = (h * f_top) == f_top.scale(stirling(2, d - 1 + k, d - 1))
+            ok_e = (e * total) == total.scale(e_eigen)
+            ok_h = (h * total) == total.scale(stirling(2, d - 1 + k, d - 1))
             _check(checks, f"JM eigenvalues on the row idempotent d={d} k={k}",
                    ok_e and ok_h)
     return _report("stirling", checks, max_n=max_n, max_d=max_d, max_k=max_k)
@@ -406,8 +408,6 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
     if r_values and max(r_values) < first:
         raise DomainError(f"the {kind} leading term at K={k} vanishes below r={first}; "
                           f"ask for r >= {first}")
-    n = len(profiles)
-    ell = sum(len(mu) for mu in profiles)
     if kind in ("classical", "completed", "gw"):
         order = gw_s if kind == "gw" else s
         if order < 1:
@@ -429,23 +429,22 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
     elif kind == "gw":
         leading = gw_leading_sweep(rows, mu, nu, gw_s)
     elif kind == "monotone":
-        leading = monotone_leading_sweep(rows, d, n, ell, k, a_vec, b_vec)
+        leading = monotone_leading_sweep(rows, d, k, a_vec, b_vec)
     elif kind == "b":
-        leading = b_leading_sweep(rows, d, n, ell, k, (), (), b)
+        leading = b_leading_sweep(rows, d, len(profiles), sum(map(len, profiles)), k,
+                                  (), (), b)
     else:
-        leading = completed_leading_sweep(rows, d, s, n, ell)
+        leading = completed_leading_sweep(rows, d, s)
     return d, exact, leading
 
 
-def verify_ratio(kind: str, *, d: int | None = None, r_max: int = 40, s: int = 1,
-                 profiles=(), k: int = 1, a_vec=(), b_vec=(), b=0,
-                 gw_s: int = 2, tolerance=Fraction(1, 1000)) -> dict:
-    """Ratio-to-leading-term checks for one asymptotic family."""
+def verify_ratio(kind: str, *, r_max: int = 40, tolerance=Fraction(1, 1000),
+                 **options) -> dict:
+    """Ratio-to-leading-term checks for one asymptotic family; ``options``
+    are ``ratio_family``'s keywords."""
     checks: list[dict] = []
     tolerance = Fraction(tolerance)
-    r_values = range(0, r_max + 1)
-    d, exact, leading = ratio_family(kind, r_values, d=d, s=s, profiles=profiles, k=k,
-                                     a_vec=a_vec, b_vec=b_vec, b=b, gw_s=gw_s)
+    d, exact, leading = ratio_family(kind, range(0, r_max + 1), **options)
     try:
         rep = ratio_report(exact.__getitem__, leading.__getitem__, leading)
     except EmptyReportError:

@@ -146,7 +146,7 @@ def _profile_cases():
 def test_criterion_3_single_profile(d, mu):
     rep = ratio_report(
         lambda r: completed_hurwitz(r, 1, (mu,)).value,
-        lambda r: completed_leading_term(r, d, 1, 1, len(mu)),
+        lambda r: completed_leading_term(r, d, 1),
         range(0, 41),
     )
     ok = rep.final_error <= MILLI
@@ -174,7 +174,7 @@ def _monotone_ratio(d, k, a_vec, b_vec, r_max=40):
     r_min = 0 if k == 1 else 1
     return ratio_report(
         exact,
-        lambda r: monotone_leading_term(r, d, 0, 0, k, a_vec, b_vec),
+        lambda r: monotone_leading_term(r, d, k, a_vec, b_vec),
         range(r_min, r_max + 1),
     )
 
@@ -254,8 +254,7 @@ def test_criterion_5_completed_ratio(d, s):
             continue  # the family vanishes identically
         rep = ratio_report(
             lambda r, profiles=profiles: completed_hurwitz(r, s, profiles, d=d).value,
-            lambda r, ell=ell, profiles=profiles: completed_leading_term(
-                r, d, s, len(profiles), ell),
+            lambda r: completed_leading_term(r, d, s),
             range(0, 41),
         )
         worst = max(worst, rep.final_error)

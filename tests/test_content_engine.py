@@ -28,7 +28,7 @@ from hurwitz.exactnum import (
 )
 from hurwitz.jack import b_hurwitz_coefficient, deformed_contents
 from hurwitz.partitions import contents, enumerate_partitions
-from hurwitz.verify import ratio_family
+from hurwitz.verify import ratio_family, verify_ratio
 
 
 def reference_series(weights, gspec, order, caps=None, series=None):
@@ -169,3 +169,8 @@ def test_sweep_rejects_negative_r():
 def test_sweep_rejects_negative_block_degrees(blocks, name):
     with pytest.raises(DomainError, match=f"{name} block degrees must be nonnegative"):
         ratio_family("monotone", range(5), d=3, **blocks)
+
+
+def test_verify_ratio_refuses_an_unknown_option():
+    with pytest.raises(TypeError, match="gw_S"):
+        verify_ratio("gw", profiles=((2, 1), (3,)), gw_S=3)

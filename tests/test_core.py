@@ -17,13 +17,11 @@ from hurwitz.core import (
     gap_interval,
     gw_correlator,
     gw_genus,
-    higher_genus_target,
     hypergeometric_hurwitz,
     m_ds,
     mixed_simple_hypergeometric,
     orbifold_hurwitz,
     rh_genus,
-    shifted_base_order,
     structure_coefficients,
     structure_resummation,
 )
@@ -330,29 +328,6 @@ class TestGromovWitten:
     def test_degree_mismatch(self):
         with pytest.raises(DomainError):
             gw_correlator((2,), (1,), {1: 1})
-
-
-class TestHigherGenusTarget:
-    def test_identity_at_h_zero(self):
-        base = completed_hurwitz(2, 1, (), d=2)
-        lifted = higher_genus_target(0, base)
-        assert lifted.value == base.value and lifted.r == base.r
-
-    def test_torus_target_double_cover(self):
-        base = completed_hurwitz(2, 1, (), d=2)
-        lifted = higher_genus_target(1, base)
-        assert lifted.value == 2
-        assert lifted.r == base.r + 4
-
-    def test_degree_one_unchanged(self):
-        base = completed_hurwitz(3, 2, ((1,),))
-        for h in (0, 1, 2):
-            assert higher_genus_target(h, base).value == base.value
-
-    def test_shifted_base_order(self):
-        assert shifted_base_order(6, 2, 1) == 2
-        with pytest.raises(DomainError):
-            shifted_base_order(2, 2, 1)
 
 
 class TestSerialization:

@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitz.asymptotics import b_leading_sweep
 from hurwitz.characters import char_table, dim
 from hurwitz.core import GSpec, hypergeometric_hurwitz
 from hurwitz.errors import DomainError, SingularParameterError, SizeLimitError
+from hurwitz.exactnum import GaussianRational
 from hurwitz.jack import (
     _m_in_p_matrix,
     b_hurwitz_coefficient,
+    b_hurwitz_sweep,
     deformed_contents,
     jack_character,
     jack_in_psums,
     jack_norm,
+    jack_weights,
 )
 from hurwitz.partitions import class_data, enumerate_partitions
 
@@ -236,3 +240,38 @@ class TestSerializationJack:
     def test_psum_expansion_json(self):
         blob = jack_in_psums((2,), Fraction(5, 3)).to_json()
         assert blob == {"2": "5/3", "1,1": "1"}
+
+
+class TestFloatsRefused:
+    """A float b or alpha is not an exact parameter: each entry point
+    raises instead of computing with its binary expansion."""
+
+    def test_jack_weights(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            list(jack_weights(2, (), 0.1))
+
+    def test_b_hurwitz_sweep(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            b_hurwitz_sweep([3], GSpec(K=1), (), 0.1, d=2, monomial=())
+
+    def test_deformed_contents(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            deformed_contents((2, 1), 1.5)
+
+    def test_jack_norm(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            jack_norm((2, 1), 1.5)
+
+    def test_jack_in_psums(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            jack_in_psums((2, 1), 1.5)
+
+    def test_jack_character(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            jack_character((2, 1), (3,), 1.5)
+
+    def test_b_leading_sweep(self):
+        with pytest.raises(DomainError, match="rational coefficient"):
+            b_leading_sweep([3], 2, 0, 0, 1, b=0.1)
+        gaussian = b_leading_sweep([3], 2, 0, 0, 1, b=GaussianRational(Fraction(-1), Fraction(1)))
+        assert gaussian[3] == GaussianRational(Fraction(1, 2), Fraction(1, 2))

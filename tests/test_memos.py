@@ -13,7 +13,6 @@ SOURCE = Path(hurwitz.__file__).parent
 # a new cache takes a maxsize instead of joining the list
 UNBOUNDED = {
     ("characters", "_mn"),
-    ("characters", "_partition_index"),
     ("cli", "_unread_flags"),
     ("cli", "build_parser"),
     ("core", "_c_const"),
@@ -25,7 +24,6 @@ UNBOUNDED = {
     ("oracle", "class_perms"),
     ("oracle", "group"),
     ("oracle", "transpositions"),
-    ("partitions", "_partitions_rec"),
 }
 
 

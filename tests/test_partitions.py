@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from hurwitz.partitions import (
     frobenius_shifted,
     hook_lengths,
     parse_partition,
+    partition_tuple,
     transpose,
 )
 
@@ -88,6 +90,28 @@ class TestEnumeration:
     def test_negative(self):
         with pytest.raises(DomainError):
             enumerate_partitions(-1)
+
+    def test_next_partition_step_matches_the_recursion(self):
+        # the recursive enumeration the iterative step replaced, kept as
+        # its reference
+        @lru_cache(maxsize=None)
+        def recursive(remaining, max_part):
+            if remaining == 0:
+                return ((),)
+            return tuple((first,) + rest
+                         for first in range(min(remaining, max_part), 0, -1)
+                         for rest in recursive(remaining - first, first))
+
+        for d in range(41):
+            assert partition_tuple(d) == recursive(d, max(d, 1)), d
+            assert enumerate_partitions(d) == list(recursive(d, max(d, 1)))
+
+    def test_one_tuple_per_degree(self):
+        assert partition_tuple(12) is partition_tuple(12)
+        with pytest.raises(SizeLimitError, match="partition ceiling 40"):
+            partition_tuple(41)
+        with pytest.raises(DomainError):
+            partition_tuple(-1)
 
 
 class TestTranspose:
