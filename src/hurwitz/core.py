@@ -10,9 +10,11 @@ The two evaluation routes are:
 
 Every family is a sum over partitions of a weight times a factor, and
 ``weighted_sweep``, the one reducer, sums it for every r of a sweep at
-once.  ``character_weights`` supplies the weights (``hurwitz.jack`` the
-Jack weights); ``completed_sweep`` and ``character_sum`` are its
-completed-cycle and one-r cases.  The hypergeometric factor is
+once.  ``character_weights`` supplies the weights, which depend on
+(degree, profiles) alone: each list is built once and kept in a bounded
+memo (``hurwitz.jack`` keeps the Jack weights the same way, per
+(degree, profiles, alpha)).  ``completed_sweep`` and ``character_sum``
+are its completed-cycle and one-r cases.  The hypergeometric factor is
 ``content_factor``: the z^r coefficient factors into elementary and
 complete symmetric functions of the nonzero contents
 (``content_sequences``, plain integer sequences, built once per
@@ -70,7 +72,7 @@ def _c_const(s: int) -> Fraction:
     return (1 - Fraction(1, 2**s)) * zeta_neg(s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def f_bar(lam: Partition, s: int) -> Fraction:
     """Shifted power sum (1/s)(sum a'^s - (-b')^s + c_s) in Frobenius coordinates."""
     lam = check_partition(lam)
@@ -176,46 +178,37 @@ def _scaled_f_bar(lam: Partition, s: int, q: int) -> int:
     return f.numerator * (q // f.denominator)
 
 
-def character_weights(d: int, profiles):
+def character_weights(d: int, profiles) -> tuple[int, tuple]:
     """The character weights over one denominator, as ``(D, weights)``.
 
-    ``weights`` yields ``(lam, W)`` for every nonzero
+    ``weights`` is the tuple of ``(lam, W)`` for every nonzero
     ``W = dim^2 prod_i omega_lam(mu_i)``, in canonical partition order,
     and ``D = d!^2 prod_i |C_{mu_i}|``, so the weight
     ``(dim/d!)^2 prod_i chi_lam(mu_i)/dim`` is ``W/D``.  The central
     character ``omega_lam(mu) = |C_mu| chi_lam(mu)/dim`` is an integer
     (Isaacs, Character Theory of Finite Groups, Thm 3.7), so every ``W``
-    is an int.
+    is an int.  The pair depends on (d, profiles) alone, never on r or
+    the family, and is listed once into a bounded memo (256 entries).
     """
+    return _character_weights(d, tuple(map(tuple, profiles)))
+
+
+@lru_cache(maxsize=256)
+def _character_weights(d: int, profiles: tuple[Partition, ...]) -> tuple[int, tuple]:
     table = characters.char_table(d)
     sizes = [class_data(mu).class_size for mu in profiles]
     cols = [table.column(mu) for mu in profiles]
-
-    def weights():
-        for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
-            weight = dim * dim
-            for size, col in zip(sizes, cols):
-                chi = col[i]
-                if chi == 0:
-                    break
-                weight *= size * chi // dim
-            else:
-                yield lam, weight
-
-    return math.factorial(d) ** 2 * math.prod(sizes), weights()
-
-
-def _weights(memo: dict | None, d: int, profiles):
-    """``character_weights(d, profiles)``; with a connected transform's
-    per-call ``memo``, the weights are listed once and every later
-    ``character_sum`` of the same (profiles, degree) reads that list."""
-    if memo is None:
-        return character_weights(d, profiles)
-    lists = memo.setdefault("weights", {})
-    if (d, profiles) not in lists:
-        denominator, weights = character_weights(d, profiles)
-        lists[d, profiles] = denominator, list(weights)
-    return lists[d, profiles]
+    weights = []
+    for i, (lam, dim) in enumerate(zip(table.partitions, table.dims)):
+        weight = dim * dim
+        for size, col in zip(sizes, cols):
+            chi = col[i]
+            if chi == 0:
+                break
+            weight *= size * chi // dim
+        else:
+            weights.append((lam, weight))
+    return math.factorial(d) ** 2 * math.prod(sizes), tuple(weights)
 
 
 def _over(total, denominator: int):
@@ -260,16 +253,14 @@ def weighted_sweep(weights, factor, r_values, denominator=None) -> dict:
     return dict(zip(r_values, totals))
 
 
-def character_sum(d: int, profiles, factor, denominator: int = 1,
-                  memo: dict | None = None):
+def character_sum(d: int, profiles, factor, denominator: int = 1):
     """sum over lam of (dim/d!)^2 prod_i chi_lam(mu_i)/dim * factor(lam) /
     denominator, the one-r case of ``weighted_sweep``.
 
     A ``factor`` with int values over one ``denominator`` keeps the sum
-    on ints; ``memo`` is a connected transform's per-call memo (see
-    ``_weights``).
+    on ints.
     """
-    weight_denominator, weights = _weights(memo, d, profiles)
+    weight_denominator, weights = character_weights(d, profiles)
     return weighted_sweep(weights, lambda lam: lambda _: factor(lam), (0,),
                           lambda _: weight_denominator * denominator)[0]
 
@@ -707,7 +698,7 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     ``memo``: calls that pass the same dict with the same evaluator,
     profiles, denominators and caps (the r of a sweep) compute each once.
     A family's evaluator may keep its own per-(profiles, degree) sweeps
-    or weights there too.  Profile splits are cached across calls
+    there too.  Profile splits are cached across calls
     (``_profile_splits``).
     """
     d, profiles = _resolve_degree(profiles, d)
@@ -926,17 +917,16 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
     orders = tuple(s for s, _ in ins)
     counts = tuple(m for _, m in ins)
     denominators = tuple(f_bar_denominator(s + 1) for s in orders)
-    memo: dict = {}
 
     def mixed(sub_counts, profs, dd):
         def factor(lam):
             return math.prod(_scaled_f_bar(lam, s + 1, q) ** m
                              for s, q, m in zip(orders, denominators, sub_counts) if m)
         return character_sum(dd, profs, factor,
-                             math.prod(q**m for q, m in zip(denominators, sub_counts)), memo)
+                             math.prod(q**m for q, m in zip(denominators, sub_counts)))
 
     if connected:
-        value = connected_transform_multi(mixed, counts, (mu, nu), d=d, memo=memo,
+        value = connected_transform_multi(mixed, counts, (mu, nu), d=d,
                                           denominators=denominators)
     else:
         value = mixed(counts, (mu, nu), d)

@@ -403,6 +403,8 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
     if kind == "gw" and len(profiles) != 2:
         raise DomainError("gw ratio needs two profiles")
     d, profiles = _resolve_degree(profiles, d)
+    if d < 2:  # the leading term pairs two distinct partitions, and d = 1 has one
+        raise DomainError(f"a {kind} ratio needs d >= 2, got d={d}")
     r_values = _orders(r_values)
     first = first_r(k) if kind in ("monotone", "b") else 0
     if r_values and max(r_values) < first:

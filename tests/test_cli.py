@@ -235,6 +235,23 @@ class TestRatioAtTwoBlocks:
         assert "vanishes below r=1" in err
 
 
+class TestRatioAtDegreeOne:
+    """The leading term pairs two distinct partitions, and d = 1 has one:
+    a ratio request at d = 1 is refused, not reported as 1/2."""
+
+    KINDS = {"classical": ("--d", "1"), "completed": ("--d", "1", "--s", "2"),
+             "gw": ("--profiles", "1;1")}
+
+    @pytest.mark.parametrize("command", [
+        ("table", "--what", "ratio", "--r-min", "0", "--r-max", "4"), ("verify", "ratio")],
+        ids=["table", "verify"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_refused_naming_d(self, capsys, command, kind):
+        code, out, err = run(capsys, *command, "--kind", kind, *self.KINDS[kind])
+        assert code == EXIT_USAGE and out == ""
+        assert "needs d >= 2, got d=1" in err
+
+
 class TestRatioBytes:
     """The ratio outputs are pinned byte for byte (md5 of stdout)."""
 

@@ -1,11 +1,22 @@
 """Memo caches have bounded growth: no module gains an unbounded cache
 (``lru_cache(maxsize=None)`` or ``functools.cache``) beyond the ones
-listed here."""
+listed here.  The character and Jack weight memos list each key once
+and give the values of a fresh listing."""
 
 import ast
+import itertools
+import math
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hurwitz
+from hurwitz import cli, core, jack
+from hurwitz.characters import character
+from hurwitz.errors import SingularParameterError
+from hurwitz.partitions import class_data, enumerate_partitions
+from hurwitz.verify import verify_oracle
 
 SOURCE = Path(hurwitz.__file__).parent
 
@@ -16,7 +27,6 @@ UNBOUNDED = {
     ("cli", "_unread_flags"),
     ("cli", "build_parser"),
     ("core", "_c_const"),
-    ("core", "f_bar"),
     ("exactnum", "bernoulli"),
     ("jack", "_m_in_p_matrix"),
     ("oracle", "_profile_products"),
@@ -80,3 +90,91 @@ def f(): pass
     marked = {node.name for node in ast.parse(source).body
               if any(_unbounded(dec) for dec in node.decorator_list)}
     assert marked == {"a", "b", "c", "d"}
+
+
+# ---------------------------------------------------------------------------
+# The weight memos
+# ---------------------------------------------------------------------------
+
+def reference_weights(d, profiles):
+    """``(D, [(lam, W)])`` from ``character`` and ``class_data`` alone."""
+    sizes = [class_data(mu).class_size for mu in profiles]
+    weights = []
+    for lam in enumerate_partitions(d):
+        dim = character(lam, (1,) * d)
+        weight = Fraction(dim * dim)
+        for size, mu in zip(sizes, profiles):
+            weight *= Fraction(size * character(lam, mu), dim)
+        if weight:
+            weights.append((lam, weight))
+    return math.factorial(d) ** 2 * math.prod(sizes), weights
+
+
+def profile_choices(d):
+    parts = enumerate_partitions(d)
+    return [()] + [(mu,) for mu in parts] + list(itertools.product(parts, repeat=2))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_character_weights_match_the_character_values(d):
+    skipped = 0
+    for profiles in profile_choices(d):
+        want = reference_weights(d, profiles)
+        got = core.character_weights(d, profiles)
+        assert type(got[1]) is tuple
+        assert all(type(w) is int for _, w in got[1])
+        assert (got[0], list(got[1])) == want, profiles
+        skipped += len(enumerate_partitions(d)) - len(want[1])
+    assert skipped or d < 3  # some character vanishes from d = 3 on
+
+
+def test_the_oracle_suite_lists_each_weight_list_once():
+    core._character_weights.cache_clear()
+    verify_oracle(max_d=3, max_transpositions=5)
+    info = core._character_weights.cache_info()
+    assert info.misses == info.currsize == 23
+    assert info.hits > info.misses
+
+
+def test_connected_gw_lists_each_sub_instance_once(capsys, monkeypatch):
+    asked = []
+    original = core.character_sum
+
+    def recorded(d, profiles, *args):
+        asked.append((d, profiles))
+        return original(d, profiles, *args)
+
+    monkeypatch.setattr(core, "character_sum", recorded)
+    core._character_weights.cache_clear()
+    code = cli.main(["compute", "--kind", "gw", "--profiles", "5,1,1;3,2,1,1",
+                     "--insertions", "2:3,3:1", "--r", "0", "--connected"])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert len(asked) > len(set(asked))  # the transform asks again for a (d', P')
+    assert core._character_weights.cache_info().misses == len(set(asked))
+
+
+@pytest.mark.parametrize("b", [0, Fraction(1, 2), Fraction(-1, 2), 2])
+@pytest.mark.parametrize("d", range(1, 5))
+def test_jack_weights_match_a_fresh_listing(d, b):
+    alpha = Fraction(b) + 1
+    for profiles in profile_choices(d):
+        want = []
+        for lam in enumerate_partitions(d):
+            weight = 1 / jack.jack_norm(lam, alpha)
+            for mu in profiles:
+                weight *= jack.jack_character(lam, mu, alpha)
+            if weight:
+                want.append((lam, weight))
+        got = jack.jack_weights(d, profiles, b)
+        assert type(got) is tuple and list(got) == want, profiles
+        assert jack.jack_weights(d, [list(mu) for mu in profiles], b) is got
+
+
+def test_a_vanishing_jack_norm_raises_on_every_call():
+    # alpha = -1 zeroes the factor alpha*arm + leg + 1 of the box (1, 1) of (2)
+    before = jack._jack_weights.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SingularParameterError, match="vanishing Jack norm"):
+            jack.jack_weights(2, (), -2)
+    assert jack._jack_weights.cache_info().currsize == before
