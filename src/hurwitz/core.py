@@ -12,9 +12,8 @@ Every family is a sum over partitions of a weight times a factor, and
 ``weighted_sweep``, the one reducer, sums it for every r of a sweep at
 once.  ``character_weights`` supplies the weights, which depend on
 (degree, profiles) alone: each list is built once and kept in a bounded
-memo (``hurwitz.jack`` keeps the Jack weights the same way, per
-(degree, profiles, alpha)).  ``completed_sweep`` and ``character_sum``
-are its completed-cycle and one-r cases.  The hypergeometric factor is
+memo.  ``completed_sweep`` and ``character_sum`` are its completed-cycle
+and one-r cases.  The hypergeometric factor is
 ``content_factor``: the z^r coefficient factors into elementary and
 complete symmetric functions of the nonzero contents
 (``content_sequences``, plain integer sequences, built once per
@@ -188,12 +187,12 @@ def character_weights(d: int, profiles) -> tuple[int, tuple]:
     character ``omega_lam(mu) = |C_mu| chi_lam(mu)/dim`` is an integer
     (Isaacs, Character Theory of Finite Groups, Thm 3.7), so every ``W``
     is an int.  The pair depends on (d, profiles) alone, never on r or
-    the family, and is listed once into a bounded memo (256 entries).
+    the family, and is listed once into a bounded memo (64 entries).
     """
     return _character_weights(d, tuple(map(tuple, profiles)))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _character_weights(d: int, profiles: tuple[Partition, ...]) -> tuple[int, tuple]:
     table = characters.char_table(d)
     sizes = [class_data(mu).class_size for mu in profiles]

@@ -242,19 +242,11 @@ def deformed_contents(lam, alpha) -> list[Fraction]:
 def jack_weights(d: int, profiles, b) -> tuple:
     """The ``(lam, weight)`` pairs of every nonzero Jack weight
     prod_i theta_lam(mu_i) / j_lam at alpha = b + 1, in canonical order,
-    as a tuple listed once per (d, profiles, alpha) into a bounded memo
-    (256 entries).  The degree, float and alpha = 0 checks run on every
-    call; a vanishing norm raises on every call too, as the memo keeps no
-    exception."""
+    as a tuple."""
     _check_jack_degree(d)
     alpha = Fraction(exact(b)) + 1
     if alpha == 0:
         raise SingularParameterError("b = -1 degenerates the deformation (alpha = 0)")
-    return _jack_weights(d, tuple(map(tuple, profiles)), alpha)
-
-
-@lru_cache(maxsize=256)
-def _jack_weights(d: int, profiles: tuple[Partition, ...], alpha: Fraction) -> tuple:
     weights = []
     for lam in enumerate_partitions(d):
         norm = jack_norm(lam, alpha)
