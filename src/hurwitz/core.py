@@ -588,27 +588,45 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                                         caps=caps, monomial=monomial)[0]
 
 
+def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, profiles=(),
+                                      *, d: int | None = None,
+                                      caps: tuple[int, ...] | None = None,
+                                      monomial: tuple[int, ...] | None = None) -> dict:
+    """{r_simple: ``mixed_simple_hypergeometric(r_simple, r, ...)``} for
+    every r_simple of ``r_simple_values``, in one ``weighted_sweep``: each
+    partition's content term at ``r`` and its ``f_bar(lam, 2)`` are read
+    once."""
+    r_simple_values = list(r_simple_values)
+    if min(r_simple_values, default=0) < 0:
+        raise DomainError(f"r_simple must be nonnegative: {min(r_simple_values)}")
+    if r < 0:
+        raise DomainError(f"r must be nonnegative: {r}")
+    d, profiles = _resolve_degree(profiles, d)
+    content = content_factor(gspec, r, caps=caps, monomial=monomial)
+
+    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
+        term, simple = content(lam)(r), _scaled_f_bar(lam, 2, 1)
+        return lambda r_simple: term * simple**r_simple
+
+    denominator, weights = character_weights(d, profiles)
+    totals = weighted_sweep(weights, factor, r_simple_values, lambda _: denominator)
+    return {rs: _content_value(total, gspec.nvars, monomial) for rs, total in totals.items()}
+
+
 def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=(),
                                 *, d: int | None = None,
                                 caps: tuple[int, ...] | None = None,
                                 monomial: tuple[int, ...] | None = None):
     """Disconnected count mixing r_simple unconstrained transpositions with
     the rational-weight blocks of ``gspec`` at z-order ``r``: a MultiPoly,
-    or the coefficient of ``monomial``.
+    or the coefficient of ``monomial``.  The one-r_simple case of
+    ``mixed_simple_hypergeometric_sweep``.
 
     Each central factor acts on an irreducible block by its scalar
     eigenvalue, so the weights simply multiply.
     """
-    if r_simple < 0 or r < 0:
-        raise DomainError("orders must be nonnegative")
-    d, profiles = _resolve_degree(profiles, d)
-    content = content_factor(gspec, r, caps=caps, monomial=monomial)
-
-    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
-        simple = _scaled_f_bar(lam, 2, 1) ** r_simple
-        return content(lam)(r) * simple
-
-    return _content_value(character_sum(d, profiles, factor), gspec.nvars, monomial)
+    return mixed_simple_hypergeometric_sweep((r_simple,), r, gspec, profiles, d=d, caps=caps,
+                                             monomial=monomial)[r_simple]
 
 
 # ---------------------------------------------------------------------------

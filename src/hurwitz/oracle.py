@@ -73,6 +73,11 @@ def _check_degree(d: int):
         raise SizeLimitError(f"oracle degree {d} exceeds the guard {ORACLE_MAX_DEGREE}")
 
 
+def _check_transpositions(n: int):
+    if n > ORACLE_MAX_TRANSPOSITIONS:
+        raise SizeLimitError(f"{n} transpositions exceed the guard {ORACLE_MAX_TRANSPOSITIONS}")
+
+
 @lru_cache(maxsize=None)
 def group(d: int) -> tuple[Perm, ...]:
     _check_degree(d)
@@ -269,11 +274,7 @@ class FactorizationQuery(Frozen):
         for mu in self.profiles:
             if sum(mu) != self.d:
                 raise DomainError(f"profile {mu} does not partition {self.d}")
-        if self.total_transpositions() > ORACLE_MAX_TRANSPOSITIONS:
-            raise SizeLimitError(
-                f"{self.total_transpositions()} transpositions exceed the guard "
-                f"{ORACLE_MAX_TRANSPOSITIONS}"
-            )
+        _check_transpositions(self.total_transpositions())
 
     def total_transpositions(self) -> int:
         return sum(b.count for b in self.blocks)

@@ -27,21 +27,19 @@ from .core import (
     _gw_scale,
     _orders,
     _resolve_degree,
-    completed_hurwitz,
     completed_sweep,
     f_bar,
     gap_interval,
     hypergeometric_hurwitz,
     hypergeometric_hurwitz_sweep,
     m_ds,
-    mixed_simple_hypergeometric,
+    mixed_simple_hypergeometric_sweep,
     resum_structure,
     structure_coefficients,
 )
 from .errors import DomainError, EmptyReportError, SizeLimitError
 from .exactnum import stirling
-from .jack import (b_hurwitz_coefficient, b_hurwitz_sweep, deformed_contents, jack_in_psums,
-                   jack_norm)
+from .jack import b_hurwitz_sweep, deformed_contents, jack_in_psums, jack_norm
 from .partitions import class_data, enumerate_partitions, transpose
 
 
@@ -125,40 +123,71 @@ def _block_configs(max_transpositions: int, max_blocks: int = 2):
                         yield (oracle.Block(k1, c1), oracle.Block(k2, c2))
 
 
-def _engine_value(d: int, profiles, blocks) -> Fraction:
-    """Character-sum value matching a factorization query exactly."""
+def _engine_query(blocks) -> tuple:
+    """The engine query ``(simple, gspec, monomial)`` of a block list."""
     simple = sum(b.count for b in blocks if b.constraint == "none")
     strict = [b.count for b in blocks if b.constraint == "strict"]
     weak = [b.count for b in blocks if b.constraint == "weak"]
-    gspec = GSpec(K=0, L=len(strict), M=len(weak))
-    monomial = tuple(strict + weak)
-    r = sum(monomial)
-    if gspec.nvars == 0:
-        return completed_hurwitz(simple, 1, profiles, d=d).value
-    if simple == 0:
-        return hypergeometric_hurwitz(r, gspec, profiles, d=d, monomial=monomial).value
-    return mixed_simple_hypergeometric(simple, r, gspec, profiles, d=d, monomial=monomial)
+    return simple, GSpec(K=0, L=len(strict), M=len(weak)), tuple(strict + weak)
+
+
+def _engine_values(d: int, profiles, shapes: dict) -> dict:
+    """{query: character-sum value} at one (d, profiles) for every
+    ``_engine_query`` of ``shapes``, a dict {(gspec, monomial): simple
+    counts}, read once per (gspec, monomial): one completed sweep without
+    monotone blocks, and otherwise the hypergeometric value at no simple
+    transposition and one mixed sweep over the other simple counts."""
+    values = {}
+    for (gspec, monomial), counts in shapes.items():
+        if gspec.nvars == 0:
+            got = completed_sweep(sorted(counts), 1, profiles, d)
+        else:
+            r, got = sum(monomial), {}
+            if 0 in counts:
+                got[0] = hypergeometric_hurwitz(r, gspec, profiles, d=d,
+                                                monomial=monomial).value
+            if counts - {0}:
+                got.update(mixed_simple_hypergeometric_sweep(
+                    sorted(counts - {0}), r, gspec, profiles, d=d, monomial=monomial))
+        values.update(((simple, gspec, monomial), v) for simple, v in got.items())
+    return values
 
 
 def verify_oracle(max_d: int = 4, max_transpositions: int = 6,
                   max_blocks: int = 2) -> dict:
     """Master equivalence: the character engine against literal counting,
-    over every profile combination with N <= 2 and every block shape."""
+    over every profile combination with N <= 2 and every block shape.
+
+    Both oracle guards (degree and transpositions) are checked before the
+    sweep.  Each block list maps to one engine query ``(simple, gspec,
+    monomial)``, and the engine is read once per (d, profiles, gspec,
+    monomial) for every simple count at once (``_engine_values``); every
+    query is still counted literally and compared with its engine value.
+    """
+    if max_d >= 1:
+        oracle._check_degree(max_d)
+    oracle._check_transpositions(max_transpositions)
     checks: list[dict] = []
+    configs = [(blocks, _engine_query(blocks))
+               for blocks in _block_configs(max_transpositions, max_blocks)]
+    shapes: dict = {}
+    for _, (simple, gspec, monomial) in configs:
+        shapes.setdefault((gspec, monomial), set()).add(simple)
     for d in range(1, max_d + 1):
         parts = enumerate_partitions(d)
         combos = [()]
         combos += [(mu,) for mu in parts]
         combos += [(mu, nu) for mu in parts for nu in parts]
+        engine = {profs: _engine_values(d, profs, shapes) for profs in combos}
         bad = 0
         total = 0
         first_bad = ""
-        for blocks in _block_configs(max_transpositions, max_blocks):
+        for blocks, query in configs:
             for profs in combos:
                 total += 1
-                query = oracle.FactorizationQuery(d=d, profiles=profs, blocks=blocks)
-                expected = oracle.count_factorizations(query)
-                got = _engine_value(d, profs, blocks)
+                expected = oracle.count_factorizations(
+                    oracle.FactorizationQuery(d=d, profiles=profs, blocks=blocks))
+                got = engine[profs][query]
                 if got != expected:
                     bad += 1
                     if not first_bad:
@@ -298,10 +327,13 @@ def verify_jack(max_d: int = 5, alphas=(1, 2, Fraction(1, 2), 3),
                 ok = False
         _check(checks, f"extreme-content maximisers alpha={alpha}", ok)
 
-    g = GSpec(K=1, L=1, M=1)
-    ok = all(b_hurwitz_coefficient(r, g, (), 0, d=d, caps=(min(r, d), r))
-             == hypergeometric_hurwitz(r, g, (), d=d, caps=(min(r, d), r)).value
-             for d in range(1, b0_max_d + 1) for r in range(b0_max_r + 1))
+    # one sweep per degree: at z-order r the caps (d, b0_max_r) keep the
+    # same monomials as (min(r, d), r)
+    g, r_values = GSpec(K=1, L=1, M=1), range(b0_max_r + 1)
+    ok = all(b_hurwitz_sweep(r_values, g, (), 0, d=d, caps=(d, b0_max_r))
+             == {result.r: result.value for result in hypergeometric_hurwitz_sweep(
+                 r_values, g, (), d=d, caps=(d, b0_max_r))}
+             for d in range(1, b0_max_d + 1))
     _check(checks, f"b=0 equals the undeformed engine (d<={b0_max_d}, r<={b0_max_r})", ok)
     return _report("jack", checks, max_d=max_d,
                    alphas=[str(a) for a in alphas])

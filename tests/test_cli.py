@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from hurwitz import characters, cli, verify
+from hurwitz import characters, cli, oracle, verify
 from hurwitz.cli import (
     EXIT_OK,
     EXIT_SIZE_LIMIT,
@@ -962,6 +962,29 @@ class TestEveryFlagIsRead:
         wanted += [f"verify {suite}" for suite in verify.SUITES if suite != "ratio"]
         wanted += ["table --what structure", "chartable"]
         assert sorted(wanted) == sorted(cli._READS)
+
+
+class TestOracleGuards:
+    """``verify oracle`` checks its degree (6) and transposition (10) guards
+    before the sweep, so no literal count runs above them."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--max-d", "7", "--max-transpositions", "4"), "oracle degree 7 exceeds the guard 6"),
+        (("--max-d", "7"), "oracle degree 7 exceeds the guard 6"),
+        (("--max-d", "2", "--max-transpositions", "11"),
+         "11 transpositions exceed the guard 10"),
+    ], ids=["degree", "degree-default-transpositions", "transpositions"])
+    def test_above_a_guard_exits_before_any_count(self, capsys, monkeypatch, argv, message):
+        counted = []
+        monkeypatch.setattr(oracle, "count_factorizations", counted.append)
+        code, out, err = run(capsys, "verify", "oracle", *argv)
+        assert code == EXIT_SIZE_LIMIT and out == "" and message in err
+        assert counted == []
+
+    def test_at_the_guards_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "oracle", "--max-d", "1",
+                           "--max-transpositions", "10", "--format", "csv")
+        assert code == EXIT_OK and out.splitlines()[-1] == "oracle equivalence d=1,pass,1308 queries"
 
 
 class TestStirlingCeiling:

@@ -16,6 +16,7 @@ from hurwitz.core import (
     f_bar,
     hypergeometric_hurwitz_sweep,
     mixed_simple_hypergeometric,
+    mixed_simple_hypergeometric_sweep,
     weighted_sweep,
 )
 from hurwitz.jack import b_hurwitz_sweep, deformed_contents, jack_weights
@@ -102,6 +103,35 @@ def test_mixed_simple_hypergeometric_matches_the_per_r_path(caps, monomial):
         got = mixed_simple_hypergeometric(r_simple, r, gspec, profiles,
                                           caps=caps, monomial=monomial)
         assert got == (want if monomial is None else coefficient(want, monomial)), r
+
+
+MIXED = {  # (gspec, profiles, d, caps, monomial)
+    "no-profiles": (GSpec(K=1, L=1), (), 3, None, None),
+    "one-profile-capped": (GSpec(K=1, L=1, M=1), ((2, 1, 1),), 4, (1, 2), None),
+    "two-profiles-monomial": (GSpec(K=2, M=1), ((3, 1), (2, 2)), 4, None, (1,)),
+    "two-profiles": (GSpec(L=2), ((2, 1, 1), (2, 1, 1)), 4, None, None),
+}
+
+
+@pytest.mark.parametrize("case", MIXED)
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_mixed_simple_sweep_matches_each_single_value(case, r):
+    gspec, profiles, d, caps, monomial = MIXED[case]
+    got = mixed_simple_hypergeometric_sweep(range(5), r, gspec, profiles, d=d, caps=caps,
+                                            monomial=monomial)
+    assert list(got) == list(range(5))
+    for r_simple in range(5):
+        assert got[r_simple] == mixed_simple_hypergeometric(
+            r_simple, r, gspec, profiles, d=d, caps=caps, monomial=monomial), r_simple
+    assert any(got.values())
+
+
+@pytest.mark.parametrize("r_simple_values, r, order", [
+    ([1, -1], 2, "r_simple"), ([1], -2, "r"),
+], ids=["negative-r-simple", "negative-r"])
+def test_mixed_simple_sweep_refuses_a_negative_order(r_simple_values, r, order):
+    with pytest.raises(core.DomainError, match=f"^{order} must be nonnegative"):
+        mixed_simple_hypergeometric_sweep(r_simple_values, r, GSpec(K=1, L=1), d=3)
 
 
 B_CASES = {  # (gspec, profiles, b, d, caps)

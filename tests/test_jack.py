@@ -5,7 +5,7 @@ import pytest
 
 from hurwitz.asymptotics import b_leading_sweep
 from hurwitz.characters import char_table, dim
-from hurwitz.core import GSpec, hypergeometric_hurwitz
+from hurwitz.core import GSpec, hypergeometric_hurwitz, hypergeometric_hurwitz_sweep
 from hurwitz.errors import DomainError, SingularParameterError, SizeLimitError
 from hurwitz.exactnum import GaussianRational
 from hurwitz.jack import (
@@ -203,6 +203,19 @@ class TestBContentEngine:
             lhs = b_hurwitz_coefficient(r, g, (), 0, d=d, caps=caps)
             rhs = hypergeometric_hurwitz(r, g, (), d=d, caps=caps).value
             assert lhs == rhs
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_sweep_caps_keep_the_per_r_monomials(self, d):
+        # caps (d, 6) over r <= 6 keep the monomials of (min(r, d), r) at
+        # each r: verify_jack's b = 0 check reads one sweep per degree
+        g, r_values = GSpec(K=1, L=1, M=1), range(7)
+        b_sweep = b_hurwitz_sweep(r_values, g, (), 0, d=d, caps=(d, 6))
+        hyper_sweep = hypergeometric_hurwitz_sweep(r_values, g, (), d=d, caps=(d, 6))
+        for r, result in zip(r_values, hyper_sweep):
+            caps = (min(r, d), r)
+            assert b_sweep[r] == b_hurwitz_coefficient(r, g, (), 0, d=d, caps=caps), r
+            assert result.value == hypergeometric_hurwitz(r, g, (), d=d, caps=caps).value, r
+            assert b_sweep[r] == result.value, r
 
     def test_degree_one_trivial(self):
         # a single sheet has no boxes with nonzero deformed content, so the

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import oracle
+from hurwitz import oracle, verify
+from hurwitz.core import GSpec
 from hurwitz.errors import DomainError, SizeLimitError
 from hurwitz.exactnum import stirling
 from hurwitz.oracle import (
@@ -221,3 +222,54 @@ class TestPermutationModules:
         for mu in t.partitions:
             assert permutation_character((2, 1), mu) == \
                 t.value((3,), mu) + t.value((2, 1), mu)
+
+
+class TestOracleSuite:
+    """``verify_oracle`` reads the engine once per (profiles, gspec,
+    monomial); a wrong value on any one of its paths still fails the
+    report and is named."""
+
+    def _off_by_one(self, name, d, profiles, query):
+        """A wrapper of ``verify.<name>`` that adds 1 to ``query`` at (d, profiles)."""
+        simple, gspec, monomial = query
+        original = getattr(verify, name)
+
+        def asked(got_profiles, got_gspec, kw):
+            return (kw["d"], got_profiles, got_gspec, kw["monomial"]) == (d, profiles, gspec,
+                                                                          monomial)
+
+        if name == "completed_sweep":  # the one shape without monotone blocks
+            def wrong(r_values, s, got_profiles, got_d):
+                out = original(r_values, s, got_profiles, got_d)
+                if (got_d, got_profiles) == (d, profiles) and simple in out:
+                    out[simple] += 1
+                return out
+        elif name == "hypergeometric_hurwitz":
+            def wrong(r, got_gspec, got_profiles, **kw):
+                out = original(r, got_gspec, got_profiles, **kw)
+                if asked(got_profiles, got_gspec, kw):
+                    out.value += 1
+                return out
+        else:
+            def wrong(r_simple_values, r, got_gspec, got_profiles, **kw):
+                out = original(r_simple_values, r, got_gspec, got_profiles, **kw)
+                if asked(got_profiles, got_gspec, kw) and simple in out:
+                    out[simple] += 1
+                return out
+        return wrong
+
+    @pytest.mark.parametrize("name, d, profiles, query", [
+        ("completed_sweep", 3, ((2, 1),), (2, GSpec(), ())),
+        ("hypergeometric_hurwitz", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
+        ("mixed_simple_hypergeometric_sweep", 2, ((2,),), (1, GSpec(M=1), (1,))),
+    ], ids=["completed", "hypergeometric", "mixed"])
+    def test_a_wrong_engine_value_fails_the_report(self, monkeypatch, name, d, profiles,
+                                                   query):
+        monkeypatch.setattr(verify, name, self._off_by_one(name, d, profiles, query))
+        report = verify.verify_oracle(max_d=3, max_transpositions=3)
+        assert not report["pass"]
+        failed = [check for check in report["checks"] if not check["pass"]]
+        assert [check["name"] for check in failed] == [f"oracle equivalence d={d}"]
+        blocks = next(blocks for blocks in verify._block_configs(3)
+                      if verify._engine_query(blocks) == query)
+        assert failed[0]["detail"].startswith(f"d={d} profiles={profiles} blocks={blocks}: ")
