@@ -29,9 +29,10 @@ one-r case.  Connected numbers come from any disconnected evaluator
 through ``connected_transform_multi``: the exponential formula, solved
 by the recursion on the component that holds sheet 1, with every
 sub-instance memoized across every r of a sweep (``connected_sweep``).
-The character-weight families take their sub-instances from one sweep
-per (profiles, degree) over every order the transform can ask for
-(``_sub_instance``), and hand it their integer totals.
+``_character_sweep`` is every character-weight family's sweep:
+disconnected, one ``weighted_sweep``; connected, one sweep per
+(profiles, degree) over every order the transform can ask for, whose
+integer totals it hands the transform.
 
 The sums run on Python ints over one known denominator per value.  A
 character weight is an integer ``W`` over ``D = d!^2 prod |C_mu|``
@@ -47,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import characters
 from .errors import DomainError
@@ -264,23 +265,31 @@ def character_sum(d: int, profiles, factor, denominator: int = 1):
                           lambda _: weight_denominator * denominator)[0]
 
 
-def _sub_instance(memo: dict, factor, r_max: int, q: int, r: int, profiles, d: int):
-    """A connected transform's disconnected sub-instance ``(r, profiles,
-    d)`` as the pair ``(total, D q^r)``, or the int 0 for a zero total.
+def _character_sweep(factor, r_values, profiles, d: int, q: int = 1, *,
+                     connected: bool = False, caps=None) -> dict:
+    """{r: the character sum of ``factor`` over ``D q^r``} for every r,
+    the connected number when ``connected``.
 
-    ``factor`` is the family's factor, with integer (or int-coefficient
-    polynomial) terms over ``q^r``.  The first sub-instance of a
-    (profiles, degree) runs one ``weighted_sweep`` over r = 0..r_max and
-    keeps its totals in the transform's ``memo``; every later one reads
-    them.
+    ``factor`` is a ``weighted_sweep`` factor with integer (or
+    int-coefficient polynomial) terms over ``q^r``.  Disconnected, it is
+    one ``weighted_sweep``.  Connected, ``connected_sweep`` reads each
+    sub-instance ``(r, profiles, d)`` from one sweep over r = 0..max
+    per (profiles, degree), as the pair ``(total, D q^r)``, or the int
+    0 for a zero total; ``caps`` bounds the transform's products.
     """
-    sweeps = memo.setdefault("sweeps", {})
-    if (d, profiles) not in sweeps:
+    if not connected:
         denominator, weights = character_weights(d, profiles)
-        sweeps[d, profiles] = denominator, weighted_sweep(weights, factor, range(r_max + 1))
-    denominator, totals = sweeps[d, profiles]
-    total = totals[r]
-    return 0 if total == 0 else (total, denominator * q**r)
+        return weighted_sweep(weights, factor, r_values, lambda r: denominator * q**r)
+    r_values = list(r_values)
+    orders, sweeps = range(max(r_values, default=0) + 1), {}
+
+    def disconnected(r, profs, dd):
+        if (dd, profs) not in sweeps:
+            denominator, weights = character_weights(dd, profs)
+            sweeps[dd, profs] = denominator, weighted_sweep(weights, factor, orders)
+        denominator, totals = sweeps[dd, profs]
+        return 0 if totals[r] == 0 else (totals[r], denominator * q**r)
+    return connected_sweep(disconnected, r_values, profiles, d=d, denominator=q, caps=caps)
 
 
 def _f_bar_powers(s: int, q: int):
@@ -292,16 +301,16 @@ def _f_bar_powers(s: int, q: int):
     return factor
 
 
-def completed_sweep(r_values, s: int, profiles, d: int) -> dict:
-    """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``.
+def completed_sweep(r_values, s: int, profiles, d: int, *, connected: bool = False) -> dict:
+    """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``,
+    the connected number when ``connected``.
 
     The sums run on ints: ``W F^r`` with ``F = f_bar(lam, s+1) Q_{s+1}``
     (``f_bar_denominator``), over ``D Q_{s+1}^r``.
     """
     q = f_bar_denominator(s + 1)
-    denominator, weights = character_weights(d, profiles)
-    return weighted_sweep(weights, _f_bar_powers(s + 1, q), r_values,
-                          lambda r: denominator * q**r)
+    return _character_sweep(_f_bar_powers(s + 1, q), r_values, profiles, d, q,
+                            connected=connected)
 
 
 def _content_value(value, nvars: int, monomial=None):
@@ -393,22 +402,13 @@ def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = No
                             connected: bool = False) -> list[HurwitzResult]:
     """``completed_hurwitz`` at every r of ``r_values``, in one pass.
 
-    The disconnected values are one ``completed_sweep``; the connected
-    ones share one transform memo and one sweep per (profiles, degree).
+    The values are one ``completed_sweep``.
     """
     r_values = _orders(r_values)
     if s < 1:
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
-    if connected:
-        memo: dict = {}
-        q = f_bar_denominator(s + 1)
-        factor = _f_bar_powers(s + 1, q)
-        disconnected = partial(_sub_instance, memo, factor, max(r_values, default=0), q)
-        values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
-                                 denominator=q)
-    else:
-        values = completed_sweep(r_values, s, profiles, d)
+    values = completed_sweep(r_values, s, profiles, d, connected=connected)
     return [HurwitzResult(
         kind="completed", d=d, r=r, s=s, profiles=profiles, connected=connected,
         value=values[r], genus=rh_genus(r, s, d, profiles),
@@ -545,26 +545,16 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
                                  ) -> list[HurwitzResult]:
     """``hypergeometric_hurwitz`` at every r of ``r_values``, in one pass.
 
-    The disconnected values are one ``weighted_sweep`` over
-    ``content_factor``; the connected ones share one transform memo and
-    one sweep per (profiles, degree), and the transform's products drop
-    the monomials beyond ``caps`` (or beyond ``monomial``, whose
-    coefficient is then taken).
+    The values are one ``_character_sweep`` over ``content_factor``.
+    Connected, the transform's products drop the monomials beyond
+    ``caps`` (or beyond ``monomial``, whose coefficient is then taken).
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
     r_max = max(r_values, default=0)
-    if connected:
-        cap = caps if monomial is None else monomial
-        factor = content_factor(gspec, r_max, caps=cap)
-        memo: dict = {}
-        disconnected = partial(_sub_instance, memo, factor, r_max, 1)
-        values = connected_sweep(disconnected, r_values, profiles, d=d, memo=memo,
-                                 caps=cap)
-    else:
-        factor = content_factor(gspec, r_max, caps=caps, monomial=monomial)
-        denominator, weights = character_weights(d, profiles)
-        values = weighted_sweep(weights, factor, r_values, lambda rr: denominator)
+    cap = monomial if connected and monomial is not None else caps
+    factor = content_factor(gspec, r_max, caps=cap, monomial=None if connected else monomial)
+    values = _character_sweep(factor, r_values, profiles, d, connected=connected, caps=cap)
     return [HurwitzResult(
         kind="hypergeometric", d=d, r=r, profiles=profiles, connected=connected,
         value=_content_value(values[r], gspec.nvars, monomial), gspec=gspec,
@@ -608,8 +598,7 @@ def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, pro
         term, simple = content(lam)(r), _scaled_f_bar(lam, 2, 1)
         return lambda r_simple: term * simple**r_simple
 
-    denominator, weights = character_weights(d, profiles)
-    totals = weighted_sweep(weights, factor, r_simple_values, lambda _: denominator)
+    totals = _character_sweep(factor, r_simple_values, profiles, d)
     return {rs: _content_value(total, gspec.nvars, monomial) for rs, total in totals.items()}
 
 
@@ -703,9 +692,9 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     * a pair ``(total, denominator)`` for the value ``total /
       denominator``.  When ``denominator`` is the scale, ``a`` is
       ``total`` itself, with no division; the character-weight families
-      hand over their integer totals this way (``_sub_instance``), since
-      their denominator ``d!^2 prod |C_P|`` times ``Q_t^{c_t}`` is the
-      scale.  Any other denominator takes the value path.
+      hand over their integer totals this way (``_character_sweep``),
+      since their denominator ``d!^2 prod |C_P|`` times ``Q_t^{c_t}`` is
+      the scale.  Any other denominator takes the value path.
 
     A zero is returned as the int 0, never as a pair (a pair does not
     compare equal to 0, and the recursion skips only zero factors).  A
@@ -714,9 +703,7 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     sub-instance and the per-(profiles, degree) scales are memoized in
     ``memo``: calls that pass the same dict with the same evaluator,
     profiles, denominators and caps (the r of a sweep) compute each once.
-    A family's evaluator may keep its own per-(profiles, degree) sweeps
-    there too.  Profile splits are cached across calls
-    (``_profile_splits``).
+    Profile splits are cached across calls (``_profile_splits``).
     """
     d, profiles = _resolve_degree(profiles, d)
     counts = tuple(counts)
@@ -787,19 +774,18 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
 
 
 def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None,
-                    memo: dict | None = None, denominator: int = 1,
-                    caps: tuple[int, ...] | None = None) -> dict:
+                    denominator: int = 1, caps: tuple[int, ...] | None = None) -> dict:
     """{r: connected number} for every r of ``r_values``, from a
     disconnected evaluator over (r, profiles), with one memo for them all.
 
     ``evaluator(r_i, sub_profiles, d_i)`` supplies every sub-instance;
     zero-insertion components are legal (they carry the unramified
-    sheets), but every component covers at least one sheet.  ``memo``,
-    ``denominator`` (the one insertion type's ``Q``) and ``caps`` are
-    as for ``connected_transform_multi``.
+    sheets), but every component covers at least one sheet.
+    ``denominator`` (the one insertion type's ``Q``) and ``caps`` are as
+    for ``connected_transform_multi``.
     """
     d, profiles = _resolve_degree(profiles, d)
-    memo = {} if memo is None else memo
+    memo: dict = {}
 
     def multi(counts, profs, dd):
         return evaluator(counts[0], profs, dd)

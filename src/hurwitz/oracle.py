@@ -353,10 +353,13 @@ def count_factorizations(query: FactorizationQuery) -> Fraction:
         w = walk.get(inverse(p))
         if w:
             raw += n * w
-    denominator = math.factorial(d)
-    for mu in query.profiles:
-        denominator *= class_data(mu).class_size
-    return Fraction(raw, denominator)
+    return _normalized(raw, query)
+
+
+def _normalized(raw: int, query: FactorizationQuery) -> Fraction:
+    """A raw factorization count over ``d! prod |C_mu|``."""
+    return Fraction(raw, math.factorial(query.d) * math.prod(
+        class_data(mu).class_size for mu in query.profiles))
 
 
 def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fraction:
@@ -399,49 +402,45 @@ def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fr
             walk_profiles(compose(p, sigma), profiles[1:])
 
     walk_profiles(identity(d), query.profiles)
-    denominator = math.factorial(d)
-    for mu in query.profiles:
-        denominator *= class_data(mu).class_size
-    return Fraction(count, denominator)
+    return _normalized(count, query)
 
 
 # ---------------------------------------------------------------------------
 # Jucys-Murphy elements and symmetric polynomials of them
 # ---------------------------------------------------------------------------
 
-def jm_symmetric_evaluate(kind: str, k: int, d: int) -> GroupAlgebraElement:
-    """e_k or h_k of the Jucys-Murphy elements, by literal expansion.
+def jm_series(g, d: int) -> list[GroupAlgebraElement]:
+    """The z-coefficients of prod_{i=2..d} G(z J_i), to z^{len(g) - 1},
+    by literal expansion in the group algebra.
 
-    The elementary case multiplies out prod_i (1 + z J_i) and the
-    complete-homogeneous case prod_i 1/(1 - z J_i), both truncated at
-    z^k, then extracts the z^k coefficient.
+    ``g`` holds the z-coefficients of G, with ``g[0] = G(0) = 1``, so the
+    factor of J_1 = 0 is 1 and the product starts at i = 2.
     """
+    _check_degree(d)
+    if not g or g[0] != 1:
+        raise DomainError(f"the series of G must start with G(0) = 1, got {list(g)[:1]}")
+    top = max(t for t, c in enumerate(g) if c)
+    series = [GroupAlgebraElement.identity(d)] + [GroupAlgebraElement.zero(d) for _ in g[1:]]
+    for i in range(2, d + 1):
+        powers = [None, GroupAlgebraElement.jucys_murphy(d, i)]  # J_i^t at t >= 1
+        while len(powers) <= top:
+            powers.append(powers[-1] * powers[1])
+        for n in range(len(g) - 1, 0, -1):  # from the top, so series[< n] is still old
+            for t in range(1, min(n, top) + 1):
+                if g[t] and not series[n - t].is_zero():
+                    term = series[n - t] * powers[t]
+                    series[n] = series[n] + (term if g[t] == 1 else term.scale(g[t]))
+    return series
+
+
+def jm_symmetric_evaluate(kind: str, k: int, d: int) -> GroupAlgebraElement:
+    """e_k or h_k of the Jucys-Murphy elements: the z^k coefficient of
+    ``jm_series`` for G = 1 + z or 1/(1 - z)."""
     if kind not in ("e", "h"):
         raise DomainError(f"kind must be 'e' or 'h', got {kind!r}")
     if k < 0 or k > 8:
         raise SizeLimitError(f"symmetric-polynomial degree {k} outside the guard 0..8")
-    _check_degree(d)
-    coeffs = [GroupAlgebraElement.identity(d)] + [
-        GroupAlgebraElement.zero(d) for _ in range(k)
-    ]
-    for i in range(2, d + 1):
-        j = GroupAlgebraElement.jucys_murphy(d, i)
-        if kind == "e":
-            for c in range(k, 0, -1):
-                coeffs[c] = coeffs[c] + coeffs[c - 1] * j
-        else:
-            powers = [GroupAlgebraElement.identity(d)]
-            for _ in range(k):
-                powers.append(powers[-1] * j)
-            new = []
-            for c in range(k + 1):
-                acc = GroupAlgebraElement.zero(d)
-                for t in range(c + 1):
-                    if not coeffs[c - t].is_zero():
-                        acc = acc + coeffs[c - t] * powers[t]
-                new.append(acc)
-            coeffs = new
-    return coeffs[k]
+    return jm_series([1 if kind == "h" or t < 2 else 0 for t in range(k + 1)], d)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +509,7 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
             s = s.mul(geometric_factor(c, one.scale(v), z_order))
         return [coeff.constant_value() for coeff in s.coeffs]
 
-    # group-algebra side: product over i of G(z J_i), truncated
-    series = [GroupAlgebraElement.identity(d)] + [
-        GroupAlgebraElement.zero(d) for _ in range(z_order)
-    ]
-    for i in range(1, d + 1):
-        j = GroupAlgebraElement.jucys_murphy(d, i)
-        powers = [GroupAlgebraElement.identity(d)]
-        for _ in range(z_order):
-            powers.append(powers[-1] * j)
-        g = scalar_series(1)  # G coefficients with J_i slot marked by powers
-        new = []
-        for c in range(z_order + 1):
-            acc = GroupAlgebraElement.zero(d)
-            for t in range(c + 1):
-                if g[t] and not series[c - t].is_zero():
-                    acc = acc + (series[c - t] * powers[t]).scale(g[t])
-            new.append(acc)
-        series = new
+    series = jm_series(scalar_series(1), d)
 
     # scalar side: same product over the contents of lambda
     eigen = [1] + [0] * z_order

@@ -56,11 +56,23 @@ def _check(checks: list[dict], name: str, ok: bool, detail: str = ""):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
+def _check_sweep_start(suite: str, max_d: int):
+    """Refuse a degree sweep from d = 2 that would check nothing."""
+    if max_d < 2:
+        raise DomainError(f"verify {suite} sweeps from d=2, so max_d must be at least 2, "
+                          f"got {max_d}")
+
+
 # ---------------------------------------------------------------------------
 # Character table invariants
 # ---------------------------------------------------------------------------
 
-def verify_characters(max_d: int = 6, bruteforce_d: int = 5) -> dict:
+# the top degree of the permutation-module character check, below the
+# oracle's degree guard
+BRUTEFORCE_MAX_D = 5
+
+
+def verify_characters(max_d: int = 6) -> dict:
     checks: list[dict] = []
     characters.char_table(max_d).fill()  # above the ceiling, fail before any check
     for d in range(1, max_d + 1):
@@ -94,7 +106,7 @@ def verify_characters(max_d: int = 6, bruteforce_d: int = 5) -> dict:
         )
         _check(checks, f"trivial and sign rows d={d}", ok)
 
-    for d in range(1, min(bruteforce_d, oracle.ORACLE_MAX_DEGREE) + 1):
+    for d in range(1, BRUTEFORCE_MAX_D + 1):
         table = characters.char_table(d)
         brute = oracle.bruteforce_character_table(d)
         ok = all(
@@ -103,24 +115,27 @@ def verify_characters(max_d: int = 6, bruteforce_d: int = 5) -> dict:
             for mu, value in zip(table.partitions, row)
         )
         _check(checks, f"permutation-module bruteforce d={d}", ok)
-    return _report("characters", checks, max_d=max_d, bruteforce_d=bruteforce_d)
+    return _report("characters", checks, max_d=max_d, bruteforce_d=BRUTEFORCE_MAX_D)
 
 
 # ---------------------------------------------------------------------------
 # Master oracle sweep
 # ---------------------------------------------------------------------------
 
-def _block_configs(max_transpositions: int, max_blocks: int = 2):
+# `_block_configs` lists every block list of at most this many blocks
+ORACLE_MAX_BLOCKS = 2
+
+
+def _block_configs(max_transpositions: int):
     yield ()
     for k in range(1, max_transpositions + 1):
         for c in oracle.CONSTRAINTS:
             yield (oracle.Block(k, c),)
-    if max_blocks >= 2:
-        for k1 in range(1, max_transpositions):
-            for k2 in range(1, max_transpositions - k1 + 1):
-                for c1 in oracle.CONSTRAINTS:
-                    for c2 in oracle.CONSTRAINTS:
-                        yield (oracle.Block(k1, c1), oracle.Block(k2, c2))
+    for k1 in range(1, max_transpositions):
+        for k2 in range(1, max_transpositions - k1 + 1):
+            for c1 in oracle.CONSTRAINTS:
+                for c2 in oracle.CONSTRAINTS:
+                    yield (oracle.Block(k1, c1), oracle.Block(k2, c2))
 
 
 def _engine_query(blocks) -> tuple:
@@ -153,10 +168,10 @@ def _engine_values(d: int, profiles, shapes: dict) -> dict:
     return values
 
 
-def verify_oracle(max_d: int = 4, max_transpositions: int = 6,
-                  max_blocks: int = 2) -> dict:
+def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
     """Master equivalence: the character engine against literal counting,
-    over every profile combination with N <= 2 and every block shape.
+    over every profile combination with N <= 2 and every list of at most
+    ``ORACLE_MAX_BLOCKS`` blocks.
 
     Both oracle guards (degree and transpositions) are checked before the
     sweep.  Each block list maps to one engine query ``(simple, gspec,
@@ -164,12 +179,11 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6,
     monomial) for every simple count at once (``_engine_values``); every
     query is still counted literally and compared with its engine value.
     """
-    if max_d >= 1:
-        oracle._check_degree(max_d)
+    oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
     checks: list[dict] = []
     configs = [(blocks, _engine_query(blocks))
-               for blocks in _block_configs(max_transpositions, max_blocks)]
+               for blocks in _block_configs(max_transpositions)]
     shapes: dict = {}
     for _, (simple, gspec, monomial) in configs:
         shapes.setdefault((gspec, monomial), set()).add(simple)
@@ -195,7 +209,7 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6,
         _check(checks, f"oracle equivalence d={d}", bad == 0,
                first_bad or f"{total} queries")
     return _report("oracle", checks, max_d=max_d,
-                   max_transpositions=max_transpositions, max_blocks=max_blocks)
+                   max_transpositions=max_transpositions, max_blocks=ORACLE_MAX_BLOCKS)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +250,11 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
         _check(checks, f"prod 1/(1-iz) vs second kind, n={n}", ok)
 
     for d in range(2, max_d + 1):
-        for k in range(0, max_k + 1):
-            e = oracle.jm_symmetric_evaluate("e", k, d)
+        # e_k and h_k of the Jucys-Murphy elements for every k <= max_k, one
+        # expansion of prod (1 + z J_i) and one of prod 1/(1 - z J_i)
+        e_series = oracle.jm_series([1, 1] + [0] * (max_k - 1), d)
+        h_series = oracle.jm_series([1] * (max_k + 1), d)
+        for k, e in zip(range(max_k + 1), e_series):
             # Jucys: e_k is the sum of permutations needing exactly k transpositions
             ok = all(e.coefficient(p) == (1 if d - len(oracle.cycle_type(p)) == k else 0)
                      for p in oracle.group(d))
@@ -248,9 +265,7 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
         # the sum of all permutations, d! times the row idempotent F_(d): the
         # same eigenvalue check on int coefficients
         total = oracle.GroupAlgebraElement(d, dict.fromkeys(oracle.group(d), 1))
-        for k in range(0, max_k + 1):
-            e = oracle.jm_symmetric_evaluate("e", k, d)
-            h = oracle.jm_symmetric_evaluate("h", k, d)
+        for k, e, h in zip(range(max_k + 1), e_series, h_series):
             e_eigen = stirling(1, d, d - k) if d >= k else 0
             ok_e = (e * total) == total.scale(e_eigen)
             ok_h = (h * total) == total.scale(stirling(2, d - 1 + k, d - 1))
@@ -387,6 +402,7 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
 
 def verify_poles(max_d: int = 6, max_k: int = 3, max_lm: int = 2,
                  v_order: int = 3) -> dict:
+    _check_sweep_start("poles", max_d)
     checks: list[dict] = []
     for d in range(2, max_d + 1):
         ok = True
@@ -450,26 +466,22 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         if kind == "gw":
             mu, nu = profiles
             exact = {m: v * _gw_scale(mu, nu, ((gw_s, m),)) for m, v in exact.items()}
+            lead = lambda rows: gw_leading_sweep(rows, mu, nu, gw_s)
+        else:
+            lead = lambda rows: completed_leading_sweep(rows, d, s)
     elif kind == "monotone":
         a_vec, b_vec = _block_degrees(a_vec, b_vec)
         gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
         exact = {result.r: result.value for result in hypergeometric_hurwitz_sweep(
             r_values, gspec, profiles, d=d, monomial=a_vec + b_vec)}
+        lead = lambda rows: monotone_leading_sweep(rows, d, k, a_vec, b_vec)
     else:
         exact = b_hurwitz_sweep(r_values, GSpec(K=k), profiles, b, d=d, monomial=())
+        lead = lambda rows: b_leading_sweep(
+            rows, d, len(profiles), sum(map(len, profiles)), k, (), (), b)
     rows = [r for r in r_values if r >= first and exact[r]]
-    if not rows:  # the empty report is ratio_report's, before any leading term
-        leading = {}
-    elif kind == "gw":
-        leading = gw_leading_sweep(rows, mu, nu, gw_s)
-    elif kind == "monotone":
-        leading = monotone_leading_sweep(rows, d, k, a_vec, b_vec)
-    elif kind == "b":
-        leading = b_leading_sweep(rows, d, len(profiles), sum(map(len, profiles)), k,
-                                  (), (), b)
-    else:
-        leading = completed_leading_sweep(rows, d, s)
-    return d, exact, leading
+    # no rows: the empty report is ratio_report's, before any leading term
+    return d, exact, (lead(rows) if rows else {})
 
 
 def verify_ratio(kind: str, *, r_max: int = 40, tolerance=Fraction(1, 1000),
@@ -499,6 +511,7 @@ def verify_ratio(kind: str, *, r_max: int = 40, tolerance=Fraction(1, 1000),
 # ---------------------------------------------------------------------------
 
 def verify_eigenvalue_order(max_d: int = 10, indices=(2, 3, 4, 5)) -> dict:
+    _check_sweep_start("eigenvalue-order", max_d)
     checks: list[dict] = []
     for s in indices:
         ok = True

@@ -60,7 +60,7 @@ def _line(tag: str, ok: bool, detail: str = "") -> bool:
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_oracle_equivalence():
-    report = verify.verify_oracle(max_d=5, max_transpositions=8, max_blocks=2)
+    report = verify.verify_oracle(max_d=5, max_transpositions=8)
     total = sum(int(c["detail"].split()[0]) for c in report["checks"] if c["pass"])
     assert _line("criterion 1 (oracle equivalence d<=5, <=8 transpositions)",
                  report["pass"], f"{total} queries, zero tolerance")

@@ -11,6 +11,8 @@ from hurwitz.core import (
     GSpec,
     character_sum,
     character_weights,
+    completed_hurwitz,
+    completed_hurwitz_sweep,
     connected_sweep,
     content_product,
     f_bar,
@@ -76,21 +78,45 @@ def test_hypergeometric_monomial_matches_the_per_r_coefficient(monomial):
     assert all(isinstance(value, Fraction) for value in values) and any(values)
 
 
+def listings(monkeypatch):
+    """The (degree, profiles) of every ``core.character_weights`` call from now on."""
+    original, listed = core.character_weights, []
+
+    def counted(d, profiles):
+        listed.append((d, tuple(profiles)))
+        return original(d, profiles)
+
+    monkeypatch.setattr(core, "character_weights", counted)
+    return listed
+
+
 @pytest.mark.parametrize("caps, monomial", [(None, None), ((1, 2), None), (None, (1, 2))])
-def test_connected_hypergeometric_matches_the_per_r_path(caps, monomial):
+def test_connected_hypergeometric_matches_the_per_r_path(caps, monomial, monkeypatch):
     gspec, profiles, r_values = GSpec(K=1, L=1, M=1), ((2, 1, 1),), range(11)
     cap = caps if monomial is None else monomial
     want = connected_sweep(
         lambda rr, profs, dd: per_r_hypergeometric((rr,), gspec, profs, dd, cap)[rr],
         r_values, profiles, caps=cap)
+    listed = listings(monkeypatch)
     results = hypergeometric_hurwitz_sweep(r_values, gspec, profiles, connected=True,
                                            caps=caps, monomial=monomial)
+    assert len(listed) == len(set(listed)) and (4, profiles) in listed
     got = [result.value for result in results]
     if monomial is None:
         assert got == [want[r] for r in r_values]
     else:
         assert got == [coefficient(want[r], monomial) for r in r_values]
     assert any(value != 0 for value in got)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_connected_completed_range_matches_each_single_value(s, monkeypatch):
+    profiles, r_values = ((3, 1, 1), (2, 2, 1)), range(7)
+    want = [completed_hurwitz(r, s, profiles, connected=True).value for r in r_values]
+    listed = listings(monkeypatch)
+    results = completed_hurwitz_sweep(r_values, s, profiles, connected=True)
+    assert [result.value for result in results] == want and any(want)
+    assert len(listed) == len(set(listed)) and (5, profiles) in listed
 
 
 @pytest.mark.parametrize("caps, monomial", [(None, None), ((2,), None), (None, (2,))])
@@ -115,10 +141,12 @@ MIXED = {  # (gspec, profiles, d, caps, monomial)
 
 @pytest.mark.parametrize("case", MIXED)
 @pytest.mark.parametrize("r", [1, 2, 4])
-def test_mixed_simple_sweep_matches_each_single_value(case, r):
+def test_mixed_simple_sweep_matches_each_single_value(case, r, monkeypatch):
     gspec, profiles, d, caps, monomial = MIXED[case]
+    listed = listings(monkeypatch)
     got = mixed_simple_hypergeometric_sweep(range(5), r, gspec, profiles, d=d, caps=caps,
                                             monomial=monomial)
+    assert listed == [(d, profiles)]
     assert list(got) == list(range(5))
     for r_simple in range(5):
         assert got[r_simple] == mixed_simple_hypergeometric(

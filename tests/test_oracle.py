@@ -17,6 +17,7 @@ from hurwitz.oracle import (
     count_factorizations_dfs,
     cycle_type,
     idempotent_check,
+    jm_series,
     jm_symmetric_evaluate,
     permutation_character,
     resolution_of_identity,
@@ -164,6 +165,26 @@ class TestJucysMurphy:
             assert all(type(q) is Fraction for q in twin.coeffs.values())
             assert el == twin
 
+    @pytest.mark.parametrize("kind", ["e", "h"])
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_series_entries_are_the_symmetric_functions(self, kind, d):
+        want = [jm_symmetric_evaluate(kind, j, d) for j in range(7)]
+        for k in range(7):
+            series = jm_series([1 if kind == "h" or t < 2 else 0 for t in range(k + 1)], d)
+            assert series == want[:k + 1], k
+
+    def test_series_scales_the_coefficients_of_g(self):
+        # G = (1 + 2z)^2 = 1 + 4z + 4z^2: the square of sum_k 2^k e_k z^k
+        e1, e2 = (jm_symmetric_evaluate("e", k, 3) for k in (1, 2))
+        series = jm_series([1, 4, 4], 3)
+        assert series[1] == e1.scale(4)
+        assert series[2] == (e1 * e1).scale(4) + e2.scale(8)
+
+    @pytest.mark.parametrize("g", [[], [2, 1], [0, 1]], ids=["empty", "two", "zero"])
+    def test_series_needs_g_of_zero_one(self, g):
+        with pytest.raises(DomainError, match="G\\(0\\) = 1"):
+            jm_series(g, 3)
+
     def test_h_identity_coefficient_counts_monotone_walks(self):
         # [id] h_k equals the weak-monotone factorization count of id
         for d in (2, 3, 4):
@@ -222,6 +243,25 @@ class TestPermutationModules:
         for mu in t.partitions:
             assert permutation_character((2, 1), mu) == \
                 t.value((3,), mu) + t.value((2, 1), mu)
+
+
+class TestSuiteSizes:
+    """A verify suite refuses a degree sweep that would check nothing, and
+    reports its fixed sizes."""
+
+    @pytest.mark.parametrize("suite, max_d", [
+        ("oracle", 0), ("poles", 1), ("eigenvalue-order", 1),
+    ])
+    def test_a_sweep_with_no_degree_is_refused(self, suite, max_d):
+        with pytest.raises(DomainError):
+            getattr(verify, "verify_" + suite.replace("-", "_"))(max_d=max_d)
+
+    def test_fixed_sizes_stay_in_the_report(self):
+        assert verify.verify_oracle(max_d=1, max_transpositions=1)["config"] == {
+            "max_d": 1, "max_transpositions": 1, "max_blocks": verify.ORACLE_MAX_BLOCKS}
+        assert verify.verify_characters(max_d=1)["config"] == {
+            "max_d": 1, "bruteforce_d": verify.BRUTEFORCE_MAX_D}
+        assert (verify.ORACLE_MAX_BLOCKS, verify.BRUTEFORCE_MAX_D) == (2, 5)
 
 
 class TestOracleSuite:

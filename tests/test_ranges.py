@@ -121,7 +121,8 @@ def test_connected_range_evaluates_each_sub_instance_once(capsys, monkeypatch, c
 @pytest.mark.parametrize("case", CONNECTED)
 def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch, case):
     original_transform, original_sweep = core.connected_transform_multi, core.weighted_sweep
-    evaluated, sweeps = set(), []
+    original_weights = core.character_weights
+    evaluated, sweeps, listed = set(), [], []
 
     def transform(evaluator, *args, **kwargs):
         def recorded(counts, profiles, d):
@@ -133,11 +134,17 @@ def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch
         sweeps.append(args)
         return original_sweep(*args, **kwargs)
 
+    def weights(d, profiles):
+        listed.append((profiles, d))
+        return original_weights(d, profiles)
+
     monkeypatch.setattr(core, "connected_transform_multi", transform)
     monkeypatch.setattr(core, "weighted_sweep", sweep)
+    monkeypatch.setattr(core, "character_weights", weights)
     code, _ = run(capsys, ["compute", *shlex.split(CONNECTED[case])])
     assert code == EXIT_OK and evaluated
     assert len(sweeps) == len(evaluated)
+    assert sorted(listed) == sorted(evaluated)
 
 
 def test_empty_connected_range_is_empty():
