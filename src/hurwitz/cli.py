@@ -388,7 +388,7 @@ def _cmd_verify(args) -> int:
     suite = args.suite
     if args.max_d is not None and args.max_d < 1:  # on chartable 0 is a ceiling, exit 2
         raise DomainError(f"--max-d must be at least 1, got {args.max_d}")
-    if suite in ("poles", "eigenvalue-order") and args.max_d == 1:
+    if suite in ("stirling", "poles", "eigenvalue-order") and args.max_d == 1:
         raise DomainError(f"verify {suite} sweeps from d=2, so --max-d must be at least 2")
     # each suite reads at most one of these; without it, its signature's default
     sizes = {name: getattr(args, name) for name in ("max_d", "r_max")
@@ -431,7 +431,10 @@ def _cmd_table(args) -> int:
                      for m, c in items],
         }
         payload["leading_m"] = format_rational(m_ds(d, args.s))
-        if args.s == 1 and len(profiles) == 1:
+        # Yang's connected coefficient -d m_1 at the key C(d-1, 2) holds
+        # from d = 3: at d = 1 that key is the top one, and at d = 2 the
+        # connected spectrum of (1, 1) reads -2 there, not -4
+        if args.s == 1 and len(profiles) == 1 and d >= 3:
             mu = profiles[0]
             m1 = sum(1 for p in mu if p == 1)
             payload["yang_connected_subleading"] = {

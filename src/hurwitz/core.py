@@ -29,18 +29,23 @@ one-r case.  Connected numbers come from any disconnected evaluator
 through ``connected_transform_multi``: the exponential formula, solved
 by the recursion on the component that holds sheet 1, with every
 sub-instance memoized across every r of a sweep (``connected_sweep``).
+The completed-cycle families (classical, completed, orbifold) solve the
+same recursion once, with no r in it: their connected numbers are
+``sum_F B_F F^r`` over one denominator, and ``connected_spectrum``
+builds the integer coefficients ``B_F`` once per request.
 ``_character_sweep`` is every character-weight family's sweep:
-disconnected, one ``weighted_sweep``; connected, one sweep per
-(profiles, degree) over every order the transform can ask for, whose
-integer totals it hands the transform.
+disconnected, one ``weighted_sweep``; connected (the content families),
+one sweep per (profiles, degree) over every order the transform can ask
+for, whose integer totals it hands the transform.
 
 The sums run on Python ints over one known denominator per value.  A
 character weight is an integer ``W`` over ``D = d!^2 prod |C_mu|``
 (the central characters are integers), ``f_bar(lam, s) Q_s`` is an
 integer for ``Q_s = f_bar_denominator(s)``, and the connected recursion,
 scaled by ``d!^2 prod |C_P| prod_t Q_t^{c_t}``, has integer
-coefficients in place of its ``1/d``.  Each returned value is one
-division of an integer (or an int-coefficient polynomial) total.
+coefficients in place of its ``1/d``, as the spectrum's recursion does.
+Each returned value is one division of an integer (or an int-coefficient
+polynomial) total.
 """
 
 from __future__ import annotations
@@ -275,7 +280,11 @@ def _character_sweep(factor, r_values, profiles, d: int, q: int = 1, *,
     one ``weighted_sweep``.  Connected, ``connected_sweep`` reads each
     sub-instance ``(r, profiles, d)`` from one sweep over r = 0..max
     per (profiles, degree), as the pair ``(total, D q^r)``, or the int
-    0 for a zero total; ``caps`` bounds the transform's products.
+    0 for a zero total; ``caps`` bounds the transform's products.  The
+    content families take this path with q = 1, where ``D`` is the
+    transform's scale and each total is taken as it is; the
+    completed-cycle families' connected numbers come from
+    ``connected_spectrum`` instead.
     """
     if not connected:
         denominator, weights = character_weights(d, profiles)
@@ -289,7 +298,7 @@ def _character_sweep(factor, r_values, profiles, d: int, q: int = 1, *,
             sweeps[dd, profs] = denominator, weighted_sweep(weights, factor, orders)
         denominator, totals = sweeps[dd, profs]
         return 0 if totals[r] == 0 else (totals[r], denominator * q**r)
-    return connected_sweep(disconnected, r_values, profiles, d=d, denominator=q, caps=caps)
+    return connected_sweep(disconnected, r_values, profiles, d=d, caps=caps)
 
 
 def _f_bar_powers(s: int, q: int):
@@ -306,11 +315,16 @@ def completed_sweep(r_values, s: int, profiles, d: int, *, connected: bool = Fal
     the connected number when ``connected``.
 
     The sums run on ints: ``W F^r`` with ``F = f_bar(lam, s+1) Q_{s+1}``
-    (``f_bar_denominator``), over ``D Q_{s+1}^r``.
+    (``f_bar_denominator``), over ``D Q_{s+1}^r``.  Connected, the value
+    is ``sum_F B_F F^r`` over the same denominator, from one
+    ``connected_spectrum`` for the whole range.
     """
     q = f_bar_denominator(s + 1)
-    return _character_sweep(_f_bar_powers(s + 1, q), r_values, profiles, d, q,
-                            connected=connected)
+    if not connected:
+        return _character_sweep(_f_bar_powers(s + 1, q), r_values, profiles, d, q)
+    denominator, spectrum = connected_spectrum(s, profiles, d)
+    return {r: Fraction(sum(b * f**r for f, b in spectrum.items()), denominator * q**r)
+            for r in r_values}
 
 
 def _content_value(value, nvars: int, monomial=None):
@@ -691,10 +705,10 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
       the scale to give ``a``;
     * a pair ``(total, denominator)`` for the value ``total /
       denominator``.  When ``denominator`` is the scale, ``a`` is
-      ``total`` itself, with no division; the character-weight families
-      hand over their integer totals this way (``_character_sweep``),
-      since their denominator ``d!^2 prod |C_P|`` times ``Q_t^{c_t}`` is
-      the scale.  Any other denominator takes the value path.
+      ``total`` itself, with no division; the content families hand over
+      their integer totals this way (``_character_sweep``), since their
+      character-weight denominator ``d!^2 prod |C_P|`` is the scale.  Any
+      other denominator takes the value path.
 
     A zero is returned as the int 0, never as a pair (a pair does not
     compare equal to 0, and the recursion skips only zero factors).  A
@@ -773,16 +787,69 @@ def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
     return _over(b(counts, profiles, d), scale(counts, profiles, d))
 
 
+def connected_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
+    """The connected completed-cycle numbers at every r, as ``(D, B)``:
+    the number with r completed (s+1)-cycles is ``sum_F B[F] F^r / (D
+    Q^r)``, with ``D = d!^2 prod |C_P|``, ``Q = f_bar_denominator(s + 1)``
+    and ``B`` an {integer eigenvalue ``F = f_bar(lam, s+1) Q``: nonzero
+    integer} dict (``0**0 == 1`` keeps the key 0 exact at r = 0).
+
+    The disconnected total ``a(c, P, d)`` of ``connected_transform_multi``
+    is ``sum_F A[F] F^c``, ``A[F]`` the character weights of eigenvalue
+    F summed, and since ``sum_{c1} C(c, c1) m^{c1} n^{c - c1} = (m +
+    n)^c`` its recursion holds key by key, with no r in it::
+
+        B(P, d) = A(P, d) - sum_{d1 < d} C(d, d1) C(d-1, d1-1)
+            sum_{P1 within P, |P1_j| = d1} B(P1, d1) * A(P - P1, d - d1)
+
+    where ``*`` multiplies coefficients and adds keys.
+    """
+    d, profiles = _resolve_degree(profiles, d)
+    q = f_bar_denominator(s + 1)
+    a_memo: dict = {}
+    b_memo: dict = {}
+
+    def a(profs, dd):
+        # (D, A) of the disconnected sum, one character-weight list each
+        if (profs, dd) not in a_memo:
+            denominator, weights = character_weights(dd, profs)
+            spectrum: dict[int, int] = {}
+            for lam, weight in weights:
+                f = _scaled_f_bar(lam, s + 1, q)
+                spectrum[f] = spectrum.get(f, 0) + weight
+            a_memo[profs, dd] = denominator, {f: w for f, w in spectrum.items() if w}
+        return a_memo[profs, dd]
+
+    def b(profs, dd):
+        if (profs, dd) in b_memo:
+            return b_memo[profs, dd]
+        out = dict(a(profs, dd)[1])
+        for d1 in range(1, dd):
+            pairs = math.comb(dd, d1) * math.comb(dd - 1, d1 - 1)
+            for p1, p2 in _profile_splits(profs, d1):
+                first = b(p1, d1)
+                if not first:
+                    continue
+                second = a(p2, dd - d1)[1]
+                for m, x in first.items():
+                    x *= pairs
+                    for n, y in second.items():
+                        out[m + n] = out.get(m + n, 0) - x * y
+        b_memo[profs, dd] = out = {f: c for f, c in out.items() if c}
+        return out
+
+    return a(profiles, d)[0], b(profiles, d)
+
+
 def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None,
-                    denominator: int = 1, caps: tuple[int, ...] | None = None) -> dict:
+                    caps: tuple[int, ...] | None = None) -> dict:
     """{r: connected number} for every r of ``r_values``, from a
     disconnected evaluator over (r, profiles), with one memo for them all.
 
     ``evaluator(r_i, sub_profiles, d_i)`` supplies every sub-instance;
     zero-insertion components are legal (they carry the unramified
-    sheets), but every component covers at least one sheet.
-    ``denominator`` (the one insertion type's ``Q``) and ``caps`` are as
-    for ``connected_transform_multi``.
+    sheets), but every component covers at least one sheet.  ``caps``
+    is as for ``connected_transform_multi``.
     """
     d, profiles = _resolve_degree(profiles, d)
     memo: dict = {}
@@ -790,8 +857,7 @@ def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None,
     def multi(counts, profs, dd):
         return evaluator(counts[0], profs, dd)
 
-    return {r: connected_transform_multi(multi, (r,), profiles, d=d, memo=memo,
-                                         denominators=(denominator,), caps=caps)
+    return {r: connected_transform_multi(multi, (r,), profiles, d=d, memo=memo, caps=caps)
             for r in r_values}
 
 

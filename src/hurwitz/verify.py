@@ -225,6 +225,7 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
     if max_d > STIRLING_MAX_D:
         raise SizeLimitError(f"verify stirling checks degrees up to its ceiling "
                              f"{STIRLING_MAX_D}, not {max_d}")
+    _check_sweep_start("stirling", max_d)
     checks: list[dict] = []
     from .exactnum import MultiPoly, TruncSeries, affine_factor, geometric_factor
 

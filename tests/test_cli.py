@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from hurwitz import characters, cli, oracle, verify
+from hurwitz import characters, cli, core, oracle, verify
 from hurwitz.cli import (
     EXIT_OK,
     EXIT_SIZE_LIMIT,
@@ -17,6 +18,7 @@ from hurwitz.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from hurwitz.partitions import partition_tuple
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -174,6 +176,25 @@ class TestTable:
         blob = json.loads(out)
         note = blob["yang_connected_subleading"]
         assert note["m"] == "3" and note["C_connected"] == "-8"
+
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_structure_yang_note_is_the_connected_spectrum(self, capsys, d):
+        # the table's normalization is d!^2 over the spectrum's D
+        m = math.comb(d - 1, 2)
+        for mu in partition_tuple(d):
+            _, out, _ = run(capsys, "table", "--what", "structure", "--s", "1",
+                            "--profiles", ",".join(map(str, mu)))
+            note = json.loads(out)["yang_connected_subleading"]
+            denominator, spectrum = core.connected_spectrum(1, (mu,), d)
+            assert note["m"] == str(m)
+            assert Fraction(note["C_connected"]) == \
+                Fraction(spectrum.get(m, 0) * math.factorial(d) ** 2, denominator), mu
+
+    @pytest.mark.parametrize("mu", ["1", "2", "1,1"])
+    def test_structure_yang_note_starts_at_d_three(self, capsys, mu):
+        code, out, _ = run(capsys, "table", "--what", "structure", "--s", "1",
+                           "--profiles", mu)
+        assert code == EXIT_OK and "yang_connected_subleading" not in json.loads(out)
 
     def test_ratio_csv_header(self, capsys):
         code, out, _ = run(capsys, "table", "--what", "ratio", "--kind", "classical",
@@ -487,7 +508,7 @@ class TestZeroFlags:
         code, _, err = run(capsys, "verify", suite, "--max-d", max_d)
         assert code == EXIT_USAGE and "--max-d" in err
 
-    @pytest.mark.parametrize("suite", ["poles", "eigenvalue-order"])
+    @pytest.mark.parametrize("suite", ["stirling", "poles", "eigenvalue-order"])
     def test_verify_sweep_from_two_needs_max_d_two(self, capsys, suite):
         code, out, err = run(capsys, "verify", suite, "--max-d", "1", "--format", "csv")
         assert code == EXIT_USAGE and "--max-d" in err and out == ""

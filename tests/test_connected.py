@@ -20,6 +20,8 @@ from hurwitz.core import (
     classical_hurwitz_sweep,
     completed_hurwitz,
     completed_hurwitz_sweep,
+    completed_sweep,
+    connected_spectrum,
     connected_transform_multi,
     content_product,
     f_bar,
@@ -30,7 +32,7 @@ from hurwitz.core import (
     orbifold_hurwitz,
 )
 from hurwitz.exactnum import MultiPoly
-from hurwitz.partitions import class_data, contents
+from hurwitz.partitions import class_data, contents, partition_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +346,24 @@ def _pair_and_value(totals, rescale):
     return as_pair, as_value
 
 
-# rescale 1: the denominator is the transform's scale, so the total is
-# taken as it is; rescale 6: it is not, and the pair is divided first
-@pytest.mark.parametrize("rescale", [1, 6])
-def test_pair_matches_value_for_integer_totals(rescale):
-    s = 2
+def _completed_totals(s):
+    """The completed integer totals ``(sum W F^c, D Q^c)``, ``F = f_bar Q``."""
     q = f_bar_denominator(s + 1)
 
     def totals(counts, profiles, d):
         denominator, weights = character_weights(d, profiles)
         total = sum(w * int(f_bar(lam, s + 1) * q) ** counts[0] for lam, w in weights)
         return total, denominator * q ** counts[0]
+    return totals
 
-    as_pair, as_value = _pair_and_value(totals, rescale)
+
+# rescale 1: the denominator is the transform's scale, so the total is
+# taken as it is; rescale 6: it is not, and the pair is divided first
+@pytest.mark.parametrize("rescale", [1, 6])
+def test_pair_matches_value_for_integer_totals(rescale):
+    s = 2
+    q = f_bar_denominator(s + 1)
+    as_pair, as_value = _pair_and_value(_completed_totals(s), rescale)
     nonzero = 0
     for c in range(5):
         want = completed_hurwitz(c, s, TWO_PROFILES, connected=True).value
@@ -414,3 +421,50 @@ def test_family_evaluators_return_zero_as_the_int_0(monkeypatch):
     assert pairs and zeros
     assert all(total != 0 for total, _ in pairs)
     assert all(type(value) is int and value == 0 for value in zeros)
+
+
+# ---------------------------------------------------------------------------
+# The connected spectrum of the completed-cycle families
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_spectrum_matches_the_transform(d, s):
+    q = f_bar_denominator(s + 1)
+    as_pair, _ = _pair_and_value(_completed_totals(s), 1)
+    parts = partition_tuple(d)
+    pairs = itertools.islice(itertools.combinations_with_replacement(parts, 2), 0, None, 4)
+    nonzero = 0
+    for profiles in [(), *((mu,) for mu in parts), *pairs]:
+        denominator, spectrum = connected_spectrum(s, profiles, d)
+        assert all(type(f) is int and type(b) is int and b for f, b in spectrum.items())
+        values = completed_sweep(range(13), s, profiles, d, connected=True)
+        memo: dict = {}
+        for r, got in values.items():
+            want = connected_transform_multi(as_pair, (r,), profiles, d=d, memo=memo,
+                                             denominators=(q,))
+            assert type(got) is type(want) is Fraction and got == want, (profiles, r)
+            assert got == Fraction(sum(b * f**r for f, b in spectrum.items()),
+                                   denominator * q**r)
+            nonzero += got != 0
+    assert nonzero
+
+
+# C. Yang's connected coefficients at s = 1: the top eigenvalue C(d, 2)
+# carries |C_mu|, and C(d-1, 2) carries -d m_1 |C_mu|, with m_1 the parts
+# 1 of mu (-d^2 with no profile)
+@pytest.mark.parametrize("d", range(3, 9))
+def test_spectrum_carries_yang_coefficients_with_no_profile(d):
+    denominator, spectrum = connected_spectrum(1, (), d)
+    assert denominator == math.factorial(d) ** 2
+    assert max(spectrum) == math.comb(d, 2) and spectrum[math.comb(d, 2)] == 1
+    assert spectrum[math.comb(d - 1, 2)] == -d * d
+
+
+@pytest.mark.parametrize("d", range(4, 7))
+def test_spectrum_carries_yang_coefficients_with_one_profile(d):
+    for mu in partition_tuple(d):
+        size = class_data(mu).class_size
+        _, spectrum = connected_spectrum(1, (mu,), d)
+        assert max(spectrum) == math.comb(d, 2) and spectrum[math.comb(d, 2)] == size
+        assert spectrum.get(math.comb(d - 1, 2), 0) == -d * mu.count(1) * size, mu

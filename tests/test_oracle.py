@@ -250,7 +250,7 @@ class TestSuiteSizes:
     reports its fixed sizes."""
 
     @pytest.mark.parametrize("suite, max_d", [
-        ("oracle", 0), ("poles", 1), ("eigenvalue-order", 1),
+        ("oracle", 0), ("stirling", 1), ("poles", 1), ("eigenvalue-order", 1),
     ])
     def test_a_sweep_with_no_degree_is_refused(self, suite, max_d):
         with pytest.raises(DomainError):

@@ -99,35 +99,23 @@ CONNECTED = {
     "hypergeometric": "--kind hypergeometric --d 4 --K 1 --L 1 --r-min 0 --r-max 5 --connected",
     "orbifold": "--kind orbifold --profiles 3,1,1,1 --t 3 --r-min 0 --r-max 6 --connected",
 }
+# the completed-cycle families read one connected spectrum, with no r in
+# it; the content families go through the transform
+SPECTRUM = ("classical", "completed", "orbifold")
 
 
-@pytest.mark.parametrize("case", CONNECTED)
-def test_connected_range_evaluates_each_sub_instance_once(capsys, monkeypatch, case):
-    original = core.connected_transform_multi
-    evaluated = []
+def run_connected(capsys, monkeypatch, case):
+    """Run a connected range and return every sub-instance the transform
+    evaluates, every ``weighted_sweep`` call and the (profiles, degree)
+    of every ``character_weights`` listing."""
+    original_transform, original_sweep = core.connected_transform_multi, core.weighted_sweep
+    original_weights = core.character_weights
+    evaluated, sweeps, listed = [], [], []
 
-    def counted(evaluator, *args, **kwargs):
+    def transform(evaluator, *args, **kwargs):
         def recorded(*key):
             evaluated.append(key)
             return evaluator(*key)
-        return original(recorded, *args, **kwargs)
-
-    monkeypatch.setattr(core, "connected_transform_multi", counted)
-    code, _ = run(capsys, ["compute", *shlex.split(CONNECTED[case])])
-    assert code == EXIT_OK and evaluated
-    assert len(evaluated) == len(set(evaluated))
-
-
-@pytest.mark.parametrize("case", CONNECTED)
-def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch, case):
-    original_transform, original_sweep = core.connected_transform_multi, core.weighted_sweep
-    original_weights = core.character_weights
-    evaluated, sweeps, listed = set(), [], []
-
-    def transform(evaluator, *args, **kwargs):
-        def recorded(counts, profiles, d):
-            evaluated.add((profiles, d))
-            return evaluator(counts, profiles, d)
         return original_transform(recorded, *args, **kwargs)
 
     def sweep(*args, **kwargs):
@@ -142,9 +130,29 @@ def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch
     monkeypatch.setattr(core, "weighted_sweep", sweep)
     monkeypatch.setattr(core, "character_weights", weights)
     code, _ = run(capsys, ["compute", *shlex.split(CONNECTED[case])])
-    assert code == EXIT_OK and evaluated
-    assert len(sweeps) == len(evaluated)
-    assert sorted(listed) == sorted(evaluated)
+    assert code == EXIT_OK and listed
+    return evaluated, sweeps, listed
+
+
+@pytest.mark.parametrize("case", CONNECTED)
+def test_connected_range_evaluates_each_sub_instance_once(capsys, monkeypatch, case):
+    evaluated, _, listed = run_connected(capsys, monkeypatch, case)
+    if case in SPECTRUM:  # a sub-instance is one weight list, whatever the r range
+        assert len(listed) == len(set(listed)) > 1
+    else:
+        assert evaluated and len(evaluated) == len(set(evaluated))
+
+
+@pytest.mark.parametrize("case", CONNECTED)
+def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch, case):
+    evaluated, sweeps, listed = run_connected(capsys, monkeypatch, case)
+    if case in SPECTRUM:
+        assert not evaluated and not sweeps
+        assert len(listed) == len(set(listed))
+    else:
+        instances = {(profiles, d) for _, profiles, d in evaluated}
+        assert instances and len(sweeps) == len(instances)
+        assert sorted(listed) == sorted(instances)
 
 
 def test_empty_connected_range_is_empty():
