@@ -8,14 +8,16 @@ The two evaluation routes are:
   coefficient of the product of ``G`` evaluated at ``z`` times each box
   content, kept as an exact polynomial in the formal u/v variables.
 
-Every family is a sum over partitions of a weight times a factor, and
-``weighted_sweep``, the one reducer, sums it for every r of a sweep at
-once.  ``character_weights`` supplies the weights, which depend on
-(degree, profiles) alone: each list is built once and kept in a bounded
-memo.  ``completed_sweep`` and ``character_sum`` are its completed-cycle
-and one-r cases.  The hypergeometric factor is
-``content_factor``: the z^r coefficient factors into elementary and
-complete symmetric functions of the nonzero contents
+Every family is a sum over partitions of a weight times a factor.
+``character_weights`` supplies the weights, which depend on (degree,
+profiles) alone: each list is built once and kept in a bounded memo.
+The completed-cycle families sum them once per integer eigenvalue
+``F = f_bar(lam, s+1) Q`` (``completed_spectrum``), and every value is
+the finite sum ``sum_F A_F F^r`` over ``D Q^r``.  Every other factor
+goes through ``weighted_sweep``, the one reducer, for every r of a
+sweep at once; ``character_sum`` is its one-r case.  The hypergeometric
+factor is ``content_factor``: the z^r coefficient factors into
+elementary and complete symmetric functions of the nonzero contents
 (``content_sequences``, plain integer sequences, built once per
 partition for a whole sweep), so no series is multiplied, and a single
 monomial's coefficient needs no polynomial.  The b-deformed engine in
@@ -30,13 +32,12 @@ through ``connected_transform_multi``: the exponential formula, solved
 by the recursion on the component that holds sheet 1, with every
 sub-instance memoized across every r of a sweep (``connected_sweep``).
 The completed-cycle families (classical, completed, orbifold) solve the
-same recursion once, with no r in it: their connected numbers are
-``sum_F B_F F^r`` over one denominator, and ``connected_spectrum``
-builds the integer coefficients ``B_F`` once per request.
-``_character_sweep`` is every character-weight family's sweep:
-disconnected, one ``weighted_sweep``; connected (the content families),
-one sweep per (profiles, degree) over every order the transform can ask
-for, whose integer totals it hands the transform.
+same recursion once, with no r in it, on their spectra:
+``connected_spectrum`` builds the integer coefficients ``B_F`` of their
+connected numbers once per request.  ``_character_sweep`` is the
+content families' sweep: disconnected, one ``weighted_sweep``;
+connected, one sweep per (profiles, degree) over every order the
+transform can ask for, whose integer totals it hands the transform.
 
 The sums run on Python ints over one known denominator per value.  A
 character weight is an integer ``W`` over ``D = d!^2 prod |C_mu|``
@@ -145,6 +146,13 @@ def _resolve_degree(profiles, d):
     return d, profiles
 
 
+def _orders(r_values) -> list[int]:
+    r_values = list(r_values)
+    if any(r < 0 for r in r_values):
+        raise DomainError(f"r must be nonnegative: {min(r_values)}")
+    return r_values
+
+
 def rh_genus(r: int, s: int, d: int, profiles) -> Fraction:
     """Genus from rs = 2g - 2 - d(N-2) + sum of profile lengths."""
     n = len(profiles)
@@ -233,9 +241,9 @@ def _integral(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def weighted_sweep(weights, factor, r_values, denominator=None) -> dict:
+def weighted_sweep(weights, factor, r_values, denominator: int | None = None) -> dict:
     """{r: sum over (lam, weight) of weight * factor(lam)(r), divided by
-    ``denominator(r)``} for every r.
+    ``denominator``} for every r.
 
     ``factor(lam)`` is called once per partition and returns its term as
     a function of r: an int, a Fraction or a MultiPoly (they share ``*``,
@@ -254,7 +262,7 @@ def weighted_sweep(weights, factor, r_values, denominator=None) -> dict:
             totals = [total + term(r) * weight for total, r in zip(totals, r_values)]
     totals = totals or [Fraction(0)] * len(r_values)
     if denominator is not None:
-        totals = [_over(total, denominator(r)) for total, r in zip(totals, r_values)]
+        totals = [_over(total, denominator) for total in totals]
     return dict(zip(r_values, totals))
 
 
@@ -267,28 +275,27 @@ def character_sum(d: int, profiles, factor, denominator: int = 1):
     """
     weight_denominator, weights = character_weights(d, profiles)
     return weighted_sweep(weights, lambda lam: lambda _: factor(lam), (0,),
-                          lambda _: weight_denominator * denominator)[0]
+                          weight_denominator * denominator)[0]
 
 
-def _character_sweep(factor, r_values, profiles, d: int, q: int = 1, *,
-                     connected: bool = False, caps=None) -> dict:
-    """{r: the character sum of ``factor`` over ``D q^r``} for every r,
-    the connected number when ``connected``.
+def _character_sweep(factor, r_values, profiles, d: int, *, connected: bool = False,
+                     caps=None) -> dict:
+    """{r: the character sum of ``factor``} for every r, the connected
+    number when ``connected``.
 
     ``factor`` is a ``weighted_sweep`` factor with integer (or
-    int-coefficient polynomial) terms over ``q^r``.  Disconnected, it is
-    one ``weighted_sweep``.  Connected, ``connected_sweep`` reads each
-    sub-instance ``(r, profiles, d)`` from one sweep over r = 0..max
-    per (profiles, degree), as the pair ``(total, D q^r)``, or the int
-    0 for a zero total; ``caps`` bounds the transform's products.  The
-    content families take this path with q = 1, where ``D`` is the
-    transform's scale and each total is taken as it is; the
-    completed-cycle families' connected numbers come from
-    ``connected_spectrum`` instead.
+    int-coefficient polynomial) terms.  Disconnected, it is one
+    ``weighted_sweep`` over the weights' denominator ``D``.  Connected,
+    ``connected_sweep`` reads each sub-instance ``(r, profiles, d)`` from
+    one sweep over r = 0..max per (profiles, degree), as the pair
+    ``(total, D)``, or the int 0 for a zero total; ``D`` is the
+    transform's scale, so each total is taken as it is.  ``caps`` bounds
+    the transform's products.  The content families take this path; the
+    completed-cycle families read ``completed_spectrum`` instead.
     """
     if not connected:
         denominator, weights = character_weights(d, profiles)
-        return weighted_sweep(weights, factor, r_values, lambda r: denominator * q**r)
+        return weighted_sweep(weights, factor, r_values, denominator)
     r_values = list(r_values)
     orders, sweeps = range(max(r_values, default=0) + 1), {}
 
@@ -297,33 +304,40 @@ def _character_sweep(factor, r_values, profiles, d: int, q: int = 1, *,
             denominator, weights = character_weights(dd, profs)
             sweeps[dd, profs] = denominator, weighted_sweep(weights, factor, orders)
         denominator, totals = sweeps[dd, profs]
-        return 0 if totals[r] == 0 else (totals[r], denominator * q**r)
+        return 0 if totals[r] == 0 else (totals[r], denominator)
     return connected_sweep(disconnected, r_values, profiles, d=d, caps=caps)
 
 
-def _f_bar_powers(s: int, q: int):
-    """The completed-cycle factor: ``lam -> (r -> F^r)`` with the integer
-    ``F = f_bar(lam, s) q``."""
-    def factor(lam):
-        f = _scaled_f_bar(lam, s, q)
-        return lambda r: f**r
-    return factor
+def completed_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
+    """``(D, A)``: ``A`` sums the character weights over ``D``
+    (``character_weights``) per integer eigenvalue ``F = f_bar(lam, s+1)
+    Q``, ``Q = f_bar_denominator(s + 1)``, in first-seen order with zero
+    sums dropped, so the character sum of ``f_bar(lam, s+1)^r`` is
+    ``sum_F A[F] F^r / (D Q^r)`` at every r (``0**0 == 1``)."""
+    denominator, weights = character_weights(d, profiles)
+    q = f_bar_denominator(s + 1)
+    spectrum: dict[int, int] = {}
+    for lam, weight in weights:
+        f = _scaled_f_bar(lam, s + 1, q)
+        spectrum[f] = spectrum.get(f, 0) + weight
+    return denominator, {f: a for f, a in spectrum.items() if a}
 
 
 def completed_sweep(r_values, s: int, profiles, d: int, *, connected: bool = False) -> dict:
     """{r: the character sum of f_bar(lam, s+1)^r} for every r of ``r_values``,
     the connected number when ``connected``.
 
-    The sums run on ints: ``W F^r`` with ``F = f_bar(lam, s+1) Q_{s+1}``
-    (``f_bar_denominator``), over ``D Q_{s+1}^r``.  Connected, the value
-    is ``sum_F B_F F^r`` over the same denominator, from one
-    ``connected_spectrum`` for the whole range.
+    Each value is ``sum_F A_F F^r / (D Q^r)`` over one spectrum for the
+    whole range: ``completed_spectrum``, or ``connected_spectrum`` when
+    ``connected``.
     """
+    r_values = _orders(r_values)
+    if s < 1:
+        raise DomainError(f"s must be positive: {s}")
     q = f_bar_denominator(s + 1)
-    if not connected:
-        return _character_sweep(_f_bar_powers(s + 1, q), r_values, profiles, d, q)
-    denominator, spectrum = connected_spectrum(s, profiles, d)
-    return {r: Fraction(sum(b * f**r for f, b in spectrum.items()), denominator * q**r)
+    denominator, spectrum = (connected_spectrum if connected else completed_spectrum)(
+        s, profiles, d)
+    return {r: Fraction(sum(a * f**r for f, a in spectrum.items()), denominator * q**r)
             for r in r_values}
 
 
@@ -405,22 +419,13 @@ class HurwitzResult(Record):
 # Completed-cycle Hurwitz numbers
 # ---------------------------------------------------------------------------
 
-def _orders(r_values) -> list[int]:
-    r_values = list(r_values)
-    if any(r < 0 for r in r_values):
-        raise DomainError(f"r must be nonnegative: {min(r_values)}")
-    return r_values
-
-
 def completed_hurwitz_sweep(r_values, s: int, profiles=(), *, d: int | None = None,
                             connected: bool = False) -> list[HurwitzResult]:
     """``completed_hurwitz`` at every r of ``r_values``, in one pass.
 
     The values are one ``completed_sweep``.
     """
-    r_values = _orders(r_values)
-    if s < 1:
-        raise DomainError(f"s must be positive: {s}")
+    r_values = list(r_values)
     d, profiles = _resolve_degree(profiles, d)
     values = completed_sweep(r_values, s, profiles, d, connected=connected)
     return [HurwitzResult(
@@ -795,9 +800,9 @@ def connected_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
     integer} dict (``0**0 == 1`` keeps the key 0 exact at r = 0).
 
     The disconnected total ``a(c, P, d)`` of ``connected_transform_multi``
-    is ``sum_F A[F] F^c``, ``A[F]`` the character weights of eigenvalue
-    F summed, and since ``sum_{c1} C(c, c1) m^{c1} n^{c - c1} = (m +
-    n)^c`` its recursion holds key by key, with no r in it::
+    is ``sum_F A[F] F^c``, ``A`` its ``completed_spectrum``, and since
+    ``sum_{c1} C(c, c1) m^{c1} n^{c - c1} = (m + n)^c`` its recursion
+    holds key by key, with no r in it::
 
         B(P, d) = A(P, d) - sum_{d1 < d} C(d, d1) C(d-1, d1-1)
             sum_{P1 within P, |P1_j| = d1} B(P1, d1) * A(P - P1, d - d1)
@@ -805,19 +810,12 @@ def connected_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
     where ``*`` multiplies coefficients and adds keys.
     """
     d, profiles = _resolve_degree(profiles, d)
-    q = f_bar_denominator(s + 1)
     a_memo: dict = {}
     b_memo: dict = {}
 
     def a(profs, dd):
-        # (D, A) of the disconnected sum, one character-weight list each
         if (profs, dd) not in a_memo:
-            denominator, weights = character_weights(dd, profs)
-            spectrum: dict[int, int] = {}
-            for lam, weight in weights:
-                f = _scaled_f_bar(lam, s + 1, q)
-                spectrum[f] = spectrum.get(f, 0) + weight
-            a_memo[profs, dd] = denominator, {f: w for f, w in spectrum.items() if w}
+            a_memo[profs, dd] = completed_spectrum(s, profs, dd)
         return a_memo[profs, dd]
 
     def b(profs, dd):
@@ -884,16 +882,13 @@ def structure_coefficients(s: int, profiles=(), *, d: int | None = None
     if s < 1:
         raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
-    denominator, weights = character_weights(d, profiles)
+    denominator, spectrum = completed_spectrum(s, profiles, d)
+    q = f_bar_denominator(s + 1)
     # the weight W/D times d!^2, halved for even s
     scale = denominator // math.factorial(d) ** 2 * (1 if s % 2 else 2)
-    sums: dict[Fraction, int] = {}
-    for lam, weight in weights:
-        f = f_bar(lam, s + 1)
-        if s % 2 == 1 and f <= 0:
-            continue  # the transpose carries the representative
-        sums[f] = sums.get(f, 0) + weight
-    return {f: Fraction(total, scale) for f, total in sums.items() if total}
+    # for odd s the transpose of each positive key carries its negative
+    return {Fraction(f, q): Fraction(a, scale) for f, a in spectrum.items()
+            if s % 2 == 0 or f > 0}
 
 
 def structure_resummation(r: int, s: int, profiles=(), *, d: int | None = None
@@ -934,6 +929,7 @@ def orbifold_hurwitz_sweep(r_values, t: int, mu, *, connected: bool = False
     if t < 1:
         raise DomainError(f"t must be positive: {t}")
     mu = check_partition(mu)
+    r_values = _orders(r_values)
     d = sum(mu)
     if d % t:
         return [HurwitzResult(

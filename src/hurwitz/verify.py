@@ -460,10 +460,7 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         raise DomainError(f"the {kind} leading term at K={k} vanishes below r={first}; "
                           f"ask for r >= {first}")
     if kind in ("classical", "completed", "gw"):
-        order = gw_s if kind == "gw" else s
-        if order < 1:
-            raise DomainError(f"s must be positive: {order}")
-        exact = completed_sweep(r_values, order, profiles, d)
+        exact = completed_sweep(r_values, gw_s if kind == "gw" else s, profiles, d)
         if kind == "gw":
             mu, nu = profiles
             exact = {m: v * _gw_scale(mu, nu, ((gw_s, m),)) for m, v in exact.items()}

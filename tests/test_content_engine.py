@@ -145,6 +145,8 @@ SWEEPS = {
            lambda m: gw_correlator((3, 2, 1), (2, 2, 2), {2: m})),
     "gw-three": (dict(profiles=((2, 1, 1), (3, 1)), gw_s=3),
                  lambda m: gw_correlator((2, 1, 1), (3, 1), {3: m})),
+    "gw-one": (dict(profiles=((2, 2, 1), (3, 1, 1)), gw_s=1),
+               lambda m: gw_correlator((2, 2, 1), (3, 1, 1), {1: m})),
 }
 
 

@@ -34,7 +34,7 @@ def per_r_hypergeometric(r_values, gspec, profiles, d, caps=None):
     denominator, weights = character_weights(d, profiles)
     return weighted_sweep(
         weights, lambda lam: lambda r: content_product(contents(lam), gspec, r, caps),
-        r_values, lambda r: denominator)
+        r_values, denominator)
 
 
 def per_r_b(r_values, gspec, profiles, b, d, caps=None):

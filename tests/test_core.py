@@ -245,7 +245,8 @@ class TestStructure:
                 completed_hurwitz(r, 1, (mu,)).value
 
     @pytest.mark.parametrize("d, s, profiles", [
-        (6, 1, ()), (5, 2, ()), (5, 1, ((3, 1, 1),)), (5, 3, ((2, 2, 1), (3, 1, 1)))])
+        (6, 1, ()), (5, 2, ()), (5, 1, ((3, 1, 1),)), (5, 3, ((2, 2, 1), (3, 1, 1))),
+        (5, 4, ((3, 1, 1),))])
     def test_gap_resummation_catches_a_perturbed_coefficient(self, monkeypatch,
                                                              d, s, profiles):
         from hurwitz import verify
