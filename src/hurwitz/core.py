@@ -27,32 +27,32 @@ checked degree.
 
 Each family evaluates a whole r-range in one pass (its ``*_sweep``
 function, reading the weights once), and its single-r function is the
-one-r case.  Connected numbers come from any disconnected evaluator
-through ``connected_transform_multi``: the exponential formula, solved
-by the recursion on the component that holds sheet 1, with every
-sub-instance memoized across every r of a sweep (``connected_sweep``).
-The completed-cycle families (classical, completed, orbifold) solve the
-same recursion once, with no r in it, on their spectra:
-``connected_spectrum`` builds the integer coefficients ``B_F`` of their
-connected numbers once per request.  ``_character_sweep`` is the
-content families' sweep: disconnected, one ``weighted_sweep``;
-connected, one sweep per (profiles, degree) over every order the
-transform can ask for, whose integer totals it hands the transform.
+one-r case.  Connected numbers come from the disconnected ones by the
+exponential formula, solved once, by the recursion on the component
+that holds sheet 1, in ``_exponential_formula``: it runs on {key:
+coefficient} dicts per (profiles, degree), with one of two products.
+The completed-cycle families (classical, completed, orbifold) run it on
+their spectra, with no r in it: ``connected_spectrum`` builds the
+integer coefficients ``B_F`` of their connected numbers once per
+request.  The content families' connected ``_character_sweep`` runs it
+on the insertion counts ``(r,)``, with one ``weighted_sweep`` over every
+order per (profiles, degree); ``connected_transform_multi`` runs it on
+typed insertion counts from any disconnected evaluator (GW).
 
 The sums run on Python ints over one known denominator per value.  A
 character weight is an integer ``W`` over ``D = d!^2 prod |C_mu|``
-(the central characters are integers), ``f_bar(lam, s) Q_s`` is an
-integer for ``Q_s = f_bar_denominator(s)``, and the connected recursion,
-scaled by ``d!^2 prod |C_P| prod_t Q_t^{c_t}``, has integer
-coefficients in place of its ``1/d``, as the spectrum's recursion does.
-Each returned value is one division of an integer (or an int-coefficient
-polynomial) total.
+(``_scale``; the central characters are integers), ``f_bar(lam, s) Q_s``
+is an integer for ``Q_s = f_bar_denominator(s)``, and the exponential
+formula, scaled by ``D prod_t Q_t^{c_t}``, has integer coefficients in
+place of its ``1/d``.  Each returned value is one division of an
+integer (or an int-coefficient polynomial) total.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,7 +64,6 @@ from .partitions import (
     check_partition,
     class_data,
     contents,
-    transpose,
 )
 from .records import Frozen, Record, set_field
 
@@ -84,13 +83,16 @@ def f_bar(lam: Partition, s: int) -> Fraction:
     lam = check_partition(lam)
     if s < 2:
         raise DomainError(f"f_bar index must be at least 2, got {s}")
-    # a' = (2a+1)/2 and b' = (2b+1)/2 over the diagonal hooks (a, b)
-    lt = transpose(lam)
+    # a' = (2a+1)/2 and b' = (2b+1)/2 over the diagonal hooks (a, b): the
+    # leg b of diagonal box i is #{j : lam[j] > i} - i - 1
     num = 0
+    rows = len(lam)  # #{j : lam[j] > i}, which only shrinks as i grows
     for i, p in enumerate(lam):
         if p <= i:
             break
-        num += (2 * (p - i) - 1) ** s - (1 - 2 * (lt[i] - i)) ** s
+        while lam[rows - 1] <= i:
+            rows -= 1
+        num += (2 * (p - i) - 1) ** s - (1 - 2 * (rows - i)) ** s
     c = _c_const(s)
     return Fraction(num * c.denominator + c.numerator * 2**s, 2**s * c.denominator * s)
 
@@ -206,6 +208,12 @@ def character_weights(d: int, profiles) -> tuple[int, tuple]:
     return _character_weights(d, tuple(map(tuple, profiles)))
 
 
+def _scale(profiles, d: int) -> int:
+    """``D = d!^2 prod |C_mu|`` over the profiles: the denominator of the
+    character weights, and the scale of the exponential formula."""
+    return math.factorial(d) ** 2 * math.prod(class_data(mu).class_size for mu in profiles)
+
+
 @lru_cache(maxsize=64)
 def _character_weights(d: int, profiles: tuple[Partition, ...]) -> tuple[int, tuple]:
     table = characters.char_table(d)
@@ -221,7 +229,7 @@ def _character_weights(d: int, profiles: tuple[Partition, ...]) -> tuple[int, tu
             weight *= size * chi // dim
         else:
             weights.append((lam, weight))
-    return math.factorial(d) ** 2 * math.prod(sizes), tuple(weights)
+    return _scale(profiles, d), tuple(weights)
 
 
 def _over(total, denominator: int):
@@ -285,27 +293,27 @@ def _character_sweep(factor, r_values, profiles, d: int, *, connected: bool = Fa
 
     ``factor`` is a ``weighted_sweep`` factor with integer (or
     int-coefficient polynomial) terms.  Disconnected, it is one
-    ``weighted_sweep`` over the weights' denominator ``D``.  Connected,
-    ``connected_sweep`` reads each sub-instance ``(r, profiles, d)`` from
-    one sweep over r = 0..max per (profiles, degree), as the pair
-    ``(total, D)``, or the int 0 for a zero total; ``D`` is the
-    transform's scale, so each total is taken as it is.  ``caps`` bounds
-    the transform's products.  The content families take this path; the
-    completed-cycle families read ``completed_spectrum`` instead.
+    ``weighted_sweep`` over the weights' denominator ``D``.  Connected, it
+    is ``_exponential_formula`` over the insertion counts ``(r,)``: the
+    disconnected totals at each (profiles, degree) are one sweep over
+    r = 0..max, over ``D``, the formula's scale, so each total is taken
+    as it is.  ``caps`` bounds the products.  The content families take
+    this path; the completed-cycle families read ``completed_spectrum``
+    instead.
     """
     if not connected:
         denominator, weights = character_weights(d, profiles)
         return weighted_sweep(weights, factor, r_values, denominator)
     r_values = list(r_values)
-    orders, sweeps = range(max(r_values, default=0) + 1), {}
+    orders = range(max(r_values, default=0) + 1)
 
-    def disconnected(r, profs, dd):
-        if (dd, profs) not in sweeps:
-            denominator, weights = character_weights(dd, profs)
-            sweeps[dd, profs] = denominator, weighted_sweep(weights, factor, orders)
-        denominator, totals = sweeps[dd, profs]
-        return 0 if totals[r] == 0 else (totals[r], denominator)
-    return connected_sweep(disconnected, r_values, profiles, d=d, caps=caps)
+    def disconnected(profs, dd):
+        totals = weighted_sweep(character_weights(dd, profs)[1], factor, orders)
+        return {(r,): total for r, total in totals.items()}
+    connected_totals = _exponential_formula(
+        disconnected, _count_product((orders[-1],), caps), profiles, d,
+        {(r,) for r in r_values})
+    return {r: _over(connected_totals.get((r,), 0), _scale(profiles, d)) for r in r_values}
 
 
 def completed_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
@@ -565,7 +573,7 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
     """``hypergeometric_hurwitz`` at every r of ``r_values``, in one pass.
 
     The values are one ``_character_sweep`` over ``content_factor``.
-    Connected, the transform's products drop the monomials beyond
+    Connected, the exponential formula's products drop the monomials beyond
     ``caps`` (or beyond ``monomial``, whose coefficient is then taken).
     """
     r_values = _orders(r_values)
@@ -676,120 +684,126 @@ def _profile_splits(profiles, d1: int) -> tuple:
         for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in profiles)))
 
 
+def _exponential_formula(a, product, profiles, d: int, keys=None) -> dict:
+    """The connected totals at (``profiles``, ``d``) from the disconnected
+    ones, by the exponential formula.
+
+    Let ``h(c, P, d)`` be a disconnected value with ``c`` insertions
+    (counted per type) times the profile class sizes.  Summed against
+    ``x^d y^c / c!`` (``h`` already carries the sheets' ``1/d!``), with
+    the profile parts as ordinary variables, the series of ``h`` is the
+    exponential of the series of its connected part ``h°``.  The sheet
+    derivative of that identity is the recursion on the component that
+    holds sheet 1 (Stanley, EC2 §5.1).  It is solved on the disconnected
+    totals ``a(P, d)``, scaled by ``d!^2`` (``_scale``), and the same
+    scaling ``b`` of ``h°``, where ``d1 C(d, d1)^2 / d = C(d, d1)
+    C(d-1, d1-1)`` takes the place of the ``1/d``::
+
+        b(P, d) = a(P, d) - sum_{d1 < d} C(d, d1) C(d-1, d1-1)
+            sum_{P1 within P, |P1_j| = d1} b(P1, d1) * a(P - P1, d - d1)
+
+    ``a(P, d)`` and ``b(P, d)`` are {key: coefficient} dicts, keyed by
+    the insertion counts ``c`` or, on spectra, by eigenvalues.
+    ``product(out, first, second, weight, keys)`` adds ``weight`` times
+    the terms of ``first * second`` into ``out``, only those at ``keys``
+    unless it is None: ``_spectrum_product`` or a ``_count_product``.
+    Both dicts are memoized per (profiles, degree) and hold no zero
+    coefficient; ``a(P - P1, d - d1)`` is read only when the ``b`` it
+    multiplies is nonempty.  The top degree keeps only ``keys`` (None:
+    every key), and its ``b`` is returned.  Profile splits are cached
+    across calls (``_profile_splits``).
+    """
+    a_memo: dict = {}
+    b_memo: dict = {}
+
+    def disconnected(profs, dd):
+        if (profs, dd) not in a_memo:
+            a_memo[profs, dd] = {k: v for k, v in a(profs, dd).items() if v != 0}
+        return a_memo[profs, dd]
+
+    def b(profs, dd):
+        if (profs, dd) in b_memo:
+            return b_memo[profs, dd]
+        top = keys if dd == d else None
+        out = {k: v for k, v in disconnected(profs, dd).items() if top is None or k in top}
+        for d1 in range(1, dd):
+            pairs = math.comb(dd, d1) * math.comb(dd - 1, d1 - 1)
+            for p1, p2 in _profile_splits(profs, d1):
+                first = b(p1, d1)
+                if first:
+                    product(out, first, disconnected(p2, dd - d1), -pairs, top)
+        b_memo[profs, dd] = out = {k: v for k, v in out.items() if v != 0}
+        return out
+
+    return b(profiles, d)
+
+
+def _spectrum_product(out, first, second, weight, keys):
+    """``out += weight * first * second`` on spectra: coefficients multiply
+    and keys (eigenvalues) add."""
+    for m, x in first.items():
+        x *= weight
+        for n, y in second.items():
+            if keys is None or m + n in keys:
+                out[m + n] = out.get(m + n, 0) + x * y
+
+
+def _count_product(bound: tuple[int, ...], caps=None):
+    """``out += weight * first * second`` on insertion counts: the term
+    of ``c1`` and ``c2`` goes to ``c = c1 + c2`` with the weight ``prod_t
+    C(c_t, c1_t)``, for every ``c <= bound``; ``caps`` drops the
+    monomials beyond them."""
+    def product(out, first, second, weight, keys):
+        for c1, x in first.items():
+            for c2, y in second.items():
+                c = tuple(map(operator.add, c1, c2))
+                if c in keys if keys is not None else all(map(operator.le, c, bound)):
+                    term = x * y if caps is None else x.mul(y, caps)
+                    term = term * (weight * math.prod(map(math.comb, c, c1)))
+                    out[c] = out[c] + term if c in out else term
+    return product
+
+
 def connected_transform_multi(evaluator, counts: tuple[int, ...], profiles, *,
-                              d: int, memo: dict | None = None,
-                              denominators: tuple[int, ...] | None = None,
+                              d: int, denominators: tuple[int, ...] | None = None,
                               caps: tuple[int, ...] | None = None) -> Fraction | MultiPoly:
     """Connected value from a disconnected evaluator with typed insertions.
 
     ``counts`` lists how many insertions of each type the instance
-    carries.  Let ``h(c, P, d)`` be the disconnected value times the
-    profile class sizes.  Summed against ``x^d y^c / c!`` (``h`` already
-    carries the sheets' ``1/d!``), with the profile parts as ordinary
-    variables, the series of ``h`` is the exponential of the series of
-    its connected part ``h°``.  The sheet derivative of that identity is
-    the recursion on the component that holds sheet 1 (Stanley, EC2
-    §5.1).  It is solved on ``a(c, P, d) = d!^2 prod_t Q_t^{c_t} h(c, P, d)``
-    and the same scaling ``b`` of ``h°``, where ``d1 C(d, d1)^2 / d =
-    C(d, d1) C(d-1, d1-1)`` takes the place of the ``1/d``::
-
-        b(c, P, d) = a(c, P, d) - sum_{d1 < d} C(d, d1) C(d-1, d1-1)
-            sum_{P1 within P, |P1_j| = d1} sum_{c1 <= c} prod_t C(c_t, c1_t)
-            b(c1, P1, d1) a(c - c1, P - P1, d - d1)
-
-    ``Q_t`` is ``denominators[t]`` (default 1), and the scale of a
-    sub-instance is ``d!^2 prod |C_P| prod_t Q_t^{c_t}``.  The connected
-    value is ``b`` divided once by its scale.  ``caps`` drops the
-    monomials beyond it from every product of polynomial values.
-
-    The evaluator is called as ``evaluator(sub_counts, sub_profiles,
-    sub_degree)`` and returns the disconnected number in the same
-    normalization as the target, in one of two forms:
-
-    * a value (a Fraction, an int or a MultiPoly), which is multiplied by
-      the scale to give ``a``;
-    * a pair ``(total, denominator)`` for the value ``total /
-      denominator``.  When ``denominator`` is the scale, ``a`` is
-      ``total`` itself, with no division; the content families hand over
-      their integer totals this way (``_character_sweep``), since their
-      character-weight denominator ``d!^2 prod |C_P|`` is the scale.  Any
-      other denominator takes the value path.
-
-    A zero is returned as the int 0, never as a pair (a pair does not
-    compare equal to 0, and the recursion skips only zero factors).  A
-    sub-instance is evaluated only when the connected factor it
-    multiplies is nonzero.  Both kinds of
-    sub-instance and the per-(profiles, degree) scales are memoized in
-    ``memo``: calls that pass the same dict with the same evaluator,
-    profiles, denominators and caps (the r of a sweep) compute each once.
-    Profile splits are cached across calls (``_profile_splits``).
+    carries.  The evaluator is called as ``evaluator(sub_counts,
+    sub_profiles, sub_degree)`` and returns the disconnected number (a
+    Fraction, an int or a MultiPoly) in the same normalization as the
+    target, once per sub-instance: below the top degree at every
+    ``sub_counts <= counts``, at the top degree only at ``counts``.  Each
+    value times its scale ``d!^2 prod |C_P| prod_t Q_t^{c_t}``
+    (``Q_t = denominators[t]``, default 1) is an integral total, and
+    ``_exponential_formula`` solves the recursion over the insertion
+    counts (``_count_product``) on them.  The connected value is the
+    top total divided once by its scale.  ``caps`` drops the monomials
+    beyond it from every product of polynomial values.
     """
     d, profiles = _resolve_degree(profiles, d)
-    counts = tuple(counts)
+    counts = tuple(_orders(counts))
     denominators = (1,) * len(counts) if denominators is None else tuple(denominators)
-    memo = {} if memo is None else memo
-    a_memo = memo.setdefault("disconnected", {})
-    b_memo = memo.setdefault("connected", {})
-    scales = memo.setdefault("scales", {})
-    count_splits = memo.setdefault("insertion splits", {})
+    below = list(itertools.product(*(range(m + 1) for m in counts)))
 
-    def scale(sub_counts, sub_profiles, dd):
-        if (sub_profiles, dd) not in scales:
-            scales[sub_profiles, dd] = math.factorial(dd) ** 2 * math.prod(
-                class_data(mu).class_size for mu in sub_profiles)
-        out = scales[sub_profiles, dd]
-        for q, m in zip(denominators, sub_counts):
-            out *= q**m
-        return out
+    def scale(sub_counts, base):
+        return base * math.prod(map(pow, denominators, sub_counts))
 
-    def a(sub_counts, sub_profiles, dd):
-        key = (sub_counts, sub_profiles, dd)
-        if key not in a_memo:
-            value = evaluator(sub_counts, sub_profiles, dd)
-            target = scale(sub_counts, sub_profiles, dd)
-            if isinstance(value, tuple):
-                total, denominator = value
-                if denominator == target:
-                    a_memo[key] = total
-                    return total
-                value = _over(total, denominator)
-            a_memo[key] = _integral(value * target)
-        return a_memo[key]
+    def disconnected(profs, dd):
+        base = _scale(profs, dd)
+        return {c: _integral(evaluator(c, profs, dd) * scale(c, base))
+                for c in ((counts,) if dd == d else below)}
+    totals = _exponential_formula(disconnected, _count_product(counts, caps), profiles, d,
+                                  {counts})
+    return _over(totals.get(counts, 0), scale(counts, _scale(profiles, d)))
 
-    def insertion_splits(sub_counts):
-        # (c1, c - c1, prod_t C(c_t, c1_t)) for every c1 <= c
-        if sub_counts not in count_splits:
-            count_splits[sub_counts] = [
-                (c1, tuple(m - m1 for m, m1 in zip(sub_counts, c1)),
-                 math.prod(math.comb(m, m1) for m, m1 in zip(sub_counts, c1)))
-                for c1 in itertools.product(*(range(m + 1) for m in sub_counts))]
-        return count_splits[sub_counts]
 
-    def b(sub_counts, sub_profiles, dd):
-        key = (sub_counts, sub_profiles, dd)
-        if key in b_memo:
-            return b_memo[key]
-        rest = None
-        for d1 in range(1, dd):
-            pairs = math.comb(dd, d1) * math.comb(dd - 1, d1 - 1)
-            for p1, p2 in _profile_splits(sub_profiles, d1):
-                for c1, c2, binomials in insertion_splits(sub_counts):
-                    first = b(c1, p1, d1)
-                    if first == 0:
-                        continue
-                    second = a(c2, p2, dd - d1)
-                    if second == 0:
-                        continue
-                    term = first * second if caps is None else first.mul(second, caps)
-                    term = term * (pairs * binomials)
-                    rest = term if rest is None else rest + term
-        value = a(sub_counts, sub_profiles, dd)
-        if rest is not None:
-            value = value - rest
-        b_memo[key] = value
-        return value
-
-    return _over(b(counts, profiles, d), scale(counts, profiles, d))
+def connected_transform(evaluator, r: int, profiles=(), *, d: int | None = None):
+    """Connected number from a disconnected evaluator over (r, profiles),
+    the one-count case of ``connected_transform_multi``."""
+    return connected_transform_multi(lambda counts, profs, dd: evaluator(counts[0], profs, dd),
+                                     (r,), profiles, d=d)
 
 
 def connected_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
@@ -799,70 +813,16 @@ def connected_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
     and ``B`` an {integer eigenvalue ``F = f_bar(lam, s+1) Q``: nonzero
     integer} dict (``0**0 == 1`` keeps the key 0 exact at r = 0).
 
-    The disconnected total ``a(c, P, d)`` of ``connected_transform_multi``
-    is ``sum_F A[F] F^c``, ``A`` its ``completed_spectrum``, and since
-    ``sum_{c1} C(c, c1) m^{c1} n^{c - c1} = (m + n)^c`` its recursion
-    holds key by key, with no r in it::
-
-        B(P, d) = A(P, d) - sum_{d1 < d} C(d, d1) C(d-1, d1-1)
-            sum_{P1 within P, |P1_j| = d1} B(P1, d1) * A(P - P1, d - d1)
-
-    where ``*`` multiplies coefficients and adds keys.
+    The disconnected total with c insertions is ``sum_F A[F] F^c``, ``A``
+    its ``completed_spectrum``, and since ``sum_{c1} C(c, c1) m^{c1}
+    n^{c - c1} = (m + n)^c`` the recursion over the insertion counts holds
+    eigenvalue by eigenvalue, with no r in it: ``_exponential_formula`` on
+    the spectra, whose products add keys (``_spectrum_product``).
     """
     d, profiles = _resolve_degree(profiles, d)
-    a_memo: dict = {}
-    b_memo: dict = {}
-
-    def a(profs, dd):
-        if (profs, dd) not in a_memo:
-            a_memo[profs, dd] = completed_spectrum(s, profs, dd)
-        return a_memo[profs, dd]
-
-    def b(profs, dd):
-        if (profs, dd) in b_memo:
-            return b_memo[profs, dd]
-        out = dict(a(profs, dd)[1])
-        for d1 in range(1, dd):
-            pairs = math.comb(dd, d1) * math.comb(dd - 1, d1 - 1)
-            for p1, p2 in _profile_splits(profs, d1):
-                first = b(p1, d1)
-                if not first:
-                    continue
-                second = a(p2, dd - d1)[1]
-                for m, x in first.items():
-                    x *= pairs
-                    for n, y in second.items():
-                        out[m + n] = out.get(m + n, 0) - x * y
-        b_memo[profs, dd] = out = {f: c for f, c in out.items() if c}
-        return out
-
-    return a(profiles, d)[0], b(profiles, d)
-
-
-def connected_sweep(evaluator, r_values, profiles=(), *, d: int | None = None,
-                    caps: tuple[int, ...] | None = None) -> dict:
-    """{r: connected number} for every r of ``r_values``, from a
-    disconnected evaluator over (r, profiles), with one memo for them all.
-
-    ``evaluator(r_i, sub_profiles, d_i)`` supplies every sub-instance;
-    zero-insertion components are legal (they carry the unramified
-    sheets), but every component covers at least one sheet.  ``caps``
-    is as for ``connected_transform_multi``.
-    """
-    d, profiles = _resolve_degree(profiles, d)
-    memo: dict = {}
-
-    def multi(counts, profs, dd):
-        return evaluator(counts[0], profs, dd)
-
-    return {r: connected_transform_multi(multi, (r,), profiles, d=d, memo=memo, caps=caps)
-            for r in r_values}
-
-
-def connected_transform(evaluator, r: int, profiles=(), *, d: int | None = None):
-    """Connected number from a disconnected evaluator over (r, profiles),
-    the one-r case of ``connected_sweep``."""
-    return connected_sweep(evaluator, (r,), profiles, d=d)[r]
+    return _scale(profiles, d), _exponential_formula(
+        lambda profs, dd: completed_spectrum(s, profs, dd)[1], _spectrum_product,
+        profiles, d)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ class MultiPoly:
     Exponent keys are tuples of length ``nvars``; zero coefficients are
     never stored, so ``terms == {}`` is the canonical zero.  Coefficients
     are ints where every operand was an int (the content products, the
-    connected transform's scaled values), Fractions otherwise.
+    exponential formula's scaled totals), Fractions otherwise.
     """
 
     __slots__ = ("nvars", "terms")

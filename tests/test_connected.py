@@ -1,6 +1,7 @@
 """The connected transform against closed forms, permutations and the
 inclusion-exclusion it replaced."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -329,21 +330,16 @@ def test_capped_connected_value_is_truncated(caps):
 
 
 # ---------------------------------------------------------------------------
-# The evaluator's pair form (total, denominator)
+# Values from integer (total, denominator) pairs
 # ---------------------------------------------------------------------------
 
-def _pair_and_value(totals, rescale):
-    """Two evaluators of the same values from ``totals(counts, profiles,
-    d) -> (total, D)``: the pair ``(rescale * total, rescale * D)`` (the
-    int 0 for a zero total) and the value ``total / D``."""
-    def as_pair(counts, profiles, d):
-        total, denominator = totals(counts, profiles, d)
-        return 0 if total == 0 else (total * rescale, denominator * rescale)
-
-    def as_value(counts, profiles, d):
+def _as_value(totals):
+    """The evaluator of the values ``total / D`` from ``totals(counts,
+    profiles, d) -> (total, D)``."""
+    def evaluator(counts, profiles, d):
         total, denominator = totals(counts, profiles, d)
         return total * Fraction(1, denominator)
-    return as_pair, as_value
+    return evaluator
 
 
 def _completed_totals(s):
@@ -357,20 +353,19 @@ def _completed_totals(s):
     return totals
 
 
-# rescale 1: the denominator is the transform's scale, so the total is
-# taken as it is; rescale 6: it is not, and the pair is divided first
+# rescale 1: the scale's Q is the least denominator; rescale 6: a
+# multiple of it, whose scaled totals are integral too, with the same value
 @pytest.mark.parametrize("rescale", [1, 6])
 def test_pair_matches_value_for_integer_totals(rescale):
     s = 2
     q = f_bar_denominator(s + 1)
-    as_pair, as_value = _pair_and_value(_completed_totals(s), rescale)
+    evaluator = _as_value(_completed_totals(s))
     nonzero = 0
     for c in range(5):
         want = completed_hurwitz(c, s, TWO_PROFILES, connected=True).value
-        for evaluator in (as_pair, as_value):
-            got = connected_transform_multi(evaluator, (c,), TWO_PROFILES, d=5,
-                                            denominators=(q,))
-            assert got == want, (c, evaluator)
+        got = connected_transform_multi(evaluator, (c,), TWO_PROFILES, d=5,
+                                        denominators=(q * rescale,))
+        assert got == want, c
         nonzero += want != 0
     assert nonzero
 
@@ -386,41 +381,64 @@ def test_pair_matches_value_for_polynomial_totals(rescale):
         assert all(type(coeff) is int for coeff in total.terms.values())
         return total, denominator
 
-    as_pair, as_value = _pair_and_value(totals, rescale)
     nonzero = 0
     for c in range(5):
         want = hypergeometric_hurwitz(c, HYPERGEOMETRIC, (), d=4, connected=True).value
-        for evaluator in (as_pair, as_value):
-            got = connected_transform_multi(evaluator, (c,), (), d=4)
-            assert got == want, (c, evaluator)
+        got = connected_transform_multi(_as_value(totals), (c,), (), d=4,
+                                        denominators=(rescale,))
+        assert got == want, c
         nonzero += want != 0
     assert nonzero
 
 
-def test_family_evaluators_return_zero_as_the_int_0(monkeypatch):
-    # a zero total handed over as a pair would not read as zero: the
-    # recursion's zero skip would multiply it
-    returned = []
-    original = core.connected_transform_multi
+def test_exponential_formula_stores_no_zero(monkeypatch):
+    # every dict the recursion multiplies or returns drops the zero
+    # coefficients its disconnected totals hold: the int 0 and the zero
+    # MultiPoly
+    returned, multiplied = [], []
+    original = core._exponential_formula
 
-    def transform(evaluator, *args, **kwargs):
-        def recorded(*key):
-            value = evaluator(*key)
-            returned.append(value)
-            return value
-        return original(recorded, *args, **kwargs)
+    def formula(a, product, profiles, d, keys=None):
+        def recorded_a(*key):
+            out = a(*key)
+            returned.extend(out.values())
+            return out
 
-    monkeypatch.setattr(core, "connected_transform_multi", transform)
+        def recorded_product(out, first, second, *args):
+            multiplied.extend(first.values())
+            multiplied.extend(second.values())
+            product(out, first, second, *args)
+        out = original(recorded_a, recorded_product, profiles, d, keys)
+        multiplied.extend(out.values())
+        return out
+
+    monkeypatch.setattr(core, "_exponential_formula", formula)
     classical_hurwitz_sweep(range(9), 5, connected=True)
     completed_hurwitz_sweep(range(5), 2, TWO_PROFILES, connected=True)
     orbifold_hurwitz(6, 2, (3, 1), connected=True)
     hypergeometric_hurwitz_sweep(range(6), HYPERGEOMETRIC, (), d=4, connected=True,
                                  caps=CAPS)
-    pairs = [value for value in returned if isinstance(value, tuple)]
-    zeros = [value for value in returned if not isinstance(value, tuple)]
-    assert pairs and zeros
-    assert all(total != 0 for total, _ in pairs)
-    assert all(type(value) is int and value == 0 for value in zeros)
+    hypergeometric_hurwitz_sweep(range(6), GSpec(K=1, L=1), ((2, 1, 1),), connected=True)
+    gw_correlator(*GW_PROFILES, {1: 2, 2: 2}, connected=True)
+    zeros = [value for value in returned if value == 0]
+    assert {type(value) for value in zeros} >= {int, MultiPoly}
+    assert multiplied and all(value != 0 for value in multiplied)
+
+
+def test_connected_gw_evaluates_the_top_degree_at_counts_only(monkeypatch):
+    evaluated = []
+    original = core.connected_transform_multi
+
+    def transform(evaluator, *args, **kwargs):
+        def recorded(*key):
+            evaluated.append(key)
+            return evaluator(*key)
+        return original(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(core, "connected_transform_multi", transform)
+    gw_correlator((5, 1), (4, 1, 1), {2: 3, 3: 1}, connected=True)
+    assert len(evaluated) == len(set(evaluated)) > 1
+    assert [key for key in evaluated if key[2] == 6] == [((3, 1), ((5, 1), (4, 1, 1)), 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +449,8 @@ def test_family_evaluators_return_zero_as_the_int_0(monkeypatch):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_spectrum_matches_the_transform(d, s):
     q = f_bar_denominator(s + 1)
-    as_pair, _ = _pair_and_value(_completed_totals(s), 1)
+    # one value per sub-instance, across the transforms of every r
+    evaluator = functools.lru_cache(maxsize=None)(_as_value(_completed_totals(s)))
     parts = partition_tuple(d)
     pairs = itertools.islice(itertools.combinations_with_replacement(parts, 2), 0, None, 4)
     nonzero = 0
@@ -439,9 +458,8 @@ def test_spectrum_matches_the_transform(d, s):
         denominator, spectrum = connected_spectrum(s, profiles, d)
         assert all(type(f) is int and type(b) is int and b for f, b in spectrum.items())
         values = completed_sweep(range(13), s, profiles, d, connected=True)
-        memo: dict = {}
         for r, got in values.items():
-            want = connected_transform_multi(as_pair, (r,), profiles, d=d, memo=memo,
+            want = connected_transform_multi(evaluator, (r,), profiles, d=d,
                                              denominators=(q,))
             assert type(got) is type(want) is Fraction and got == want, (profiles, r)
             assert got == Fraction(sum(b * f**r for f, b in spectrum.items()),

@@ -13,7 +13,7 @@ from hurwitz.core import (
     character_weights,
     completed_hurwitz,
     completed_hurwitz_sweep,
-    connected_sweep,
+    connected_transform_multi,
     content_product,
     f_bar,
     hypergeometric_hurwitz_sweep,
@@ -94,9 +94,11 @@ def listings(monkeypatch):
 def test_connected_hypergeometric_matches_the_per_r_path(caps, monomial, monkeypatch):
     gspec, profiles, r_values = GSpec(K=1, L=1, M=1), ((2, 1, 1),), range(11)
     cap = caps if monomial is None else monomial
-    want = connected_sweep(
-        lambda rr, profs, dd: per_r_hypergeometric((rr,), gspec, profs, dd, cap)[rr],
-        r_values, profiles, caps=cap)
+
+    def evaluator(counts, profs, dd):
+        return per_r_hypergeometric(counts, gspec, profs, dd, cap)[counts[0]]
+    want = {r: connected_transform_multi(evaluator, (r,), profiles, d=4, caps=cap)
+            for r in r_values}
     listed = listings(monkeypatch)
     results = hypergeometric_hurwitz_sweep(r_values, gspec, profiles, connected=True,
                                            caps=caps, monomial=monomial)

@@ -13,6 +13,7 @@ from hurwitz.core import (
     classical_hurwitz,
     completed_hurwitz,
     connected_transform,
+    connected_transform_multi,
     f_bar,
     gap_interval,
     gw_correlator,
@@ -75,6 +76,20 @@ class TestEigenvalues:
                 for a, b in zip(fc.a, fc.b):
                     acc += a**s - (-b) ** s
                 assert f_bar(lam, s) == acc / s
+
+    @pytest.mark.parametrize("d", range(0, 13))
+    def test_matches_the_transpose_formula(self, d):
+        # the leg of diagonal box i read off the conjugate partition
+        from hurwitz.exactnum import zeta_neg
+        from hurwitz.partitions import transpose
+
+        for lam in enumerate_partitions(d):
+            lt = transpose(lam)
+            for s in range(2, 6):
+                num = sum((2 * (p - i) - 1) ** s - (1 - 2 * (lt[i] - i)) ** s
+                          for i, p in enumerate(lam) if p > i)
+                assert f_bar(lam, s) == (Fraction(num, 2**s)
+                                         + (1 - Fraction(1, 2**s)) * zeta_neg(s)) / s
 
     def test_transpose_antisymmetry(self):
         from hurwitz.partitions import transpose
@@ -189,6 +204,16 @@ class TestConnected:
     def test_unramified_double_cover_disconnects(self):
         assert connected_transform(self.evaluator, 0, (), d=2) == 0
         assert completed_hurwitz(0, 1, (), d=2).value == Fraction(1, 2)
+
+    def test_negative_counts_raise(self):
+        # an evaluator that does not check its counts: the transform does,
+        # before its scale Q**c turns into a float (1**-1 == 1.0)
+        def evaluator(*_):
+            return Fraction(1)
+        with pytest.raises(DomainError):
+            connected_transform(evaluator, -1, (), d=2)
+        with pytest.raises(DomainError):
+            connected_transform_multi(evaluator, (-1,), (), d=2)
 
     def test_two_branch_points_force_connected(self):
         assert connected_transform(self.evaluator, 2, (), d=2) == Fraction(1, 2)

@@ -100,7 +100,8 @@ CONNECTED = {
     "orbifold": "--kind orbifold --profiles 3,1,1,1 --t 3 --r-min 0 --r-max 6 --connected",
 }
 # the completed-cycle families read one connected spectrum, with no r in
-# it; the content families go through the transform
+# it; the content families run the exponential formula on one sweep per
+# (profiles, degree); neither goes through the transform
 SPECTRUM = ("classical", "completed", "orbifold")
 
 
@@ -136,23 +137,16 @@ def run_connected(capsys, monkeypatch, case):
 
 @pytest.mark.parametrize("case", CONNECTED)
 def test_connected_range_evaluates_each_sub_instance_once(capsys, monkeypatch, case):
+    # a sub-instance is one weight list, whatever the r range
     evaluated, _, listed = run_connected(capsys, monkeypatch, case)
-    if case in SPECTRUM:  # a sub-instance is one weight list, whatever the r range
-        assert len(listed) == len(set(listed)) > 1
-    else:
-        assert evaluated and len(evaluated) == len(set(evaluated))
+    assert not evaluated and len(listed) == len(set(listed)) > 1
 
 
 @pytest.mark.parametrize("case", CONNECTED)
 def test_connected_range_sweeps_once_per_profiles_and_degree(capsys, monkeypatch, case):
     evaluated, sweeps, listed = run_connected(capsys, monkeypatch, case)
-    if case in SPECTRUM:
-        assert not evaluated and not sweeps
-        assert len(listed) == len(set(listed))
-    else:
-        instances = {(profiles, d) for _, profiles, d in evaluated}
-        assert instances and len(sweeps) == len(instances)
-        assert sorted(listed) == sorted(instances)
+    assert not evaluated and len(listed) == len(set(listed))
+    assert len(sweeps) == (0 if case in SPECTRUM else len(listed))
 
 
 def test_empty_connected_range_is_empty():
