@@ -139,17 +139,21 @@ def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
     literal factor of that box and substituting z = sign/(d-1) in every
     remaining factor gives the limit exactly.  The u and v factors of
     every box, the vanishing one included, multiply to the e and h
-    sequences of the scaled contents c*z; the other literal factors are
-    one scalar.
+    sequences of the scaled contents c z: those of the integer contents
+    ``sign c`` (``content_sequences``, on ints), e_k and h_n divided by
+    (d-1)^k and (d-1)^n.  The other literal factors, ``1/(1 - sign
+    c/(d-1))^K``, are one scalar.
     """
     def make_coefficient():
-        z0 = Fraction(sign, d - 1)
-        scaled = [c * z0 for c in contents((d,) if sign == 1 else (1,) * d)]
-        e, h, _ = content_sequences(scaled, gspec, max(d - 1, v_order))
-        limit = Fraction(1, math.factorial(d) ** 2)
-        for w in scaled:
-            if w and w != 1:  # w = 1 is the vanishing factor the pole cancels
-                limit /= (1 - w) ** gspec.K
+        m = d - 1
+        signed = [sign * c for c in contents((d,) if sign == 1 else (1,) * d)]
+        e, h, _ = content_sequences(signed, gspec, max(m, v_order))
+        # c = m is the vanishing factor the pole cancels
+        rest = [c for c in signed if c and c != m]
+        limit = Fraction(m ** (gspec.K * len(rest)),
+                         math.factorial(d) ** 2 * math.prod((m - c) ** gspec.K for c in rest))
+        e, h = (None if seq is None else [Fraction(x, m**k) for k, x in enumerate(seq)]
+                for seq in (e, h))
         return limit, e, h
 
     return _pole(d, gspec, profiles, sign, v_order, make_coefficient)

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -44,8 +45,17 @@ EXIT_VERIFY_FAILED = 1
 EXIT_SIZE_LIMIT = 2
 EXIT_USAGE = 3
 
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that looks like a negative number is a value, not a flag;
+        # argparse counts only integers and decimals, so ``--b -1/2`` would
+        # read -1/2 as an unknown flag.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit2(message)
@@ -485,6 +495,9 @@ def _add_common(p: argparse.ArgumentParser, default_format="json"):
     p.add_argument("--output", help="write to a file instead of stdout")
 
 
+_B_HELP = "the deformation b = alpha - 1, a rational such as 1/2, -1/2 or 0.25"
+
+
 def _add_family(p: argparse.ArgumentParser, K=None):
     """The family flags that ``compute`` and ``table`` share, in their order."""
     for flag in ("--d", "--r", "--r-min", "--r-max"):
@@ -495,7 +508,7 @@ def _add_family(p: argparse.ArgumentParser, K=None):
     p.add_argument("--M", type=int, default=0)
     p.add_argument("--profiles", help="semicolon-separated comma lists, e.g. '3;2,1'")
     p.add_argument("--insertions", help="gw insertions 's:m,s:m'")
-    p.add_argument("--b", default="0")
+    p.add_argument("--b", default="0", help=_B_HELP)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--u-deg", help="comma list: u-degrees to extract")
     p.add_argument("--v-deg", help="comma list: v-degrees to extract")
@@ -528,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-transpositions", type=int, default=6)
     pv.add_argument("--u-deg")
     pv.add_argument("--v-deg")
-    pv.add_argument("--b", default="0")
+    pv.add_argument("--b", default="0", help=_B_HELP)
     pv.add_argument("--gw-s", type=int, default=2)
     pv.add_argument("--tolerance", default="1/1000")
     _add_common(pv)

@@ -21,7 +21,8 @@ elementary and complete symmetric functions of the nonzero contents
 (``content_sequences``, plain integer sequences, built once per
 partition for a whole sweep), so no series is multiplied, and a single
 monomial's coefficient needs no polynomial.  The b-deformed engine in
-``hurwitz.jack`` runs the same factor over deformed contents.
+``hurwitz.jack`` runs the same factor over its deformed contents
+``alpha j - i``, as the integers ``p j - q i`` for ``alpha = p/q``.
 ``_resolve_degree`` is the one place that turns (profiles, d) into a
 checked degree.
 
@@ -63,7 +64,6 @@ from .partitions import (
     Partition,
     check_partition,
     class_data,
-    contents,
 )
 from .records import Frozen, Record, set_field
 
@@ -254,21 +254,26 @@ def weighted_sweep(weights, factor, r_values, denominator: int | None = None) ->
     ``denominator``} for every r.
 
     ``factor(lam)`` is called once per partition and returns its term as
-    a function of r: an int, a Fraction or a MultiPoly (they share ``*``,
-    ``+`` and ``== 0``).  Int weights and terms keep the sums on Python
-    ints; ``denominator`` (omitted: no division) then divides each total
-    once.  Each sum runs left to right over the canonical order of
-    ``weights``; an empty sum is ``Fraction(0)``.
+    a function of r: an int, a Fraction or a MultiPoly.  Int weights and
+    terms keep the sums on Python ints; ``denominator`` (omitted: no
+    division) then divides each total once.  A polynomial term is added
+    into its total in place (``MultiPoly.add_scaled``); the factor's own
+    polynomial is never changed.  Each sum runs left to right over the
+    canonical order of ``weights``; an empty sum is ``Fraction(0)``.
     """
     r_values = list(r_values)
-    totals = None
+    totals: list = [None] * len(r_values)
     for lam, weight in weights:
         term = factor(lam)
-        if totals is None:
-            totals = [term(r) * weight for r in r_values]
-        else:
-            totals = [total + term(r) * weight for total, r in zip(totals, r_values)]
-    totals = totals or [Fraction(0)] * len(r_values)
+        for i, r in enumerate(r_values):
+            value, total = term(r), totals[i]
+            if isinstance(value, MultiPoly) and (total is None or isinstance(total, MultiPoly)):
+                if total is None:
+                    total = totals[i] = MultiPoly(value.nvars)
+                total.add_scaled(value, weight)
+            else:
+                totals[i] = value * weight if total is None else total + value * weight
+    totals = [Fraction(0) if total is None else total for total in totals]
     if denominator is not None:
         totals = [_over(total, denominator) for total in totals]
     return dict(zip(r_values, totals))
@@ -483,8 +488,9 @@ def content_sequences(weights, gspec: GSpec, r: int):
     complete symmetric functions (``None`` when ``gspec`` has no u, or
     no v, blocks), and ``hk[n]`` is h_n of the weights repeated K times.
     They are the z-coefficients of prod_c (1 + cz), prod_c 1/(1 - cz)
-    and prod_c (1 - cz)^{-K}.  Ints for contents, Fractions for deformed
-    contents.
+    and prod_c (1 - cz)^{-K}, homogeneous of degree k or n in the
+    weights.  Ints for integer weights, which every engine passes;
+    Fractions for Fraction weights.
     """
     nonzero = [c for c in weights if c]
     e = h = None
@@ -501,7 +507,9 @@ def content_sequences(weights, gspec: GSpec, r: int):
 def _content_terms(sequences, gspec: GSpec, caps, monomial):
     """``r -> [z^r] prod_c G(z c)`` from ``content_sequences``: the
     polynomial without the monomials beyond ``caps``, or the coefficient
-    prod e[a_i] prod h[b_j] hk[r - |a| - |b|] of ``monomial = (a, b)``."""
+    prod e[a_i] prod h[b_j] hk[r - |a| - |b|] of ``monomial = (a, b)``.
+    The polynomial's u/v parts are listed once, over the nonzero entries
+    within the caps and the order; each r multiplies them by ``hk``."""
     e, h, hk = sequences
     rows = [e] * gspec.L + [h] * gspec.M
     if monomial is not None:
@@ -509,12 +517,16 @@ def _content_terms(sequences, gspec: GSpec, caps, monomial):
         uv = math.prod(row[a] for row, a in zip(rows, monomial)) if shift < len(hk) else 0
         return lambda r: uv * hk[r - shift] if r >= shift else 0
 
+    parts = [((), 0, 1)]  # (exponent, degree, coefficient)
+    for row, cap in zip(rows, (len(hk),) * gspec.nvars if caps is None else caps):
+        entries = [(a, x) for a, x in enumerate(row[:cap + 1]) if x]
+        parts = [(expo + (a,), degree + a, coeff * x) for expo, degree, coeff in parts
+                 for a, x in entries if degree + a < len(hk)]
+
     def polynomial(r):
         out = MultiPoly(gspec.nvars)
-        bounds = (r,) * gspec.nvars if caps is None else caps
-        for expo in itertools.product(*(range(min(cap, r) + 1) for cap in bounds)):
-            rest = r - sum(expo)
-            coeff = rest >= 0 and hk[rest] * math.prod(row[a] for row, a in zip(rows, expo))
+        for expo, degree, coeff in parts:
+            coeff = degree <= r and coeff * hk[r - degree]
             if coeff:
                 out.terms[expo] = coeff
         return out
@@ -522,23 +534,26 @@ def _content_terms(sequences, gspec: GSpec, caps, monomial):
 
 
 def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = None,
-                   monomial: tuple[int, ...] | None = None, weights_of=None):
+                   monomial: tuple[int, ...] | None = None, alpha=1):
     """The content-product factor ``lam -> (r -> term)`` of ``weighted_sweep``
-    for r <= ``r_max``, with ``caps`` or ``monomial`` as for ``_content_terms``.
+    for r <= ``r_max``, with ``caps`` or ``monomial`` as for ``_content_terms``,
+    over the box weights ``alpha j - i`` (the contents at ``alpha = 1``).
 
-    Each partition's sequences are built once: those of its box contents
-    by the ``_content_coefficient`` memo, or those of ``weights_of(lam)``
-    (the deformed contents).
+    With ``alpha = p/q`` in lowest terms, each partition's sequences are
+    those of the integer weights ``p j - q i``, built once by the
+    ``_content_coefficient`` memo: every term is integral and ``q^r``
+    times the true one (``content_sequences`` is homogeneous), so the
+    caller divides each total by ``q^r``.
     """
     for name, expo in (("caps", caps), ("monomial", monomial)):
         if expo is not None and (len(expo) != gspec.nvars or min(expo, default=0) < 0):
             raise DomainError(f"{name} {tuple(expo)} is not {gspec.nvars} nonnegative degrees")
     if caps is not None and monomial is not None:
         raise DomainError("give caps or a monomial, not both")
+    alpha = Fraction(alpha)
 
     def factor(lam):
-        sequences = (_content_coefficient(lam, gspec, r_max) if weights_of is None
-                     else content_sequences(weights_of(lam), gspec, r_max))
+        sequences = _content_coefficient(lam, gspec, r_max, alpha.numerator, alpha.denominator)
         return _content_terms(sequences, gspec, caps, monomial)
     return factor
 
@@ -558,11 +573,13 @@ def content_product(weights, gspec: GSpec, r: int,
 
 
 @lru_cache(maxsize=4096)
-def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int):
-    """``content_sequences`` of the box contents of ``lam`` to ``r_max``,
-    integers, kept across calls: a verification suite asks for the same
-    partition and order under many profiles."""
-    return content_sequences(contents(lam), gspec, r_max)
+def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int, p: int = 1, q: int = 1):
+    """``content_sequences`` to ``r_max`` of the integer box weights
+    ``p j - q i`` of ``lam`` (its contents at p = q = 1), kept across
+    calls: a verification suite asks for the same partition and order
+    under many profiles."""
+    weights = [p * j - q * i for i, row in enumerate(lam) for j in range(row)]
+    return content_sequences(weights, gspec, r_max)
 
 
 def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,

@@ -236,15 +236,20 @@ class MultiPoly:
         self._check_arity(other)
         out = MultiPoly(self.nvars)
         out.terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            s = out.terms.get(expo, 0) + coeff
-            if s:
-                out.terms[expo] = s
-            else:
-                out.terms.pop(expo, None)
+        out.add_scaled(other, 1)
         return out
 
     __radd__ = __add__
+
+    def add_scaled(self, other: "MultiPoly", weight) -> None:
+        """``self += weight * other`` in place; ``other`` is left as it is."""
+        acc = self.terms
+        for expo, coeff in other.terms.items():
+            s = acc.get(expo, 0) + coeff * weight
+            if s:
+                acc[expo] = s
+            else:
+                acc.pop(expo, None)
 
     def __neg__(self):
         out = MultiPoly(self.nvars)

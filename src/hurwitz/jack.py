@@ -15,16 +15,19 @@ carries coefficient d!).
 
 The b-deformed Hurwitz engine replaces squared dimensions by Jack
 norms, characters by Jack characters, and each box content ``j - i`` by
-``(b+1)(j-1) - (i-1)``.
+``(b+1)(j-1) - (i-1)``.  It sums on ints: with ``b + 1 = p/q`` the box
+weights are ``p(j-1) - q(i-1)`` and the Jack weights share one
+denominator, so each value is divided once.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (GSpec, _content_value, _orders, _resolve_degree, content_factor,
+from .core import (GSpec, _content_value, _orders, _over, _resolve_degree, content_factor,
                    weighted_sweep)
 from .errors import DomainError, SingularParameterError, SizeLimitError
 from .exactnum import MultiPoly, exact
@@ -273,15 +276,25 @@ def b_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), b=0, *,
     ``content_factor`` of the deformed contents.  ``caps`` bounds the
     tracked degrees; ``monomial`` makes each value that one coefficient.
 
-    At b = 0 this coincides with the undeformed hypergeometric engine.
+    The sums run on ints: with ``alpha = b + 1 = p/q`` the factor reads
+    the integer box weights ``p j - q i`` (q times the deformed
+    contents), the Jack weights are put over their common denominator
+    ``D``, and each total is divided once, by ``D q^r``.  At b = 0 this
+    coincides with the undeformed hypergeometric engine.
     """
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
     alpha = Fraction(exact(b)) + 1
     factor = content_factor(gspec, max(r_values, default=0), caps=caps, monomial=monomial,
-                            weights_of=lambda lam: deformed_contents(lam, alpha))
-    totals = weighted_sweep(jack_weights(d, profiles, b), factor, r_values)
-    return {r: _content_value(total, gspec.nvars, monomial) for r, total in totals.items()}
+                            alpha=alpha)
+    weights = jack_weights(d, profiles, b)
+    denominator = math.lcm(*(weight.denominator for _, weight in weights))
+    totals = weighted_sweep(
+        [(lam, weight.numerator * (denominator // weight.denominator)) for lam, weight in weights],
+        factor, r_values)
+    return {r: _content_value(_over(total, denominator * alpha.denominator**r), gspec.nvars,
+                              monomial)
+            for r, total in totals.items()}
 
 
 def b_hurwitz_coefficient(r: int, gspec: GSpec, profiles=(), b=0, *,

@@ -18,6 +18,8 @@ from hurwitz.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from hurwitz.core import GSpec
+from hurwitz.jack import b_hurwitz_sweep
 from hurwitz.partitions import partition_tuple
 
 
@@ -88,6 +90,16 @@ class TestCompute:
                            "--K", "1", "--b", "1", "--r", "2")
         blob = json.loads(out)
         assert blob["results"][0]["value"] == "1/4"
+
+    @pytest.mark.parametrize("b", [("--b", "-1/2"), ("--b=-1/2",), ("--b", "-0.5")],
+                             ids=["space", "equals", "decimal"])
+    def test_b_content_at_a_negative_b(self, capsys, b):
+        code, out, _ = run(capsys, "compute", "--kind", "b-content", "--d", "3", "--K", "1",
+                           *b, "--r-min", "0", "--r-max", "4", "--format", "csv")
+        want = b_hurwitz_sweep(range(5), GSpec(K=1), (), Fraction(-1, 2), d=3, monomial=())
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["r,value"] + [f"{r},{v}" for r, v in want.items()]
+        assert any(want.values())
 
     @pytest.mark.parametrize("blocks", [("--K", "1", "--L", "1", "--u-deg", "1"),
                                         ("--K", "1", "--M", "1", "--v-deg", "2"),

@@ -59,11 +59,17 @@ def test_content_product_matches_series_product(K, L, M):
     # Truncation drops only higher orders, so the z^r coefficient of the
     # order-6 product is that of the order-r product for every r <= 6.
     # Weights run row by row, so a partition's product extends the product
-    # of the partition without its last row.
+    # of the partition without its last row.  The deformed contents
+    # 3j/2 - i are half the integers 3j - 2i, and the z^r coefficient is
+    # homogeneous of degree r in the weights, so the reference runs on
+    # those integers and its z^r coefficient is scaled by 2^-r.
     gspec = GSpec(K=K, L=L, M=M)
     rng = random.Random(9 * K + 3 * L + M)
     nonzero = 0
-    for weights_of in (contents, lambda lam: deformed_contents(lam, Fraction(3, 2))):
+    for weights_of, reference_of, q in (
+            (contents, contents, 1),
+            (lambda lam: deformed_contents(lam, Fraction(3, 2)),
+             lambda lam: [3 * j - 2 * i for i, row in enumerate(lam) for j in range(row)], 2)):
         caps = tuple(rng.randint(0, 3) for _ in range(gspec.nvars))
         for cap in (None, caps):
             products = {(): None}
@@ -71,9 +77,9 @@ def test_content_product_matches_series_product(K, L, M):
                 weights = weights_of(lam)
                 parent = lam[:-1]
                 series = products[lam] = reference_series(
-                    weights[sum(parent):], gspec, 6, cap, products[parent])
+                    reference_of(lam)[sum(parent):], gspec, 6, cap, products[parent])
                 for r in range(7):
-                    want = coeff_z(series, r)
+                    want = coeff_z(series, r).scale(Fraction(1, q**r))
                     got = content_product(weights, gspec, r, cap)
                     assert got == want, (lam, weights, r, cap)
                     assert all(isinstance(c, Fraction) and c for c in got.terms.values())

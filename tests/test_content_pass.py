@@ -168,7 +168,18 @@ B_CASES = {  # (gspec, profiles, b, d, caps)
     "K-only": (GSpec(K=2), (), Fraction(1, 2), 4, None),
     "u-v": (GSpec(K=1, L=1, M=1), ((2, 1),), 2, 3, None),
     "u-v-capped": (GSpec(K=1, L=1, M=1), (), Fraction(1, 2), 4, (1, 2)),
+    "negative-half-profiles": (GSpec(K=1, L=1, M=1), ((2, 1, 1),), Fraction(-1, 2), 4, None),
+    "negative-third-capped": (GSpec(K=2, L=1, M=1), (), Fraction(-2, 3), 4, (1, 2)),
+    "two-fifths-profiles-capped": (GSpec(K=1, L=2), ((3, 1), (2, 2)), Fraction(2, 5), 4,
+                                   (2, 1)),
+    "negative-third-profile": (GSpec(K=1, M=1), ((2, 1, 1),), Fraction(-2, 3), 4, None),
+    "negative-alpha-capped": (GSpec(K=1, L=1, M=1), ((2, 1),), Fraction(-5, 2), 3, (2, 2)),
 }
+
+
+def all_fractions(value):
+    return isinstance(value, core.MultiPoly) and all(
+        type(c) is Fraction for c in value.terms.values())
 
 
 @pytest.mark.parametrize("case", B_CASES)
@@ -177,6 +188,7 @@ def test_b_sweep_matches_the_per_r_path(case):
     want = per_r_b(R_VALUES, gspec, profiles, b, d, caps)
     got = b_hurwitz_sweep(R_VALUES, gspec, profiles, b, d=d, caps=caps)
     assert [got[r] for r in R_VALUES] == [want[r] for r in R_VALUES]
+    assert all(all_fractions(value) for value in got.values())
     assert any(not value.is_zero() for value in got.values())
 
 
@@ -186,6 +198,19 @@ def test_b_monomial_matches_the_per_r_coefficient():
     got = b_hurwitz_sweep(R_VALUES, gspec, (), Fraction(1, 2), d=4, monomial=monomial)
     assert [got[r] for r in R_VALUES] == [coefficient(want[r], monomial) for r in R_VALUES]
     assert all(isinstance(value, Fraction) for value in got.values()) and any(got.values())
+
+
+@pytest.mark.parametrize("b, profiles, monomial", [
+    (Fraction(-1, 2), (), (1, 2)),
+    (Fraction(-2, 3), ((2, 2),), (0, 1)),
+    (Fraction(2, 5), ((3, 1),), (2, 0)),
+])
+def test_b_monomial_over_other_denominators(b, profiles, monomial):
+    gspec = GSpec(K=2, L=1, M=1)
+    want = per_r_b(R_VALUES, gspec, profiles, b, 4, monomial)
+    got = b_hurwitz_sweep(R_VALUES, gspec, profiles, b, d=4, monomial=monomial)
+    assert [got[r] for r in R_VALUES] == [coefficient(want[r], monomial) for r in R_VALUES]
+    assert all(type(value) is Fraction for value in got.values()) and any(got.values())
 
 
 @pytest.mark.parametrize("a_vec, b_vec, profiles", [
@@ -206,6 +231,19 @@ def test_b_ratio_matches_the_per_r_path(b, profiles):
     _, exact, _ = ratio_family("b", R_VALUES, d=4, profiles=profiles, k=1, b=b)
     assert [exact[r] for r in R_VALUES] == [coefficient(want[r], ()) for r in R_VALUES]
     assert any(exact.values())
+
+
+def test_weighted_sweep_leaves_a_factors_polynomial_as_it_is():
+    # The factor hands back one cached polynomial for every partition and r.
+    poly = core.MultiPoly(2, {(1, 0): 3, (0, 2): -1, (2, 2): Fraction(1, 2)})
+    terms = dict(poly.terms)
+    weights = [((2,), 4), ((1, 1), -4), ((3,), 2), ((2, 1), 5)]
+    got = weighted_sweep(weights, lambda lam: lambda r: poly, range(3), 6)
+    assert poly.terms == terms
+    assert all(value == poly.scale(Fraction(7, 6)) for value in got.values())
+    assert len({id(value) for value in got.values()} | {id(poly)}) == 4
+    got[0].terms.clear()
+    assert poly.terms == terms and got[1] == poly.scale(Fraction(7, 6))
 
 
 def test_caps_and_monomial_are_checked():
