@@ -2,8 +2,8 @@
 
 Every leading term is evaluated in exact rational (or Gaussian
 rational) arithmetic; ratios are formed exactly and only rendered to
-decimal strings at a configurable precision (default 128 bits, about 38
-digits), so reports carry no rounding noise.
+decimal strings of ``RATIO_DIGITS`` significant digits, so reports carry
+no rounding noise.
 """
 
 from __future__ import annotations
@@ -24,29 +24,13 @@ from .exactnum import (
 from .partitions import check_partition, class_data, contents
 from .records import Frozen, set_field
 
+# significant digits of a rendered ratio, about 128 bits
+RATIO_DIGITS = 38
+
 
 # ---------------------------------------------------------------------------
 # Dominant pole coefficients
 # ---------------------------------------------------------------------------
-
-class PoleCoefficient(Frozen):
-    """Top coefficient of a dominant pole of the generating function.
-
-    ``rho`` is +-(d-1): the pole sits at 1/rho and contributes
-    coefficient ~ A * r^{K-1}/(K-1)! * rho^r.  The coefficient is kept
-    formal in the u's and v's; the expansion in each v is truncated at
-    ``v_order`` (it is an honest power series there), while the u part
-    is an exact polynomial.
-    """
-
-    __slots__ = ("rho", "order", "coefficient", "v_order")
-
-    def __init__(self, rho: int, order: int, coefficient: MultiPoly, v_order: int):
-        set_field(self, "rho", rho)
-        set_field(self, "order", order)
-        set_field(self, "coefficient", coefficient)
-        set_field(self, "v_order", v_order)
-
 
 def _block_degrees(a_vec, b_vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The degrees of the u blocks (a) and the v blocks (b) as ints,
@@ -59,13 +43,13 @@ def _block_degrees(a_vec, b_vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _stirling_tables(d: int, k: int, v_order: int):
-    """``_pole_constant`` as the tables scalar = (d-1)^{(d-2)K}/(d!^2 (d-2)!^K),
-    e[a] = [d; d-a]/(d-1)^a for a < d and h[b] = {b+d-1; d-1}/(d-1)^b for
-    b <= ``v_order``: A = scalar * prod e[a_i] * prod h[b_j]."""
+    """``_pole_constant`` as the scalar (d-1)^{(d-2)K}/(d!^2 (d-2)!^K) and
+    the int rows e[a] = [d; d-a] for a < d and h[b] = {b+d-1; d-1} for
+    b <= ``v_order``: A = scalar * prod e[a_i] * prod h[b_j] / (d-1)^{|a|+|b|}."""
     scalar = Fraction((d - 1) ** ((d - 2) * k),
                       math.factorial(d) ** 2 * math.factorial(d - 2) ** k)
-    e = [Fraction(stirling(1, d, d - a), (d - 1) ** a) for a in range(d)]
-    h = [Fraction(stirling(2, b + d - 1, d - 1), (d - 1) ** b) for b in range(v_order + 1)]
+    e = [stirling(1, d, d - a) for a in range(d)]
+    h = [stirling(2, b + d - 1, d - 1) for b in range(v_order + 1)]
     return scalar, e, h
 
 
@@ -87,85 +71,78 @@ def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
     if max(a_vec, default=0) >= d:
         return Fraction(0)
     scalar, e, h = _stirling_tables(d, k, max(b_vec, default=0))
-    return scalar * math.prod(e[a] for a in a_vec) * math.prod(h[b] for b in b_vec)
+    numerator = math.prod(e[a] for a in a_vec) * math.prod(h[b] for b in b_vec)
+    return scalar * Fraction(numerator, (d - 1) ** (sum(a_vec) + sum(b_vec)))
 
 
-def _pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int,
-          make_coefficient) -> PoleCoefficient:
-    """Check the arguments of a pole coefficient and assemble it.
-
-    ``make_coefficient()`` runs once the arguments are valid and returns
-    tables ``(scalar, e, h)``: scalar * prod e[a_i] * prod h[b_j] is the
-    coefficient of u^a_vec v^b_vec before the profile sign.  The box
-    a_i <= d-1 (the u part is a polynomial of that degree), b_j <=
-    ``v_order`` is walked on integer numerators over one denominator.
-    """
+def _check_pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int) -> bool:
+    """Check the arguments of a pole coefficient; whether the profile
+    sign (+-1)^{Nd - sum l} flips it (only at the column pole)."""
     if gspec.K < 1:
         raise DomainError("pole_coefficient needs at least one literal pole (K >= 1)")
     if d < 2:
         raise DomainError(f"degree {d} has no pole (need d >= 2)")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
+    if v_order < 0:
+        raise DomainError(f"v_order must be nonnegative, got {v_order}")
     profiles = tuple(check_partition(mu) for mu in profiles)
     for mu in profiles:
         if sum(mu) != d:
             raise DomainError(f"profile {mu} does not partition {d}")
-    # prefactor (+-1)^{Nd - sum l}; the sign bites only for the column case
-    flip = sign == -1 and (d * len(profiles) - sum(map(len, profiles))) % 2
-    scalar, e, h = make_coefficient()
-    den = scalar.denominator
-    rows = []
-    for count, table, size in ((gspec.L, e, d), (gspec.M, h, v_order + 1)):
-        if count:
-            table = table[:size]
-            lcm = math.lcm(*(q.denominator for q in table))
-            rows += [[q.numerator * (lcm // q.denominator) for q in table]] * count
-            den *= lcm ** count
+    return sign == -1 and (d * len(profiles) - sum(map(len, profiles))) % 2 == 1
+
+
+def _pole(d: int, gspec: GSpec, flip: bool, scalar: Fraction, e, h) -> MultiPoly:
+    """The coefficient scalar * prod e[a_i] * prod h[b_j] / (d-1)^{|a|+|b|}
+    of every u^a v^b, negated when ``flip``, from the int rows ``e`` (to
+    a = d-1: the u part is a polynomial of that degree) and ``h`` (to
+    ``v_order``), ``None`` without u or v blocks.  The box is walked on
+    integer numerators, and each term is divided once."""
     terms = [((), -scalar.numerator if flip else scalar.numerator)]
-    for row in rows:
+    for row in [e] * gspec.L + [h] * gspec.M:
         terms = [(expo + (i,), n * x) for expo, n in terms for i, x in enumerate(row) if x]
     poly = MultiPoly(gspec.nvars)
-    poly.terms = {expo: Fraction(n, den) for expo, n in terms}
-    return PoleCoefficient(rho=sign * (d - 1), order=gspec.K, coefficient=poly,
-                           v_order=v_order)
+    poly.terms = {expo: Fraction(n, scalar.denominator * (d - 1) ** sum(expo))
+                  for expo, n in terms}
+    return poly
 
 
 def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
-                     v_order: int = 6) -> PoleCoefficient:
-    """Top pole coefficient by literal limit evaluation.
+                     v_order: int = 6) -> MultiPoly:
+    """Top coefficient A of the dominant pole at z = sign/(d-1), which adds
+    ~ A r^{K-1}/(K-1)! (sign (d-1))^r to [z^r], by literal limit evaluation.
 
-    Only the row partition (sign +) or the column partition (sign -)
-    reaches the extreme content +-(d-1); cancelling the vanishing
-    literal factor of that box and substituting z = sign/(d-1) in every
-    remaining factor gives the limit exactly.  The u and v factors of
-    every box, the vanishing one included, multiply to the e and h
-    sequences of the scaled contents c z: those of the integer contents
-    ``sign c`` (``content_sequences``, on ints), e_k and h_n divided by
-    (d-1)^k and (d-1)^n.  The other literal factors, ``1/(1 - sign
-    c/(d-1))^K``, are one scalar.
+    A is exact in the u's and truncated at ``v_order`` in each v (an
+    honest power series there).  Only the row partition (sign +) or the
+    column partition (sign -) reaches the extreme content +-(d-1);
+    cancelling the vanishing literal factor of that box and substituting
+    z = sign/(d-1) in every remaining factor gives the limit exactly.  The
+    u and v factors of every box, the vanishing one included, multiply to
+    the e and h sequences of the scaled contents c z: those of the integer
+    contents ``sign c`` (``content_sequences``, on ints) over (d-1)^k and
+    (d-1)^n.  The other literal factors, ``1/(1 - sign c/(d-1))^K``, are
+    one scalar.
     """
-    def make_coefficient():
-        m = d - 1
-        signed = [sign * c for c in contents((d,) if sign == 1 else (1,) * d)]
-        e, h, _ = content_sequences(signed, gspec, max(m, v_order))
-        # c = m is the vanishing factor the pole cancels
-        rest = [c for c in signed if c and c != m]
-        limit = Fraction(m ** (gspec.K * len(rest)),
-                         math.factorial(d) ** 2 * math.prod((m - c) ** gspec.K for c in rest))
-        e, h = (None if seq is None else [Fraction(x, m**k) for k, x in enumerate(seq)]
-                for seq in (e, h))
-        return limit, e, h
-
-    return _pole(d, gspec, profiles, sign, v_order, make_coefficient)
+    flip = _check_pole(d, gspec, profiles, sign, v_order)
+    m = d - 1
+    signed = [sign * c for c in contents((d,) if sign == 1 else (1,) * d)]
+    e, h, _ = content_sequences(signed, gspec, max(m, v_order))
+    # c = m is the vanishing factor the pole cancels
+    rest = [c for c in signed if c and c != m]
+    limit = Fraction(m ** (gspec.K * len(rest)),
+                     math.factorial(d) ** 2 * math.prod((m - c) ** gspec.K for c in rest))
+    # e_k vanishes beyond the d-1 nonzero contents; h is read to v_order
+    return _pole(d, gspec, flip, limit, e, h and h[:v_order + 1])
 
 
 def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
-                              v_order: int = 6) -> PoleCoefficient:
+                              v_order: int = 6) -> MultiPoly:
     """The same coefficient, read from the Stirling tables of the pole
     constant; the u/v series are identical at both poles (content and z0
     signs cancel)."""
-    return _pole(d, gspec, profiles, sign, v_order,
-                 lambda: _stirling_tables(d, gspec.K, v_order))
+    flip = _check_pole(d, gspec, profiles, sign, v_order)
+    return _pole(d, gspec, flip, *_stirling_tables(d, gspec.K, v_order))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +260,9 @@ def gw_leading_term(mu, nu, insertions) -> Fraction:
 # Ratio reports
 # ---------------------------------------------------------------------------
 
-def _decimal_str(q: Fraction, digits: int) -> str:
+def _decimal_str(q: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = RATIO_DIGITS
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
@@ -341,15 +318,13 @@ class RatioReport(Frozen):
         return rows
 
 
-def ratio_report(exact_fn, asymptotic_fn, r_values, *,
-                 precision_bits: int = 128) -> RatioReport:
+def ratio_report(exact_fn, asymptotic_fn, r_values) -> RatioReport:
     """Tabulate exact/asymptotic ratios over ``r_values``.
 
     Rows with exact value 0 are dropped (that is the parity filter); if
     every row drops, the request was vacuous and raises
     ``EmptyReportError``.
     """
-    digits = max(2, int(precision_bits * 0.30103))
     entries = []
     for r in r_values:
         exact = Fraction(exact_fn(r))
@@ -359,7 +334,7 @@ def ratio_report(exact_fn, asymptotic_fn, r_values, *,
         if asym == 0:
             raise DomainError(f"asymptotic value vanishes at r={r} while exact does not")
         ratio = exact / asym
-        entries.append(RatioEntry(r, exact, asym, ratio, _decimal_str(ratio, digits)))
+        entries.append(RatioEntry(r, exact, asym, ratio, _decimal_str(ratio)))
     if not entries:
         raise EmptyReportError("every exact value in the requested range is zero")
     errors = [abs(e.ratio - 1) for e in entries]
@@ -369,7 +344,7 @@ def ratio_report(exact_fn, asymptotic_fn, r_values, *,
     return RatioReport(
         entries=tuple(entries),
         final_error=errors[-1],
-        final_error_decimal=_decimal_str(errors[-1], digits),
+        final_error_decimal=_decimal_str(errors[-1]),
         monotone_from=entries[i].r,
         diverging=len(errors) > 1 and errors[-1] > errors[0],
     )

@@ -333,8 +333,8 @@ def _compute(args, r_values: list[int]) -> list[HurwitzResult | dict]:
                                             "v": list(monomial[gspec.L:])}
         return results
     if kind == "orbifold":
-        if not profiles and args.d:
-            profiles = ((1,) * args.d,)  # unramified over the distinguished point
+        if not profiles and args.d is not None:  # unramified over the distinguished point
+            profiles = ((1,) * _resolve_degree((), args.d)[0],)
         if len(profiles) != 1:
             raise DomainError("--kind orbifold needs one profile (or --d)")
         _resolve_degree(profiles, args.d)

@@ -573,7 +573,7 @@ def content_product(weights, gspec: GSpec, r: int,
 
 
 @lru_cache(maxsize=4096)
-def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int, p: int = 1, q: int = 1):
+def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int, p: int, q: int):
     """``content_sequences`` to ``r_max`` of the integer box weights
     ``p j - q i`` of ``lam`` (its contents at p = q = 1), kept across
     calls: a verification suite asks for the same partition and order

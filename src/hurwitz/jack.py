@@ -38,7 +38,6 @@ from .partitions import (
     enumerate_partitions,
     transpose,
 )
-from .records import Frozen, set_field
 
 DEFAULT_JACK_CEILING = 8
 
@@ -93,34 +92,26 @@ def _m_in_p_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
 # Jack basis by Gram-Schmidt
 # ---------------------------------------------------------------------------
 
-class PSumExpansion(Frozen):
-    """A degree-d symmetric function as exact coefficients over p_mu."""
-
-    __slots__ = ("degree", "alpha", "coeffs")
-
-    def __init__(self, degree: int, alpha: Fraction,
-                 coeffs: tuple[tuple[Partition, Fraction], ...]):
-        set_field(self, "degree", degree)
-        set_field(self, "alpha", alpha)
-        set_field(self, "coeffs", coeffs)
-
-    def coefficient(self, mu) -> Fraction:
-        mu = check_partition(mu)
-        for part, c in self.coeffs:
-            if part == mu:
-                return c
-        return Fraction(0)
-
-    def as_dict(self) -> dict[Partition, Fraction]:
-        return dict(self.coeffs)
-
-    def to_json(self) -> dict[str, str]:
-        return {",".join(map(str, mu)): str(c) for mu, c in self.coeffs}
-
-
 def _check_jack_degree(d: int):
     if d > DEFAULT_JACK_CEILING:
         raise SizeLimitError(f"degree {d} exceeds the Jack ceiling {DEFAULT_JACK_CEILING}")
+
+
+def hall_product(d: int, alpha: Fraction):
+    """The deformed Hall product of two degree-d expansions {mu: coefficient}
+    over the p basis, <p_lam, p_mu> = delta * z(lam) * alpha^len(lam)."""
+    weights = {mu: class_data(mu).stabilizer * alpha ** len(mu)
+               for mu in enumerate_partitions(d)}
+
+    def dot(f: dict, g: dict) -> Fraction:
+        acc = Fraction(0)
+        for mu, c in f.items():
+            other = g.get(mu)
+            if other is not None:
+                acc += c * other * weights[mu]
+        return acc
+
+    return dot
 
 
 _jack_cache: dict[tuple[int, Fraction], dict[Partition, dict[Partition, Fraction]]] = {}
@@ -141,27 +132,13 @@ def _jack_basis(d: int, alpha: Fraction) -> dict[Partition, dict[Partition, Frac
             return cached
         parts = enumerate_partitions(d)
         m_in_p = _m_in_p_matrix(d)
-        weights = {
-            mu: Fraction(class_data(mu).stabilizer) * alpha ** len(mu)
-            for mu in parts
-        }
-
-        def dot(f: dict, g: dict) -> Fraction:
-            acc = Fraction(0)
-            for mu, c in f.items():
-                other = g.get(mu)
-                if other is not None:
-                    acc += c * other * weights[mu]
-            return acc
-
+        dot = hall_product(d, alpha)
         basis: dict[Partition, dict[Partition, Fraction]] = {}
         norms: dict[Partition, Fraction] = {}
         # increasing dominance order = reversed canonical enumeration
         for idx in range(len(parts) - 1, -1, -1):
             lam = parts[idx]
-            vec = {
-                mu: c for mu, c in zip(parts, m_in_p[idx]) if c
-            }
+            vec = {mu: c for mu, c in zip(parts, m_in_p[idx]) if c}
             for prev, pvec in basis.items():
                 proj = dot(vec, pvec)
                 if proj:
@@ -192,17 +169,14 @@ def _jack_basis(d: int, alpha: Fraction) -> dict[Partition, dict[Partition, Frac
     return jays
 
 
-def jack_in_psums(lam, alpha) -> PSumExpansion:
-    """J-normalised Jack polynomial of shape lam over the power-sum basis."""
+def jack_in_psums(lam, alpha) -> dict[Partition, Fraction]:
+    """J-normalised Jack polynomial of shape lam over the power-sum basis,
+    as {mu: coefficient} over its nonzero coefficients in canonical order."""
     lam = check_partition(lam)
     d = sum(lam)
     _check_jack_degree(d)
-    alpha = Fraction(exact(alpha))
     vec = _jack_basis(d, alpha)[lam]
-    coeffs = tuple(
-        (mu, vec[mu]) for mu in enumerate_partitions(d) if mu in vec
-    )
-    return PSumExpansion(degree=d, alpha=alpha, coeffs=coeffs)
+    return {mu: vec[mu] for mu in enumerate_partitions(d) if mu in vec}
 
 
 def jack_norm(lam, alpha) -> Fraction:

@@ -39,7 +39,7 @@ from .core import (
 )
 from .errors import DomainError, EmptyReportError, SizeLimitError
 from .exactnum import stirling
-from .jack import b_hurwitz_sweep, deformed_contents, jack_in_psums, jack_norm
+from .jack import b_hurwitz_sweep, deformed_contents, hall_product, jack_in_psums, jack_norm
 from .partitions import class_data, enumerate_partitions, transpose
 
 
@@ -219,9 +219,11 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 # the top degree of the Jucys-Murphy checks: up to d=6 the suite takes about
 # 4.5 s, against 0.15 s up to d=5 (Python 3.11, a shared 2-core box)
 STIRLING_MAX_D = 5
+# the top n of the Stirling product checks and the top k of e_k, h_k(JM)
+STIRLING_MAX_N, STIRLING_MAX_K = 10, 6
 
 
-def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6) -> dict:
+def verify_stirling(max_d: int = STIRLING_MAX_D) -> dict:
     if max_d > STIRLING_MAX_D:
         raise SizeLimitError(f"verify stirling checks degrees up to its ceiling "
                              f"{STIRLING_MAX_D}, not {max_d}")
@@ -229,7 +231,7 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
     checks: list[dict] = []
     from .exactnum import MultiPoly, TruncSeries, affine_factor, geometric_factor
 
-    for n in range(0, max_n + 1):
+    for n in range(0, STIRLING_MAX_N + 1):
         one = MultiPoly.constant(0, 1)
         rising = TruncSeries.one(0, n)
         for i in range(1, n + 1):
@@ -251,11 +253,11 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
         _check(checks, f"prod 1/(1-iz) vs second kind, n={n}", ok)
 
     for d in range(2, max_d + 1):
-        # e_k and h_k of the Jucys-Murphy elements for every k <= max_k, one
-        # expansion of prod (1 + z J_i) and one of prod 1/(1 - z J_i)
-        e_series = oracle.jm_series([1, 1] + [0] * (max_k - 1), d)
-        h_series = oracle.jm_series([1] * (max_k + 1), d)
-        for k, e in zip(range(max_k + 1), e_series):
+        # e_k and h_k of the Jucys-Murphy elements for every k <= STIRLING_MAX_K,
+        # one expansion of prod (1 + z J_i) and one of prod 1/(1 - z J_i)
+        e_series = oracle.jm_series([1, 1] + [0] * (STIRLING_MAX_K - 1), d)
+        h_series = oracle.jm_series([1] * (STIRLING_MAX_K + 1), d)
+        for k, e in zip(range(STIRLING_MAX_K + 1), e_series):
             # Jucys: e_k is the sum of permutations needing exactly k transpositions
             ok = all(e.coefficient(p) == (1 if d - len(oracle.cycle_type(p)) == k else 0)
                      for p in oracle.group(d))
@@ -266,38 +268,33 @@ def verify_stirling(max_n: int = 10, max_d: int = STIRLING_MAX_D, max_k: int = 6
         # the sum of all permutations, d! times the row idempotent F_(d): the
         # same eigenvalue check on int coefficients
         total = oracle.GroupAlgebraElement(d, dict.fromkeys(oracle.group(d), 1))
-        for k, e, h in zip(range(max_k + 1), e_series, h_series):
+        for k, e, h in zip(range(STIRLING_MAX_K + 1), e_series, h_series):
             e_eigen = stirling(1, d, d - k) if d >= k else 0
             ok_e = (e * total) == total.scale(e_eigen)
             ok_h = (h * total) == total.scale(stirling(2, d - 1 + k, d - 1))
             _check(checks, f"JM eigenvalues on the row idempotent d={d} k={k}",
                    ok_e and ok_h)
-    return _report("stirling", checks, max_n=max_n, max_d=max_d, max_k=max_k)
+    return _report("stirling", checks, max_n=STIRLING_MAX_N, max_d=max_d,
+                   max_k=STIRLING_MAX_K)
 
 
 # ---------------------------------------------------------------------------
 # Jack suite
 # ---------------------------------------------------------------------------
 
-def verify_jack(max_d: int = 5, alphas=(1, 2, Fraction(1, 2), 3),
-                b0_max_d: int = 4, b0_max_r: int = 6) -> dict:
+# the Jack parameters of the Gram-Schmidt checks, and the degrees and
+# orders of the b = 0 comparison with the undeformed engine
+JACK_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
+JACK_B0_MAX_D, JACK_B0_MAX_R = 4, 6
+
+
+def verify_jack(max_d: int = 5) -> dict:
     checks: list[dict] = []
-    alphas = [Fraction(a) for a in alphas]
     for d in range(1, max_d + 1):
         parts = enumerate_partitions(d)
-        for alpha in alphas:
-            expansions = {lam: jack_in_psums(lam, alpha).as_dict() for lam in parts}
-            weights = {
-                mu: Fraction(class_data(mu).stabilizer) * alpha ** len(mu)
-                for mu in parts
-            }
-
-            def dot(f, g):
-                return sum(
-                    (c * g.get(mu, Fraction(0)) * weights[mu] for mu, c in f.items()),
-                    Fraction(0),
-                )
-
+        for alpha in JACK_ALPHAS:
+            expansions = {lam: jack_in_psums(lam, alpha) for lam in parts}
+            dot = hall_product(d, alpha)
             ok = all(
                 dot(expansions[lam], expansions[lam]) == jack_norm(lam, alpha)
                 for lam in parts
@@ -320,7 +317,7 @@ def verify_jack(max_d: int = 5, alphas=(1, 2, Fraction(1, 2), 3),
             _check(checks, f"row/column Jack characters d={d} alpha={alpha}", ok)
 
         table = characters.char_table(d)
-        schur = {lam: jack_in_psums(lam, Fraction(1)).as_dict() for lam in parts}
+        schur = {lam: jack_in_psums(lam, Fraction(1)) for lam in parts}
         ok = all(
             schur[lam].get(mu, Fraction(0)) / class_data(mu).class_size
             == Fraction(table.value(lam, mu), characters.dim(lam))
@@ -343,23 +340,27 @@ def verify_jack(max_d: int = 5, alphas=(1, 2, Fraction(1, 2), 3),
                 ok = False
         _check(checks, f"extreme-content maximisers alpha={alpha}", ok)
 
-    # one sweep per degree: at z-order r the caps (d, b0_max_r) keep the
+    # one sweep per degree: at z-order r the caps (d, JACK_B0_MAX_R) keep the
     # same monomials as (min(r, d), r)
-    g, r_values = GSpec(K=1, L=1, M=1), range(b0_max_r + 1)
-    ok = all(b_hurwitz_sweep(r_values, g, (), 0, d=d, caps=(d, b0_max_r))
+    g, r_values = GSpec(K=1, L=1, M=1), range(JACK_B0_MAX_R + 1)
+    ok = all(b_hurwitz_sweep(r_values, g, (), 0, d=d, caps=(d, JACK_B0_MAX_R))
              == {result.r: result.value for result in hypergeometric_hurwitz_sweep(
-                 r_values, g, (), d=d, caps=(d, b0_max_r))}
-             for d in range(1, b0_max_d + 1))
-    _check(checks, f"b=0 equals the undeformed engine (d<={b0_max_d}, r<={b0_max_r})", ok)
-    return _report("jack", checks, max_d=max_d,
-                   alphas=[str(a) for a in alphas])
+                 r_values, g, (), d=d, caps=(d, JACK_B0_MAX_R))}
+             for d in range(1, JACK_B0_MAX_D + 1))
+    _check(checks, f"b=0 equals the undeformed engine (d<={JACK_B0_MAX_D}, "
+                   f"r<={JACK_B0_MAX_R})", ok)
+    return _report("jack", checks, max_d=max_d, alphas=[str(a) for a in JACK_ALPHAS])
 
 
 # ---------------------------------------------------------------------------
 # Structure coefficients and the gap
 # ---------------------------------------------------------------------------
 
-def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
+# the top r of the resummation identity
+GAP_RESUM_R = 10
+
+
+def verify_gap(d: int, s: int, profiles=()) -> dict:
     checks: list[dict] = []
     d, profiles = _resolve_degree(profiles, d)
     coeffs = structure_coefficients(s, profiles, d=d)
@@ -384,7 +385,7 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
 
     ok = True
     detail = ""
-    rs = [r for r in range(1, resum_r + 1) if s % 2 == 0 or (r + n * d - ell) % 2 == 0]
+    rs = [r for r in range(1, GAP_RESUM_R + 1) if s % 2 == 0 or (r + n * d - ell) % 2 == 0]
     direct = completed_sweep(rs, s, profiles, d)
     for r in rs:
         lhs, rhs = resum_structure(coeffs, r, d), direct[r]
@@ -392,7 +393,7 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
             ok = False
             detail = f"r={r}: {lhs} != {rhs}"
             break
-    _check(checks, f"resummation identity r<={resum_r}", ok, detail)
+    _check(checks, f"resummation identity r<={GAP_RESUM_R}", ok, detail)
     return _report("gap", checks, d=d, s=s,
                    profiles=[list(mu) for mu in profiles])
 
@@ -401,26 +402,29 @@ def verify_gap(d: int, s: int, profiles=(), *, resum_r: int = 10) -> dict:
 # Pole coefficients
 # ---------------------------------------------------------------------------
 
-def verify_poles(max_d: int = 6, max_k: int = 3, max_lm: int = 2,
-                 v_order: int = 3) -> dict:
+# the top K, the top L and M, and the v order of the pole comparisons
+POLES_MAX_K, POLES_MAX_LM, POLES_V_ORDER = 3, 2, 3
+
+
+def verify_poles(max_d: int = 6) -> dict:
     _check_sweep_start("poles", max_d)
     checks: list[dict] = []
     for d in range(2, max_d + 1):
         ok = True
         detail = ""
-        for k in range(1, max_k + 1):
-            for l in range(0, max_lm + 1):
-                for m in range(0, max_lm + 1):
+        for k in range(1, POLES_MAX_K + 1):
+            for l in range(0, POLES_MAX_LM + 1):
+                for m in range(0, POLES_MAX_LM + 1):
                     g = GSpec(K=k, L=l, M=m)
                     for sign in (1, -1):
-                        a = pole_coefficient(d, g, (), sign, v_order=v_order)
-                        b = pole_coefficient_stirling(d, g, (), sign, v_order=v_order)
-                        if a.coefficient != b.coefficient or a.rho != b.rho:
+                        a = pole_coefficient(d, g, (), sign, v_order=POLES_V_ORDER)
+                        b = pole_coefficient_stirling(d, g, (), sign, v_order=POLES_V_ORDER)
+                        if a != b:
                             ok = False
                             detail = f"K={k} L={l} M={m} sign={sign}"
         _check(checks, f"limit vs Stirling closed form d={d}", ok, detail)
-    return _report("poles", checks, max_d=max_d, max_k=max_k, max_lm=max_lm,
-                   v_order=v_order)
+    return _report("poles", checks, max_d=max_d, max_k=POLES_MAX_K, max_lm=POLES_MAX_LM,
+                   v_order=POLES_V_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +512,14 @@ def verify_ratio(kind: str, *, r_max: int = 40, tolerance=Fraction(1, 1000),
 # Eigenvalue-ordering sweep (the engine behind the gap)
 # ---------------------------------------------------------------------------
 
-def verify_eigenvalue_order(max_d: int = 10, indices=(2, 3, 4, 5)) -> dict:
+# the completed-cycle indices s whose eigenvalue ordering is checked
+EIGENVALUE_INDICES = (2, 3, 4, 5)
+
+
+def verify_eigenvalue_order(max_d: int = 10) -> dict:
     _check_sweep_start("eigenvalue-order", max_d)
     checks: list[dict] = []
-    for s in indices:
+    for s in EIGENVALUE_INDICES:
         ok = True
         detail = ""
         for d in range(2, max_d + 1):
@@ -542,7 +550,7 @@ def verify_eigenvalue_order(max_d: int = 10, indices=(2, 3, 4, 5)) -> dict:
                 detail = f"d={d}: bulk reaches the hook level"
                 break
         _check(checks, f"eigenvalue ordering, index {s}", ok, detail)
-    return _report("eigenvalue-order", checks, max_d=max_d, indices=list(indices))
+    return _report("eigenvalue-order", checks, max_d=max_d, indices=list(EIGENVALUE_INDICES))
 
 
 SUITES = {

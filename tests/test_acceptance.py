@@ -335,7 +335,7 @@ def test_criterion_6_gap_and_leading():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_pole_closed_form():
-    report = verify.verify_poles(max_d=7, max_k=3, max_lm=2, v_order=3)
+    report = verify.verify_poles(max_d=7)
     assert _line("criterion 7 (pole limit vs Stirling series d<=7 K<=3 L,M<=2)",
                  report["pass"], "coefficientwise, exact")
 
@@ -345,7 +345,7 @@ def test_criterion_7_pole_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_jucys_stirling():
-    report = verify.verify_stirling(max_n=10, max_d=5, max_k=6)
+    report = verify.verify_stirling(max_d=5)
     assert _line("criterion 8 (Jucys e/h vs Stirling d<=5 k<=6; naturals n<=10)",
                  report["pass"], "exact")
 
@@ -394,8 +394,7 @@ def test_criterion_8_idempotents():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_jack_exact():
-    report = verify.verify_jack(max_d=6, alphas=(1, 2, Fraction(1, 2), 3),
-                                b0_max_d=4, b0_max_r=6)
+    report = verify.verify_jack(max_d=6)
     assert _line("criterion 9 (Jack norms/characters d<=6; b=0 engine match"
                  " d<=4 r<=6)", report["pass"], "exact")
 

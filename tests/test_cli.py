@@ -396,10 +396,14 @@ class TestExitCodes:
           "--r", "1"), "contradicts profiles"),
         (("compute", "--kind", "gw", "--d", "5", "--profiles", "1;1", "--insertions",
           "2:1", "--r", "0"), "contradicts profiles"),
+        (("compute", "--kind", "orbifold", "--d", "-2", "--t", "1", "--r", "0"),
+         "degree must be positive: -2"),
+        (("compute", "--kind", "orbifold", "--d", "0", "--t", "1", "--r", "0"),
+         "degree must be positive: 0"),
     ], ids=["verify-ratio-unknown-kind", "table-ratio-unknown-kind",
             "verify-ratio-gw-one-profile", "b-content-degree-zero",
             "b-content-connected", "classical-profiles", "orbifold-contradicting-d",
-            "gw-contradicting-d"])
+            "gw-contradicting-d", "orbifold-negative-degree", "orbifold-degree-zero"])
     def test_rejected_request(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE

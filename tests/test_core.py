@@ -381,5 +381,5 @@ class TestEigenvalueOrdering:
     def test_lemma_scale_sweep(self):
         from hurwitz import verify
 
-        report = verify.verify_eigenvalue_order(max_d=10, indices=(2, 3, 4, 5))
+        report = verify.verify_eigenvalue_order(max_d=10)
         assert report["pass"], report["checks"]

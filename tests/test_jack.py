@@ -13,6 +13,7 @@ from hurwitz.jack import (
     b_hurwitz_coefficient,
     b_hurwitz_sweep,
     deformed_contents,
+    hall_product,
     jack_character,
     jack_in_psums,
     jack_norm,
@@ -87,10 +88,18 @@ class TestChangeOfBasis:
 class TestExpansions:
     def test_degree_two_by_hand(self):
         for alpha in (Fraction(5, 3), Fraction(2)):
-            row = jack_in_psums((2,), alpha).as_dict()
+            row = jack_in_psums((2,), alpha)
             assert row == {(2,): alpha, (1, 1): Fraction(1)}
-            col = jack_in_psums((1, 1), alpha).as_dict()
+            col = jack_in_psums((1, 1), alpha)
             assert col == {(2,): Fraction(-1), (1, 1): Fraction(1)}
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_plain_dict_in_canonical_order(self, d):
+        parts = enumerate_partitions(d)
+        for lam in parts:
+            expansion = jack_in_psums(lam, Fraction(5, 3))
+            assert type(expansion) is dict and all(expansion.values())
+            assert list(expansion) == [mu for mu in parts if mu in expansion]
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_alpha_one_is_scaled_schur(self, d):
@@ -101,7 +110,7 @@ class TestExpansions:
             for mu in table.partitions:
                 expected = Fraction(table.value(lam, mu), dim(lam)) \
                     * class_data(mu).class_size
-                assert exp.coefficient(mu) == expected
+                assert exp.get(mu, Fraction(0)) == expected
 
     def test_ceiling(self):
         with pytest.raises(SizeLimitError):
@@ -141,14 +150,16 @@ class TestNorms:
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_gram_schmidt_agrees_with_hook_product(self, d, alpha):
-        expansions = {lam: jack_in_psums(lam, alpha).as_dict()
+        expansions = {lam: jack_in_psums(lam, alpha)
                       for lam in enumerate_partitions(d)}
+        dot = hall_product(d, alpha)
         for lam, vec in expansions.items():
-            assert hall_inner(vec, vec, alpha) == jack_norm(lam, alpha)
+            assert hall_inner(vec, vec, alpha) == dot(vec, vec) == jack_norm(lam, alpha)
         parts = list(expansions)
         for i, lam in enumerate(parts):
             for eta in parts[i + 1:]:
                 assert hall_inner(expansions[lam], expansions[eta], alpha) == 0
+                assert dot(expansions[lam], expansions[eta]) == 0
 
 
 class TestCharacters:
@@ -247,12 +258,6 @@ class TestBContentEngine:
             b_hurwitz_coefficient(1, GSpec(K=1), (), -1, d=2)
         with pytest.raises(DomainError):
             b_hurwitz_coefficient(0, GSpec(K=1), (), 0, d=0)
-
-
-class TestSerializationJack:
-    def test_psum_expansion_json(self):
-        blob = jack_in_psums((2,), Fraction(5, 3)).to_json()
-        assert blob == {"2": "5/3", "1,1": "1"}
 
 
 class TestFloatsRefused:

@@ -262,6 +262,23 @@ class TestSuiteSizes:
         assert verify.verify_characters(max_d=1)["config"] == {
             "max_d": 1, "bruteforce_d": verify.BRUTEFORCE_MAX_D}
         assert (verify.ORACLE_MAX_BLOCKS, verify.BRUTEFORCE_MAX_D) == (2, 5)
+        assert verify.verify_stirling(max_d=2)["config"] == {
+            "max_n": verify.STIRLING_MAX_N, "max_d": 2, "max_k": verify.STIRLING_MAX_K}
+        assert (verify.STIRLING_MAX_N, verify.STIRLING_MAX_K) == (10, 6)
+        assert verify.verify_jack(max_d=1)["config"] == {
+            "max_d": 1, "alphas": [str(a) for a in verify.JACK_ALPHAS]}
+        assert verify.JACK_ALPHAS == (1, 2, Fraction(1, 2), 3)
+        assert (verify.JACK_B0_MAX_D, verify.JACK_B0_MAX_R) == (4, 6)
+        assert verify.verify_poles(max_d=2)["config"] == {
+            "max_d": 2, "max_k": verify.POLES_MAX_K, "max_lm": verify.POLES_MAX_LM,
+            "v_order": verify.POLES_V_ORDER}
+        assert (verify.POLES_MAX_K, verify.POLES_MAX_LM, verify.POLES_V_ORDER) == (3, 2, 3)
+        assert verify.verify_eigenvalue_order(max_d=2)["config"] == {
+            "max_d": 2, "indices": list(verify.EIGENVALUE_INDICES)}
+        assert verify.EIGENVALUE_INDICES == (2, 3, 4, 5)
+        checks = [c["name"] for c in verify.verify_gap(3, 1)["checks"]]
+        assert checks[-1] == f"resummation identity r<={verify.GAP_RESUM_R}" \
+            == "resummation identity r<=10"
 
 
 class TestOracleSuite:
