@@ -12,7 +12,8 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .core import GSpec, _gw_profiles, _normalize_insertions, _orders, content_sequences, m_ds
+from .core import (GSpec, _degrees, _normalize_insertions, _orders, _resolve_degree,
+                   content_sequences, m_ds)
 from .errors import DomainError, EmptyReportError
 from .exactnum import (
     GaussianRational,
@@ -21,7 +22,7 @@ from .exactnum import (
     format_rational,
     stirling,
 )
-from .partitions import check_partition, class_data, contents
+from .partitions import class_data, contents
 from .records import Frozen, set_field
 
 # significant digits of a rendered ratio, about 128 bits
@@ -31,16 +32,6 @@ RATIO_DIGITS = 38
 # ---------------------------------------------------------------------------
 # Dominant pole coefficients
 # ---------------------------------------------------------------------------
-
-def _block_degrees(a_vec, b_vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The degrees of the u blocks (a) and the v blocks (b) as ints,
-    refused when one is negative."""
-    a_vec, b_vec = tuple(map(int, a_vec)), tuple(map(int, b_vec))
-    for name, vec in (("a", a_vec), ("b", b_vec)):
-        if min(vec, default=0) < 0:
-            raise DomainError(f"{name} block degrees must be nonnegative: {name}_vec={vec}")
-    return a_vec, b_vec
-
 
 def _stirling_tables(d: int, k: int, v_order: int):
     """``_pole_constant`` as the scalar (d-1)^{(d-2)K}/(d!^2 (d-2)!^K) and
@@ -67,7 +58,7 @@ def _pole_constant(d: int, k: int, a_vec=(), b_vec=()) -> Fraction:
         raise DomainError(f"need K >= 1, got {k}")
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
-    a_vec, b_vec = _block_degrees(a_vec, b_vec)
+    a_vec, b_vec = _degrees("a", a_vec), _degrees("b", b_vec)
     if max(a_vec, default=0) >= d:
         return Fraction(0)
     scalar, e, h = _stirling_tables(d, k, max(b_vec, default=0))
@@ -86,10 +77,7 @@ def _check_pole(d: int, gspec: GSpec, profiles, sign: int, v_order: int) -> bool
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     if v_order < 0:
         raise DomainError(f"v_order must be nonnegative, got {v_order}")
-    profiles = tuple(check_partition(mu) for mu in profiles)
-    for mu in profiles:
-        if sum(mu) != d:
-            raise DomainError(f"profile {mu} does not partition {d}")
+    _, profiles = _resolve_degree(profiles, d)
     return sign == -1 and (d * len(profiles) - sum(map(len, profiles))) % 2 == 1
 
 
@@ -242,7 +230,7 @@ def gw_leading_sweep(m_values, mu, nu, s: int, insertions=()) -> dict:
     """{m: (2/(z(mu) z(nu) d!^2)) * prod_t (M_{d,t}/t!)^{n_t} * (M_{d,s}/s!)^m}
     over counts m of order-s insertions, beside the fixed ``insertions``
     {t: n_t}."""
-    mu, nu, d = _gw_profiles(mu, nu)
+    d, (mu, nu) = _resolve_degree((mu, nu), None)
     acc = Fraction(2, class_data(mu).stabilizer * class_data(nu).stabilizer
                    * math.factorial(d) ** 2)
     for t, n in _normalize_insertions(insertions):

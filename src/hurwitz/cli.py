@@ -188,6 +188,8 @@ def _refuse_unread(args):
 
 
 def _r_values(args) -> list[int]:
+    if args.r is not None and (args.r_min, args.r_max) != (None, None):
+        raise DomainError("give --r or --r-min/--r-max, not both")
     if args.r is not None:
         return [args.r]
     if args.r_min is None and args.r_max is None:

@@ -98,11 +98,10 @@ def f_bar(lam: Partition, s: int) -> Fraction:
 
 
 def m_ds(d: int, s: int) -> Fraction:
-    """Top eigenvalue (1/(s+1))[(d-1/2)^{s+1} - (-1/2)^{s+1} + c_{s+1}]."""
+    """Top eigenvalue M_{d,s} = f_bar((d,), s+1): the row's one hook has a' = d-1/2, b' = 1/2."""
     if d < 1 or s < 1:
         raise DomainError(f"m_ds wants d >= 1 and s >= 1, got d={d}, s={s}")
-    half = Fraction(1, 2)
-    return ((d - half) ** (s + 1) - (-half) ** (s + 1) + _c_const(s + 1)) / (s + 1)
+    return f_bar((d,), s + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def _resolve_degree(profiles, d):
     if profiles:
         sizes = {sum(mu) for mu in profiles}
         if len(sizes) != 1:
-            raise DomainError(f"profiles of mixed degrees: {profiles}")
+            raise DomainError(f"profiles of different degrees: {profiles}")
         inferred = sizes.pop()
         if d is not None and d != inferred:
             raise DomainError(f"explicit d={d} contradicts profiles of size {inferred}")
@@ -148,10 +147,21 @@ def _resolve_degree(profiles, d):
     return d, profiles
 
 
-def _orders(r_values) -> list[int]:
+def _degrees(name: str, vec, blocks: int | None = None) -> tuple[int, ...]:
+    """``vec``, one degree per u or v block, as ints: refused when one is
+    negative or, given ``blocks``, when it holds another number of them."""
+    vec = tuple(map(int, vec))
+    if min(vec, default=0) < 0:
+        raise DomainError(f"{name} block degrees must be nonnegative: {vec}")
+    if blocks is not None and len(vec) != blocks:
+        raise DomainError(f"{name} {vec} must hold {blocks} degrees, one per block")
+    return vec
+
+
+def _orders(r_values, name: str = "r") -> list[int]:
     r_values = list(r_values)
     if any(r < 0 for r in r_values):
-        raise DomainError(f"r must be nonnegative: {min(r_values)}")
+        raise DomainError(f"{name} must be nonnegative: {min(r_values)}")
     return r_values
 
 
@@ -160,11 +170,6 @@ def rh_genus(r: int, s: int, d: int, profiles) -> Fraction:
     n = len(profiles)
     ell = sum(len(mu) for mu in profiles)
     return Fraction(r * s + 2 + d * (n - 2) - ell, 2)
-
-
-def admissible_parity(r: int, s: int, d: int, profiles) -> bool:
-    """Whether the Riemann-Hurwitz genus is an integer for these data."""
-    return rh_genus(r, s, d, profiles).denominator == 1
 
 
 def f_bar_denominator(s: int) -> int:
@@ -327,6 +332,8 @@ def completed_spectrum(s: int, profiles, d: int) -> tuple[int, dict[int, int]]:
     Q``, ``Q = f_bar_denominator(s + 1)``, in first-seen order with zero
     sums dropped, so the character sum of ``f_bar(lam, s+1)^r`` is
     ``sum_F A[F] F^r / (D Q^r)`` at every r (``0**0 == 1``)."""
+    if s < 1:
+        raise DomainError(f"s must be positive: {s}")
     denominator, weights = character_weights(d, profiles)
     q = f_bar_denominator(s + 1)
     spectrum: dict[int, int] = {}
@@ -345,11 +352,9 @@ def completed_sweep(r_values, s: int, profiles, d: int, *, connected: bool = Fal
     ``connected``.
     """
     r_values = _orders(r_values)
-    if s < 1:
-        raise DomainError(f"s must be positive: {s}")
-    q = f_bar_denominator(s + 1)
     denominator, spectrum = (connected_spectrum if connected else completed_spectrum)(
         s, profiles, d)
+    q = f_bar_denominator(s + 1)
     return {r: Fraction(sum(a * f**r for f, a in spectrum.items()), denominator * q**r)
             for r in r_values}
 
@@ -545,9 +550,8 @@ def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = N
     times the true one (``content_sequences`` is homogeneous), so the
     caller divides each total by ``q^r``.
     """
-    for name, expo in (("caps", caps), ("monomial", monomial)):
-        if expo is not None and (len(expo) != gspec.nvars or min(expo, default=0) < 0):
-            raise DomainError(f"{name} {tuple(expo)} is not {gspec.nvars} nonnegative degrees")
+    caps, monomial = (None if expo is None else _degrees(name, expo, gspec.nvars)
+                      for name, expo in (("caps", caps), ("monomial", monomial)))
     if caps is not None and monomial is not None:
         raise DomainError("give caps or a monomial, not both")
     alpha = Fraction(alpha)
@@ -556,20 +560,6 @@ def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = N
         sequences = _content_coefficient(lam, gspec, r_max, alpha.numerator, alpha.denominator)
         return _content_terms(sequences, gspec, caps, monomial)
     return factor
-
-
-def content_product(weights, gspec: GSpec, r: int,
-                    caps: tuple[int, ...] | None = None) -> MultiPoly:
-    """[z^r] of the product over box weights c of G(z * c), exact in u's and v's.
-
-    The weights are the box contents, or the deformed contents of the
-    b-deformed engine; zero weights contribute the factor 1.  The
-    coefficient of ``u^a v^b`` is prod e_{a_i} prod h_{b_j} hk_{r-|a|-|b|}
-    (see ``content_sequences``); ``caps`` drops monomials beyond them.
-    The one-r case of ``content_factor``, with Fraction coefficients."""
-    poly = _content_terms(content_sequences(weights, gspec, r), gspec, caps, None)(r)
-    poly.terms = {expo: Fraction(coeff) for expo, coeff in poly.terms.items()}
-    return poly
 
 
 @lru_cache(maxsize=4096)
@@ -630,11 +620,8 @@ def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, pro
     every r_simple of ``r_simple_values``, in one ``weighted_sweep``: each
     partition's content term at ``r`` and its ``f_bar(lam, 2)`` are read
     once."""
-    r_simple_values = list(r_simple_values)
-    if min(r_simple_values, default=0) < 0:
-        raise DomainError(f"r_simple must be nonnegative: {min(r_simple_values)}")
-    if r < 0:
-        raise DomainError(f"r must be nonnegative: {r}")
+    r_simple_values = _orders(r_simple_values, "r_simple")
+    _orders((r,))
     d, profiles = _resolve_degree(profiles, d)
     content = content_factor(gspec, r, caps=caps, monomial=monomial)
 
@@ -667,29 +654,21 @@ def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=()
 # ---------------------------------------------------------------------------
 
 def _sub_multisets(mu: Partition, size: int):
-    """All sub-multisets of mu with the given total, as sorted tuples."""
-    parts = sorted(set(mu), reverse=True)
-    counts = {p: mu.count(p) for p in parts}
+    """Every split ``(sub, rest)`` of mu into a sub-multiset of the given
+    total and the parts left over, both sorted, larger parts taken first."""
+    multiplicities = class_data(mu).multiplicities
 
     def rec(idx, remaining):
-        if remaining == 0:
-            yield ()
+        if idx == len(multiplicities):
+            if remaining == 0:
+                yield (), ()
             return
-        if idx == len(parts):
-            return
-        p = parts[idx]
-        for take in range(min(counts[p], remaining // p), -1, -1):
-            for rest in rec(idx + 1, remaining - take * p):
-                yield (p,) * take + rest
+        p, m = multiplicities[idx]
+        for take in range(min(m, remaining // p), -1, -1):
+            for sub, rest in rec(idx + 1, remaining - take * p):
+                yield (p,) * take + sub, (p,) * (m - take) + rest
 
     yield from rec(0, size)
-
-
-def _multiset_difference(mu: Partition, sub: Partition) -> Partition:
-    remaining = list(mu)
-    for p in sub:
-        remaining.remove(p)
-    return tuple(remaining)
 
 
 @lru_cache(maxsize=4096)
@@ -697,8 +676,8 @@ def _profile_splits(profiles, d1: int) -> tuple:
     """``(P1, P - P1)`` for every choice of a sub-multiset ``P1_j`` of
     total ``d1`` of each profile ``P_j``."""
     return tuple(
-        (p1, tuple(_multiset_difference(mu, sub) for mu, sub in zip(profiles, p1)))
-        for p1 in itertools.product(*(_sub_multisets(mu, d1) for mu in profiles)))
+        (tuple(sub for sub, _ in split), tuple(rest for _, rest in split))
+        for split in itertools.product(*(_sub_multisets(mu, d1) for mu in profiles)))
 
 
 def _exponential_formula(a, product, profiles, d: int, keys=None) -> dict:
@@ -856,8 +835,6 @@ def structure_coefficients(s: int, profiles=(), *, d: int | None = None
     the signed eigenvalues and each carries the half-weight of the
     grouping.  The 2/d!^2 prefactor is left out by contract.
     """
-    if s < 1:
-        raise DomainError(f"s must be positive: {s}")
     d, profiles = _resolve_degree(profiles, d)
     denominator, spectrum = completed_spectrum(s, profiles, d)
     q = f_bar_denominator(s + 1)
@@ -905,9 +882,8 @@ def orbifold_hurwitz_sweep(r_values, t: int, mu, *, connected: bool = False
     """
     if t < 1:
         raise DomainError(f"t must be positive: {t}")
-    mu = check_partition(mu)
+    d, (mu,) = _resolve_degree((mu,), None)
     r_values = _orders(r_values)
-    d = sum(mu)
     if d % t:
         return [HurwitzResult(
             kind="orbifold", d=d, r=r, t=t, profiles=(mu,), connected=connected,
@@ -928,15 +904,6 @@ def orbifold_hurwitz(r: int, t: int, mu, *, connected: bool = False) -> HurwitzR
 # Stationary Gromov-Witten correlators of the sphere
 # ---------------------------------------------------------------------------
 
-def _gw_profiles(mu, nu) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The checked GW profiles ``(mu, nu)`` and their common degree."""
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError(f"profiles of different degrees: {mu}, {nu}")
-    return mu, nu, sum(mu)
-
-
 def _normalize_insertions(insertions) -> tuple[tuple[int, int], ...]:
     out = []
     for s, m in sorted(dict(insertions).items()):
@@ -954,7 +921,7 @@ def gw_correlator(mu, nu, insertions, *, connected: bool = False) -> Fraction:
     prod_s (f_bar_{s+1}/s!)^{m_s}; the connected version applies the
     connected transform with one insertion count per order s.
     """
-    mu, nu, d = _gw_profiles(mu, nu)
+    d, (mu, nu) = _resolve_degree((mu, nu), None)
     ins = _normalize_insertions(insertions)
     orders = tuple(s for s, _ in ins)
     counts = tuple(m for _, m in ins)
@@ -985,6 +952,6 @@ def _gw_scale(mu, nu, ins) -> Fraction:
 
 def gw_genus(mu, nu, insertions) -> Fraction:
     """Genus from the dimension constraint sum s m_s = 2g - 2 + l(mu) + l(nu)."""
-    mu, nu, _ = _gw_profiles(mu, nu)
+    _, (mu, nu) = _resolve_degree((mu, nu), None)
     weight = sum(s * m for s, m in _normalize_insertions(insertions))
     return Fraction(weight + 2 - len(mu) - len(nu), 2)

@@ -362,49 +362,6 @@ def _normalized(raw: int, query: FactorizationQuery) -> Fraction:
         class_data(mu).class_size for mu in query.profiles))
 
 
-def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fraction:
-    """Same count by raw depth-first enumeration of every tuple.
-
-    Exponentially slow; kept as an audit path and cross-checked against
-    the dynamic-programming walk in the tests.
-    """
-    d = query.d
-    if query.total_transpositions() > guard:
-        raise SizeLimitError("DFS oracle guard exceeded")
-    taus = transpositions(d)
-    count = 0
-
-    def walk_blocks(prefix: Perm, blocks):
-        nonlocal count
-        if not blocks:
-            if prefix == identity(d):
-                count += 1
-            return
-        head, tail = blocks[0], blocks[1:]
-        strict = head.constraint == "strict"
-
-        def walk(p: Perm, remaining: int, last: int):
-            if remaining == 0:
-                walk_blocks(p, tail)
-                return
-            for tau, b in taus:
-                if head.constraint != "none" and (b < last or (strict and b == last)):
-                    continue
-                walk(compose(p, tau), remaining - 1, b)
-
-        walk(prefix, head.count, 0)
-
-    def walk_profiles(p: Perm, profiles):
-        if not profiles:
-            walk_blocks(p, query.blocks)
-            return
-        for sigma in class_perms(d, profiles[0]):
-            walk_profiles(compose(p, sigma), profiles[1:])
-
-    walk_profiles(identity(d), query.profiles)
-    return _normalized(count, query)
-
-
 # ---------------------------------------------------------------------------
 # Jucys-Murphy elements and symmetric polynomials of them
 # ---------------------------------------------------------------------------
@@ -464,13 +421,6 @@ def central_idempotent(lam) -> GroupAlgebraElement:
         for p in class_perms(d, mu):
             out.coeffs[p] = scale * chi
     return out
-
-
-def resolution_of_identity(d: int) -> bool:
-    total = GroupAlgebraElement.zero(d)
-    for lam in enumerate_partitions(d):
-        total = total + central_idempotent(lam)
-    return total == GroupAlgebraElement.identity(d)
 
 
 def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,

@@ -124,9 +124,6 @@ class ClassData(Frozen):
                 return m
         return 0
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.multiplicities)
-
 
 def class_data(mu) -> ClassData:
     """Class size d!/z(mu), stabilizer z(mu) = prod i^{m_i} m_i!, multiplicity map."""
@@ -183,7 +180,3 @@ def parse_partition(text: str) -> Partition:
     except ValueError as exc:
         raise DomainError(f"cannot parse partition from {text!r}") from exc
     return check_partition(parts)
-
-
-def format_partition(lam) -> str:
-    return ",".join(str(p) for p in lam)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from . import characters, oracle
 from .asymptotics import (
-    _block_degrees,
     b_leading_sweep,
     completed_leading_sweep,
     first_r,
@@ -24,6 +23,7 @@ from .asymptotics import (
 )
 from .core import (
     GSpec,
+    _degrees,
     _gw_scale,
     _orders,
     _resolve_degree,
@@ -39,8 +39,9 @@ from .core import (
 )
 from .errors import DomainError, EmptyReportError, SizeLimitError
 from .exactnum import stirling
-from .jack import b_hurwitz_sweep, deformed_contents, hall_product, jack_in_psums, jack_norm
-from .partitions import class_data, enumerate_partitions, transpose
+from .jack import (_check_jack_degree, b_hurwitz_sweep, deformed_contents, hall_product,
+                   jack_in_psums, jack_norm)
+from .partitions import class_data, enumerate_partitions, partition_tuple, transpose
 
 
 def _report(name: str, checks: list[dict], **config) -> dict:
@@ -289,6 +290,7 @@ JACK_B0_MAX_D, JACK_B0_MAX_R = 4, 6
 
 
 def verify_jack(max_d: int = 5) -> dict:
+    _check_jack_degree(max_d)  # above the ceiling, fail before any basis is built
     checks: list[dict] = []
     for d in range(1, max_d + 1):
         parts = enumerate_partitions(d)
@@ -472,7 +474,7 @@ def ratio_family(kind: str, r_values, *, d: int | None = None, s: int = 1,
         else:
             lead = lambda rows: completed_leading_sweep(rows, d, s)
     elif kind == "monotone":
-        a_vec, b_vec = _block_degrees(a_vec, b_vec)
+        a_vec, b_vec = _degrees("a", a_vec), _degrees("b", b_vec)
         gspec = GSpec(K=k, L=len(a_vec), M=len(b_vec))
         exact = {result.r: result.value for result in hypergeometric_hurwitz_sweep(
             r_values, gspec, profiles, d=d, monomial=a_vec + b_vec)}
@@ -518,6 +520,7 @@ EIGENVALUE_INDICES = (2, 3, 4, 5)
 
 def verify_eigenvalue_order(max_d: int = 10) -> dict:
     _check_sweep_start("eigenvalue-order", max_d)
+    partition_tuple(max_d)  # above the ceiling, fail before any eigenvalue
     checks: list[dict] = []
     for s in EIGENVALUE_INDICES:
         ok = True

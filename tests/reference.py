@@ -1,0 +1,100 @@
+"""Reference paths that only the tests read.
+
+Each is a slower or more literal route to a quantity the library
+computes another way: the tests check the library against them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hurwitz.core import GSpec, _content_terms, content_sequences, rh_genus
+from hurwitz.errors import SizeLimitError
+from hurwitz.exactnum import MultiPoly
+from hurwitz.oracle import (
+    FactorizationQuery,
+    GroupAlgebraElement,
+    Perm,
+    _normalized,
+    central_idempotent,
+    class_perms,
+    compose,
+    identity,
+    transpositions,
+)
+from hurwitz.partitions import enumerate_partitions
+
+
+def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fraction:
+    """``oracle.count_factorizations`` by raw depth-first enumeration of
+    every tuple.
+
+    Exponentially slow; the audit path of the dynamic-programming walk.
+    """
+    d = query.d
+    if query.total_transpositions() > guard:
+        raise SizeLimitError("DFS oracle guard exceeded")
+    taus = transpositions(d)
+    count = 0
+
+    def walk_blocks(prefix: Perm, blocks):
+        nonlocal count
+        if not blocks:
+            if prefix == identity(d):
+                count += 1
+            return
+        head, tail = blocks[0], blocks[1:]
+        strict = head.constraint == "strict"
+
+        def walk(p: Perm, remaining: int, last: int):
+            if remaining == 0:
+                walk_blocks(p, tail)
+                return
+            for tau, b in taus:
+                if head.constraint != "none" and (b < last or (strict and b == last)):
+                    continue
+                walk(compose(p, tau), remaining - 1, b)
+
+        walk(prefix, head.count, 0)
+
+    def walk_profiles(p: Perm, profiles):
+        if not profiles:
+            walk_blocks(p, query.blocks)
+            return
+        for sigma in class_perms(d, profiles[0]):
+            walk_profiles(compose(p, sigma), profiles[1:])
+
+    walk_profiles(identity(d), query.profiles)
+    return _normalized(count, query)
+
+
+def resolution_of_identity(d: int) -> bool:
+    """Whether the central idempotents of degree d sum to the identity."""
+    total = GroupAlgebraElement.zero(d)
+    for lam in enumerate_partitions(d):
+        total = total + central_idempotent(lam)
+    return total == GroupAlgebraElement.identity(d)
+
+
+def content_product(weights, gspec: GSpec, r: int,
+                    caps: tuple[int, ...] | None = None) -> MultiPoly:
+    """[z^r] of the product over box weights c of G(z * c), exact in u's and v's.
+
+    The weights are the box contents, or the deformed contents of the
+    b-deformed engine; zero weights contribute the factor 1.  The
+    coefficient of ``u^a v^b`` is prod e_{a_i} prod h_{b_j} hk_{r-|a|-|b|}
+    (see ``content_sequences``); ``caps`` drops monomials beyond them.
+    The one-r case of ``core.content_factor``, with Fraction coefficients,
+    read from the sequences of these weights with no memo."""
+    poly = _content_terms(content_sequences(weights, gspec, r), gspec, caps, None)(r)
+    poly.terms = {expo: Fraction(coeff) for expo, coeff in poly.terms.items()}
+    return poly
+
+
+def admissible_parity(r: int, s: int, d: int, profiles) -> bool:
+    """Whether the Riemann-Hurwitz genus is an integer for these data."""
+    return rh_genus(r, s, d, profiles).denominator == 1
+
+
+def format_partition(lam) -> str:
+    return ",".join(str(p) for p in lam)

@@ -43,6 +43,7 @@ from hurwitz.errors import EmptyReportError
 from hurwitz.exactnum import stirling
 from hurwitz.jack import b_hurwitz_coefficient
 from hurwitz.partitions import enumerate_partitions
+from reference import resolution_of_identity
 
 MILLI = Fraction(1, 1000)
 CENTI = Fraction(1, 100)
@@ -378,7 +379,7 @@ def test_criterion_8_literal_displayed_expansion():
 def test_criterion_8_idempotents():
     ok = True
     for d in range(1, 6):
-        if not oracle.resolution_of_identity(d):
+        if not resolution_of_identity(d):
             ok = False
         for lam in enumerate_partitions(d):
             report = oracle.idempotent_check(

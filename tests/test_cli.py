@@ -400,10 +400,15 @@ class TestExitCodes:
          "degree must be positive: -2"),
         (("compute", "--kind", "orbifold", "--d", "0", "--t", "1", "--r", "0"),
          "degree must be positive: 0"),
+        (("compute", "--kind", "classical", "--d", "4", "--r", "2", "--r-max", "10"),
+         "give --r or --r-min/--r-max, not both"),
+        (("table", "--what", "ratio", "--kind", "classical", "--d", "4", "--r", "6",
+          "--r-min", "2", "--r-max", "10"), "give --r or --r-min/--r-max, not both"),
     ], ids=["verify-ratio-unknown-kind", "table-ratio-unknown-kind",
             "verify-ratio-gw-one-profile", "b-content-degree-zero",
             "b-content-connected", "classical-profiles", "orbifold-contradicting-d",
-            "gw-contradicting-d", "orbifold-negative-degree", "orbifold-degree-zero"])
+            "gw-contradicting-d", "orbifold-negative-degree", "orbifold-degree-zero",
+            "compute-r-with-r-max", "table-ratio-r-with-range"])
     def test_rejected_request(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE

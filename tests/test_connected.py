@@ -12,9 +12,7 @@ from hurwitz import core, oracle
 from hurwitz.core import (
     GSpec,
     _integral,
-    _multiset_difference,
     _resolve_degree,
-    _sub_multisets,
     character_sum,
     character_weights,
     classical_hurwitz,
@@ -24,7 +22,6 @@ from hurwitz.core import (
     completed_sweep,
     connected_spectrum,
     connected_transform_multi,
-    content_product,
     f_bar,
     f_bar_denominator,
     gw_correlator,
@@ -34,6 +31,7 @@ from hurwitz.core import (
 )
 from hurwitz.exactnum import MultiPoly
 from hurwitz.partitions import class_data, contents, partition_tuple
+from reference import content_product
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +58,19 @@ def _compositions(total, k):
             yield (first,) + rest
 
 
+def _position_splits(mu, size):
+    """``(sub, rest)`` for each sub-multiset ``sub`` of the partition mu
+    with the given total and the parts ``rest`` left over, read off the
+    sets of positions of mu, in decreasing order of ``sub``."""
+    found = {}
+    for k in range(len(mu) + 1):
+        for chosen in itertools.combinations(range(len(mu)), k):
+            sub = tuple(mu[i] for i in chosen)
+            if sum(sub) == size:
+                found[sub] = tuple(p for i, p in enumerate(mu) if i not in chosen)
+    return sorted(found.items(), reverse=True)
+
+
 def _profile_splits(profiles, sizes):
     """Ordered splits of every profile into sub-profiles of the given sizes;
     per split, a tuple over profiles of tuples over components."""
@@ -68,8 +79,7 @@ def _profile_splits(profiles, sizes):
             if sum(mu) == sizes[0]:
                 yield (mu,)
             return
-        for sub in _sub_multisets(mu, sizes[0]):
-            rest = _multiset_difference(mu, sub)
+        for sub, rest in _position_splits(mu, sizes[0]):
             for tail in split_one(rest, sizes[1:]):
                 yield (sub,) + tail
 
@@ -389,6 +399,19 @@ def test_pair_matches_value_for_polynomial_totals(rescale):
         assert got == want, c
         nonzero += want != 0
     assert nonzero
+
+
+def test_profile_splits_match_the_positions():
+    # the engine's splits, in its order, against the sets of positions
+    assert core._profile_splits((), 2) == (((), ()),)
+    for d in range(1, 8):
+        parts = partition_tuple(d)
+        for mu, nu in itertools.product(parts, repeat=2):
+            for d1 in range(d + 1):
+                want = tuple(((a, b), (rest_a, rest_b))
+                             for a, rest_a in _position_splits(mu, d1)
+                             for b, rest_b in _position_splits(nu, d1))
+                assert core._profile_splits((mu, nu), d1) == want, (mu, nu, d1)
 
 
 def test_exponential_formula_stores_no_zero(monkeypatch):

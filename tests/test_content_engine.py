@@ -11,7 +11,6 @@ from hurwitz import core
 from hurwitz.core import (
     GSpec,
     completed_hurwitz,
-    content_product,
     content_sequences,
     gw_correlator,
     hypergeometric_hurwitz,
@@ -29,6 +28,7 @@ from hurwitz.exactnum import (
 from hurwitz.jack import b_hurwitz_coefficient, deformed_contents
 from hurwitz.partitions import contents, enumerate_partitions
 from hurwitz.verify import ratio_family, verify_ratio
+from reference import content_product
 
 
 def reference_series(weights, gspec, order, caps=None, series=None):

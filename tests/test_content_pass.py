@@ -14,7 +14,6 @@ from hurwitz.core import (
     completed_hurwitz,
     completed_hurwitz_sweep,
     connected_transform_multi,
-    content_product,
     f_bar,
     hypergeometric_hurwitz_sweep,
     mixed_simple_hypergeometric,
@@ -24,6 +23,7 @@ from hurwitz.core import (
 from hurwitz.jack import b_hurwitz_sweep, deformed_contents, jack_weights
 from hurwitz.partitions import contents, enumerate_partitions
 from hurwitz.verify import ratio_family
+from reference import content_product
 
 R_VALUES = range(21)
 
@@ -258,6 +258,13 @@ def test_caps_and_monomial_are_checked():
     with pytest.raises(core.DomainError, match="not both"):
         hypergeometric_hurwitz_sweep(R_VALUES, GSpec(K=1, L=1), d=3, caps=(1,),
                                      monomial=(1,))
+
+
+def test_mixed_orders_are_checked_by_name():
+    with pytest.raises(core.DomainError, match="^r_simple must be nonnegative: -1$"):
+        mixed_simple_hypergeometric_sweep([0, -1], 2, GSpec(K=1), d=3)
+    with pytest.raises(core.DomainError, match="^r must be nonnegative: -2$"):
+        mixed_simple_hypergeometric_sweep([0], -2, GSpec(K=1), d=3)
 
 
 def test_a_monomial_beyond_the_range_is_zero():

@@ -8,7 +8,6 @@ from hurwitz import oracle
 from hurwitz.asymptotics import gw_leading_term
 from hurwitz.core import (
     GSpec,
-    admissible_parity,
     character_sum,
     classical_hurwitz,
     completed_hurwitz,
@@ -29,6 +28,7 @@ from hurwitz.core import (
 from hurwitz.errors import DomainError
 from hurwitz.oracle import Block, FactorizationQuery, count_factorizations
 from hurwitz.partitions import class_data, enumerate_partitions
+from reference import admissible_parity
 
 
 def f_bar_via_row_shifts(lam, s):
@@ -115,6 +115,22 @@ class TestMds:
         for d in range(1, 9):
             for s in range(1, 5):
                 assert m_ds(d, s) == f_bar((d,), s + 1)
+
+    def test_closed_form(self):
+        # (1/(s+1)) [(d - 1/2)^{s+1} - (-1/2)^{s+1} + c_{s+1}], the one
+        # diagonal hook of the row with c_s = (1 - 2^-s) zeta(-s)
+        from hurwitz.exactnum import zeta_neg
+
+        half = Fraction(1, 2)
+        for d in range(1, 41):
+            for s in range(1, 9):
+                c = (1 - Fraction(1, 2 ** (s + 1))) * zeta_neg(s + 1)
+                assert m_ds(d, s) == ((d - half) ** (s + 1) - (-half) ** (s + 1) + c) / (s + 1)
+
+    def test_argument_check(self):
+        for d, s in ((0, 1), (3, 0)):
+            with pytest.raises(DomainError, match="m_ds wants"):
+                m_ds(d, s)
 
 
 class TestCompleted:

@@ -14,15 +14,14 @@ from hurwitz.oracle import (
     block_walk,
     central_idempotent,
     count_factorizations,
-    count_factorizations_dfs,
     cycle_type,
     idempotent_check,
     jm_series,
     jm_symmetric_evaluate,
     permutation_character,
-    resolution_of_identity,
 )
 from hurwitz.partitions import enumerate_partitions
+from reference import count_factorizations_dfs, resolution_of_identity
 
 
 class TestCounts:
@@ -255,6 +254,19 @@ class TestSuiteSizes:
     def test_a_sweep_with_no_degree_is_refused(self, suite, max_d):
         with pytest.raises(DomainError):
             getattr(verify, "verify_" + suite.replace("-", "_"))(max_d=max_d)
+
+    @pytest.mark.parametrize("suite, max_d", [("jack", 9), ("eigenvalue_order", 41)])
+    def test_a_size_above_the_ceiling_is_refused_before_any_work(self, monkeypatch, suite,
+                                                                 max_d):
+        # the Jack ceiling (8) and the partition ceiling (40)
+        calls = []
+        for name in ("jack_in_psums", "f_bar"):
+            original = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *args, _original=original, _name=name:
+                                calls.append(_name) or _original(*args))
+        with pytest.raises(SizeLimitError):
+            getattr(verify, "verify_" + suite)(max_d=max_d)
+        assert calls == []
 
     def test_fixed_sizes_stay_in_the_report(self):
         assert verify.verify_oracle(max_d=1, max_transpositions=1)["config"] == {

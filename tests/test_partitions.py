@@ -11,13 +11,13 @@ from hurwitz.partitions import (
     check_partition,
     contents,
     enumerate_partitions,
-    format_partition,
     frobenius_shifted,
     hook_lengths,
     parse_partition,
     partition_tuple,
     transpose,
 )
+from reference import format_partition
 
 
 def pentagonal_count(n: int) -> int:

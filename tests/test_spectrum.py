@@ -107,6 +107,12 @@ def test_completed_sweep_checks_its_orders(r_values, s, message, connected):
         completed_sweep(r_values, s, (), 3, connected=connected)
 
 
+@pytest.mark.parametrize("s", [0, -2])
+def test_structure_coefficients_check_s(s):
+    with pytest.raises(DomainError, match="^s must be positive"):
+        structure_coefficients(s, (), d=3)
+
+
 @pytest.mark.parametrize("t", [2, 3], ids=["t-not-dividing-d", "t-dividing-d"])
 def test_orbifold_checks_r_on_both_branches(t):
     with pytest.raises(DomainError, match="^r must be nonnegative"):
