@@ -538,6 +538,16 @@ def _content_terms(sequences, gspec: GSpec, caps, monomial):
     return polynomial
 
 
+def _caps_or_monomial(gspec: GSpec, caps, monomial) -> tuple:
+    """``caps`` and ``monomial`` as block degrees (``_degrees``), refused
+    together."""
+    caps, monomial = (None if expo is None else _degrees(name, expo, gspec.nvars)
+                      for name, expo in (("caps", caps), ("monomial", monomial)))
+    if caps is not None and monomial is not None:
+        raise DomainError("give caps or a monomial, not both")
+    return caps, monomial
+
+
 def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = None,
                    monomial: tuple[int, ...] | None = None, alpha=1):
     """The content-product factor ``lam -> (r -> term)`` of ``weighted_sweep``
@@ -550,10 +560,7 @@ def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = N
     times the true one (``content_sequences`` is homogeneous), so the
     caller divides each total by ``q^r``.
     """
-    caps, monomial = (None if expo is None else _degrees(name, expo, gspec.nvars)
-                      for name, expo in (("caps", caps), ("monomial", monomial)))
-    if caps is not None and monomial is not None:
-        raise DomainError("give caps or a monomial, not both")
+    caps, monomial = _caps_or_monomial(gspec, caps, monomial)
     alpha = Fraction(alpha)
 
     def factor(lam):
@@ -586,6 +593,7 @@ def hypergeometric_hurwitz_sweep(r_values, gspec: GSpec, profiles=(), *,
     r_values = _orders(r_values)
     d, profiles = _resolve_degree(profiles, d)
     r_max = max(r_values, default=0)
+    caps, monomial = _caps_or_monomial(gspec, caps, monomial)
     cap = monomial if connected and monomial is not None else caps
     factor = content_factor(gspec, r_max, caps=cap, monomial=None if connected else monomial)
     values = _character_sweep(factor, r_values, profiles, d, connected=connected, caps=cap)

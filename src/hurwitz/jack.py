@@ -1,17 +1,17 @@
 """Jack polynomials in the power-sum basis and the b-deformed engine.
 
-The monomial symmetric functions enter over the power sums through one
-triangular solve: p_mu expands over the monomials of the coarsenings of
-mu, which dominate mu and so come first in canonical order.
-
-Jack polynomials are computed by Gram-Schmidt over monomial symmetric
-functions in dominance order, under the deformed Hall product
-``<p_lam, p_mu> = delta * z(lam) * alpha^len(lam)``.  The reverse-lex
-partition order is a linear extension of dominance, and the Jack family
-is the unique dominance-unitriangular orthogonal family, so the
-orthogonalisation lands exactly on it.  The J-normalisation pins the
-coefficient of ``p_1^d`` to 1 (equivalently the monomial ``m_{1^d}``
-carries coefficient d!).
+Jack polynomials are computed by Gram-Schmidt over the elementary
+products ``e_{lam'}`` (one ``e_c`` per column length c of lam) in
+dominance order, in the power-sum basis, under the deformed Hall product
+``<p_lam, p_mu> = delta * z(lam) * alpha^len(lam)``.  Each ``e_c`` is
+``sum over mu |- c of (-1)^(c - len(mu)) p_mu / z(mu)``, and ``e_{lam'}``
+is ``m_lam`` plus monomials that lam dominates, so it spans what the
+monomials span at each step.  The reverse-lex partition order is a
+linear extension of dominance, and the Jack family is the unique
+dominance-unitriangular orthogonal family, so the orthogonalisation
+lands exactly on it.  The J-normalisation pins the coefficient of
+``p_1^d`` to 1 (equivalently the monomial ``m_{1^d}`` carries
+coefficient d!).
 
 The b-deformed Hurwitz engine replaces squared dimensions by Jack
 norms, characters by Jack characters, and each box content ``j - i`` by
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import (GSpec, _content_value, _orders, _over, _resolve_degree, content_factor,
                    weighted_sweep)
@@ -40,52 +39,6 @@ from .partitions import (
 )
 
 DEFAULT_JACK_CEILING = 8
-
-
-# ---------------------------------------------------------------------------
-# Power sums versus monomial symmetric functions
-# ---------------------------------------------------------------------------
-
-def _fills(parts: Partition, slots: tuple[int, ...], memo: dict) -> int:
-    """The ways to send each of the labelled ``parts`` to one of the
-    ``slots`` (capacities in decreasing order) so that every slot fills
-    exactly; ``memo`` holds one row's counts, keyed on (parts left,
-    capacities left)."""
-    if not parts:
-        return 1  # the capacities left sum to 0
-    key = (len(parts), slots)
-    count = memo.get(key)
-    if count is None:
-        first, rest = parts[0], parts[1:]
-        count = memo[key] = sum(
-            _fills(rest, tuple(sorted(slots[:j] + (s - first,) + slots[j + 1:], reverse=True)),
-                   memo)
-            for j, s in enumerate(slots) if s >= first)
-    return count
-
-
-@lru_cache(maxsize=None)
-def _m_in_p_matrix(d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row lam: the expansion of m_lam over the p basis.
-
-    p_mu = sum of c(mu, lam) m_lam over the coarsenings lam of mu, with c
-    counted by ``_fills``.  A coarsening dominates mu, so it comes earlier
-    in canonical order, and the rows solve in that order:
-    m_mu = (p_mu - sum of c(mu, lam) m_lam over earlier lam) / c(mu, mu).
-    """
-    parts = enumerate_partitions(d)
-    rows: list[tuple[Fraction, ...]] = []
-    for i, mu in enumerate(parts):
-        memo: dict = {}
-        row = [Fraction(0)] * len(parts)
-        row[i] = Fraction(1)  # p_mu
-        for lam, m_lam in zip(parts, rows):
-            c = _fills(mu, lam, memo)
-            if c:
-                row = [x - c * y for x, y in zip(row, m_lam)]
-        diagonal = _fills(mu, mu, memo)
-        rows.append(tuple(x / diagonal for x in row))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +67,24 @@ def hall_product(d: int, alpha: Fraction):
     return dot
 
 
+def _elementary_in_psums(lam: Partition) -> dict[Partition, Fraction]:
+    """e_{lam'} over the p basis: the product, over the column lengths c of
+    lam, of e_c = sum over mu |- c of (-1)^(c - len(mu)) p_mu / z(mu)."""
+    vec = {(): Fraction(1)}
+    for c in transpose(lam):
+        e_c = [(mu, Fraction((-1) ** (c - len(mu)), class_data(mu).stabilizer))
+               for mu in enumerate_partitions(c)]
+        product: dict[Partition, Fraction] = {}
+        for nu, x in vec.items():
+            for mu, y in e_c:
+                key = tuple(sorted(nu + mu, reverse=True))
+                product[key] = product.get(key, 0) + x * y
+        vec = product
+    return vec
+
+
+# past JACK_CACHE_SIZE bases the oldest (d, alpha) is evicted first
+JACK_CACHE_SIZE = 64
 _jack_cache: dict[tuple[int, Fraction], dict[Partition, dict[Partition, Fraction]]] = {}
 _jack_lock = threading.Lock()
 
@@ -131,14 +102,12 @@ def _jack_basis(d: int, alpha: Fraction) -> dict[Partition, dict[Partition, Frac
         if cached is not None:
             return cached
         parts = enumerate_partitions(d)
-        m_in_p = _m_in_p_matrix(d)
         dot = hall_product(d, alpha)
         basis: dict[Partition, dict[Partition, Fraction]] = {}
         norms: dict[Partition, Fraction] = {}
         # increasing dominance order = reversed canonical enumeration
-        for idx in range(len(parts) - 1, -1, -1):
-            lam = parts[idx]
-            vec = {mu: c for mu, c in zip(parts, m_in_p[idx]) if c}
+        for lam in reversed(parts):
+            vec = _elementary_in_psums(lam)
             for prev, pvec in basis.items():
                 proj = dot(vec, pvec)
                 if proj:
@@ -166,6 +135,8 @@ def _jack_basis(d: int, alpha: Fraction) -> dict[Partition, dict[Partition, Frac
             for lam in parts
         }
         _jack_cache[key] = jays
+        if len(_jack_cache) > JACK_CACHE_SIZE:
+            del _jack_cache[next(iter(_jack_cache))]
     return jays
 
 

@@ -258,6 +258,9 @@ def test_caps_and_monomial_are_checked():
     with pytest.raises(core.DomainError, match="not both"):
         hypergeometric_hurwitz_sweep(R_VALUES, GSpec(K=1, L=1), d=3, caps=(1,),
                                      monomial=(1,))
+    with pytest.raises(core.DomainError, match="not both"):
+        hypergeometric_hurwitz_sweep((6,), GSpec(K=1, L=1), ((3, 2, 1), (2, 2, 2)),
+                                     connected=True, caps=(1,), monomial=(2,))
 
 
 def test_mixed_orders_are_checked_by_name():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from hurwitz.core import GSpec, hypergeometric_hurwitz, hypergeometric_hurwitz_s
 from hurwitz.errors import DomainError, SingularParameterError, SizeLimitError
 from hurwitz.exactnum import GaussianRational
 from hurwitz.jack import (
-    _m_in_p_matrix,
     b_hurwitz_coefficient,
     b_hurwitz_sweep,
     deformed_contents,
@@ -79,10 +79,42 @@ def m_in_p_reference(d):
     return tuple(tuple(row) for row in inv)
 
 
-class TestChangeOfBasis:
+def jack_reference(d, alpha, m_in_p):
+    """{lam: J_lam over the p basis} by Gram-Schmidt over the rows of
+    ``m_in_p = m_in_p_reference(d)`` in increasing dominance order,
+    J-normalised; or the message of the first vanishing pivot."""
+    parts = enumerate_partitions(d)
+    basis = {}  # lam: (vector, squared norm)
+    for lam, m_lam in reversed(list(zip(parts, m_in_p))):
+        vec = dict(zip(parts, m_lam))
+        for pvec, norm in basis.values():
+            scale = hall_inner(vec, pvec, alpha) / norm
+            vec = {mu: vec[mu] - scale * pvec[mu] for mu in parts}
+        norm = hall_inner(vec, vec, alpha)
+        if norm == 0:
+            return f"vanishing Gram pivot at {lam} for alpha={alpha}"
+        if vec[(1,) * d] == 0:
+            return f"vanishing p_1^{d} coefficient at {lam} for alpha={alpha}"
+        basis[lam] = vec, norm
+    return {lam: {mu: c / vec[(1,) * d] for mu, c in vec.items() if c}
+            for lam, (vec, _) in basis.items()}
+
+
+class TestGramSchmidtOverMonomials:
     @pytest.mark.parametrize("d", range(1, 9))
-    def test_triangular_solve_matches_the_inverse(self, d):
-        assert _m_in_p_matrix(d) == m_in_p_reference(d)
+    def test_jack_basis_matches_the_monomial_reference(self, d):
+        m_in_p = m_in_p_reference(d)
+        for alpha in ALPHAS + (Fraction(5, 3), Fraction(-1, 3), Fraction(-3, 2)):
+            want = jack_reference(d, alpha, m_in_p)
+            # the degenerate parameters meet a zero pivot from these degrees on
+            assert isinstance(want, str) == (
+                (alpha == Fraction(-1, 3) and d >= 4) or (alpha == Fraction(-3, 2) and d >= 5))
+            for lam in enumerate_partitions(d):
+                if isinstance(want, str):
+                    with pytest.raises(SingularParameterError, match=re.escape(want)):
+                        jack_in_psums(lam, alpha)
+                else:
+                    assert jack_in_psums(lam, alpha) == want[lam], (lam, alpha)
 
 
 class TestExpansions:

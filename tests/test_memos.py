@@ -28,7 +28,6 @@ UNBOUNDED = {
     ("cli", "build_parser"),
     ("core", "_c_const"),
     ("exactnum", "bernoulli"),
-    ("jack", "_m_in_p_matrix"),
     ("oracle", "_profile_products"),
     ("oracle", "block_walk"),
     ("oracle", "class_perms"),
@@ -152,6 +151,14 @@ def test_connected_gw_lists_each_sub_instance_once(capsys, monkeypatch):
     assert code == cli.EXIT_OK
     assert len(asked) > len(set(asked))  # the transform asks again for a (d', P')
     assert core._character_weights.cache_info().misses == len(set(asked))
+
+
+def test_the_jack_basis_memo_keeps_the_newest_bases(monkeypatch):
+    monkeypatch.setattr(jack, "_jack_cache", {})
+    alphas = [Fraction(n, 7) for n in range(1, 101)]
+    for alpha in alphas:
+        jack._jack_basis(2, alpha)
+    assert list(jack._jack_cache) == [(2, alpha) for alpha in alphas[-jack.JACK_CACHE_SIZE:]]
 
 
 @pytest.mark.parametrize("b", [0, Fraction(1, 2), Fraction(-1, 2), 2])
