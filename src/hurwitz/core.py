@@ -259,7 +259,8 @@ def weighted_sweep(weights, factor, r_values, denominator: int | None = None) ->
     ``denominator``} for every r.
 
     ``factor(lam)`` is called once per partition and returns its term as
-    a function of r: an int, a Fraction or a MultiPoly.  Int weights and
+    a function of r: an int, a Fraction or a MultiPoly.  The r are keys
+    the terms read, orders or any hashable query.  Int weights and
     terms keep the sums on Python ints; ``denominator`` (omitted: no
     division) then divides each total once.  A polynomial term is added
     into its total in place (``MultiPoly.add_scaled``); the factor's own
@@ -620,25 +621,51 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                                         caps=caps, monomial=monomial)[0]
 
 
+def mixed_simple_hypergeometric_queries(queries, gspec: GSpec, profiles=(), *,
+                                        d: int | None = None,
+                                        caps: tuple[int, ...] | None = None) -> dict:
+    """{(r_simple, r, monomial): ``mixed_simple_hypergeometric(r_simple, r,
+    gspec, profiles, monomial=monomial)``} for every query, in one
+    ``weighted_sweep``; a query's ``monomial`` is None for the polynomial
+    within ``caps``.
+
+    Each partition's content sequences are read once, from the
+    ``_content_coefficient`` memo that ``content_factor`` reads, to the
+    largest r of the queries, and its ``f_bar(lam, 2)`` once.  Its term for
+    a query is the content term at (r, monomial) times
+    ``f_bar(lam, 2)^r_simple``, and each total is divided once by D.
+    """
+    queries = list(queries)
+    _orders((r_simple for r_simple, _, _ in queries), "r_simple")
+    _orders(r for _, r, _ in queries)
+    d, profiles = _resolve_degree(profiles, d)
+    shapes = {(r, monomial): _caps_or_monomial(gspec, caps, monomial)
+              for _, r, monomial in queries}
+    r_max = max((r for r, _ in shapes), default=0)
+
+    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
+        sequences = _content_coefficient(lam, gspec, r_max, 1, 1)
+        simple = _scaled_f_bar(lam, 2, 1)
+        content = {shape: _content_terms(sequences, gspec, *checked)(shape[0])
+                   for shape, checked in shapes.items()}
+        return lambda query: content[query[1:]] * simple**query[0]
+
+    totals = _character_sweep(factor, queries, profiles, d)
+    return {query: _content_value(total, gspec.nvars, query[2])
+            for query, total in totals.items()}
+
+
 def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, profiles=(),
                                       *, d: int | None = None,
                                       caps: tuple[int, ...] | None = None,
                                       monomial: tuple[int, ...] | None = None) -> dict:
     """{r_simple: ``mixed_simple_hypergeometric(r_simple, r, ...)``} for
-    every r_simple of ``r_simple_values``, in one ``weighted_sweep``: each
-    partition's content term at ``r`` and its ``f_bar(lam, 2)`` are read
-    once."""
-    r_simple_values = _orders(r_simple_values, "r_simple")
-    _orders((r,))
-    d, profiles = _resolve_degree(profiles, d)
-    content = content_factor(gspec, r, caps=caps, monomial=monomial)
-
-    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
-        term, simple = content(lam)(r), _scaled_f_bar(lam, 2, 1)
-        return lambda r_simple: term * simple**r_simple
-
-    totals = _character_sweep(factor, r_simple_values, profiles, d)
-    return {rs: _content_value(total, gspec.nvars, monomial) for rs, total in totals.items()}
+    every r_simple of ``r_simple_values``: the fixed-(r, monomial or caps)
+    case of ``mixed_simple_hypergeometric_queries``."""
+    monomial = None if monomial is None else tuple(monomial)
+    queries = [(r_simple, r, monomial) for r_simple in r_simple_values]
+    values = mixed_simple_hypergeometric_queries(queries, gspec, profiles, d=d, caps=caps)
+    return {query[0]: values[query] for query in queries}
 
 
 def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=(),

@@ -74,6 +74,8 @@ def _check_degree(d: int):
 
 
 def _check_transpositions(n: int):
+    if n < 0:
+        raise DomainError(f"transposition count must be nonnegative: {n}")
     if n > ORACLE_MAX_TRANSPOSITIONS:
         raise SizeLimitError(f"{n} transpositions exceed the guard {ORACLE_MAX_TRANSPOSITIONS}")
 
@@ -268,16 +270,25 @@ class FactorizationQuery(Frozen):
     def __init__(self, d: int, profiles: tuple[Partition, ...] = (),
                  blocks: tuple[Block, ...] = ()):
         set_field(self, "d", d)
-        set_field(self, "profiles", tuple(check_partition(mu) for mu in profiles))
         set_field(self, "blocks", tuple(blocks))
-        _check_degree(d)
-        for mu in self.profiles:
-            if sum(mu) != self.d:
-                raise DomainError(f"profile {mu} does not partition {self.d}")
-        _check_transpositions(self.total_transpositions())
+        set_field(self, "profiles", _checked_query(d, (profiles,), self.blocks)[0])
 
     def total_transpositions(self) -> int:
         return sum(b.count for b in self.blocks)
+
+
+def _checked_query(d: int, profile_lists, blocks) -> list[tuple[Partition, ...]]:
+    """Every profile list as partitions of ``d``, after the degree and
+    transposition guards: the checks of a ``FactorizationQuery``."""
+    profile_lists = [tuple(check_partition(mu) for mu in profiles)
+                     for profiles in profile_lists]
+    _check_degree(d)
+    for profiles in profile_lists:
+        for mu in profiles:
+            if sum(mu) != d:
+                raise DomainError(f"profile {mu} does not partition {d}")
+    _check_transpositions(sum(b.count for b in blocks))
+    return profile_lists
 
 
 @lru_cache(maxsize=None)
@@ -339,27 +350,40 @@ def _profile_products(d: int, profiles: tuple[Partition, ...]
     return tuple(vec.items())
 
 
-def count_factorizations(query: FactorizationQuery) -> Fraction:
-    """Normalized count: raw count / (d! * prod of class sizes).
+def count_factorizations_sweep(d: int, blocks, profile_lists) -> list[Fraction]:
+    """The normalized count of every profile list of ``profile_lists`` under
+    one block list, in order: raw count / (d! * prod of class sizes).
 
-    The identity coefficient of (prod of class sums) * (block element)
-    is the convolution below; both factors come from literal
-    enumeration and both are cached across queries.
+    The identity coefficient of (prod of class sums) * (block element) is
+    the convolution below; both factors come from literal enumeration and
+    both are cached across calls, and the block walk is read once for
+    every list.  The profiles and guards are checked as a
+    ``FactorizationQuery`` checks them.
     """
-    d = query.d
-    walk = dict(block_walk(d, query.blocks))
-    raw = 0
-    for p, n in _profile_products(d, query.profiles):
-        w = walk.get(inverse(p))
-        if w:
-            raw += n * w
-    return _normalized(raw, query)
+    blocks = tuple(blocks)
+    profile_lists = _checked_query(d, profile_lists, blocks)
+    walk = {inverse(p): n for p, n in block_walk(d, blocks)}  # keyed by the inverse
+    counts = []
+    for profiles in profile_lists:
+        raw = 0
+        for p, n in _profile_products(d, profiles):
+            w = walk.get(p)
+            if w:
+                raw += n * w
+        counts.append(_normalized(raw, d, profiles))
+    return counts
 
 
-def _normalized(raw: int, query: FactorizationQuery) -> Fraction:
+def _normalized(raw: int, d: int, profiles) -> Fraction:
     """A raw factorization count over ``d! prod |C_mu|``."""
-    return Fraction(raw, math.factorial(query.d) * math.prod(
-        class_data(mu).class_size for mu in query.profiles))
+    return Fraction(raw, math.factorial(d) * math.prod(
+        class_data(mu).class_size for mu in profiles))
+
+
+def count_factorizations(query: FactorizationQuery) -> Fraction:
+    """Normalized count: raw count / (d! * prod of class sizes), the
+    one-list case of ``count_factorizations_sweep``."""
+    return count_factorizations_sweep(query.d, query.blocks, (query.profiles,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,39 +511,49 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
 # ---------------------------------------------------------------------------
 
 def _tabloids(lam: Partition, d: int):
-    """Ordered set partitions of range(d) with block sizes lam."""
-    def rec(remaining: frozenset, shape):
-        if not shape:
-            yield ()
+    """Ordered set partitions of range(d) with block sizes lam, each as
+    the tuple of the block index of every point."""
+    def rec(labels: list, remaining: list, block: int):
+        if block == len(lam):
+            yield tuple(labels)
             return
-        head, *tail = shape
-        for block in itertools.combinations(sorted(remaining), head):
-            fs = frozenset(block)
-            for rest in rec(remaining - fs, tail):
-                yield (fs,) + rest
+        for chosen in itertools.combinations(remaining, lam[block]):
+            for x in chosen:
+                labels[x] = block
+            rest = [x for x in remaining if x not in chosen]
+            yield from rec(labels, rest, block + 1)
 
-    yield from rec(frozenset(range(d)), list(lam))
+    yield from rec([0] * d, list(range(d)), 0)
+
+
+def permutation_characters(lam) -> dict[Partition, int]:
+    """{mu: trace of a permutation of cycle type mu on the tabloid module of
+    shape lam} for every mu of |lam|, from one enumeration of the tabloids.
+
+    This is an honest fixed-point count on explicitly enumerated
+    tabloids, with no character theory behind it: a permutation fixes a
+    tabloid when it maps every point into the point's own block.
+    """
+    lam = check_partition(lam)
+    d = sum(lam)
+    _check_degree(d)
+    sigmas = {mu: class_representative(d, mu) for mu in enumerate_partitions(d)}
+    fixed = dict.fromkeys(sigmas, 0)
+    for labels in _tabloids(lam, d):
+        for mu, sigma in sigmas.items():
+            if tuple(map(labels.__getitem__, sigma)) == labels:  # labels[sigma[x]] == labels[x]
+                fixed[mu] += 1
+    return fixed
 
 
 def permutation_character(lam, mu) -> int:
-    """Trace of a permutation of cycle type mu on the tabloid module of shape lam.
-
-    This is an honest fixed-point count on explicitly enumerated
-    tabloids, with no character theory behind it.
-    """
+    """Trace of a permutation of cycle type mu on the tabloid module of
+    shape lam: the one-mu read of ``permutation_characters``."""
     lam = check_partition(lam)
     mu = check_partition(mu)
-    d = sum(lam)
-    if sum(mu) != d:
+    if sum(mu) != sum(lam):
         raise DomainError(f"size mismatch: |{lam}| != |{mu}|")
-    _check_degree(d)
-    sigma = class_representative(d, mu)
-    fixed = 0
-    for tab in _tabloids(lam, d):
-        image = tuple(frozenset(sigma[x] for x in block) for block in tab)
-        if image == tab:
-            fixed += 1
-    return fixed
+    return permutation_characters(lam)[mu]
 
 
 def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fraction]]:
@@ -527,8 +561,9 @@ def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fracti
 
     Young's rule makes the permutation characters unitriangular over the
     irreducibles in dominance order, so Gram-Schmidt with the class
-    inner product peels them off top-down.  Independent of the
-    Murnaghan-Nakayama path.
+    inner product peels them off top-down.  Each lambda's permutation
+    character is one ``permutation_characters`` pass over its tabloids.
+    Independent of the Murnaghan-Nakayama path.
     """
     _check_degree(d)
     parts = enumerate_partitions(d)
@@ -540,7 +575,7 @@ def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fracti
 
     chars: dict[Partition, dict[Partition, Fraction]] = {}
     for lam in parts:  # reverse-lex order extends dominance downward
-        vec = {mu: Fraction(permutation_character(lam, mu)) for mu in parts}
+        vec = {mu: Fraction(chi) for mu, chi in permutation_characters(lam).items()}
         for prev in chars.values():
             c = inner(vec, prev)
             if c:

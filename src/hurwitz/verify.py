@@ -30,10 +30,9 @@ from .core import (
     completed_sweep,
     f_bar,
     gap_interval,
-    hypergeometric_hurwitz,
     hypergeometric_hurwitz_sweep,
     m_ds,
-    mixed_simple_hypergeometric_sweep,
+    mixed_simple_hypergeometric_queries,
     resum_structure,
     structure_coefficients,
 )
@@ -139,6 +138,12 @@ def _block_configs(max_transpositions: int):
                     yield (oracle.Block(k1, c1), oracle.Block(k2, c2))
 
 
+def _oracle_profiles(d: int) -> list[tuple]:
+    """Every list of at most two profiles of degree d, in the suite's order."""
+    parts = enumerate_partitions(d)
+    return [()] + [(mu,) for mu in parts] + [(mu, nu) for mu in parts for nu in parts]
+
+
 def _engine_query(blocks) -> tuple:
     """The engine query ``(simple, gspec, monomial)`` of a block list."""
     simple = sum(b.count for b in blocks if b.constraint == "none")
@@ -147,25 +152,32 @@ def _engine_query(blocks) -> tuple:
     return simple, GSpec(K=0, L=len(strict), M=len(weak)), tuple(strict + weak)
 
 
+def _engine_shapes(queries) -> dict:
+    """{gspec: {(simple, monomial)}} over the ``_engine_query`` tuples
+    ``queries``: what ``_engine_values`` reads per gspec."""
+    shapes: dict = {}
+    for simple, gspec, monomial in queries:
+        shapes.setdefault(gspec, set()).add((simple, monomial))
+    return shapes
+
+
 def _engine_values(d: int, profiles, shapes: dict) -> dict:
     """{query: character-sum value} at one (d, profiles) for every
-    ``_engine_query`` of ``shapes``, a dict {(gspec, monomial): simple
-    counts}, read once per (gspec, monomial): one completed sweep without
-    monotone blocks, and otherwise the hypergeometric value at no simple
-    transposition and one mixed sweep over the other simple counts."""
+    ``_engine_query`` of ``shapes`` (``_engine_shapes``), read once per
+    gspec: one completed sweep over the simple counts without monotone
+    blocks, and otherwise one ``mixed_simple_hypergeometric_queries``
+    over every (simple count, monomial) at z-order ``sum(monomial)``."""
     values = {}
-    for (gspec, monomial), counts in shapes.items():
+    for gspec, shape in shapes.items():
         if gspec.nvars == 0:
-            got = completed_sweep(sorted(counts), 1, profiles, d)
+            got = completed_sweep(sorted(simple for simple, _ in shape), 1, profiles, d)
+            values.update(((simple, gspec, ()), v) for simple, v in got.items())
         else:
-            r, got = sum(monomial), {}
-            if 0 in counts:
-                got[0] = hypergeometric_hurwitz(r, gspec, profiles, d=d,
-                                                monomial=monomial).value
-            if counts - {0}:
-                got.update(mixed_simple_hypergeometric_sweep(
-                    sorted(counts - {0}), r, gspec, profiles, d=d, monomial=monomial))
-        values.update(((simple, gspec, monomial), v) for simple, v in got.items())
+            got = mixed_simple_hypergeometric_queries(
+                [(simple, sum(monomial), monomial) for simple, monomial in sorted(shape)],
+                gspec, profiles, d=d)
+            values.update(((simple, gspec, monomial), v)
+                          for (simple, _, monomial), v in got.items())
     return values
 
 
@@ -176,32 +188,28 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 
     Both oracle guards (degree and transpositions) are checked before the
     sweep.  Each block list maps to one engine query ``(simple, gspec,
-    monomial)``, and the engine is read once per (d, profiles, gspec,
-    monomial) for every simple count at once (``_engine_values``); every
-    query is still counted literally and compared with its engine value.
+    monomial)``.  Per (d, profiles) the engine is read once per gspec, for
+    every query of that gspec at once (``_engine_values``), and per (d,
+    block list) the literal counts of every profile combination come from
+    one ``oracle.count_factorizations_sweep``; every query is compared with
+    its engine value, block list by block list.
     """
     oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
     checks: list[dict] = []
     configs = [(blocks, _engine_query(blocks))
                for blocks in _block_configs(max_transpositions)]
-    shapes: dict = {}
-    for _, (simple, gspec, monomial) in configs:
-        shapes.setdefault((gspec, monomial), set()).add(simple)
+    shapes = _engine_shapes(query for _, query in configs)
     for d in range(1, max_d + 1):
-        parts = enumerate_partitions(d)
-        combos = [()]
-        combos += [(mu,) for mu in parts]
-        combos += [(mu, nu) for mu in parts for nu in parts]
+        combos = _oracle_profiles(d)
         engine = {profs: _engine_values(d, profs, shapes) for profs in combos}
         bad = 0
         total = 0
         first_bad = ""
         for blocks, query in configs:
-            for profs in combos:
+            counts = oracle.count_factorizations_sweep(d, blocks, combos)
+            for profs, expected in zip(combos, counts):
                 total += 1
-                expected = oracle.count_factorizations(
-                    oracle.FactorizationQuery(d=d, profiles=profs, blocks=blocks))
                 got = engine[profs][query]
                 if got != expected:
                     bad += 1

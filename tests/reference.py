@@ -65,7 +65,7 @@ def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fr
             walk_profiles(compose(p, sigma), profiles[1:])
 
     walk_profiles(identity(d), query.profiles)
-    return _normalized(count, query)
+    return _normalized(count, d, query.profiles)
 
 
 def resolution_of_identity(d: int) -> bool:

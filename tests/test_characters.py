@@ -92,7 +92,7 @@ class TestTable:
     def test_dimension_sum(self, d):
         assert sum(dim(lam) ** 2 for lam in enumerate_partitions(d)) == math.factorial(d)
 
-    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("d", range(1, oracle.ORACLE_MAX_DEGREE + 1))
     def test_against_permutation_module_bruteforce(self, d):
         brute = oracle.bruteforce_character_table(d)
         t = char_table(d)

@@ -1019,14 +1019,27 @@ class TestOracleGuards:
     def test_above_a_guard_exits_before_any_count(self, capsys, monkeypatch, argv, message):
         counted = []
         monkeypatch.setattr(oracle, "count_factorizations", counted.append)
+        monkeypatch.setattr(oracle, "count_factorizations_sweep",
+                            lambda *args: counted.append(args))
         code, out, err = run(capsys, "verify", "oracle", *argv)
         assert code == EXIT_SIZE_LIMIT and out == "" and message in err
         assert counted == []
 
-    def test_at_the_guards_runs(self, capsys):
+    def test_at_the_guards_runs(self, capsys, monkeypatch):
+        # the suite counts through the bulk counter the guard test patches:
+        # one call per block list (436 lists of at most 10 transpositions)
+        counted = []
+        original = oracle.count_factorizations_sweep
+
+        def recorded(d, blocks, profile_lists):
+            counted.append(blocks)
+            return original(d, blocks, profile_lists)
+
+        monkeypatch.setattr(oracle, "count_factorizations_sweep", recorded)
         code, out, _ = run(capsys, "verify", "oracle", "--max-d", "1",
                            "--max-transpositions", "10", "--format", "csv")
         assert code == EXIT_OK and out.splitlines()[-1] == "oracle equivalence d=1,pass,1308 queries"
+        assert len(counted) == len(set(counted)) == 436
 
 
 class TestStirlingCeiling:

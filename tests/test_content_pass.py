@@ -17,6 +17,7 @@ from hurwitz.core import (
     f_bar,
     hypergeometric_hurwitz_sweep,
     mixed_simple_hypergeometric,
+    mixed_simple_hypergeometric_queries,
     mixed_simple_hypergeometric_sweep,
     weighted_sweep,
 )
@@ -153,6 +154,23 @@ def test_mixed_simple_sweep_matches_each_single_value(case, r, monkeypatch):
     for r_simple in range(5):
         assert got[r_simple] == mixed_simple_hypergeometric(
             r_simple, r, gspec, profiles, d=d, caps=caps, monomial=monomial), r_simple
+    assert any(got.values())
+
+
+def test_keyed_mixed_queries_match_one_query_each(monkeypatch):
+    # orders, polynomials and monomials in one sweep, the sequences read at
+    # the largest r (4) for every query
+    gspec, profiles = GSpec(K=1, L=1, M=1), ((2, 1, 1),)
+    queries = [(r_simple, r, monomial) for r_simple in (0, 2) for r in (1, 4)
+               for monomial in (None, (1, 0), (0, 2))]
+    listed = listings(monkeypatch)
+    got = mixed_simple_hypergeometric_queries(queries, gspec, profiles)
+    assert listed == [(4, profiles)]
+    assert list(got) == queries
+    for r_simple, r, monomial in queries:
+        want = mixed_simple_hypergeometric(r_simple, r, gspec, profiles, monomial=monomial)
+        value = got[r_simple, r, monomial]
+        assert (value, type(value)) == (want, type(want)), (r_simple, r, monomial)
     assert any(got.values())
 
 

@@ -1,10 +1,13 @@
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from hurwitz import oracle, verify
-from hurwitz.core import GSpec
+from hurwitz.core import (GSpec, completed_sweep, hypergeometric_hurwitz,
+                          mixed_simple_hypergeometric)
 from hurwitz.errors import DomainError, SizeLimitError
 from hurwitz.exactnum import stirling
 from hurwitz.oracle import (
@@ -235,6 +238,26 @@ class TestPermutationModules:
         assert permutation_character((1, 1, 1), (1, 1, 1)) == 6
         assert permutation_character((1, 1, 1), (2, 1)) == 0
 
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_one_pass_is_the_fixed_point_count(self, d):
+        # against a count over the tabloids as ordered tuples of frozensets,
+        # read off every permutation, and the trace at the identity, the
+        # multinomial
+        for lam in enumerate_partitions(d):
+            tabloids = set()
+            for p in oracle.group(d):
+                cuts = itertools.accumulate(lam, initial=0)
+                tabloids.add(tuple(frozenset(p[a:b]) for a, b in itertools.pairwise(cuts)))
+            got = oracle.permutation_characters(lam)
+            assert list(got) == enumerate_partitions(d)
+            for mu, fixed in got.items():
+                sigma = oracle.class_representative(d, mu)
+                assert fixed == sum(tuple(frozenset(sigma[x] for x in block) for block in tab)
+                                    == tab for tab in tabloids)
+                assert fixed == permutation_character(lam, mu)
+            assert got[(1,) * d] == len(tabloids) == \
+                math.factorial(d) // math.prod(map(math.factorial, lam))
+
     def test_young_rule_small(self):
         # xi^{(2,1)} = chi^{(3)} + chi^{(2,1)}
         from hurwitz.characters import char_table
@@ -294,51 +317,109 @@ class TestSuiteSizes:
 
 
 class TestOracleSuite:
-    """``verify_oracle`` reads the engine once per (profiles, gspec,
-    monomial); a wrong value on any one of its paths still fails the
-    report and is named."""
+    """``verify_oracle`` reads the engine once per (d, profiles, gspec) and
+    the literal counts once per (d, block list); a wrong value on any one
+    of its paths still fails the report and is named."""
 
     def _off_by_one(self, name, d, profiles, query):
-        """A wrapper of ``verify.<name>`` that adds 1 to ``query`` at (d, profiles)."""
+        """A wrapper of the bulk read ``name`` that adds 1 to one value at
+        (d, profiles): the engine value of ``query``, or, for the literal
+        counter, the count under the block list ``query``."""
+        if name == "count_factorizations_sweep":
+            original = oracle.count_factorizations_sweep
+
+            def wrong(got_d, blocks, profile_lists):
+                out = original(got_d, blocks, profile_lists)
+                if (got_d, blocks) == (d, query):
+                    out[profile_lists.index(profiles)] += 1
+                return out
+            return wrong
+
         simple, gspec, monomial = query
         original = getattr(verify, name)
-
-        def asked(got_profiles, got_gspec, kw):
-            return (kw["d"], got_profiles, got_gspec, kw["monomial"]) == (d, profiles, gspec,
-                                                                          monomial)
-
         if name == "completed_sweep":  # the one shape without monotone blocks
             def wrong(r_values, s, got_profiles, got_d):
                 out = original(r_values, s, got_profiles, got_d)
                 if (got_d, got_profiles) == (d, profiles) and simple in out:
                     out[simple] += 1
                 return out
-        elif name == "hypergeometric_hurwitz":
-            def wrong(r, got_gspec, got_profiles, **kw):
-                out = original(r, got_gspec, got_profiles, **kw)
-                if asked(got_profiles, got_gspec, kw):
-                    out.value += 1
-                return out
         else:
-            def wrong(r_simple_values, r, got_gspec, got_profiles, **kw):
-                out = original(r_simple_values, r, got_gspec, got_profiles, **kw)
-                if asked(got_profiles, got_gspec, kw) and simple in out:
-                    out[simple] += 1
+            def wrong(queries, got_gspec, got_profiles, **kw):
+                out = original(queries, got_gspec, got_profiles, **kw)
+                key = (simple, sum(monomial), monomial)
+                if (kw["d"], got_profiles, got_gspec) == (d, profiles, gspec) and key in out:
+                    out[key] += 1
                 return out
         return wrong
 
+    def test_bulk_engine_values_match_the_public_path(self):
+        # every query of the suite's block lists, at every profile list,
+        # against the public value it stands for, type included
+        queries = {verify._engine_query(blocks) for blocks in verify._block_configs(5)}
+        shapes = verify._engine_shapes(queries)
+        for d in range(1, 4):
+            for profiles in verify._oracle_profiles(d):
+                got = verify._engine_values(d, profiles, shapes)
+                assert set(got) == queries
+                for simple, gspec, monomial in queries:
+                    r = sum(monomial)
+                    if gspec.nvars == 0:
+                        want = completed_sweep((simple,), 1, profiles, d)[simple]
+                    elif simple == 0:
+                        want = hypergeometric_hurwitz(r, gspec, profiles, d=d,
+                                                      monomial=monomial).value
+                    else:
+                        want = mixed_simple_hypergeometric(simple, r, gspec, profiles, d=d,
+                                                           monomial=monomial)
+                    value = got[simple, gspec, monomial]
+                    assert (value, type(value)) == (want, type(want)), \
+                        (d, profiles, simple, gspec, monomial)
+
+    def test_bulk_counts_match_the_one_list_counter(self):
+        for d in range(1, 4):
+            lists = verify._oracle_profiles(d)
+            for blocks in verify._block_configs(5):
+                want = [count_factorizations(FactorizationQuery(d, profiles, blocks))
+                        for profiles in lists]
+                assert oracle.count_factorizations_sweep(d, blocks, lists) == want, blocks
+
+    @pytest.mark.parametrize("d, blocks, profile_lists", [
+        (7, (), [()]),
+        (2, (Block(6, "none"), Block(5, "weak")), [()]),
+        (3, (), [(), ((3,),), ((2, 1), (2,))]),
+        (3, (), [((3,),), ((2, 0, 1),)]),
+    ], ids=["degree", "transpositions", "profile-size", "not-a-partition"])
+    def test_the_bulk_counter_checks_as_a_query_does(self, d, blocks, profile_lists):
+        bad = profile_lists[-1]
+        with pytest.raises((DomainError, SizeLimitError)) as one:
+            FactorizationQuery(d, bad, blocks)
+        with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
+            oracle.count_factorizations_sweep(d, blocks, profile_lists)
+
+    def test_a_negative_transposition_bound_is_refused(self):
+        with pytest.raises(DomainError, match="^transposition count must be nonnegative: -2$"):
+            verify.verify_oracle(max_d=2, max_transpositions=-2)
+        assert verify.verify_oracle(max_d=2, max_transpositions=0)["checks"][-1]["detail"] \
+            == "7 queries"
+
     @pytest.mark.parametrize("name, d, profiles, query", [
         ("completed_sweep", 3, ((2, 1),), (2, GSpec(), ())),
-        ("hypergeometric_hurwitz", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
-        ("mixed_simple_hypergeometric_sweep", 2, ((2,),), (1, GSpec(M=1), (1,))),
-    ], ids=["completed", "hypergeometric", "mixed"])
+        ("mixed_simple_hypergeometric_queries", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
+        ("mixed_simple_hypergeometric_queries", 2, ((2,),), (1, GSpec(M=1), (1,))),
+        ("count_factorizations_sweep", 2, ((2,), (1, 1)),
+         (Block(1, "none"), Block(2, "weak"))),
+    ], ids=["completed", "hypergeometric", "mixed", "literal"])
     def test_a_wrong_engine_value_fails_the_report(self, monkeypatch, name, d, profiles,
                                                    query):
-        monkeypatch.setattr(verify, name, self._off_by_one(name, d, profiles, query))
+        literal = name == "count_factorizations_sweep"
+        blocks = query if literal else next(
+            blocks for blocks in verify._block_configs(3) if verify._engine_query(blocks) == query)
+        true = count_factorizations(FactorizationQuery(d, profiles, blocks))
+        got, expected = (true, true + 1) if literal else (true + 1, true)
+        monkeypatch.setattr(oracle if literal else verify, name,
+                            self._off_by_one(name, d, profiles, query))
         report = verify.verify_oracle(max_d=3, max_transpositions=3)
         assert not report["pass"]
         failed = [check for check in report["checks"] if not check["pass"]]
         assert [check["name"] for check in failed] == [f"oracle equivalence d={d}"]
-        blocks = next(blocks for blocks in verify._block_configs(3)
-                      if verify._engine_query(blocks) == query)
-        assert failed[0]["detail"].startswith(f"d={d} profiles={profiles} blocks={blocks}: ")
+        assert failed[0]["detail"] == f"d={d} profiles={profiles} blocks={blocks}: {got} != {expected}"
