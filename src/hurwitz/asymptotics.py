@@ -96,6 +96,42 @@ def _pole(d: int, gspec: GSpec, flip: bool, scalar: Fraction, e, h) -> MultiPoly
     return poly
 
 
+def _pole_read(gspec: GSpec, flip: bool, scalar: Fraction, e, h) -> tuple:
+    """What ``_pole`` reads of its inputs: the signed scalar, the ``e`` row
+    when ``gspec`` has u blocks and the ``h`` row when it has v blocks,
+    each without its trailing zeros (``_pole`` skips zero entries).  Equal
+    reads give equal polynomials."""
+    def trimmed(row, blocks):
+        if not blocks:
+            return None
+        while row and not row[-1]:
+            row = row[:-1]
+        return tuple(row)
+    return -scalar if flip else scalar, trimmed(e, gspec.L), trimmed(h, gspec.M)
+
+
+def _limit_inputs(d: int, gspec: GSpec, profiles, sign: int, v_order: int) -> tuple:
+    """``_pole``'s inputs (flip, scalar, e, h) by literal limit evaluation:
+    see ``pole_coefficient``."""
+    flip = _check_pole(d, gspec, profiles, sign, v_order)
+    m = d - 1
+    signed = [sign * c for c in contents((d,) if sign == 1 else (1,) * d)]
+    e, h, _ = content_sequences(signed, gspec, max(m, v_order))
+    # c = m is the vanishing factor the pole cancels
+    rest = [c for c in signed if c and c != m]
+    limit = Fraction(m ** (gspec.K * len(rest)),
+                     math.factorial(d) ** 2 * math.prod((m - c) ** gspec.K for c in rest))
+    # e_k vanishes beyond the d-1 nonzero contents; h is read to v_order
+    return flip, limit, e, h and h[:v_order + 1]
+
+
+def _stirling_inputs(d: int, gspec: GSpec, profiles, sign: int, v_order: int) -> tuple:
+    """``_pole``'s inputs (flip, scalar, e, h) from the Stirling tables of
+    the pole constant (``_stirling_tables``)."""
+    flip = _check_pole(d, gspec, profiles, sign, v_order)
+    return (flip, *_stirling_tables(d, gspec.K, v_order))
+
+
 def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
                      v_order: int = 6) -> MultiPoly:
     """Top coefficient A of the dominant pole at z = sign/(d-1), which adds
@@ -110,18 +146,9 @@ def pole_coefficient(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
     the e and h sequences of the scaled contents c z: those of the integer
     contents ``sign c`` (``content_sequences``, on ints) over (d-1)^k and
     (d-1)^n.  The other literal factors, ``1/(1 - sign c/(d-1))^K``, are
-    one scalar.
+    one scalar (``_limit_inputs``).
     """
-    flip = _check_pole(d, gspec, profiles, sign, v_order)
-    m = d - 1
-    signed = [sign * c for c in contents((d,) if sign == 1 else (1,) * d)]
-    e, h, _ = content_sequences(signed, gspec, max(m, v_order))
-    # c = m is the vanishing factor the pole cancels
-    rest = [c for c in signed if c and c != m]
-    limit = Fraction(m ** (gspec.K * len(rest)),
-                     math.factorial(d) ** 2 * math.prod((m - c) ** gspec.K for c in rest))
-    # e_k vanishes beyond the d-1 nonzero contents; h is read to v_order
-    return _pole(d, gspec, flip, limit, e, h and h[:v_order + 1])
+    return _pole(d, gspec, *_limit_inputs(d, gspec, profiles, sign, v_order))
 
 
 def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, *,
@@ -129,8 +156,7 @@ def pole_coefficient_stirling(d: int, gspec: GSpec, profiles=(), sign: int = 1, 
     """The same coefficient, read from the Stirling tables of the pole
     constant; the u/v series are identical at both poles (content and z0
     signs cancel)."""
-    flip = _check_pole(d, gspec, profiles, sign, v_order)
-    return _pole(d, gspec, flip, *_stirling_tables(d, gspec.K, v_order))
+    return _pole(d, gspec, *_stirling_inputs(d, gspec, profiles, sign, v_order))
 
 
 # ---------------------------------------------------------------------------

@@ -621,38 +621,47 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                                         caps=caps, monomial=monomial)[0]
 
 
-def mixed_simple_hypergeometric_queries(queries, gspec: GSpec, profiles=(), *,
-                                        d: int | None = None,
-                                        caps: tuple[int, ...] | None = None) -> dict:
-    """{(r_simple, r, monomial): ``mixed_simple_hypergeometric(r_simple, r,
-    gspec, profiles, monomial=monomial)``} for every query, in one
-    ``weighted_sweep``; a query's ``monomial`` is None for the polynomial
-    within ``caps``.
+def mixed_simple_hypergeometric_lists(queries, gspec: GSpec, profile_lists, *,
+                                      d: int | None = None,
+                                      caps: tuple[int, ...] | None = None) -> list[dict]:
+    """[{(r_simple, r, monomial): ``mixed_simple_hypergeometric(r_simple, r,
+    gspec, profiles, d=d, caps=caps, monomial=monomial)``} for every query]
+    for every profile list of ``profile_lists``, in order; a query's
+    ``monomial`` is None for the polynomial within ``caps``.
 
-    Each partition's content sequences are read once, from the
-    ``_content_coefficient`` memo that ``content_factor`` reads, to the
-    largest r of the queries, and its ``f_bar(lam, 2)`` once.  Its term for
-    a query is the content term at (r, monomial) times
-    ``f_bar(lam, 2)^r_simple``, and each total is divided once by D.
+    Each partition's terms are computed once, on first use, for every
+    list: its content sequences are read from the ``_content_coefficient``
+    memo that ``content_factor`` reads, to the largest r of the queries,
+    and its term for a query is the content term at (r, monomial) times
+    ``f_bar(lam, 2)^r_simple``.  Each list is then one ``weighted_sweep``
+    over its character weights, each total divided once by its D.
     """
     queries = list(queries)
     _orders((r_simple for r_simple, _, _ in queries), "r_simple")
     _orders(r for _, r, _ in queries)
-    d, profiles = _resolve_degree(profiles, d)
+    resolved = [_resolve_degree(profiles, d) for profiles in profile_lists]
     shapes = {(r, monomial): _caps_or_monomial(gspec, caps, monomial)
               for _, r, monomial in queries}
     r_max = max((r for r, _ in shapes), default=0)
+    terms: dict = {}
 
     def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
-        sequences = _content_coefficient(lam, gspec, r_max, 1, 1)
-        simple = _scaled_f_bar(lam, 2, 1)
-        content = {shape: _content_terms(sequences, gspec, *checked)(shape[0])
-                   for shape, checked in shapes.items()}
-        return lambda query: content[query[1:]] * simple**query[0]
+        term = terms.get(lam)
+        if term is None:
+            sequences = _content_coefficient(lam, gspec, r_max, 1, 1)
+            simple = _scaled_f_bar(lam, 2, 1)
+            content = {shape: _content_terms(sequences, gspec, *checked)(shape[0])
+                       for shape, checked in shapes.items()}
+            term = terms[lam] = {query: content[query[1:]] * simple**query[0]
+                                 for query in queries}.__getitem__
+        return term
 
-    totals = _character_sweep(factor, queries, profiles, d)
-    return {query: _content_value(total, gspec.nvars, query[2])
-            for query, total in totals.items()}
+    out = []
+    for d, profiles in resolved:
+        totals = _character_sweep(factor, queries, profiles, d)
+        out.append({query: _content_value(total, gspec.nvars, query[2])
+                    for query, total in totals.items()})
+    return out
 
 
 def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, profiles=(),
@@ -661,10 +670,10 @@ def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, pro
                                       monomial: tuple[int, ...] | None = None) -> dict:
     """{r_simple: ``mixed_simple_hypergeometric(r_simple, r, ...)``} for
     every r_simple of ``r_simple_values``: the fixed-(r, monomial or caps)
-    case of ``mixed_simple_hypergeometric_queries``."""
+    one-list case of ``mixed_simple_hypergeometric_lists``."""
     monomial = None if monomial is None else tuple(monomial)
     queries = [(r_simple, r, monomial) for r_simple in r_simple_values]
-    values = mixed_simple_hypergeometric_queries(queries, gspec, profiles, d=d, caps=caps)
+    values = mixed_simple_hypergeometric_lists(queries, gspec, (profiles,), d=d, caps=caps)[0]
     return {query[0]: values[query] for query in queries}
 
 
@@ -889,11 +898,16 @@ def structure_resummation(r: int, s: int, profiles=(), *, d: int | None = None
 
 
 def resum_structure(coeffs: dict[Fraction, Fraction], r: int, d: int) -> Fraction:
-    """(2/d!^2) sum_m C(m) m^r of the structure coefficients of degree d."""
-    acc = Fraction(0)
-    for m, c in coeffs.items():
-        acc += c * m**r
-    return acc * 2 / Fraction(math.factorial(d)) ** 2
+    """(2/d!^2) sum_m C(m) m^r of the structure coefficients of degree d.
+
+    The sum runs on integer numerators over one common denominator of the
+    keys (``Q``) and one of the coefficients (``P``):
+    ``sum (C P) (m Q)^r / (P Q^r)``, divided once."""
+    q = math.lcm(*(m.denominator for m in coeffs))
+    p = math.lcm(*(c.denominator for c in coeffs.values()))
+    total = sum(c.numerator * (p // c.denominator) * (m.numerator * (q // m.denominator)) ** r
+                for m, c in coeffs.items())
+    return Fraction(2 * total, p * q**r * math.factorial(d) ** 2)
 
 
 def gap_interval(d: int, s: int) -> tuple[Fraction, Fraction]:

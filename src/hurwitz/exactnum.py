@@ -277,10 +277,16 @@ class MultiPoly:
         coefficients are exact."""
         self._check_arity(other)
         out = MultiPoly(self.nvars)
-        acc = out.terms
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+        out.add_product(self, other, caps)
+        return out
+
+    def add_product(self, a: "MultiPoly", b: "MultiPoly", caps=None) -> None:
+        """``self += a * b`` in place, without the monomials beyond ``caps``;
+        ``a`` and ``b`` are left as they are."""
+        acc = self.terms
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                expo = tuple(x + y for x, y in zip(e1, e2))
                 if caps is not None and any(e > cap for e, cap in zip(expo, caps)):
                     continue
                 s = acc.get(expo, 0) + c1 * c2
@@ -288,7 +294,6 @@ class MultiPoly:
                     acc[expo] = s
                 else:
                     acc.pop(expo, None)
-        return out
 
     def __mul__(self, other):
         if isinstance(other, _RationalABC):
@@ -392,17 +397,18 @@ class TruncSeries:
         return TruncSeries(self.order, [c.scale(q) for c in self.coeffs])
 
     def mul(self, other: "TruncSeries", caps=None) -> "TruncSeries":
+        """The product truncated at the order, each coefficient product
+        added into its z-coefficient in place (``MultiPoly.add_product``)."""
         if self.order != other.order:
             raise DomainError("series order mismatch")
-        out = [MultiPoly.zero(self.nvars) for _ in range(self.order + 1)]
+        self.coeffs[0]._check_arity(other.coeffs[0])
+        out = [MultiPoly(self.nvars) for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a.terms:
                 continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a.mul(b, caps)
+            for j, b in enumerate(other.coeffs[:self.order + 1 - i]):
+                if b.terms:
+                    out[i + j].add_product(a, b, caps)
         return TruncSeries(self.order, out)
 
     def __mul__(self, other):

@@ -271,15 +271,25 @@ class FactorizationQuery(Frozen):
                  blocks: tuple[Block, ...] = ()):
         set_field(self, "d", d)
         set_field(self, "blocks", tuple(blocks))
-        set_field(self, "profiles", _checked_query(d, (profiles,), self.blocks)[0])
+        set_field(self, "profiles", _checked_query(d, (profiles,), self.blocks)[0][0])
 
     def total_transpositions(self) -> int:
         return sum(b.count for b in self.blocks)
 
 
-def _checked_query(d: int, profile_lists, blocks) -> list[tuple[Partition, ...]]:
-    """Every profile list as partitions of ``d``, after the degree and
-    transposition guards: the checks of a ``FactorizationQuery``."""
+def _checked_query(d: int, profile_lists, blocks) -> tuple[tuple[tuple[Partition, ...], int], ...]:
+    """``(profiles, denominator)`` of every profile list, its profiles as
+    partitions of ``d`` and its ``denominator`` the ``d! prod |C_mu|``
+    that normalizes a raw count, after the degree and transposition
+    guards: the checks of a ``FactorizationQuery``.  The lists are
+    checked once per (d, lists) (``_checked_lists``)."""
+    lists = _checked_lists(d, tuple(tuple(map(tuple, profiles)) for profiles in profile_lists))
+    _check_transpositions(sum(b.count for b in blocks))
+    return lists
+
+
+@lru_cache(maxsize=16)
+def _checked_lists(d: int, profile_lists) -> tuple[tuple[tuple[Partition, ...], int], ...]:
     profile_lists = [tuple(check_partition(mu) for mu in profiles)
                      for profiles in profile_lists]
     _check_degree(d)
@@ -287,8 +297,8 @@ def _checked_query(d: int, profile_lists, blocks) -> list[tuple[Partition, ...]]
         for mu in profiles:
             if sum(mu) != d:
                 raise DomainError(f"profile {mu} does not partition {d}")
-    _check_transpositions(sum(b.count for b in blocks))
-    return profile_lists
+    return tuple((profiles, math.factorial(d) * math.prod(
+        class_data(mu).class_size for mu in profiles)) for profiles in profile_lists)
 
 
 @lru_cache(maxsize=None)
@@ -297,41 +307,37 @@ def block_walk(d: int, blocks: tuple[Block, ...]) -> tuple[tuple[Perm, int], ...
 
     Pure dynamic programming over literal products: states are
     (running product, larger point of the previous transposition in the
-    current block); merging equal states only collects identical
-    branches of the depth-first walk, so the counts are exactly the
-    sequence counts.
+    current block, 0 in an unconstrained one); merging equal states only
+    collects identical branches of the depth-first walk, so the counts are
+    exactly the sequence counts.  The walk of ``blocks`` is the memoized
+    walk of ``blocks[:-1]`` extended by the last block: between blocks the
+    states collapse to ``{product: count}``, and the next block starts
+    again from 0, so the extension is exact.  An unconstrained block
+    carries no state either, so a walk ending in k of them is the walk
+    ending in k - 1 extended by one transposition.
     """
     taus = transpositions(d)
-    acc: dict[Perm, int] = {identity(d): 1}
-    for block in blocks:
-        if block.count == 0:
-            continue
-        if block.constraint == "none":
-            cur = acc
-            for _ in range(block.count):
-                nxt: dict[Perm, int] = {}
-                for p, n in cur.items():
-                    for tau, _b in taus:
-                        q = compose(p, tau)
-                        nxt[q] = nxt.get(q, 0) + n
-                cur = nxt
-            acc = cur
-        else:
-            strict = block.constraint == "strict"
-            states: dict[tuple[Perm, int], int] = {(p, 0): n for p, n in acc.items()}
-            for _ in range(block.count):
-                nxt_states: dict[tuple[Perm, int], int] = {}
-                for (p, last), n in states.items():
-                    for tau, b in taus:
-                        if b < last or (strict and b == last):
-                            continue
-                        key = (compose(p, tau), b)
-                        nxt_states[key] = nxt_states.get(key, 0) + n
-                states = nxt_states
-            acc = {}
-            for (p, _last), n in states.items():
-                acc[p] = acc.get(p, 0) + n
-    return tuple(acc.items())
+    if not blocks:
+        return ((identity(d), 1),)
+    *head, block = blocks
+    monotone, strict = block.constraint != "none", block.constraint == "strict"
+    steps = block.count
+    if not monotone and steps > 1:
+        head, steps = head + [Block(steps - 1, "none")], 1
+    states: dict[tuple[Perm, int], int] = {(p, 0): n for p, n in block_walk(d, tuple(head))}
+    for _ in range(steps):
+        nxt: dict[tuple[Perm, int], int] = {}
+        for (p, last), n in states.items():
+            for tau, b in taus:
+                if b < last or (strict and b == last):
+                    continue
+                key = (compose(p, tau), b if monotone else 0)
+                nxt[key] = nxt.get(key, 0) + n
+        states = nxt
+    walk: dict[Perm, int] = {}
+    for (p, _last), n in states.items():
+        walk[p] = walk.get(p, 0) + n
+    return tuple(walk.items())
 
 
 @lru_cache(maxsize=None)
@@ -358,26 +364,21 @@ def count_factorizations_sweep(d: int, blocks, profile_lists) -> list[Fraction]:
     the convolution below; both factors come from literal enumeration and
     both are cached across calls, and the block walk is read once for
     every list.  The profiles and guards are checked as a
-    ``FactorizationQuery`` checks them.
+    ``FactorizationQuery`` checks them, and each list's check and
+    denominator are kept per (d, lists).
     """
     blocks = tuple(blocks)
-    profile_lists = _checked_query(d, profile_lists, blocks)
+    lists = _checked_query(d, profile_lists, blocks)
     walk = {inverse(p): n for p, n in block_walk(d, blocks)}  # keyed by the inverse
     counts = []
-    for profiles in profile_lists:
+    for profiles, denominator in lists:
         raw = 0
         for p, n in _profile_products(d, profiles):
             w = walk.get(p)
             if w:
                 raw += n * w
-        counts.append(_normalized(raw, d, profiles))
+        counts.append(Fraction(raw, denominator))
     return counts
-
-
-def _normalized(raw: int, d: int, profiles) -> Fraction:
-    """A raw factorization count over ``d! prod |C_mu|``."""
-    return Fraction(raw, math.factorial(d) * math.prod(
-        class_data(mu).class_size for mu in profiles))
 
 
 def count_factorizations(query: FactorizationQuery) -> Fraction:

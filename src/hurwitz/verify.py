@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from . import characters, oracle
 from .asymptotics import (
+    _limit_inputs,
+    _pole_read,
+    _stirling_inputs,
     b_leading_sweep,
     completed_leading_sweep,
     first_r,
     gw_leading_sweep,
     monotone_leading_sweep,
-    pole_coefficient,
-    pole_coefficient_stirling,
     ratio_report,
 )
 from .core import (
@@ -32,7 +33,7 @@ from .core import (
     gap_interval,
     hypergeometric_hurwitz_sweep,
     m_ds,
-    mixed_simple_hypergeometric_queries,
+    mixed_simple_hypergeometric_lists,
     resum_structure,
     structure_coefficients,
 )
@@ -161,23 +162,27 @@ def _engine_shapes(queries) -> dict:
     return shapes
 
 
-def _engine_values(d: int, profiles, shapes: dict) -> dict:
-    """{query: character-sum value} at one (d, profiles) for every
-    ``_engine_query`` of ``shapes`` (``_engine_shapes``), read once per
-    gspec: one completed sweep over the simple counts without monotone
-    blocks, and otherwise one ``mixed_simple_hypergeometric_queries``
-    over every (simple count, monomial) at z-order ``sum(monomial)``."""
-    values = {}
+def _engine_values(d: int, profile_lists, shapes: dict) -> dict:
+    """{profiles: {query: character-sum value}} at degree d for every
+    profile list of ``profile_lists`` and every ``_engine_query`` of
+    ``shapes`` (``_engine_shapes``).  The simple counts without monotone
+    blocks are one completed sweep per list.  Every other gspec is one
+    ``mixed_simple_hypergeometric_lists`` over every (simple count,
+    monomial) at z-order ``sum(monomial)`` and every list: each
+    partition's terms are computed once per (d, gspec)."""
+    values: dict = {profiles: {} for profiles in profile_lists}
     for gspec, shape in shapes.items():
         if gspec.nvars == 0:
-            got = completed_sweep(sorted(simple for simple, _ in shape), 1, profiles, d)
-            values.update(((simple, gspec, ()), v) for simple, v in got.items())
-        else:
-            got = mixed_simple_hypergeometric_queries(
-                [(simple, sum(monomial), monomial) for simple, monomial in sorted(shape)],
-                gspec, profiles, d=d)
-            values.update(((simple, gspec, monomial), v)
-                          for (simple, _, monomial), v in got.items())
+            simples = sorted(simple for simple, _ in shape)
+            for profiles in profile_lists:
+                got = completed_sweep(simples, 1, profiles, d)
+                values[profiles].update(((simple, gspec, ()), v) for simple, v in got.items())
+            continue
+        queries = [(simple, sum(monomial), monomial) for simple, monomial in sorted(shape)]
+        for profiles, got in zip(profile_lists, mixed_simple_hypergeometric_lists(
+                queries, gspec, profile_lists, d=d)):
+            values[profiles].update(((simple, gspec, monomial), v)
+                                    for (simple, _, monomial), v in got.items())
     return values
 
 
@@ -188,11 +193,15 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 
     Both oracle guards (degree and transpositions) are checked before the
     sweep.  Each block list maps to one engine query ``(simple, gspec,
-    monomial)``.  Per (d, profiles) the engine is read once per gspec, for
-    every query of that gspec at once (``_engine_values``), and per (d,
-    block list) the literal counts of every profile combination come from
-    one ``oracle.count_factorizations_sweep``; every query is compared with
-    its engine value, block list by block list.
+    monomial)``.  Per d the engine is read once per gspec, for every query
+    of that gspec and every profile combination at once
+    (``_engine_values``): each partition's content terms and powers of
+    ``f_bar(lam, 2)`` are computed once, then one weighted sum runs per
+    combination.  Per (d, block list) the literal counts of every profile
+    combination come from one ``oracle.count_factorizations_sweep``, over
+    the memoized walk of the list's first block extended by its last.
+    Every query is compared with its engine value, block list by block
+    list.
     """
     oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
@@ -202,7 +211,7 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
     shapes = _engine_shapes(query for _, query in configs)
     for d in range(1, max_d + 1):
         combos = _oracle_profiles(d)
-        engine = {profs: _engine_values(d, profs, shapes) for profs in combos}
+        engine = _engine_values(d, combos, shapes)
         bad = 0
         total = 0
         first_bad = ""
@@ -226,7 +235,7 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 # the top degree of the Jucys-Murphy checks: up to d=6 the suite takes about
-# 4.5 s, against 0.15 s up to d=5 (Python 3.11, a shared 2-core box)
+# 2.0 s, against 0.06-0.10 s up to d=5 (Python 3.11, a shared 2-core box)
 STIRLING_MAX_D = 5
 # the top n of the Stirling product checks and the top k of e_k, h_k(JM)
 STIRLING_MAX_N, STIRLING_MAX_K = 10, 6
@@ -417,6 +426,10 @@ POLES_MAX_K, POLES_MAX_LM, POLES_V_ORDER = 3, 2, 3
 
 
 def verify_poles(max_d: int = 6) -> dict:
+    """The pole coefficient by literal limit against its Stirling closed
+    form, for every (K, L, M, sign) of the sweep: both are ``_pole`` of
+    their inputs, so what ``_pole`` reads of each (``_pole_read``) is
+    compared, as integers and Fractions, with no polynomial built."""
     _check_sweep_start("poles", max_d)
     checks: list[dict] = []
     for d in range(2, max_d + 1):
@@ -427,8 +440,8 @@ def verify_poles(max_d: int = 6) -> dict:
                 for m in range(0, POLES_MAX_LM + 1):
                     g = GSpec(K=k, L=l, M=m)
                     for sign in (1, -1):
-                        a = pole_coefficient(d, g, (), sign, v_order=POLES_V_ORDER)
-                        b = pole_coefficient_stirling(d, g, (), sign, v_order=POLES_V_ORDER)
+                        a = _pole_read(g, *_limit_inputs(d, g, (), sign, POLES_V_ORDER))
+                        b = _pole_read(g, *_stirling_inputs(d, g, (), sign, POLES_V_ORDER))
                         if a != b:
                             ok = False
                             detail = f"K={k} L={l} M={m} sign={sign}"

@@ -6,23 +6,23 @@ computes another way: the tests check the library against them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hurwitz.core import GSpec, _content_terms, content_sequences, rh_genus
 from hurwitz.errors import SizeLimitError
-from hurwitz.exactnum import MultiPoly
+from hurwitz.exactnum import MultiPoly, TruncSeries
 from hurwitz.oracle import (
     FactorizationQuery,
     GroupAlgebraElement,
     Perm,
-    _normalized,
     central_idempotent,
     class_perms,
     compose,
     identity,
     transpositions,
 )
-from hurwitz.partitions import enumerate_partitions
+from hurwitz.partitions import class_data, enumerate_partitions
 
 
 def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fraction:
@@ -65,7 +65,44 @@ def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fr
             walk_profiles(compose(p, sigma), profiles[1:])
 
     walk_profiles(identity(d), query.profiles)
-    return _normalized(count, d, query.profiles)
+    return Fraction(count, math.factorial(d) * math.prod(
+        class_data(mu).class_size for mu in query.profiles))
+
+
+def block_walk_from_identity(d: int, blocks) -> dict[Perm, int]:
+    """``oracle.block_walk`` in one pass from the identity, block by block,
+    with no memo: {product: number of admissible transposition sequences}."""
+    taus = transpositions(d)
+    acc: dict[Perm, int] = {identity(d): 1}
+    for block in blocks:
+        if block.count == 0:
+            continue
+        if block.constraint == "none":
+            cur = acc
+            for _ in range(block.count):
+                nxt: dict[Perm, int] = {}
+                for p, n in cur.items():
+                    for tau, _b in taus:
+                        q = compose(p, tau)
+                        nxt[q] = nxt.get(q, 0) + n
+                cur = nxt
+            acc = cur
+        else:
+            strict = block.constraint == "strict"
+            states: dict[tuple[Perm, int], int] = {(p, 0): n for p, n in acc.items()}
+            for _ in range(block.count):
+                nxt_states: dict[tuple[Perm, int], int] = {}
+                for (p, last), n in states.items():
+                    for tau, b in taus:
+                        if b < last or (strict and b == last):
+                            continue
+                        key = (compose(p, tau), b)
+                        nxt_states[key] = nxt_states.get(key, 0) + n
+                states = nxt_states
+            acc = {}
+            for (p, _last), n in states.items():
+                acc[p] = acc.get(p, 0) + n
+    return acc
 
 
 def resolution_of_identity(d: int) -> bool:
@@ -89,6 +126,26 @@ def content_product(weights, gspec: GSpec, r: int,
     poly = _content_terms(content_sequences(weights, gspec, r), gspec, caps, None)(r)
     poly.terms = {expo: Fraction(coeff) for expo, coeff in poly.terms.items()}
     return poly
+
+
+def resum_structure_fractions(coeffs, r: int, d: int) -> Fraction:
+    """``core.resum_structure`` as a Fraction sum, one key at a time."""
+    acc = Fraction(0)
+    for m, c in coeffs.items():
+        acc += c * m**r
+    return acc * 2 / Fraction(math.factorial(d)) ** 2
+
+
+def series_product_by_sums(a: TruncSeries, b: TruncSeries, caps=None) -> TruncSeries:
+    """``TruncSeries.mul`` as a sum of whole coefficient products: each
+    ``a_i b_j`` is built by ``MultiPoly.mul`` and added with ``+``."""
+    out = [MultiPoly.zero(a.nvars) for _ in range(a.order + 1)]
+    for i, x in enumerate(a.coeffs):
+        for j in range(a.order + 1 - i):
+            y = b.coeffs[j]
+            if not x.is_zero() and not y.is_zero():
+                out[i + j] = out[i + j] + x.mul(y, caps)
+    return TruncSeries(a.order, out)
 
 
 def admissible_parity(r: int, s: int, d: int, profiles) -> bool:

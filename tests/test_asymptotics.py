@@ -6,8 +6,13 @@ import pytest
 
 from hypothesis import given, strategies as st
 
+from hurwitz import verify
 from hurwitz.asymptotics import (
+    _limit_inputs,
+    _pole,
     _pole_constant,
+    _pole_read,
+    _stirling_inputs,
     b_leading_sweep,
     b_leading_term,
     completed_leading_sweep,
@@ -165,6 +170,53 @@ class TestPoleCoefficient:
             for r in (0, 1, 5, 12):
                 assert monotone_leading_term(r, d, k, a_vec, b_vec) == \
                     2 * Fraction(r ** (k - 1), math.factorial(k - 1)) * (d - 1) ** r * constant
+
+
+class TestPoleSuite:
+    """``verify poles`` compares what ``_pole`` reads of the limit and the
+    Stirling inputs, with no polynomial built."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_equal_reads_are_equal_polynomials(self, d):
+        for k, l, m in itertools.product(range(1, 4), range(3), range(3)):
+            g = GSpec(K=k, L=l, M=m)
+            for sign in (1, -1):
+                limit, table = (inputs(d, g, (), sign, 3)
+                                for inputs in (_limit_inputs, _stirling_inputs))
+                assert _pole_read(g, *limit) == _pole_read(g, *table)
+                assert _pole(d, g, *limit) == _pole(d, g, *table) \
+                    == pole_coefficient(d, g, (), sign, v_order=3)
+
+    def test_only_the_rows_pole_reads_are_compared(self):
+        g = GSpec(K=1, L=1)
+        assert _pole_read(g, True, Fraction(2, 3), [1, 0, 4, 0, 0], [7]) \
+            == (Fraction(-2, 3), (1, 0, 4), None)
+
+    @pytest.mark.parametrize("name, item", [
+        ("_limit_inputs", 1), ("_limit_inputs", 2), ("_limit_inputs", 3),
+        ("_stirling_inputs", 1), ("_stirling_inputs", 2), ("_stirling_inputs", 3),
+    ], ids=["limit-scalar", "limit-e", "limit-h", "stirling-scalar", "stirling-e",
+            "stirling-h"])
+    def test_a_wrong_input_fails_the_report(self, monkeypatch, name, item):
+        # one wrong value at (d, K, L, M, sign) = (3, 2, 1, 2, -1): the scalar,
+        # or one entry of the e or h row
+        original = getattr(verify, name)
+
+        def wrong(d, g, profiles, sign, v_order):
+            inputs = list(original(d, g, profiles, sign, v_order))
+            if (d, g, sign) == (3, GSpec(K=2, L=1, M=2), -1):
+                if item == 1:
+                    inputs[1] += 1
+                else:
+                    inputs[item] = [x + (i == 1) for i, x in enumerate(inputs[item])]
+            return tuple(inputs)
+
+        monkeypatch.setattr(verify, name, wrong)
+        report = verify.verify_poles(max_d=4)
+        assert not report["pass"]
+        failed = [check for check in report["checks"] if not check["pass"]]
+        assert [(c["name"], c["detail"]) for c in failed] == [
+            ("limit vs Stirling closed form d=3", "K=2 L=1 M=2 sign=-1")]
 
 
 class TestMonotoneLeading:

@@ -17,7 +17,7 @@ from hurwitz.core import (
     f_bar,
     hypergeometric_hurwitz_sweep,
     mixed_simple_hypergeometric,
-    mixed_simple_hypergeometric_queries,
+    mixed_simple_hypergeometric_lists,
     mixed_simple_hypergeometric_sweep,
     weighted_sweep,
 )
@@ -164,7 +164,7 @@ def test_keyed_mixed_queries_match_one_query_each(monkeypatch):
     queries = [(r_simple, r, monomial) for r_simple in (0, 2) for r in (1, 4)
                for monomial in (None, (1, 0), (0, 2))]
     listed = listings(monkeypatch)
-    got = mixed_simple_hypergeometric_queries(queries, gspec, profiles)
+    got, = mixed_simple_hypergeometric_lists(queries, gspec, (profiles,))
     assert listed == [(4, profiles)]
     assert list(got) == queries
     for r_simple, r, monomial in queries:
@@ -172,6 +172,36 @@ def test_keyed_mixed_queries_match_one_query_each(monkeypatch):
         value = got[r_simple, r, monomial]
         assert (value, type(value)) == (want, type(want)), (r_simple, r, monomial)
     assert any(got.values())
+
+
+@pytest.mark.parametrize("caps", [None, (1, 2)], ids=["uncapped", "capped"])
+def test_listed_mixed_queries_match_one_list_each(monkeypatch, caps):
+    # one term per partition for every list: the content sequences are read
+    # once per partition, then one weighted sum runs per list
+    gspec = GSpec(K=1, L=1, M=1)
+    monomials = (None,) if caps else (None, (1, 1), (0, 2))  # caps refuse a monomial
+    queries = [(r_simple, r, monomial) for r_simple in (0, 1, 3) for r in (0, 2, 4)
+               for monomial in monomials]
+    lists = [(), ((4,),), ((2, 1, 1),), ((2, 2), (3, 1)), ((1, 1, 1, 1), (2, 1, 1))]
+    sequences = []
+    original = core._content_coefficient
+
+    def read(lam, *args):
+        sequences.append(lam)
+        return original(lam, *args)
+
+    monkeypatch.setattr(core, "_content_coefficient", read)
+    got = mixed_simple_hypergeometric_lists(queries, gspec, lists, d=4, caps=caps)
+    assert sorted(sequences) == sorted(enumerate_partitions(4))
+    monkeypatch.setattr(core, "_content_coefficient", original)
+    assert len(got) == len(lists)
+    for profiles, values in zip(lists, got):
+        assert list(values) == queries
+        for (r_simple, r, monomial), value in values.items():
+            want = mixed_simple_hypergeometric(r_simple, r, gspec, profiles, d=4, caps=caps,
+                                               monomial=monomial)
+            assert (value, type(value)) == (want, type(want)), (profiles, r_simple, r, monomial)
+        assert any(values.values())
 
 
 @pytest.mark.parametrize("r_simple_values, r, order", [

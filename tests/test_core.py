@@ -21,6 +21,7 @@ from hurwitz.core import (
     m_ds,
     mixed_simple_hypergeometric,
     orbifold_hurwitz,
+    resum_structure,
     rh_genus,
     structure_coefficients,
     structure_resummation,
@@ -28,7 +29,7 @@ from hurwitz.core import (
 from hurwitz.errors import DomainError
 from hurwitz.oracle import Block, FactorizationQuery, count_factorizations
 from hurwitz.partitions import class_data, enumerate_partitions
-from reference import admissible_parity
+from reference import admissible_parity, resum_structure_fractions
 
 
 def f_bar_via_row_shifts(lam, s):
@@ -306,6 +307,26 @@ class TestStructure:
         assert [c["pass"] for c in checks] == [True, True, False]
         assert checks[2]["name"].startswith("resummation identity")
         assert checks[2]["detail"].startswith("r=")
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_integer_resummation_is_the_fraction_sum(self, d):
+        parts = enumerate_partitions(d)
+        profile_lists = [(), (parts[0],), (parts[-1],), (parts[len(parts) // 2],),
+                         (parts[len(parts) // 2], parts[-1])]
+        for profiles in profile_lists:
+            for s in range(1, 5):  # odd s: positive keys; even s: signed, half-weighted
+                coeffs = structure_coefficients(s, profiles, d=d)
+                for r in range(13):
+                    got = resum_structure(coeffs, r, d)
+                    assert (got, type(got)) == (resum_structure_fractions(coeffs, r, d),
+                                                Fraction), (profiles, s, r)
+
+    def test_integer_resummation_of_written_coefficients(self):
+        # int and half-integer keys, values of mixed denominators, and no keys
+        coeffs = {Fraction(5, 2): Fraction(1, 3), 2: Fraction(-3, 4), Fraction(-1, 2): 5, 0: 1}
+        for r in range(6):
+            assert resum_structure(coeffs, r, 4) == resum_structure_fractions(coeffs, r, 4)
+        assert resum_structure({}, 3, 4) == 0
 
     def test_even_index_keys_are_signed(self):
         coeffs = structure_coefficients(2, (), d=3)

@@ -1,11 +1,13 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import series_product_by_sums
 
 from hurwitz.errors import DomainError
 from hurwitz.exactnum import (
@@ -149,6 +151,48 @@ class TestSeries:
         a = geometric_factor(1, one, 5)
         sq = a.mul(a)
         assert [c.constant_value() for c in sq.coeffs] == [1, 2, 3, 4, 5, 6]
+
+
+def _random_series(rng, order):
+    """A series in two variables with few small monomials and coefficients
+    of both signs, so that coefficient products often cancel."""
+    values = (1, -1, 2, Fraction(1, 2), Fraction(-1, 2))
+    coeffs = []
+    for _ in range(order + 1):
+        terms = {(rng.randrange(3), rng.randrange(3)): rng.choice(values)
+                 for _ in range(rng.randrange(4))}
+        coeffs.append(MultiPoly(2, terms))
+    return TruncSeries(order, coeffs)
+
+
+@pytest.mark.parametrize("caps", [None, (1, 2)], ids=["uncapped", "capped"])
+def test_in_place_series_product_is_the_sum_of_products(caps):
+    rng = random.Random(7)
+    cancelled = 0
+    for _ in range(200):
+        order = rng.randrange(5)
+        a, b = _random_series(rng, order), _random_series(rng, order)
+        got = a.mul(b, caps)
+        assert got == series_product_by_sums(a, b, caps)
+        assert all(c != 0 for poly in got.coeffs for c in poly.terms.values())
+        sums = {}  # every product summed by (z-order, monomial), zeros kept
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs[:order + 1 - i]):
+                for e1, c1 in x.terms.items():
+                    for e2, c2 in y.terms.items():
+                        key = (i + j, (e1[0] + e2[0], e1[1] + e2[1]))
+                        sums[key] = sums.get(key, 0) + c1 * c2
+        cancelled += sum(1 for total in sums.values() if total == 0)
+    assert cancelled  # the series do cancel
+
+
+def test_a_cancelled_series_coefficient_is_not_stored():
+    x = MultiPoly.variable(1, 0)
+    one = MultiPoly.constant(1, 1)
+    plus = TruncSeries(2, [one, x, MultiPoly.zero(1)])
+    minus = TruncSeries(2, [one, -x, MultiPoly.zero(1)])
+    got = plus.mul(minus)
+    assert [poly.terms for poly in got.coeffs] == [{(0,): 1}, {}, {(2,): -1}]
 
 
 def _coefficients(series):

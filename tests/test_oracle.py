@@ -24,7 +24,8 @@ from hurwitz.oracle import (
     permutation_character,
 )
 from hurwitz.partitions import enumerate_partitions
-from reference import count_factorizations_dfs, resolution_of_identity
+from reference import (block_walk_from_identity, count_factorizations_dfs,
+                       resolution_of_identity)
 
 
 class TestCounts:
@@ -317,9 +318,9 @@ class TestSuiteSizes:
 
 
 class TestOracleSuite:
-    """``verify_oracle`` reads the engine once per (d, profiles, gspec) and
-    the literal counts once per (d, block list); a wrong value on any one
-    of its paths still fails the report and is named."""
+    """``verify_oracle`` reads the engine once per (d, gspec), for every
+    profile list, and the literal counts once per (d, block list); a wrong
+    value on any one of its paths still fails the report and is named."""
 
     def _off_by_one(self, name, d, profiles, query):
         """A wrapper of the bulk read ``name`` that adds 1 to one value at
@@ -343,12 +344,12 @@ class TestOracleSuite:
                 if (got_d, got_profiles) == (d, profiles) and simple in out:
                     out[simple] += 1
                 return out
-        else:
-            def wrong(queries, got_gspec, got_profiles, **kw):
-                out = original(queries, got_gspec, got_profiles, **kw)
+        else:  # one read per (d, gspec), for every profile list at once
+            def wrong(queries, got_gspec, profile_lists, **kw):
+                out = original(queries, got_gspec, profile_lists, **kw)
                 key = (simple, sum(monomial), monomial)
-                if (kw["d"], got_profiles, got_gspec) == (d, profiles, gspec) and key in out:
-                    out[key] += 1
+                if (kw["d"], got_gspec) == (d, gspec) and key in queries:
+                    out[list(profile_lists).index(profiles)][key] += 1
                 return out
         return wrong
 
@@ -358,8 +359,11 @@ class TestOracleSuite:
         queries = {verify._engine_query(blocks) for blocks in verify._block_configs(5)}
         shapes = verify._engine_shapes(queries)
         for d in range(1, 4):
-            for profiles in verify._oracle_profiles(d):
-                got = verify._engine_values(d, profiles, shapes)
+            lists = verify._oracle_profiles(d)
+            engine = verify._engine_values(d, lists, shapes)
+            assert list(engine) == lists
+            for profiles in lists:
+                got = engine[profiles]
                 assert set(got) == queries
                 for simple, gspec, monomial in queries:
                     r = sum(monomial)
@@ -374,6 +378,38 @@ class TestOracleSuite:
                     value = got[simple, gspec, monomial]
                     assert (value, type(value)) == (want, type(want)), \
                         (d, profiles, simple, gspec, monomial)
+
+    def test_prefix_walks_match_the_walk_from_the_identity(self):
+        # the two-block lists first, so each extends a prefix the memo lacks
+        configs = list(verify._block_configs(6))[::-1]
+        block_walk.cache_clear()
+        try:
+            for d in range(1, 5):
+                for blocks in configs:
+                    want = block_walk_from_identity(d, blocks)
+                    assert block_walk(d, blocks) == tuple(want.items()), (d, blocks)
+        finally:
+            block_walk.cache_clear()
+
+    def test_bulk_counts_match_the_depth_first_count(self):
+        for d in range(1, 4):
+            lists = verify._oracle_profiles(d)
+            for blocks in verify._block_configs(3):
+                want = [count_factorizations_dfs(FactorizationQuery(d, profiles, blocks))
+                        for profiles in lists]
+                assert oracle.count_factorizations_sweep(d, blocks, lists) == want, blocks
+
+    def test_the_list_checks_are_kept_per_degree_and_lists(self, monkeypatch):
+        # a profile list is checked once per (d, lists), not once per block list
+        oracle._checked_lists.cache_clear()
+        checked = []
+        original = oracle.check_partition
+        monkeypatch.setattr(oracle, "check_partition",
+                            lambda mu: checked.append(mu) or original(mu))
+        lists = verify._oracle_profiles(3)
+        for blocks in verify._block_configs(3):
+            oracle.count_factorizations_sweep(3, blocks, lists)
+        assert len(checked) == sum(map(len, lists))
 
     def test_bulk_counts_match_the_one_list_counter(self):
         for d in range(1, 4):
@@ -404,8 +440,8 @@ class TestOracleSuite:
 
     @pytest.mark.parametrize("name, d, profiles, query", [
         ("completed_sweep", 3, ((2, 1),), (2, GSpec(), ())),
-        ("mixed_simple_hypergeometric_queries", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
-        ("mixed_simple_hypergeometric_queries", 2, ((2,),), (1, GSpec(M=1), (1,))),
+        ("mixed_simple_hypergeometric_lists", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
+        ("mixed_simple_hypergeometric_lists", 2, ((2,),), (1, GSpec(M=1), (1,))),
         ("count_factorizations_sweep", 2, ((2,), (1, 1)),
          (Block(1, "none"), Block(2, "weak"))),
     ], ids=["completed", "hypergeometric", "mixed", "literal"])
