@@ -664,33 +664,21 @@ def mixed_simple_hypergeometric_lists(queries, gspec: GSpec, profile_lists, *,
     return out
 
 
-def mixed_simple_hypergeometric_sweep(r_simple_values, r: int, gspec: GSpec, profiles=(),
-                                      *, d: int | None = None,
-                                      caps: tuple[int, ...] | None = None,
-                                      monomial: tuple[int, ...] | None = None) -> dict:
-    """{r_simple: ``mixed_simple_hypergeometric(r_simple, r, ...)``} for
-    every r_simple of ``r_simple_values``: the fixed-(r, monomial or caps)
-    one-list case of ``mixed_simple_hypergeometric_lists``."""
-    monomial = None if monomial is None else tuple(monomial)
-    queries = [(r_simple, r, monomial) for r_simple in r_simple_values]
-    values = mixed_simple_hypergeometric_lists(queries, gspec, (profiles,), d=d, caps=caps)[0]
-    return {query[0]: values[query] for query in queries}
-
-
 def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=(),
                                 *, d: int | None = None,
                                 caps: tuple[int, ...] | None = None,
                                 monomial: tuple[int, ...] | None = None):
     """Disconnected count mixing r_simple unconstrained transpositions with
     the rational-weight blocks of ``gspec`` at z-order ``r``: a MultiPoly,
-    or the coefficient of ``monomial``.  The one-r_simple case of
-    ``mixed_simple_hypergeometric_sweep``.
+    or the coefficient of ``monomial``.  The one-query, one-list case of
+    ``mixed_simple_hypergeometric_lists``.
 
     Each central factor acts on an irreducible block by its scalar
     eigenvalue, so the weights simply multiply.
     """
-    return mixed_simple_hypergeometric_sweep((r_simple,), r, gspec, profiles, d=d, caps=caps,
-                                             monomial=monomial)[r_simple]
+    query = (r_simple, r, None if monomial is None else tuple(monomial))
+    values, = mixed_simple_hypergeometric_lists((query,), gspec, (profiles,), d=d, caps=caps)
+    return values[query]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import DomainError, SizeLimitError
 from .exactnum import MultiPoly, affine_factor, exact, geometric_factor, geometric_power
@@ -271,25 +272,14 @@ class FactorizationQuery(Frozen):
                  blocks: tuple[Block, ...] = ()):
         set_field(self, "d", d)
         set_field(self, "blocks", tuple(blocks))
-        set_field(self, "profiles", _checked_query(d, (profiles,), self.blocks)[0][0])
-
-    def total_transpositions(self) -> int:
-        return sum(b.count for b in self.blocks)
+        set_field(self, "profiles", _checked_lists(d, (profiles,))[0][0])
+        _check_transpositions(sum(b.count for b in self.blocks))
 
 
-def _checked_query(d: int, profile_lists, blocks) -> tuple[tuple[tuple[Partition, ...], int], ...]:
-    """``(profiles, denominator)`` of every profile list, its profiles as
-    partitions of ``d`` and its ``denominator`` the ``d! prod |C_mu|``
-    that normalizes a raw count, after the degree and transposition
-    guards: the checks of a ``FactorizationQuery``.  The lists are
-    checked once per (d, lists) (``_checked_lists``)."""
-    lists = _checked_lists(d, tuple(tuple(map(tuple, profiles)) for profiles in profile_lists))
-    _check_transpositions(sum(b.count for b in blocks))
-    return lists
-
-
-@lru_cache(maxsize=16)
-def _checked_lists(d: int, profile_lists) -> tuple[tuple[tuple[Partition, ...], int], ...]:
+def _checked_lists(d: int, profile_lists) -> list[tuple[tuple[Partition, ...], int]]:
+    """``(profiles, denominator)`` of every profile list after the degree
+    guard: its profiles as partitions of ``d``, and the ``d! prod |C_mu|``
+    that normalizes a raw count."""
     profile_lists = [tuple(check_partition(mu) for mu in profiles)
                      for profiles in profile_lists]
     _check_degree(d)
@@ -297,8 +287,8 @@ def _checked_lists(d: int, profile_lists) -> tuple[tuple[tuple[Partition, ...], 
         for mu in profiles:
             if sum(mu) != d:
                 raise DomainError(f"profile {mu} does not partition {d}")
-    return tuple((profiles, math.factorial(d) * math.prod(
-        class_data(mu).class_size for mu in profiles)) for profiles in profile_lists)
+    return [(profiles, math.factorial(d) * math.prod(
+        class_data(mu).class_size for mu in profiles)) for profiles in profile_lists]
 
 
 @lru_cache(maxsize=None)
@@ -340,51 +330,46 @@ def block_walk(d: int, blocks: tuple[Block, ...]) -> tuple[tuple[Perm, int], ...
     return tuple(walk.items())
 
 
-@lru_cache(maxsize=None)
-def _profile_products(d: int, profiles: tuple[Partition, ...]
-                      ) -> tuple[tuple[Perm, int], ...]:
-    """#ways to write each permutation as an ordered product over the
-    profile classes, by literal enumeration."""
-    vec: dict[Perm, int] = {identity(d): 1}
-    for mu in profiles:
-        nxt: dict[Perm, int] = {}
-        for p, n in vec.items():
-            for sigma in class_perms(d, mu):
-                q = compose(sigma, p)
-                nxt[q] = nxt.get(q, 0) + n
-        vec = nxt
-    return tuple(vec.items())
-
-
-def count_factorizations_sweep(d: int, blocks, profile_lists) -> list[Fraction]:
+def count_factorizations_sweep(d: int, block_lists, profile_lists) -> list[list[Fraction]]:
     """The normalized count of every profile list of ``profile_lists`` under
-    one block list, in order: raw count / (d! * prod of class sizes).
+    every block list of ``block_lists``, one list of counts per block list,
+    in order: raw count / (d! * prod of class sizes).
 
-    The identity coefficient of (prod of class sums) * (block element) is
-    the convolution below; both factors come from literal enumeration and
-    both are cached across calls, and the block walk is read once for
-    every list.  The profiles and guards are checked as a
-    ``FactorizationQuery`` checks them, and each list's check and
-    denominator are kept per (d, lists).
+    The raw count is the identity coefficient of (product of the profiles'
+    class sums) * (block element), read as the convolution below.  Both
+    factors come from literal enumeration: each profile product is built
+    once per call, and each block walk is read from the ``block_walk``
+    memo.  The profile lists and every block list's transposition count
+    are checked as a ``FactorizationQuery`` checks them, before any count.
     """
-    blocks = tuple(blocks)
-    lists = _checked_query(d, profile_lists, blocks)
-    walk = {inverse(p): n for p, n in block_walk(d, blocks)}  # keyed by the inverse
-    counts = []
-    for profiles, denominator in lists:
-        raw = 0
-        for p, n in _profile_products(d, profiles):
-            w = walk.get(p)
-            if w:
-                raw += n * w
-        counts.append(Fraction(raw, denominator))
-    return counts
+    lists = _checked_lists(d, profile_lists)
+    block_lists = [tuple(blocks) for blocks in block_lists]
+    for blocks in block_lists:
+        _check_transpositions(sum(b.count for b in blocks))
+    sums = {mu: GroupAlgebraElement.class_sum(d, mu)
+            for mu in dict.fromkeys(mu for profiles, _ in lists for mu in profiles)}
+    products = [(reduce(operator.mul, map(sums.__getitem__, profiles),
+                         GroupAlgebraElement.identity(d)).coeffs.items(), denominator)
+                for profiles, denominator in lists]
+    out = []
+    for blocks in block_lists:
+        walk = {inverse(p): n for p, n in block_walk(d, blocks)}  # keyed by the inverse
+        counts = []
+        for product, denominator in products:
+            raw = 0
+            for p, n in product:
+                w = walk.get(p)
+                if w:
+                    raw += n * w
+            counts.append(Fraction(raw, denominator))
+        out.append(counts)
+    return out
 
 
 def count_factorizations(query: FactorizationQuery) -> Fraction:
     """Normalized count: raw count / (d! * prod of class sizes), the
-    one-list case of ``count_factorizations_sweep``."""
-    return count_factorizations_sweep(query.d, query.blocks, (query.profiles,))[0]
+    one-block-list, one-profile-list case of ``count_factorizations_sweep``."""
+    return count_factorizations_sweep(query.d, (query.blocks,), (query.profiles,))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +405,9 @@ def jm_symmetric_evaluate(kind: str, k: int, d: int) -> GroupAlgebraElement:
     ``jm_series`` for G = 1 + z or 1/(1 - z)."""
     if kind not in ("e", "h"):
         raise DomainError(f"kind must be 'e' or 'h', got {kind!r}")
-    if k < 0 or k > 8:
+    if k < 0:
+        raise DomainError(f"symmetric-polynomial degree must be nonnegative: {k}")
+    if k > 8:
         raise SizeLimitError(f"symmetric-polynomial degree {k} outside the guard 0..8")
     return jm_series([1 if kind == "h" or t < 2 else 0 for t in range(k + 1)], d)[k]
 
@@ -545,16 +532,6 @@ def permutation_characters(lam) -> dict[Partition, int]:
             if tuple(map(labels.__getitem__, sigma)) == labels:  # labels[sigma[x]] == labels[x]
                 fixed[mu] += 1
     return fixed
-
-
-def permutation_character(lam, mu) -> int:
-    """Trace of a permutation of cycle type mu on the tabloid module of
-    shape lam: the one-mu read of ``permutation_characters``."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(mu) != sum(lam):
-        raise DomainError(f"size mismatch: |{lam}| != |{mu}|")
-    return permutation_characters(lam)[mu]
 
 
 def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fraction]]:

@@ -28,14 +28,18 @@ from .core import (
     _gw_scale,
     _orders,
     _resolve_degree,
+    _scaled_f_bar,
+    character_weights,
     completed_sweep,
     f_bar,
+    f_bar_denominator,
     gap_interval,
     hypergeometric_hurwitz_sweep,
     m_ds,
     mixed_simple_hypergeometric_lists,
     resum_structure,
     structure_coefficients,
+    weighted_sweep,
 )
 from .errors import DomainError, EmptyReportError, SizeLimitError
 from .exactnum import stirling
@@ -153,23 +157,17 @@ def _engine_query(blocks) -> tuple:
     return simple, GSpec(K=0, L=len(strict), M=len(weak)), tuple(strict + weak)
 
 
-def _engine_shapes(queries) -> dict:
-    """{gspec: {(simple, monomial)}} over the ``_engine_query`` tuples
-    ``queries``: what ``_engine_values`` reads per gspec."""
-    shapes: dict = {}
-    for simple, gspec, monomial in queries:
-        shapes.setdefault(gspec, set()).add((simple, monomial))
-    return shapes
-
-
-def _engine_values(d: int, profile_lists, shapes: dict) -> dict:
+def _engine_values(d: int, profile_lists, queries) -> dict:
     """{profiles: {query: character-sum value}} at degree d for every
-    profile list of ``profile_lists`` and every ``_engine_query`` of
-    ``shapes`` (``_engine_shapes``).  The simple counts without monotone
+    profile list of ``profile_lists`` and every ``_engine_query`` tuple of
+    ``queries``, read once per gspec.  The simple counts without monotone
     blocks are one completed sweep per list.  Every other gspec is one
     ``mixed_simple_hypergeometric_lists`` over every (simple count,
     monomial) at z-order ``sum(monomial)`` and every list: each
     partition's terms are computed once per (d, gspec)."""
+    shapes: dict = {}
+    for simple, gspec, monomial in queries:
+        shapes.setdefault(gspec, set()).add((simple, monomial))
     values: dict = {profiles: {} for profiles in profile_lists}
     for gspec, shape in shapes.items():
         if gspec.nvars == 0:
@@ -178,9 +176,9 @@ def _engine_values(d: int, profile_lists, shapes: dict) -> dict:
                 got = completed_sweep(simples, 1, profiles, d)
                 values[profiles].update(((simple, gspec, ()), v) for simple, v in got.items())
             continue
-        queries = [(simple, sum(monomial), monomial) for simple, monomial in sorted(shape)]
+        reads = [(simple, sum(monomial), monomial) for simple, monomial in sorted(shape)]
         for profiles, got in zip(profile_lists, mixed_simple_hypergeometric_lists(
-                queries, gspec, profile_lists, d=d)):
+                reads, gspec, profile_lists, d=d)):
             values[profiles].update(((simple, gspec, monomial), v)
                                     for (simple, _, monomial), v in got.items())
     return values
@@ -197,26 +195,25 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
     of that gspec and every profile combination at once
     (``_engine_values``): each partition's content terms and powers of
     ``f_bar(lam, 2)`` are computed once, then one weighted sum runs per
-    combination.  Per (d, block list) the literal counts of every profile
-    combination come from one ``oracle.count_factorizations_sweep``, over
-    the memoized walk of the list's first block extended by its last.
-    Every query is compared with its engine value, block list by block
-    list.
+    combination.  Per d the literal counts of every block list and every
+    profile combination come from one ``oracle.count_factorizations_sweep``:
+    each profile product is built once, and each block walk extends the
+    memoized walk of the list's first block by its last.  Every query is
+    compared with its engine value, block list by block list.
     """
     oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
     checks: list[dict] = []
-    configs = [(blocks, _engine_query(blocks))
-               for blocks in _block_configs(max_transpositions)]
-    shapes = _engine_shapes(query for _, query in configs)
+    block_lists = list(_block_configs(max_transpositions))
+    queries = [_engine_query(blocks) for blocks in block_lists]
     for d in range(1, max_d + 1):
         combos = _oracle_profiles(d)
-        engine = _engine_values(d, combos, shapes)
+        engine = _engine_values(d, combos, queries)
+        literal = oracle.count_factorizations_sweep(d, block_lists, combos)
         bad = 0
         total = 0
         first_bad = ""
-        for blocks, query in configs:
-            counts = oracle.count_factorizations_sweep(d, blocks, combos)
+        for blocks, query, counts in zip(block_lists, queries, literal):
             for profs, expected in zip(combos, counts):
                 total += 1
                 got = engine[profs][query]
@@ -402,12 +399,16 @@ def verify_gap(d: int, s: int, profiles=()) -> dict:
         _check(checks, "inadmissible profiles give a vanishing family", top == 0,
                f"C(M)={top}")
 
+    # the direct side sums F^r over the partitions, with F = f_bar(lam, s+1) Q,
+    # so it checks the eigenvalue grouping against a sum that does not group
     ok = True
     detail = ""
     rs = [r for r in range(1, GAP_RESUM_R + 1) if s % 2 == 0 or (r + n * d - ell) % 2 == 0]
-    direct = completed_sweep(rs, s, profiles, d)
+    q = f_bar_denominator(s + 1)
+    denominator, weights = character_weights(d, profiles)
+    direct = weighted_sweep(weights, lambda lam: _scaled_f_bar(lam, s + 1, q).__pow__, rs)
     for r in rs:
-        lhs, rhs = resum_structure(coeffs, r, d), direct[r]
+        lhs, rhs = resum_structure(coeffs, r, d), Fraction(direct[r], denominator * q**r)
         if lhs != rhs:
             ok = False
             detail = f"r={r}: {lhs} != {rhs}"

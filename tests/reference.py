@@ -32,7 +32,7 @@ def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fr
     Exponentially slow; the audit path of the dynamic-programming walk.
     """
     d = query.d
-    if query.total_transpositions() > guard:
+    if sum(b.count for b in query.blocks) > guard:
         raise SizeLimitError("DFS oracle guard exceeded")
     taus = transpositions(d)
     count = 0

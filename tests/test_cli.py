@@ -1027,19 +1027,21 @@ class TestOracleGuards:
 
     def test_at_the_guards_runs(self, capsys, monkeypatch):
         # the suite counts through the bulk counter the guard test patches:
-        # one call per block list (436 lists of at most 10 transpositions)
+        # one call per degree, over every block list (436 lists of at most
+        # 10 transpositions)
         counted = []
         original = oracle.count_factorizations_sweep
 
-        def recorded(d, blocks, profile_lists):
-            counted.append(blocks)
-            return original(d, blocks, profile_lists)
+        def recorded(d, block_lists, profile_lists):
+            counted.append(block_lists)
+            return original(d, block_lists, profile_lists)
 
         monkeypatch.setattr(oracle, "count_factorizations_sweep", recorded)
         code, out, _ = run(capsys, "verify", "oracle", "--max-d", "1",
                            "--max-transpositions", "10", "--format", "csv")
         assert code == EXIT_OK and out.splitlines()[-1] == "oracle equivalence d=1,pass,1308 queries"
-        assert len(counted) == len(set(counted)) == 436
+        block_lists, = counted
+        assert len(block_lists) == len(set(block_lists)) == 436
 
 
 class TestStirlingCeiling:

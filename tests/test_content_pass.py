@@ -18,7 +18,6 @@ from hurwitz.core import (
     hypergeometric_hurwitz_sweep,
     mixed_simple_hypergeometric,
     mixed_simple_hypergeometric_lists,
-    mixed_simple_hypergeometric_sweep,
     weighted_sweep,
 )
 from hurwitz.jack import b_hurwitz_sweep, deformed_contents, jack_weights
@@ -145,14 +144,15 @@ MIXED = {  # (gspec, profiles, d, caps, monomial)
 @pytest.mark.parametrize("case", MIXED)
 @pytest.mark.parametrize("r", [1, 2, 4])
 def test_mixed_simple_sweep_matches_each_single_value(case, r, monkeypatch):
+    # one list, the r_simple of the queries swept at a fixed (r, monomial or caps)
     gspec, profiles, d, caps, monomial = MIXED[case]
+    queries = [(r_simple, r, monomial) for r_simple in range(5)]
     listed = listings(monkeypatch)
-    got = mixed_simple_hypergeometric_sweep(range(5), r, gspec, profiles, d=d, caps=caps,
-                                            monomial=monomial)
+    got, = mixed_simple_hypergeometric_lists(queries, gspec, (profiles,), d=d, caps=caps)
     assert listed == [(d, profiles)]
-    assert list(got) == list(range(5))
+    assert list(got) == queries
     for r_simple in range(5):
-        assert got[r_simple] == mixed_simple_hypergeometric(
+        assert got[r_simple, r, monomial] == mixed_simple_hypergeometric(
             r_simple, r, gspec, profiles, d=d, caps=caps, monomial=monomial), r_simple
     assert any(got.values())
 
@@ -208,8 +208,9 @@ def test_listed_mixed_queries_match_one_list_each(monkeypatch, caps):
     ([1, -1], 2, "r_simple"), ([1], -2, "r"),
 ], ids=["negative-r-simple", "negative-r"])
 def test_mixed_simple_sweep_refuses_a_negative_order(r_simple_values, r, order):
+    queries = [(r_simple, r, None) for r_simple in r_simple_values]
     with pytest.raises(core.DomainError, match=f"^{order} must be nonnegative"):
-        mixed_simple_hypergeometric_sweep(r_simple_values, r, GSpec(K=1, L=1), d=3)
+        mixed_simple_hypergeometric_lists(queries, GSpec(K=1, L=1), ((),), d=3)
 
 
 B_CASES = {  # (gspec, profiles, b, d, caps)
@@ -313,9 +314,9 @@ def test_caps_and_monomial_are_checked():
 
 def test_mixed_orders_are_checked_by_name():
     with pytest.raises(core.DomainError, match="^r_simple must be nonnegative: -1$"):
-        mixed_simple_hypergeometric_sweep([0, -1], 2, GSpec(K=1), d=3)
+        mixed_simple_hypergeometric_lists([(0, 2, None), (-1, 2, None)], GSpec(K=1), ((),), d=3)
     with pytest.raises(core.DomainError, match="^r must be nonnegative: -2$"):
-        mixed_simple_hypergeometric_sweep([0], -2, GSpec(K=1), d=3)
+        mixed_simple_hypergeometric_lists([(0, -2, None)], GSpec(K=1), ((),), d=3)
 
 
 def test_a_monomial_beyond_the_range_is_zero():

@@ -308,6 +308,35 @@ class TestStructure:
         assert checks[2]["name"].startswith("resummation identity")
         assert checks[2]["detail"].startswith("r=")
 
+    @pytest.mark.parametrize("d, s, profiles", [
+        (6, 1, ()), (5, 2, ()), (5, 3, ((2, 2, 1), (3, 1, 1))), (7, 3, ((4, 2, 1), (3, 3, 1)))])
+    def test_gap_checks_one_spectrum_against_the_partition_sum(self, monkeypatch,
+                                                              d, s, profiles):
+        # one spectrum build per request; more weight on its lowest positive
+        # eigenvalue fails only the resummation, whose direct side does not group
+        from hurwitz import core, verify
+
+        built = []
+        exact = core.completed_spectrum
+
+        def counted(*args):
+            built.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(core, "completed_spectrum", counted)
+        assert verify.verify_gap(d, s, profiles)["pass"] and len(built) == 1
+
+        def regrouped(*args):
+            denominator, spectrum = exact(*args)
+            spectrum = dict(spectrum)
+            spectrum[min(f for f in spectrum if f > 0)] += 1
+            return denominator, spectrum
+
+        monkeypatch.setattr(core, "completed_spectrum", regrouped)
+        checks = verify.verify_gap(d, s, profiles)["checks"]
+        assert [c["pass"] for c in checks] == [True, True, False]
+        assert checks[2]["detail"].startswith("r=")
+
     @pytest.mark.parametrize("d", range(1, 10))
     def test_integer_resummation_is_the_fraction_sum(self, d):
         parts = enumerate_partitions(d)

@@ -28,7 +28,6 @@ UNBOUNDED = {
     ("cli", "build_parser"),
     ("core", "_c_const"),
     ("exactnum", "bernoulli"),
-    ("oracle", "_profile_products"),
     ("oracle", "block_walk"),
     ("oracle", "class_perms"),
     ("oracle", "group"),

@@ -21,7 +21,7 @@ from hurwitz.oracle import (
     idempotent_check,
     jm_series,
     jm_symmetric_evaluate,
-    permutation_character,
+    permutation_characters,
 )
 from hurwitz.partitions import enumerate_partitions
 from reference import (block_walk_from_identity, count_factorizations_dfs,
@@ -123,6 +123,17 @@ class TestJucysMurphy:
             for p, _b in oracle.transpositions(4):
                 expected.coeffs[p] = Fraction(1)
             assert el == expected
+
+    def test_a_negative_degree_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^symmetric-polynomial degree must be "
+                                              "nonnegative: -1$"):
+            jm_symmetric_evaluate("e", -1, 3)
+
+    def test_a_degree_above_the_guard_is_a_size_limit(self):
+        assert not jm_symmetric_evaluate("h", 8, 2).is_zero()
+        with pytest.raises(SizeLimitError, match="^symmetric-polynomial degree 9 outside "
+                                                 "the guard 0..8$"):
+            jm_symmetric_evaluate("h", 9, 2)
 
     def test_elementary_exhausts(self):
         assert jm_symmetric_evaluate("e", 3, 3).is_zero()
@@ -232,12 +243,12 @@ class TestIdempotents:
 class TestPermutationModules:
     def test_trivial_module(self):
         for mu in enumerate_partitions(4):
-            assert permutation_character((4,), mu) == 1
+            assert permutation_characters((4,))[mu] == 1
 
     def test_regular_module(self):
         # the (1^d) tabloids are orderings; only the identity fixes any
-        assert permutation_character((1, 1, 1), (1, 1, 1)) == 6
-        assert permutation_character((1, 1, 1), (2, 1)) == 0
+        assert permutation_characters((1, 1, 1))[(1, 1, 1)] == 6
+        assert permutation_characters((1, 1, 1))[(2, 1)] == 0
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_one_pass_is_the_fixed_point_count(self, d):
@@ -249,13 +260,13 @@ class TestPermutationModules:
             for p in oracle.group(d):
                 cuts = itertools.accumulate(lam, initial=0)
                 tabloids.add(tuple(frozenset(p[a:b]) for a, b in itertools.pairwise(cuts)))
-            got = oracle.permutation_characters(lam)
+            got = permutation_characters(lam)
             assert list(got) == enumerate_partitions(d)
             for mu, fixed in got.items():
                 sigma = oracle.class_representative(d, mu)
                 assert fixed == sum(tuple(frozenset(sigma[x] for x in block) for block in tab)
                                     == tab for tab in tabloids)
-                assert fixed == permutation_character(lam, mu)
+                assert fixed == permutation_characters(lam)[mu]
             assert got[(1,) * d] == len(tabloids) == \
                 math.factorial(d) // math.prod(map(math.factorial, lam))
 
@@ -264,7 +275,7 @@ class TestPermutationModules:
         from hurwitz.characters import char_table
         t = char_table(3)
         for mu in t.partitions:
-            assert permutation_character((2, 1), mu) == \
+            assert permutation_characters((2, 1))[mu] == \
                 t.value((3,), mu) + t.value((2, 1), mu)
 
 
@@ -326,13 +337,13 @@ class TestOracleSuite:
         """A wrapper of the bulk read ``name`` that adds 1 to one value at
         (d, profiles): the engine value of ``query``, or, for the literal
         counter, the count under the block list ``query``."""
-        if name == "count_factorizations_sweep":
+        if name == "count_factorizations_sweep":  # one read per d, for every block list
             original = oracle.count_factorizations_sweep
 
-            def wrong(got_d, blocks, profile_lists):
-                out = original(got_d, blocks, profile_lists)
-                if (got_d, blocks) == (d, query):
-                    out[profile_lists.index(profiles)] += 1
+            def wrong(got_d, block_lists, profile_lists):
+                out = original(got_d, block_lists, profile_lists)
+                if got_d == d:
+                    out[list(block_lists).index(query)][profile_lists.index(profiles)] += 1
                 return out
             return wrong
 
@@ -357,10 +368,9 @@ class TestOracleSuite:
         # every query of the suite's block lists, at every profile list,
         # against the public value it stands for, type included
         queries = {verify._engine_query(blocks) for blocks in verify._block_configs(5)}
-        shapes = verify._engine_shapes(queries)
         for d in range(1, 4):
             lists = verify._oracle_profiles(d)
-            engine = verify._engine_values(d, lists, shapes)
+            engine = verify._engine_values(d, lists, queries)
             assert list(engine) == lists
             for profiles in lists:
                 got = engine[profiles]
@@ -392,32 +402,52 @@ class TestOracleSuite:
             block_walk.cache_clear()
 
     def test_bulk_counts_match_the_depth_first_count(self):
+        # one bulk call per degree, over every block list and profile list
+        configs = list(verify._block_configs(3))
         for d in range(1, 4):
             lists = verify._oracle_profiles(d)
-            for blocks in verify._block_configs(3):
+            got = oracle.count_factorizations_sweep(d, configs, lists)
+            for blocks, counts in zip(configs, got, strict=True):
                 want = [count_factorizations_dfs(FactorizationQuery(d, profiles, blocks))
                         for profiles in lists]
-                assert oracle.count_factorizations_sweep(d, blocks, lists) == want, blocks
+                assert counts == want, (d, blocks)
+
+    def test_the_literal_side_is_one_read_per_degree(self, monkeypatch):
+        read = []
+        original = oracle.count_factorizations_sweep
+
+        def recorded(d, block_lists, profile_lists):
+            read.append((d, list(block_lists), profile_lists))
+            return original(d, block_lists, profile_lists)
+
+        monkeypatch.setattr(oracle, "count_factorizations_sweep", recorded)
+        assert verify.verify_oracle(max_d=3, max_transpositions=3)["pass"]
+        configs = list(verify._block_configs(3))
+        assert read == [(d, configs, verify._oracle_profiles(d)) for d in (1, 2, 3)]
 
     def test_the_list_checks_are_kept_per_degree_and_lists(self, monkeypatch):
-        # a profile list is checked once per (d, lists), not once per block list
-        oracle._checked_lists.cache_clear()
+        # one bulk call checks each profile list once, not once per block
+        # list, then builds the class sum of each profile once (its own check)
+        lists = verify._oracle_profiles(3)
+        oracle.count_factorizations_sweep(3, (), lists)  # the class memo, filled
         checked = []
         original = oracle.check_partition
         monkeypatch.setattr(oracle, "check_partition",
                             lambda mu: checked.append(mu) or original(mu))
-        lists = verify._oracle_profiles(3)
-        for blocks in verify._block_configs(3):
-            oracle.count_factorizations_sweep(3, blocks, lists)
-        assert len(checked) == sum(map(len, lists))
+        oracle.count_factorizations_sweep(3, verify._block_configs(3), lists)
+        n = sum(map(len, lists))
+        assert checked[:n] == [mu for profiles in lists for mu in profiles]
+        assert checked[n:] == list(dict.fromkeys(checked[:n]))
 
     def test_bulk_counts_match_the_one_list_counter(self):
+        configs = list(verify._block_configs(5))
         for d in range(1, 4):
             lists = verify._oracle_profiles(d)
-            for blocks in verify._block_configs(5):
+            got = oracle.count_factorizations_sweep(d, configs, lists)
+            for blocks, counts in zip(configs, got, strict=True):
                 want = [count_factorizations(FactorizationQuery(d, profiles, blocks))
                         for profiles in lists]
-                assert oracle.count_factorizations_sweep(d, blocks, lists) == want, blocks
+                assert counts == want, (d, blocks)
 
     @pytest.mark.parametrize("d, blocks, profile_lists", [
         (7, (), [()]),
@@ -430,7 +460,7 @@ class TestOracleSuite:
         with pytest.raises((DomainError, SizeLimitError)) as one:
             FactorizationQuery(d, bad, blocks)
         with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
-            oracle.count_factorizations_sweep(d, blocks, profile_lists)
+            oracle.count_factorizations_sweep(d, [(), blocks], profile_lists)
 
     def test_a_negative_transposition_bound_is_refused(self):
         with pytest.raises(DomainError, match="^transposition count must be nonnegative: -2$"):
