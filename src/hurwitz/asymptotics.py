@@ -1,9 +1,8 @@
 """Closed-form large-genus leading terms and exact-vs-asymptotic reports.
 
-Every leading term is evaluated in exact rational (or Gaussian
-rational) arithmetic; ratios are formed exactly and only rendered to
-decimal strings of ``RATIO_DIGITS`` significant digits, so reports carry
-no rounding noise.
+Every leading term is evaluated in exact rational arithmetic; ratios
+are formed exactly and only rendered to decimal strings of
+``RATIO_DIGITS`` significant digits, so reports carry no rounding noise.
 """
 
 from __future__ import annotations
@@ -15,13 +14,7 @@ from fractions import Fraction
 from .core import (GSpec, _degrees, _normalize_insertions, _orders, _resolve_degree,
                    content_sequences, m_ds)
 from .errors import DomainError, EmptyReportError
-from .exactnum import (
-    GaussianRational,
-    MultiPoly,
-    exact,
-    format_rational,
-    stirling,
-)
+from .exactnum import MultiPoly, exact, format_rational, stirling
 from .partitions import class_data, contents
 from .records import Frozen, set_field
 
@@ -202,38 +195,31 @@ def completed_leading_term(r: int, d: int, s: int) -> Fraction:
     return completed_leading_sweep((r,), d, s)[r]
 
 
-def _abs2(x) -> Fraction:
-    return x.abs2() if isinstance(x, GaussianRational) else x * x
-
-
 def b_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: int,
                     a_vec=(), b_vec=(), b=0) -> dict:
-    """Leading terms of the b-deformed family, exact in Q or Q(i).
+    """Leading terms of the b-deformed family at a rational b, exact in Q.
 
-    alpha = b+1 is a Fraction for rational b and a GaussianRational for
-    complex b.  The regime is decided by comparing |alpha| with 1
-    exactly; at |alpha| = 1 both dominant poles contribute and their
-    regime factors add.  Each pole carries the Jack norm of its own
+    The regime is decided by comparing |alpha| with 1 exactly, alpha =
+    b+1; at |alpha| = 1 (alpha = +-1) both dominant poles contribute and
+    their regime factors add.  Each pole carries the Jack norm of its own
     extreme partition: d! prod (1+m*alpha) for the row, d! alpha prod
     (m+alpha) for the column (as the hook-product norm gives; the two
-    agree only at alpha = 1).  A term is a Fraction when it is real,
-    otherwise a GaussianRational.
+    agree only at alpha = 1).
     """
     constant = _pole_constant(d, k, a_vec, b_vec)
     # the Jack norms below replace the d! of the constant's d!^2
     common = _transfer(r_values, d, k, constant * math.factorial(d))
-    alpha = b + 1 if isinstance(b, GaussianRational) else Fraction(exact(b)) + 1
+    alpha = Fraction(exact(b)) + 1
     if not constant:
         return dict.fromkeys(common, Fraction(0))
     norm_row, norm_col = 1, alpha
     for m in range(1, d):
         norm_row *= 1 + alpha * m
         norm_col *= alpha + m
-    abs2 = _abs2(alpha)
-    row, col = abs2 >= 1, abs2 <= 1
-    if row and _abs2(norm_row) == 0:
+    row, col = abs(alpha) >= 1, abs(alpha) <= 1
+    if row and norm_row == 0:
         raise DomainError(f"degenerate deformation: row norm vanishes at b+1={alpha}")
-    if col and _abs2(norm_col) == 0:
+    if col and norm_col == 0:
         raise DomainError(f"degenerate deformation: column norm vanishes at b+1={alpha}")
     out = {}
     for r, c in common.items():
@@ -242,8 +228,7 @@ def b_leading_sweep(r_values, d: int, n_profiles: int, ell_sum: int, k: int,
             term += alpha ** (r + (n_profiles - 1) * d - ell_sum) * norm_row ** -1
         if col:
             term += (-1) ** ((r + n_profiles * d - ell_sum) % 2) * norm_col ** -1
-        value = term * c
-        out[r] = value.re if isinstance(value, GaussianRational) and value.is_real else value
+        out[r] = term * c
     return out
 
 

@@ -155,6 +155,9 @@ _READS = {
 }
 
 
+# The flags parsed as rationals: 0.0 and 0/1 give the default --b 0.
+_RATIONAL_FLAGS = ("b", "tolerance")
+
 # The least value of each integer flag, wherever it is read.
 _LEAST = {"r": 0, "r_min": 0, "r_max": 0, "max_transpositions": 0, "s": 1, "t": 1, "gw_s": 1}
 
@@ -172,7 +175,7 @@ def _unread_flags(command: str, request: str) -> tuple:
 
 def _refuse_unread(args):
     """Exit 3 on the first flag that ``args``'s request does not read and
-    that is set away from its default."""
+    that is set away from its default, a rational flag compared by value."""
     request = args.command
     if request == "verify":
         request += " " + args.suite
@@ -183,8 +186,10 @@ def _refuse_unread(args):
     if request not in _READS:  # an unknown kind
         return
     for name, default in _unread_flags(args.command, request):
-        if getattr(args, name) != default:
-            raise DomainError(f"--{name.replace('_', '-')} has no effect on {request}")
+        value, flag = getattr(args, name), f"--{name.replace('_', '-')}"
+        if value != default and (name not in _RATIONAL_FLAGS
+                                 or _parse_fraction(value, flag) != Fraction(default)):
+            raise DomainError(f"{flag} has no effect on {request}")
 
 
 def _r_values(args) -> list[int]:

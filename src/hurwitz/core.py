@@ -574,8 +574,8 @@ def content_factor(gspec: GSpec, r_max: int, *, caps: tuple[int, ...] | None = N
 def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int, p: int, q: int):
     """``content_sequences`` to ``r_max`` of the integer box weights
     ``p j - q i`` of ``lam`` (its contents at p = q = 1), kept across
-    calls: a verification suite asks for the same partition and order
-    under many profiles."""
+    calls: a process's later requests, connected sub-degrees and ``verify
+    jack``'s b = 0 check ask for the same partition, blocks and order."""
     weights = [p * j - q * i for i, row in enumerate(lam) for j in range(row)]
     return content_sequences(weights, gspec, r_max)
 

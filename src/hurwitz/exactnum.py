@@ -18,7 +18,6 @@ from functools import lru_cache
 from numbers import Rational as _RationalABC
 
 from .errors import DomainError
-from .records import Frozen, set_field
 
 
 def format_rational(q: Fraction) -> str:
@@ -76,81 +75,6 @@ def stirling(kind: int, n: int, k: int) -> int:
     if k > n:
         return 0
     return _stirling(kind, n, k)
-
-
-# ---------------------------------------------------------------------------
-# Exact Gaussian rationals (for complex deformation parameters)
-# ---------------------------------------------------------------------------
-
-class GaussianRational(Frozen):
-    """Exact complex number with rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction, im: Fraction):
-        set_field(self, "re", re)
-        set_field(self, "im", im)
-
-    @classmethod
-    def of(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return cls(Fraction(value), Fraction(0))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
-
-    def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GaussianRational":
-        n = self.abs2()
-        if n == 0:
-            raise DomainError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussianRational.of(other).inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = GaussianRational(Fraction(1), Fraction(0))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __str__(self):
-        if self.is_real:
-            return format_rational(self.re)
-        return f"{format_rational(self.re)}{'+' if self.im >= 0 else ''}{format_rational(self.im)}i"
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,10 @@ class TestRatioBytes:
         ("7a62895a", "table --what ratio --kind monotone --d 5 --K 3 --r-min 1 --r-max 40"),
         ("c7f620ae", "table --what ratio --kind b --d 5 --b 1/2 --K 1 --r-min 0 --r-max 40"),
         ("57ae2467", "table --what ratio --kind b --d 4 --b=-1/2 --K 1 --r-min 0 --r-max 40"),
+        # |b+1| = 1: both poles; b+1 < 0: the column regime, then the row regime
+        ("520b54ce", "table --what ratio --kind b --d 4 --b 0 --K 2 --r-min 0 --r-max 40"),
+        ("cd574c4c", "table --what ratio --kind b --d 2 --b=-3/2 --K 1 --r-min 0 --r-max 40"),
+        ("fda897a9", "table --what ratio --kind b --d 2 --b=-3 --K 1 --r-min 0 --r-max 40"),
         ("b7b6df00", "table --what ratio --kind gw --profiles 3,2,1;2,2,2 --gw-s 2 "
                      "--r-min 0 --r-max 40"),
         ("ffcac478", "verify ratio --kind monotone --d 4 --K 1"),
@@ -861,6 +865,31 @@ class TestVerifySuitesReadOnlyTheirFlags:
         _, plain, _ = run(capsys, *argv)
         code, out, _ = run(capsys, *argv, "--kind", "classical", "--s", "1", "--K", "1")
         assert code == EXIT_OK and out == plain
+
+
+class TestRationalFlagsAtTheirDefault:
+    """An unread --b or --tolerance is compared with its default as a
+    rational, and the config echo keeps the string as given."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("compute", "--kind", "classical", "--d", "3", "--r", "2"), "--b", "0.0"),
+        (("verify", "characters", "--max-d", "2"), "--b", "0/1"),
+        (("table", "--what", "ratio", "--kind", "classical", "--d", "3", "--r-min", "0",
+          "--r-max", "2"), "--b", "-0"),
+        (("verify", "oracle", "--max-d", "2"), "--tolerance", "0.001"),
+    ], ids=["compute-b", "verify-characters-b", "table-ratio-b", "verify-oracle-tolerance"])
+    def test_default_written_another_way_is_accepted(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv, flag, value, "--format", "csv")
+        _, plain, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[1:] == plain.splitlines()[1:]
+        config = json.loads(out.splitlines()[0].removeprefix("# config: "))
+        assert config.get(flag[2:], value) == value
+
+    @pytest.mark.parametrize("flag", ["--b", "--tolerance"])
+    def test_malformed_value_still_exits(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "oracle", "--max-d", "2", flag, "1/0")
+        assert code == EXIT_USAGE and out == "" and f"{flag} wants a rational" in err
 
 
 class TestVerifySuiteDefaults:

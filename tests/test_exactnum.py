@@ -11,7 +11,6 @@ from reference import series_product_by_sums
 
 from hurwitz.errors import DomainError
 from hurwitz.exactnum import (
-    GaussianRational,
     MultiPoly,
     TruncSeries,
     affine_factor,
@@ -304,19 +303,3 @@ class TestMultiPoly:
         p = MultiPoly(1, {(1,): Fraction(1, 2)})
         assert p.to_json(["v1"]) == [{"monomial": "v1", "coeff": "1/2"}]
 
-
-class TestGaussianRational:
-    def test_arithmetic(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        assert i * i == GaussianRational.of(-1)
-        z = GaussianRational(Fraction(1), Fraction(2))
-        assert (z * z.inverse()) == GaussianRational.of(1)
-        assert z ** 0 == GaussianRational.of(1)
-        assert z ** -1 == z.inverse()
-        assert (z ** 3) == z * z * z
-        assert z.abs2() == Fraction(5)
-        assert not z.is_real and (z - i - i).is_real
-
-    def test_str(self):
-        assert str(GaussianRational.of(Fraction(1, 2))) == "1/2"
-        assert str(GaussianRational(Fraction(0), Fraction(-1, 3))) == "0-1/3i"

@@ -8,7 +8,6 @@ from hurwitz.asymptotics import b_leading_sweep
 from hurwitz.characters import char_table, dim
 from hurwitz.core import GSpec, hypergeometric_hurwitz, hypergeometric_hurwitz_sweep
 from hurwitz.errors import DomainError, SingularParameterError, SizeLimitError
-from hurwitz.exactnum import GaussianRational
 from hurwitz.jack import (
     b_hurwitz_coefficient,
     b_hurwitz_sweep,
@@ -323,5 +322,11 @@ class TestFloatsRefused:
     def test_b_leading_sweep(self):
         with pytest.raises(DomainError, match="rational coefficient"):
             b_leading_sweep([3], 2, 0, 0, 1, b=0.1)
-        gaussian = b_leading_sweep([3], 2, 0, 0, 1, b=GaussianRational(Fraction(-1), Fraction(1)))
-        assert gaussian[3] == GaussianRational(Fraction(1, 2), Fraction(1, 2))
+
+    def test_complex_b_is_refused(self):
+        # the b family is exact over the rationals only
+        for call in (lambda: b_leading_sweep([3], 2, 0, 0, 1, b=1j),
+                     lambda: jack_weights(2, (), 1j),
+                     lambda: b_hurwitz_sweep([3], GSpec(K=1), (), 1j, d=2, monomial=())):
+            with pytest.raises(DomainError, match="rational coefficient"):
+                call()

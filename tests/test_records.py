@@ -9,7 +9,6 @@ import pytest
 from hurwitz.asymptotics import RatioEntry, RatioReport
 from hurwitz.core import GSpec, HurwitzResult
 from hurwitz.errors import DomainError, SizeLimitError
-from hurwitz.exactnum import GaussianRational
 from hurwitz.oracle import Block, FactorizationQuery
 from hurwitz.partitions import ClassData, FrobeniusShifted
 from hurwitz.records import Frozen, Record, set_field
@@ -25,8 +24,6 @@ FROZEN = [
      "ClassData(class_size=6, stabilizer=1, multiplicities=((1, 3),))"),
     (FrobeniusShifted, (1, (HALF,), (HALF,)), {"r": 1, "a": (HALF,), "b": (HALF,)},
      "FrobeniusShifted(r=1, a=(Fraction(1, 2),), b=(Fraction(1, 2),))"),
-    (GaussianRational, (Fraction(1), HALF), {"re": Fraction(1), "im": HALF},
-     "GaussianRational(re=Fraction(1, 1), im=Fraction(1, 2))"),
     (GSpec, (1, 2, 3), {"K": 1, "L": 2, "M": 3}, "GSpec(K=1, L=2, M=3)"),
     (RatioEntry, (3, Fraction(2), Fraction(1), Fraction(2), "2"),
      {"r": 3, "exact": Fraction(2), "asymptotic": Fraction(1), "ratio": Fraction(2),
