@@ -575,7 +575,9 @@ def _content_coefficient(lam: Partition, gspec: GSpec, r_max: int, p: int, q: in
     """``content_sequences`` to ``r_max`` of the integer box weights
     ``p j - q i`` of ``lam`` (its contents at p = q = 1), kept across
     calls: a process's later requests, connected sub-degrees and ``verify
-    jack``'s b = 0 check ask for the same partition, blocks and order."""
+    jack``'s b = 0 check ask for the same partition, blocks and order.
+    ``verify oracle`` reads one entry per partition and degree, at L = M =
+    1, for every monotone gspec of its block lists."""
     weights = [p * j - q * i for i, row in enumerate(lam) for j in range(row)]
     return content_sequences(weights, gspec, r_max)
 
@@ -621,64 +623,28 @@ def hypergeometric_hurwitz(r: int, gspec: GSpec, profiles=(), *,
                                         caps=caps, monomial=monomial)[0]
 
 
-def mixed_simple_hypergeometric_lists(queries, gspec: GSpec, profile_lists, *,
-                                      d: int | None = None,
-                                      caps: tuple[int, ...] | None = None) -> list[dict]:
-    """[{(r_simple, r, monomial): ``mixed_simple_hypergeometric(r_simple, r,
-    gspec, profiles, d=d, caps=caps, monomial=monomial)``} for every query]
-    for every profile list of ``profile_lists``, in order; a query's
-    ``monomial`` is None for the polynomial within ``caps``.
-
-    Each partition's terms are computed once, on first use, for every
-    list: its content sequences are read from the ``_content_coefficient``
-    memo that ``content_factor`` reads, to the largest r of the queries,
-    and its term for a query is the content term at (r, monomial) times
-    ``f_bar(lam, 2)^r_simple``.  Each list is then one ``weighted_sweep``
-    over its character weights, each total divided once by its D.
-    """
-    queries = list(queries)
-    _orders((r_simple for r_simple, _, _ in queries), "r_simple")
-    _orders(r for _, r, _ in queries)
-    resolved = [_resolve_degree(profiles, d) for profiles in profile_lists]
-    shapes = {(r, monomial): _caps_or_monomial(gspec, caps, monomial)
-              for _, r, monomial in queries}
-    r_max = max((r for r, _ in shapes), default=0)
-    terms: dict = {}
-
-    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
-        term = terms.get(lam)
-        if term is None:
-            sequences = _content_coefficient(lam, gspec, r_max, 1, 1)
-            simple = _scaled_f_bar(lam, 2, 1)
-            content = {shape: _content_terms(sequences, gspec, *checked)(shape[0])
-                       for shape, checked in shapes.items()}
-            term = terms[lam] = {query: content[query[1:]] * simple**query[0]
-                                 for query in queries}.__getitem__
-        return term
-
-    out = []
-    for d, profiles in resolved:
-        totals = _character_sweep(factor, queries, profiles, d)
-        out.append({query: _content_value(total, gspec.nvars, query[2])
-                    for query, total in totals.items()})
-    return out
-
-
 def mixed_simple_hypergeometric(r_simple: int, r: int, gspec: GSpec, profiles=(),
                                 *, d: int | None = None,
                                 caps: tuple[int, ...] | None = None,
                                 monomial: tuple[int, ...] | None = None):
     """Disconnected count mixing r_simple unconstrained transpositions with
     the rational-weight blocks of ``gspec`` at z-order ``r``: a MultiPoly,
-    or the coefficient of ``monomial``.  The one-query, one-list case of
-    ``mixed_simple_hypergeometric_lists``.
+    or the coefficient of ``monomial``.  One ``_character_sweep`` over
+    ``content_factor`` times ``f_bar(lam, 2)^r_simple``.
 
     Each central factor acts on an irreducible block by its scalar
     eigenvalue, so the weights simply multiply.
     """
-    query = (r_simple, r, None if monomial is None else tuple(monomial))
-    values, = mixed_simple_hypergeometric_lists((query,), gspec, (profiles,), d=d, caps=caps)
-    return values[query]
+    _orders((r_simple,), "r_simple")
+    _orders((r,))
+    d, profiles = _resolve_degree(profiles, d)
+    content = content_factor(gspec, r, caps=caps, monomial=monomial)
+
+    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
+        term, simple = content(lam), _scaled_f_bar(lam, 2, 1) ** r_simple
+        return lambda r: term(r) * simple
+    value = _character_sweep(factor, (r,), profiles, d)[r]
+    return _content_value(value, gspec.nvars, monomial)
 
 
 # ---------------------------------------------------------------------------

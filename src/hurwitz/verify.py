@@ -24,6 +24,9 @@ from .asymptotics import (
 )
 from .core import (
     GSpec,
+    _character_sweep,
+    _content_coefficient,
+    _content_terms,
     _degrees,
     _gw_scale,
     _orders,
@@ -36,7 +39,6 @@ from .core import (
     gap_interval,
     hypergeometric_hurwitz_sweep,
     m_ds,
-    mixed_simple_hypergeometric_lists,
     resum_structure,
     structure_coefficients,
     weighted_sweep,
@@ -160,27 +162,33 @@ def _engine_query(blocks) -> tuple:
 def _engine_values(d: int, profile_lists, queries) -> dict:
     """{profiles: {query: character-sum value}} at degree d for every
     profile list of ``profile_lists`` and every ``_engine_query`` tuple of
-    ``queries``, read once per gspec.  The simple counts without monotone
-    blocks are one completed sweep per list.  Every other gspec is one
-    ``mixed_simple_hypergeometric_lists`` over every (simple count,
-    monomial) at z-order ``sum(monomial)`` and every list: each
-    partition's terms are computed once per (d, gspec)."""
-    shapes: dict = {}
-    for simple, gspec, monomial in queries:
-        shapes.setdefault(gspec, set()).add((simple, monomial))
-    values: dict = {profiles: {} for profiles in profile_lists}
-    for gspec, shape in shapes.items():
-        if gspec.nvars == 0:
-            simples = sorted(simple for simple, _ in shape)
-            for profiles in profile_lists:
-                got = completed_sweep(simples, 1, profiles, d)
-                values[profiles].update(((simple, gspec, ()), v) for simple, v in got.items())
-            continue
-        reads = [(simple, sum(monomial), monomial) for simple, monomial in sorted(shape)]
-        for profiles, got in zip(profile_lists, mixed_simple_hypergeometric_lists(
-                reads, gspec, profile_lists, d=d)):
-            values[profiles].update(((simple, gspec, monomial), v)
-                                    for (simple, _, monomial), v in got.items())
+    ``queries``.  The simple counts without monotone blocks are one
+    completed sweep per list.  Every other query is read in one
+    ``_character_sweep`` per list: each partition's e and h sequences are
+    read once, to the largest monomial total, and at K = 0 (``hk`` is
+    1, 0, ...) that one pair serves every gspec.  A query's term is its
+    monomial's content coefficient times ``f_bar(lam, 2)^simple``."""
+    queries = list(dict.fromkeys(queries))
+    simple_only = [query for query in queries if not query[1].nvars]
+    mixed = [query for query in queries if query[1].nvars]
+    r_max = max((sum(monomial) for _, _, monomial in mixed), default=0)
+    terms: dict = {}
+
+    def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
+        if lam not in terms:
+            sequences = _content_coefficient(lam, GSpec(L=1, M=1), r_max, 1, 1)
+            f = _scaled_f_bar(lam, 2, 1)
+            terms[lam] = {
+                (simple, gspec, monomial): _content_terms(sequences, gspec, None, monomial)(
+                    sum(monomial)) * f**simple
+                for simple, gspec, monomial in mixed}.__getitem__
+        return terms[lam]
+
+    values: dict = {}
+    for profiles in profile_lists:
+        values[profiles] = _character_sweep(factor, mixed, profiles, d)
+        got = completed_sweep([simple for simple, _, _ in simple_only], 1, profiles, d)
+        values[profiles].update((query, got[query[0]]) for query in simple_only)
     return values
 
 
@@ -191,15 +199,15 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 
     Both oracle guards (degree and transpositions) are checked before the
     sweep.  Each block list maps to one engine query ``(simple, gspec,
-    monomial)``.  Per d the engine is read once per gspec, for every query
-    of that gspec and every profile combination at once
-    (``_engine_values``): each partition's content terms and powers of
-    ``f_bar(lam, 2)`` are computed once, then one weighted sum runs per
-    combination.  Per d the literal counts of every block list and every
-    profile combination come from one ``oracle.count_factorizations_sweep``:
-    each profile product is built once, and each block walk extends the
-    memoized walk of the list's first block by its last.  Every query is
-    compared with its engine value, block list by block list.
+    monomial)``.  Per d the engine is read by ``_engine_values``: each
+    partition's terms for every monotone query are computed once, then
+    one weighted sum over those queries and one completed sweep run per
+    profile combination.  Per d the literal counts of every block list and
+    every profile combination come from one
+    ``oracle.count_factorizations_sweep``: each profile product is built
+    once, and each block walk extends the memoized walk of the list's
+    first block by its last.  Every query is compared with its engine
+    value, block list by block list.
     """
     oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
@@ -356,8 +364,11 @@ def verify_jack(max_d: int = 5) -> dict:
                 ok = False
         _check(checks, f"extreme-content maximisers alpha={alpha}", ok)
 
-    # one sweep per degree: at z-order r the caps (d, JACK_B0_MAX_R) keep the
-    # same monomials as (min(r, d), r)
+    # the Jack weights at alpha = 1 against the character weights: both
+    # sides read the same content sequences by design (``verify oracle``
+    # checks those against literal counts).  One sweep per degree: at
+    # z-order r the caps (d, JACK_B0_MAX_R) keep the same monomials as
+    # (min(r, d), r)
     g, r_values = GSpec(K=1, L=1, M=1), range(JACK_B0_MAX_R + 1)
     ok = all(b_hurwitz_sweep(r_values, g, (), 0, d=d, caps=(d, JACK_B0_MAX_R))
              == {result.r: result.value for result in hypergeometric_hurwitz_sweep(

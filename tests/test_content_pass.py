@@ -17,7 +17,6 @@ from hurwitz.core import (
     f_bar,
     hypergeometric_hurwitz_sweep,
     mixed_simple_hypergeometric,
-    mixed_simple_hypergeometric_lists,
     weighted_sweep,
 )
 from hurwitz.jack import b_hurwitz_sweep, deformed_contents, jack_weights
@@ -133,84 +132,12 @@ def test_mixed_simple_hypergeometric_matches_the_per_r_path(caps, monomial):
         assert got == (want if monomial is None else coefficient(want, monomial)), r
 
 
-MIXED = {  # (gspec, profiles, d, caps, monomial)
-    "no-profiles": (GSpec(K=1, L=1), (), 3, None, None),
-    "one-profile-capped": (GSpec(K=1, L=1, M=1), ((2, 1, 1),), 4, (1, 2), None),
-    "two-profiles-monomial": (GSpec(K=2, M=1), ((3, 1), (2, 2)), 4, None, (1,)),
-    "two-profiles": (GSpec(L=2), ((2, 1, 1), (2, 1, 1)), 4, None, None),
-}
-
-
-@pytest.mark.parametrize("case", MIXED)
-@pytest.mark.parametrize("r", [1, 2, 4])
-def test_mixed_simple_sweep_matches_each_single_value(case, r, monkeypatch):
-    # one list, the r_simple of the queries swept at a fixed (r, monomial or caps)
-    gspec, profiles, d, caps, monomial = MIXED[case]
-    queries = [(r_simple, r, monomial) for r_simple in range(5)]
-    listed = listings(monkeypatch)
-    got, = mixed_simple_hypergeometric_lists(queries, gspec, (profiles,), d=d, caps=caps)
-    assert listed == [(d, profiles)]
-    assert list(got) == queries
-    for r_simple in range(5):
-        assert got[r_simple, r, monomial] == mixed_simple_hypergeometric(
-            r_simple, r, gspec, profiles, d=d, caps=caps, monomial=monomial), r_simple
-    assert any(got.values())
-
-
-def test_keyed_mixed_queries_match_one_query_each(monkeypatch):
-    # orders, polynomials and monomials in one sweep, the sequences read at
-    # the largest r (4) for every query
-    gspec, profiles = GSpec(K=1, L=1, M=1), ((2, 1, 1),)
-    queries = [(r_simple, r, monomial) for r_simple in (0, 2) for r in (1, 4)
-               for monomial in (None, (1, 0), (0, 2))]
-    listed = listings(monkeypatch)
-    got, = mixed_simple_hypergeometric_lists(queries, gspec, (profiles,))
-    assert listed == [(4, profiles)]
-    assert list(got) == queries
-    for r_simple, r, monomial in queries:
-        want = mixed_simple_hypergeometric(r_simple, r, gspec, profiles, monomial=monomial)
-        value = got[r_simple, r, monomial]
-        assert (value, type(value)) == (want, type(want)), (r_simple, r, monomial)
-    assert any(got.values())
-
-
-@pytest.mark.parametrize("caps", [None, (1, 2)], ids=["uncapped", "capped"])
-def test_listed_mixed_queries_match_one_list_each(monkeypatch, caps):
-    # one term per partition for every list: the content sequences are read
-    # once per partition, then one weighted sum runs per list
-    gspec = GSpec(K=1, L=1, M=1)
-    monomials = (None,) if caps else (None, (1, 1), (0, 2))  # caps refuse a monomial
-    queries = [(r_simple, r, monomial) for r_simple in (0, 1, 3) for r in (0, 2, 4)
-               for monomial in monomials]
-    lists = [(), ((4,),), ((2, 1, 1),), ((2, 2), (3, 1)), ((1, 1, 1, 1), (2, 1, 1))]
-    sequences = []
-    original = core._content_coefficient
-
-    def read(lam, *args):
-        sequences.append(lam)
-        return original(lam, *args)
-
-    monkeypatch.setattr(core, "_content_coefficient", read)
-    got = mixed_simple_hypergeometric_lists(queries, gspec, lists, d=4, caps=caps)
-    assert sorted(sequences) == sorted(enumerate_partitions(4))
-    monkeypatch.setattr(core, "_content_coefficient", original)
-    assert len(got) == len(lists)
-    for profiles, values in zip(lists, got):
-        assert list(values) == queries
-        for (r_simple, r, monomial), value in values.items():
-            want = mixed_simple_hypergeometric(r_simple, r, gspec, profiles, d=4, caps=caps,
-                                               monomial=monomial)
-            assert (value, type(value)) == (want, type(want)), (profiles, r_simple, r, monomial)
-        assert any(values.values())
-
-
-@pytest.mark.parametrize("r_simple_values, r, order", [
-    ([1, -1], 2, "r_simple"), ([1], -2, "r"),
+@pytest.mark.parametrize("r_simple, r, order", [
+    (-1, 2, "r_simple"), (1, -2, "r"),
 ], ids=["negative-r-simple", "negative-r"])
-def test_mixed_simple_sweep_refuses_a_negative_order(r_simple_values, r, order):
-    queries = [(r_simple, r, None) for r_simple in r_simple_values]
+def test_mixed_simple_sweep_refuses_a_negative_order(r_simple, r, order):
     with pytest.raises(core.DomainError, match=f"^{order} must be nonnegative"):
-        mixed_simple_hypergeometric_lists(queries, GSpec(K=1, L=1), ((),), d=3)
+        mixed_simple_hypergeometric(r_simple, r, GSpec(K=1, L=1), d=3)
 
 
 B_CASES = {  # (gspec, profiles, b, d, caps)
@@ -314,9 +241,9 @@ def test_caps_and_monomial_are_checked():
 
 def test_mixed_orders_are_checked_by_name():
     with pytest.raises(core.DomainError, match="^r_simple must be nonnegative: -1$"):
-        mixed_simple_hypergeometric_lists([(0, 2, None), (-1, 2, None)], GSpec(K=1), ((),), d=3)
+        mixed_simple_hypergeometric(-1, 2, GSpec(K=1), d=3)
     with pytest.raises(core.DomainError, match="^r must be nonnegative: -2$"):
-        mixed_simple_hypergeometric_lists([(0, -2, None)], GSpec(K=1), ((),), d=3)
+        mixed_simple_hypergeometric(0, -2, GSpec(K=1), d=3)
 
 
 def test_a_monomial_beyond_the_range_is_zero():

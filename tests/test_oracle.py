@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import oracle, verify
+from hurwitz import core, oracle, verify
 from hurwitz.core import (GSpec, completed_sweep, hypergeometric_hurwitz,
                           mixed_simple_hypergeometric)
 from hurwitz.errors import DomainError, SizeLimitError
@@ -329,9 +329,10 @@ class TestSuiteSizes:
 
 
 class TestOracleSuite:
-    """``verify_oracle`` reads the engine once per (d, gspec), for every
-    profile list, and the literal counts once per (d, block list); a wrong
-    value on any one of its paths still fails the report and is named."""
+    """``verify_oracle`` reads the engine once per (d, profile list), for
+    every query, and the literal counts once per d, for every block list; a
+    wrong value on any one of its paths still fails the report and is
+    named."""
 
     def _off_by_one(self, name, d, profiles, query):
         """A wrapper of the bulk read ``name`` that adds 1 to one value at
@@ -347,20 +348,18 @@ class TestOracleSuite:
                 return out
             return wrong
 
-        simple, gspec, monomial = query
         original = getattr(verify, name)
         if name == "completed_sweep":  # the one shape without monotone blocks
             def wrong(r_values, s, got_profiles, got_d):
                 out = original(r_values, s, got_profiles, got_d)
-                if (got_d, got_profiles) == (d, profiles) and simple in out:
-                    out[simple] += 1
+                if (got_d, got_profiles) == (d, profiles) and query[0] in out:
+                    out[query[0]] += 1
                 return out
-        else:  # one read per (d, gspec), for every profile list at once
-            def wrong(queries, got_gspec, profile_lists, **kw):
-                out = original(queries, got_gspec, profile_lists, **kw)
-                key = (simple, sum(monomial), monomial)
-                if (kw["d"], got_gspec) == (d, gspec) and key in queries:
-                    out[list(profile_lists).index(profiles)][key] += 1
+        else:  # one read per (d, profiles), for every monotone query at once
+            def wrong(factor, queries, got_profiles, got_d):
+                out = original(factor, queries, got_profiles, got_d)
+                if (got_d, got_profiles) == (d, profiles) and query in out:
+                    out[query] += 1
                 return out
         return wrong
 
@@ -388,6 +387,34 @@ class TestOracleSuite:
                     value = got[simple, gspec, monomial]
                     assert (value, type(value)) == (want, type(want)), \
                         (d, profiles, simple, gspec, monomial)
+
+    def test_mixed_counts_match_the_literal_counts(self):
+        # the one-query path against literal counting, at every block list
+        # of at most four transpositions and every list of at most one profile
+        for d in range(1, 4):
+            for profiles in [p for p in verify._oracle_profiles(d) if len(p) <= 1]:
+                for blocks in verify._block_configs(4):
+                    simple, gspec, monomial = verify._engine_query(blocks)
+                    got = mixed_simple_hypergeometric(simple, sum(monomial), gspec, profiles,
+                                                      d=d, monomial=monomial)
+                    want = count_factorizations(FactorizationQuery(d, profiles, blocks))
+                    assert got == want, (d, profiles, blocks)
+
+    def test_the_engine_side_is_one_sweep_per_profile_list(self, monkeypatch):
+        swept = []
+        original = core.weighted_sweep
+
+        def recorded(weights, factor, r_values, denominator=None):
+            # the degree is that of the row (d), whose weight never vanishes
+            swept.append((sum(weights[0][0]), list(r_values)))
+            return original(weights, factor, r_values, denominator)
+
+        monkeypatch.setattr(core, "weighted_sweep", recorded)
+        assert verify.verify_oracle(max_d=3, max_transpositions=5)["pass"]
+        queries = dict.fromkeys(verify._engine_query(b) for b in verify._block_configs(5))
+        monotone = [query for query in queries if query[1].nvars]
+        assert swept == [(d, monotone) for d in (1, 2, 3) for _ in verify._oracle_profiles(d)]
+        assert len(swept) == 23
 
     def test_prefix_walks_match_the_walk_from_the_identity(self):
         # the two-block lists first, so each extends a prefix the memo lacks
@@ -470,8 +497,8 @@ class TestOracleSuite:
 
     @pytest.mark.parametrize("name, d, profiles, query", [
         ("completed_sweep", 3, ((2, 1),), (2, GSpec(), ())),
-        ("mixed_simple_hypergeometric_lists", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
-        ("mixed_simple_hypergeometric_lists", 2, ((2,),), (1, GSpec(M=1), (1,))),
+        ("_character_sweep", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
+        ("_character_sweep", 2, ((2,),), (1, GSpec(M=1), (1,))),
         ("count_factorizations_sweep", 2, ((2,), (1, 1)),
          (Block(1, "none"), Block(2, "weak"))),
     ], ids=["completed", "hypergeometric", "mixed", "literal"])
