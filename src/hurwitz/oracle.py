@@ -22,7 +22,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from .errors import DomainError, SizeLimitError
 from .exactnum import MultiPoly, affine_factor, exact, geometric_factor, geometric_power
@@ -330,40 +330,89 @@ def block_walk(d: int, blocks: tuple[Block, ...]) -> tuple[tuple[Perm, int], ...
     return tuple(walk.items())
 
 
-def count_factorizations_sweep(d: int, block_lists, profile_lists) -> list[list[Fraction]]:
-    """The normalized count of every profile list of ``profile_lists`` under
-    every block list of ``block_lists``, one list of counts per block list,
-    in order: raw count / (d! * prod of class sizes).
+@lru_cache(maxsize=ORACLE_MAX_DEGREE)
+def _class_algebra(d: int) -> tuple:
+    """``(sums, representatives, sizes, structure)`` of the class algebra of
+    S_d, over the partitions of d in canonical order: the class
+    coefficients of each class sum ``C_mu`` by its partition, one
+    permutation and the size of each class, and ``structure[s][n]``, the
+    ``(r, c)`` with ``C_s C_n = sum_r c C_r``.
 
-    The raw count is the identity coefficient of (product of the profiles'
-    class sums) * (block element), read as the convolution below.  Both
-    factors come from literal enumeration: each profile product is built
-    once per call, and each block walk is read from the ``block_walk``
-    memo.  The profile lists and every block list's transposition count
-    are checked as a ``FactorizationQuery`` checks them, before any count.
+    The structure constant ``c = #{a in C_s : a^-1 g in C_n}`` at the
+    representative ``g`` of class r is counted literally, over d! * p(d)
+    compositions: no character enters."""
+    parts = enumerate_partitions(d)
+    index = {mu: i for i, mu in enumerate(parts)}
+    classes = {p: index[cycle_type(p)] for p in group(d)}
+    representatives = [class_representative(d, mu) for mu in parts]
+    structure: list[list[list[tuple[int, int]]]] = [[[] for _ in parts] for _ in parts]
+    for r, g in enumerate(representatives):
+        counts: dict[tuple[int, int], int] = {}
+        for a in group(d):
+            key = classes[a], classes[compose(inverse(a), g)]
+            counts[key] = counts.get(key, 0) + 1
+        for (s, n), c in counts.items():
+            structure[s][n].append((r, c))
+    sums = {mu: [int(i == j) for j in range(len(parts))] for mu, i in index.items()}
+    return sums, representatives, [class_data(mu).class_size for mu in parts], structure
+
+
+def _class_product(structure, x: list[int], y: list[int]) -> list[int]:
+    """The class coefficients of (sum_s x_s C_s) (sum_n y_n C_n)."""
+    out = [0] * len(x)
+    for s, a in enumerate(x):
+        if a:
+            row = structure[s]
+            for n, b in enumerate(y):
+                if b:
+                    for r, c in row[n]:
+                        out[r] += a * b * c
+    return out
+
+
+def _raw_counts(d: int, block_lists, profile_lists) -> tuple[list[int], list[list[int]]]:
+    """``(denominators, raws)``: the ``d! * prod |C_mu|`` of every profile
+    list, and per block list the raw count of every profile list, in order.
+
+    Every factor of a factorization is central: a profile's class sum, and
+    a block's walk (a power of the transposition class sum, or h_k / e_k of
+    the Jucys-Murphy elements).  So the raw count, the identity coefficient
+    of (product of the class sums) * (product of the block walks), is
+    ``sum_r X[r] W[r] |C_r|`` over the class coefficients X of the profile
+    product and W of the block product, both multiplied in the class
+    algebra (``_class_algebra``).  Each distinct block is walked once, by
+    the ``block_walk`` memo, and read at one representative per class.
+    The profile lists and every block list's transposition count are
+    checked as a ``FactorizationQuery`` checks them, before any count.
     """
     lists = _checked_lists(d, profile_lists)
     block_lists = [tuple(blocks) for blocks in block_lists]
     for blocks in block_lists:
         _check_transpositions(sum(b.count for b in blocks))
-    sums = {mu: GroupAlgebraElement.class_sum(d, mu)
-            for mu in dict.fromkeys(mu for profiles, _ in lists for mu in profiles)}
-    products = [(reduce(operator.mul, map(sums.__getitem__, profiles),
-                         GroupAlgebraElement.identity(d)).coeffs.items(), denominator)
-                for profiles, denominator in lists]
-    out = []
+    sums, representatives, sizes, structure = _class_algebra(d)
+    product, one = partial(_class_product, structure), sums[(1,) * d]
+    profile_sides = [[x * size for x, size in zip(
+        reduce(product, map(sums.__getitem__, profiles), one), sizes)]
+        for profiles, _ in lists]
+    walks = {}
+    for block in dict.fromkeys(block for blocks in block_lists for block in blocks):
+        walk = dict(block_walk(d, (block,)))
+        walks[block] = [walk.get(g, 0) for g in representatives]
+    raws = []
     for blocks in block_lists:
-        walk = {inverse(p): n for p, n in block_walk(d, blocks)}  # keyed by the inverse
-        counts = []
-        for product, denominator in products:
-            raw = 0
-            for p, n in product:
-                w = walk.get(p)
-                if w:
-                    raw += n * w
-            counts.append(Fraction(raw, denominator))
-        out.append(counts)
-    return out
+        w = reduce(product, map(walks.__getitem__, blocks), one)
+        raws.append([sum(map(operator.mul, x, w)) for x in profile_sides])
+    return [denominator for _, denominator in lists], raws
+
+
+def count_factorizations_sweep(d: int, block_lists, profile_lists) -> list[list[Fraction]]:
+    """The normalized count of every profile list of ``profile_lists`` under
+    every block list of ``block_lists``, one list of counts per block list,
+    in order: raw count / (d! * prod of class sizes), with the raw counts
+    of ``_raw_counts``."""
+    denominators, raws = _raw_counts(d, block_lists, profile_lists)
+    return [[Fraction(raw, denominator) for raw, denominator in zip(row, denominators)]
+            for row in raws]
 
 
 def count_factorizations(query: FactorizationQuery) -> Fraction:
@@ -534,7 +583,7 @@ def permutation_characters(lam) -> dict[Partition, int]:
     return fixed
 
 
-def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fraction]]:
+def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, int | Fraction]]:
     """Irreducible characters from permutation characters alone.
 
     Young's rule makes the permutation characters unitriangular over the
@@ -542,6 +591,11 @@ def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fracti
     inner product peels them off top-down.  Each lambda's permutation
     character is one ``permutation_characters`` pass over its tabloids.
     Independent of the Murnaghan-Nakayama path.
+
+    The inner products of true characters are integers, so the peeling
+    runs on ints; an inner product that leaves a remainder is kept as its
+    exact Fraction, never floored, so a wrong permutation character gives
+    a wrong (non-integral) table instead of a plausible one.
     """
     _check_degree(d)
     parts = enumerate_partitions(d)
@@ -549,11 +603,12 @@ def bruteforce_character_table(d: int) -> dict[Partition, dict[Partition, Fracti
     order = math.factorial(d)
 
     def inner(f, g):
-        return sum((sizes[mu] * f[mu] * g[mu] for mu in parts), Fraction(0)) / order
+        total = sum(sizes[mu] * f[mu] * g[mu] for mu in parts)
+        return total // order if total % order == 0 else Fraction(total, order)
 
-    chars: dict[Partition, dict[Partition, Fraction]] = {}
+    chars: dict[Partition, dict[Partition, int | Fraction]] = {}
     for lam in parts:  # reverse-lex order extends dominance downward
-        vec = {mu: Fraction(chi) for mu, chi in permutation_characters(lam).items()}
+        vec = permutation_characters(lam)
         for prev in chars.values():
             c = inner(vec, prev)
             if c:

@@ -24,7 +24,6 @@ from .asymptotics import (
 )
 from .core import (
     GSpec,
-    _character_sweep,
     _content_coefficient,
     _content_terms,
     _degrees,
@@ -33,6 +32,7 @@ from .core import (
     _resolve_degree,
     _scaled_f_bar,
     character_weights,
+    completed_spectrum,
     completed_sweep,
     f_bar,
     f_bar_denominator,
@@ -159,36 +159,41 @@ def _engine_query(blocks) -> tuple:
     return simple, GSpec(K=0, L=len(strict), M=len(weak)), tuple(strict + weak)
 
 
-def _engine_values(d: int, profile_lists, queries) -> dict:
-    """{profiles: {query: character-sum value}} at degree d for every
-    profile list of ``profile_lists`` and every ``_engine_query`` tuple of
-    ``queries``.  The simple counts without monotone blocks are one
-    completed sweep per list.  Every other query is read in one
-    ``_character_sweep`` per list: each partition's e and h sequences are
-    read once, to the largest monomial total, and at K = 0 (``hk`` is
-    1, 0, ...) that one pair serves every gspec.  A query's term is its
-    monomial's content coefficient times ``f_bar(lam, 2)^simple``."""
-    queries = list(dict.fromkeys(queries))
-    simple_only = [query for query in queries if not query[1].nvars]
-    mixed = [query for query in queries if query[1].nvars]
-    r_max = max((sum(monomial) for _, _, monomial in mixed), default=0)
+def _engine_values(d: int, profile_lists, queries) -> list[tuple[int, list[int]]]:
+    """``(D, totals)`` at degree d for every profile list of
+    ``profile_lists``, in order: the character sum of the ``_engine_query``
+    tuple ``queries[i]`` is the integer ``totals[i]`` over the weights'
+    denominator ``D`` (``character_weights``).  The simple counts without
+    monotone blocks are read off one completed spectrum per list.  Every
+    other query is read in one ``weighted_sweep`` per list, keyed by its
+    position: each partition's e and h sequences are read once, to the
+    largest monomial total, and at K = 0 (``hk`` is 1, 0, ...) that one
+    pair serves every gspec.  A query's term is its monomial's content
+    coefficient times ``f_bar(lam, 2)^simple``."""
+    simple_only = [i for i, query in enumerate(queries) if not query[1].nvars]
+    mixed = [i for i, query in enumerate(queries) if query[1].nvars]
+    r_max = max((sum(queries[i][2]) for i in mixed), default=0)
     terms: dict = {}
 
     def factor(lam):  # f_bar(lam, 2) is an integer: Q_2 = 1
         if lam not in terms:
             sequences = _content_coefficient(lam, GSpec(L=1, M=1), r_max, 1, 1)
             f = _scaled_f_bar(lam, 2, 1)
-            terms[lam] = {
-                (simple, gspec, monomial): _content_terms(sequences, gspec, None, monomial)(
-                    sum(monomial)) * f**simple
-                for simple, gspec, monomial in mixed}.__getitem__
+            terms[lam] = [
+                _content_terms(sequences, gspec, None, monomial)(sum(monomial)) * f**simple
+                for simple, gspec, monomial in map(queries.__getitem__, mixed)].__getitem__
         return terms[lam]
 
-    values: dict = {}
+    values = []
     for profiles in profile_lists:
-        values[profiles] = _character_sweep(factor, mixed, profiles, d)
-        got = completed_sweep([simple for simple, _, _ in simple_only], 1, profiles, d)
-        values[profiles].update((query, got[query[0]]) for query in simple_only)
+        denominator, weights = character_weights(d, profiles)
+        totals = [0] * len(queries)
+        for i, total in zip(mixed, weighted_sweep(weights, factor, range(len(mixed))).values()):
+            totals[i] = total
+        spectrum = completed_spectrum(1, profiles, d)[1]
+        for i in simple_only:
+            totals[i] = sum(a * f**queries[i][0] for f, a in spectrum.items())
+        values.append((denominator, totals))
     return values
 
 
@@ -199,38 +204,40 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 
     Both oracle guards (degree and transpositions) are checked before the
     sweep.  Each block list maps to one engine query ``(simple, gspec,
-    monomial)``.  Per d the engine is read by ``_engine_values``: each
-    partition's terms for every monotone query are computed once, then
-    one weighted sum over those queries and one completed sweep run per
-    profile combination.  Per d the literal counts of every block list and
-    every profile combination come from one
-    ``oracle.count_factorizations_sweep``: each profile product is built
-    once, and each block walk extends the memoized walk of the list's
-    first block by its last.  Every query is compared with its engine
-    value, block list by block list.
+    monomial)``, kept by its position among the distinct queries.  Per d
+    the engine is read by ``_engine_values``, as integer totals over the
+    weights' denominator D: one weighted sum over the monotone queries and
+    one completed spectrum per profile combination.  Per d the literal
+    raw counts of every block list and every profile combination come from
+    one ``oracle._raw_counts``, over d! prod |C_mu|.  Each raw count is
+    compared with its engine total by cross-multiplying the two
+    denominators; only the first mismatch is written out as Fractions.
     """
     oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
     checks: list[dict] = []
     block_lists = list(_block_configs(max_transpositions))
-    queries = [_engine_query(blocks) for blocks in block_lists]
+    positions: dict = {}
+    query_of = [positions.setdefault(_engine_query(blocks), len(positions))
+                for blocks in block_lists]
+    queries = list(positions)
     for d in range(1, max_d + 1):
         combos = _oracle_profiles(d)
         engine = _engine_values(d, combos, queries)
-        literal = oracle.count_factorizations_sweep(d, block_lists, combos)
+        denominators, literal = oracle._raw_counts(d, block_lists, combos)
         bad = 0
-        total = 0
         first_bad = ""
-        for blocks, query, counts in zip(block_lists, queries, literal):
-            for profs, expected in zip(combos, counts):
-                total += 1
-                got = engine[profs][query]
-                if got != expected:
+        for blocks, i, raws in zip(block_lists, query_of, literal):
+            for profs, (denominator, totals), raw, count_denominator in zip(
+                    combos, engine, raws, denominators):
+                if totals[i] * count_denominator != raw * denominator:
                     bad += 1
                     if not first_bad:
-                        first_bad = f"d={d} profiles={profs} blocks={blocks}: {got} != {expected}"
+                        first_bad = (f"d={d} profiles={profs} blocks={blocks}: "
+                                     f"{Fraction(totals[i], denominator)} != "
+                                     f"{Fraction(raw, count_denominator)}")
         _check(checks, f"oracle equivalence d={d}", bad == 0,
-               first_bad or f"{total} queries")
+               first_bad or f"{len(block_lists) * len(combos)} queries")
     return _report("oracle", checks, max_d=max_d,
                    max_transpositions=max_transpositions, max_blocks=ORACLE_MAX_BLOCKS)
 
@@ -240,7 +247,7 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 # the top degree of the Jucys-Murphy checks: up to d=6 the suite takes about
-# 2.0 s, against 0.06-0.10 s up to d=5 (Python 3.11, a shared 2-core box)
+# 1.5 s, against 0.06 s up to d=5 (Python 3.11, a shared 2-core box)
 STIRLING_MAX_D = 5
 # the top n of the Stirling product checks and the top k of e_k, h_k(JM)
 STIRLING_MAX_N, STIRLING_MAX_K = 10, 6
@@ -254,21 +261,22 @@ def verify_stirling(max_d: int = STIRLING_MAX_D) -> dict:
     checks: list[dict] = []
     from .exactnum import MultiPoly, TruncSeries, affine_factor, geometric_factor
 
+    # both products grow by one factor per n: prod_{i<=n} (1 + iz) to the top
+    # order STIRLING_MAX_N, where the coefficients above n vanish, and
+    # prod_{i<=n} 1/(1 - iz) to order 8
+    one, order = MultiPoly.constant(0, 1), 8
+    rising = TruncSeries.one(0, STIRLING_MAX_N)
+    falling = TruncSeries.one(0, order)
     for n in range(0, STIRLING_MAX_N + 1):
-        one = MultiPoly.constant(0, 1)
-        rising = TruncSeries.one(0, n)
-        for i in range(1, n + 1):
-            rising = rising.mul(affine_factor(i, one, n))
+        if n:
+            rising = rising.mul(affine_factor(n, one, STIRLING_MAX_N))
+            falling = falling.mul(geometric_factor(n, one, order))
         ok = all(
             rising.coeffs[k].constant_value() == stirling(1, n + 1, n + 1 - k)
             for k in range(n + 1)
-        )
+        ) and all(coeff.is_zero() for coeff in rising.coeffs[n + 1:])
         _check(checks, f"prod (1+iz) vs first kind, n={n}", ok)
 
-        order = 8
-        falling = TruncSeries.one(0, order)
-        for i in range(1, n + 1):
-            falling = falling.mul(geometric_factor(i, one, order))
         ok = all(
             falling.coeffs[k].constant_value() == stirling(2, n + k, n)
             for k in range(order + 1)

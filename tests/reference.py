@@ -7,7 +7,9 @@ computes another way: the tests check the library against them.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from hurwitz.core import GSpec, _content_terms, content_sequences, rh_genus
 from hurwitz.errors import SizeLimitError
@@ -16,10 +18,12 @@ from hurwitz.oracle import (
     FactorizationQuery,
     GroupAlgebraElement,
     Perm,
+    block_walk,
     central_idempotent,
     class_perms,
     compose,
     identity,
+    inverse,
     transpositions,
 )
 from hurwitz.partitions import class_data, enumerate_partitions
@@ -67,6 +71,26 @@ def count_factorizations_dfs(query: FactorizationQuery, *, guard: int = 6) -> Fr
     walk_profiles(identity(d), query.profiles)
     return Fraction(count, math.factorial(d) * math.prod(
         class_data(mu).class_size for mu in query.profiles))
+
+
+def count_factorizations_by_walks(d: int, block_lists, profile_lists) -> list[list[Fraction]]:
+    """``oracle.count_factorizations_sweep`` on whole permutation walks: the
+    identity coefficient of (product of the profiles' class sums) * (block
+    element), read as the convolution of the literal profile product with
+    each block list's ``block_walk`` (keyed by the inverse), over
+    d! * prod of class sizes.  No class function is assumed central."""
+    out = []
+    products = []
+    for profiles in profile_lists:
+        product = reduce(operator.mul, (GroupAlgebraElement.class_sum(d, mu) for mu in profiles),
+                         GroupAlgebraElement.identity(d))
+        products.append((product.coeffs.items(), math.factorial(d) * math.prod(
+            class_data(mu).class_size for mu in profiles)))
+    for blocks in block_lists:
+        walk = {inverse(p): n for p, n in block_walk(d, tuple(blocks))}
+        out.append([Fraction(sum(n * walk.get(p, 0) for p, n in product), denominator)
+                    for product, denominator in products])
+    return out
 
 
 def block_walk_from_identity(d: int, blocks) -> dict[Perm, int]:

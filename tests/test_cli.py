@@ -1050,22 +1050,23 @@ class TestOracleGuards:
         monkeypatch.setattr(oracle, "count_factorizations", counted.append)
         monkeypatch.setattr(oracle, "count_factorizations_sweep",
                             lambda *args: counted.append(args))
+        monkeypatch.setattr(oracle, "_raw_counts", lambda *args: counted.append(args))
         code, out, err = run(capsys, "verify", "oracle", *argv)
         assert code == EXIT_SIZE_LIMIT and out == "" and message in err
         assert counted == []
 
     def test_at_the_guards_runs(self, capsys, monkeypatch):
-        # the suite counts through the bulk counter the guard test patches:
+        # the suite counts through the raw counter the guard test patches:
         # one call per degree, over every block list (436 lists of at most
         # 10 transpositions)
         counted = []
-        original = oracle.count_factorizations_sweep
+        original = oracle._raw_counts
 
         def recorded(d, block_lists, profile_lists):
             counted.append(block_lists)
             return original(d, block_lists, profile_lists)
 
-        monkeypatch.setattr(oracle, "count_factorizations_sweep", recorded)
+        monkeypatch.setattr(oracle, "_raw_counts", recorded)
         code, out, _ = run(capsys, "verify", "oracle", "--max-d", "1",
                            "--max-transpositions", "10", "--format", "csv")
         assert code == EXIT_OK and out.splitlines()[-1] == "oracle equivalence d=1,pass,1308 queries"

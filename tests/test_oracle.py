@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import core, oracle, verify
+from hurwitz import core, exactnum, oracle, verify
 from hurwitz.core import (GSpec, completed_sweep, hypergeometric_hurwitz,
                           mixed_simple_hypergeometric)
 from hurwitz.errors import DomainError, SizeLimitError
-from hurwitz.exactnum import stirling
+from hurwitz.exactnum import TruncSeries, stirling
 from hurwitz.oracle import (
     Block,
     FactorizationQuery,
@@ -24,8 +24,8 @@ from hurwitz.oracle import (
     permutation_characters,
 )
 from hurwitz.partitions import enumerate_partitions
-from reference import (block_walk_from_identity, count_factorizations_dfs,
-                       resolution_of_identity)
+from reference import (block_walk_from_identity, count_factorizations_by_walks,
+                       count_factorizations_dfs, resolution_of_identity)
 
 
 class TestCounts:
@@ -279,6 +279,116 @@ class TestPermutationModules:
                 t.value((3,), mu) + t.value((2, 1), mu)
 
 
+    def test_the_table_has_int_entries(self):
+        for d in range(1, 6):
+            table = oracle.bruteforce_character_table(d)
+            assert all(type(chi) is int for row in table.values() for chi in row.values())
+
+    def test_a_wrong_permutation_character_fails_the_bruteforce_check(self, monkeypatch):
+        # a fixed point too many on the regular module of S_3 leaves a
+        # remainder in its inner product with the trivial character (8/6):
+        # the table keeps the Fraction instead of flooring it, and only the
+        # permutation-module check at d = 3 fails
+        original = oracle.permutation_characters
+
+        def corrupted(lam):
+            out = original(lam)
+            if lam == (1, 1, 1):
+                out = {**out, (3,): out[(3,)] + 1}
+            return out
+
+        monkeypatch.setattr(oracle, "permutation_characters", corrupted)
+        table = oracle.bruteforce_character_table(3)
+        assert any(type(chi) is Fraction and chi.denominator > 1
+                   for chi in table[(1, 1, 1)].values())
+        report = verify.verify_characters(max_d=3)
+        assert not report["pass"]
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == \
+            ["permutation-module bruteforce d=3"]
+
+
+class TestClassFunctions:
+    """The literal counts read every factor as a class function: a
+    profile's class sum and a single block's walk.  These check what that
+    reduction takes on trust against the group algebra."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_single_block_walks_are_constant_on_classes(self, d):
+        for k in range(0, 7):
+            for constraint in oracle.CONSTRAINTS:
+                walk = dict(block_walk(d, (Block(k, constraint),)))
+                for mu in enumerate_partitions(d):
+                    values = {walk.get(p, 0) for p in oracle.class_perms(d, mu)}
+                    assert len(values) == 1, (d, k, constraint, mu)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_complete_and_elementary_jm_polynomials_are_central(self, d):
+        # class_coefficients raises on an element that is not constant on
+        # a class
+        for g in ([1] * 7, [1, 1] + [0] * 5):
+            for element in jm_series(g, d):
+                element.class_coefficients()
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_structure_constants_are_the_class_sum_products(self, d):
+        sums, representatives, sizes, structure = oracle._class_algebra(d)
+        parts = enumerate_partitions(d)
+        index = {mu: sums[mu].index(1) for mu in parts}
+        assert list(sums) == parts and sorted(index.values()) == list(range(len(parts)))
+        assert all(sum(vector) == 1 for vector in sums.values())
+        assert sizes == [len(oracle.class_perms(d, mu)) for mu in parts]
+        for mu, g in zip(parts, representatives):
+            assert cycle_type(g) == mu
+        for s, sigma in enumerate(parts):
+            for n, nu in enumerate(parts):
+                product = (GroupAlgebraElement.class_sum(d, sigma)
+                           * GroupAlgebraElement.class_sum(d, nu)).class_coefficients()
+                want = {index[rho]: c for rho, c in product.items() if c}
+                assert dict(structure[s][n]) == want, (sigma, nu)
+
+    def test_class_function_counts_match_the_prefix_walks(self):
+        configs = list(verify._block_configs(6))
+        for d in range(1, 5):
+            lists = verify._oracle_profiles(d)
+            assert oracle.count_factorizations_sweep(d, configs, lists) == \
+                count_factorizations_by_walks(d, configs, lists), d
+
+    def test_longer_lists_match_the_prefix_walks(self):
+        # three profiles and three blocks: the class products chain
+        blocks = [(Block(1, "weak"), Block(1, "none"), Block(1, "strict")),
+                  (Block(2, "strict"), Block(0, "weak"), Block(1, "weak"))]
+        lists = [((2, 1, 1), (2, 2), (3, 1)), ((4,), (4,), (2, 1, 1))]
+        got = oracle.count_factorizations_sweep(4, blocks, lists)
+        assert all(all(row) for row in got)
+        assert got == count_factorizations_by_walks(4, blocks, lists)
+
+
+class TestStirlingSuite:
+    def test_each_product_grows_by_one_factor_per_n(self, monkeypatch):
+        calls = []
+        original = TruncSeries.mul
+        monkeypatch.setattr(TruncSeries, "mul",
+                            lambda self, other, caps=None: calls.append(1)
+                            or original(self, other, caps))
+        assert verify.verify_stirling()["pass"]
+        assert len(calls) == 2 * verify.STIRLING_MAX_N == 20
+
+    def test_the_rising_check_reads_the_coefficients_above_n(self, monkeypatch):
+        # a z^order term on every factor leaves each coefficient up to n < 10
+        # as it is, and only the ones above n see it
+        original = exactnum.affine_factor
+
+        def padded(c, weight, order):
+            out = original(c, weight, order)
+            out.coeffs[order] = out.coeffs[order] + weight
+            return out
+
+        monkeypatch.setattr(exactnum, "affine_factor", padded)
+        failed = [c["name"] for c in verify.verify_stirling(max_d=2)["checks"] if not c["pass"]]
+        assert failed == [f"prod (1+iz) vs first kind, n={n}"
+                          for n in range(1, verify.STIRLING_MAX_N + 1)]
+
+
 class TestSuiteSizes:
     """A verify suite refuses a degree sweep that would check nothing, and
     reports its fixed sizes."""
@@ -335,46 +445,60 @@ class TestOracleSuite:
     named."""
 
     def _off_by_one(self, name, d, profiles, query):
-        """A wrapper of the bulk read ``name`` that adds 1 to one value at
-        (d, profiles): the engine value of ``query``, or, for the literal
-        counter, the count under the block list ``query``."""
-        if name == "count_factorizations_sweep":  # one read per d, for every block list
-            original = oracle.count_factorizations_sweep
+        """A wrapper of the bulk read ``name`` that moves one value at
+        (d, profiles) up by 1: the engine value of ``query``, or, for the
+        literal counter, the count under the block list ``query``.  Both
+        sides are read as integers over a denominator, so the wrapper adds
+        that denominator."""
+        if name == "_raw_counts":  # one read per d, for every block list
+            original = oracle._raw_counts
 
             def wrong(got_d, block_lists, profile_lists):
-                out = original(got_d, block_lists, profile_lists)
+                denominators, raws = original(got_d, block_lists, profile_lists)
                 if got_d == d:
-                    out[list(block_lists).index(query)][profile_lists.index(profiles)] += 1
-                return out
+                    j = profile_lists.index(profiles)
+                    raws[list(block_lists).index(query)][j] += denominators[j]
+                return denominators, raws
             return wrong
 
         original = getattr(verify, name)
-        if name == "completed_sweep":  # the one shape without monotone blocks
-            def wrong(r_values, s, got_profiles, got_d):
-                out = original(r_values, s, got_profiles, got_d)
-                if (got_d, got_profiles) == (d, profiles) and query[0] in out:
-                    out[query[0]] += 1
-                return out
-        else:  # one read per (d, profiles), for every monotone query at once
-            def wrong(factor, queries, got_profiles, got_d):
-                out = original(factor, queries, got_profiles, got_d)
-                if (got_d, got_profiles) == (d, profiles) and query in out:
-                    out[query] += 1
+        if name == "completed_spectrum":  # the one shape without monotone blocks
+            def wrong(s, got_profiles, got_d):
+                denominator, spectrum = original(s, got_profiles, got_d)
+                if (got_d, got_profiles) == (d, profiles):
+                    # D (1 + (-1)^r)/2 - D 0^r adds D at r = 2 and 0 at r = 0, 1, 3
+                    assert query[0] == 2
+                    spectrum = dict(spectrum)
+                    for f, a in ((0, -denominator), (1, denominator // 2),
+                                 (-1, denominator // 2)):
+                        spectrum[f] = spectrum.get(f, 0) + a
+                return denominator, spectrum
+        else:  # one weighted sum per (d, profiles), for every monotone query at once
+            queries = dict.fromkeys(map(verify._engine_query, verify._block_configs(3)))
+            position = [q for q in queries if q[1].nvars].index(query)
+
+            def wrong(weights, factor, r_values, denominator=None):
+                out = original(weights, factor, r_values, denominator)
+                target, target_weights = core.character_weights(d, profiles)
+                if weights is target_weights:
+                    out[position] += target
                 return out
         return wrong
 
     def test_bulk_engine_values_match_the_public_path(self):
         # every query of the suite's block lists, at every profile list,
-        # against the public value it stands for, type included
-        queries = {verify._engine_query(blocks) for blocks in verify._block_configs(5)}
+        # against the public value it stands for: an int total over the
+        # weights' denominator
+        queries = list(dict.fromkeys(
+            verify._engine_query(blocks) for blocks in verify._block_configs(5)))
         for d in range(1, 4):
             lists = verify._oracle_profiles(d)
             engine = verify._engine_values(d, lists, queries)
-            assert list(engine) == lists
-            for profiles in lists:
-                got = engine[profiles]
-                assert set(got) == queries
-                for simple, gspec, monomial in queries:
+            assert len(engine) == len(lists)
+            for profiles, (denominator, totals) in zip(lists, engine):
+                assert denominator == core.character_weights(d, profiles)[0]
+                assert len(totals) == len(queries)
+                for (simple, gspec, monomial), total in zip(queries, totals):
                     r = sum(monomial)
                     if gspec.nvars == 0:
                         want = completed_sweep((simple,), 1, profiles, d)[simple]
@@ -384,8 +508,7 @@ class TestOracleSuite:
                     else:
                         want = mixed_simple_hypergeometric(simple, r, gspec, profiles, d=d,
                                                            monomial=monomial)
-                    value = got[simple, gspec, monomial]
-                    assert (value, type(value)) == (want, type(want)), \
+                    assert type(total) is int and Fraction(total, denominator) == want, \
                         (d, profiles, simple, gspec, monomial)
 
     def test_mixed_counts_match_the_literal_counts(self):
@@ -409,11 +532,13 @@ class TestOracleSuite:
             swept.append((sum(weights[0][0]), list(r_values)))
             return original(weights, factor, r_values, denominator)
 
-        monkeypatch.setattr(core, "weighted_sweep", recorded)
+        monkeypatch.setattr(verify, "weighted_sweep", recorded)
         assert verify.verify_oracle(max_d=3, max_transpositions=5)["pass"]
         queries = dict.fromkeys(verify._engine_query(b) for b in verify._block_configs(5))
         monotone = [query for query in queries if query[1].nvars]
-        assert swept == [(d, monotone) for d in (1, 2, 3) for _ in verify._oracle_profiles(d)]
+        # keyed by the position of each monotone query
+        assert swept == [(d, list(range(len(monotone))))
+                         for d in (1, 2, 3) for _ in verify._oracle_profiles(d)]
         assert len(swept) == 23
 
     def test_prefix_walks_match_the_walk_from_the_identity(self):
@@ -441,20 +566,20 @@ class TestOracleSuite:
 
     def test_the_literal_side_is_one_read_per_degree(self, monkeypatch):
         read = []
-        original = oracle.count_factorizations_sweep
+        original = oracle._raw_counts
 
         def recorded(d, block_lists, profile_lists):
             read.append((d, list(block_lists), profile_lists))
             return original(d, block_lists, profile_lists)
 
-        monkeypatch.setattr(oracle, "count_factorizations_sweep", recorded)
+        monkeypatch.setattr(oracle, "_raw_counts", recorded)
         assert verify.verify_oracle(max_d=3, max_transpositions=3)["pass"]
         configs = list(verify._block_configs(3))
         assert read == [(d, configs, verify._oracle_profiles(d)) for d in (1, 2, 3)]
 
     def test_the_list_checks_are_kept_per_degree_and_lists(self, monkeypatch):
         # one bulk call checks each profile list once, not once per block
-        # list, then builds the class sum of each profile once (its own check)
+        # list; the class algebra is built once per degree, with no check
         lists = verify._oracle_profiles(3)
         oracle.count_factorizations_sweep(3, (), lists)  # the class memo, filled
         checked = []
@@ -462,9 +587,7 @@ class TestOracleSuite:
         monkeypatch.setattr(oracle, "check_partition",
                             lambda mu: checked.append(mu) or original(mu))
         oracle.count_factorizations_sweep(3, verify._block_configs(3), lists)
-        n = sum(map(len, lists))
-        assert checked[:n] == [mu for profiles in lists for mu in profiles]
-        assert checked[n:] == list(dict.fromkeys(checked[:n]))
+        assert checked == [mu for profiles in lists for mu in profiles]
 
     def test_bulk_counts_match_the_one_list_counter(self):
         configs = list(verify._block_configs(5))
@@ -496,15 +619,15 @@ class TestOracleSuite:
             == "7 queries"
 
     @pytest.mark.parametrize("name, d, profiles, query", [
-        ("completed_sweep", 3, ((2, 1),), (2, GSpec(), ())),
-        ("_character_sweep", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
-        ("_character_sweep", 2, ((2,),), (1, GSpec(M=1), (1,))),
-        ("count_factorizations_sweep", 2, ((2,), (1, 1)),
+        ("completed_spectrum", 3, ((2, 1),), (2, GSpec(), ())),
+        ("weighted_sweep", 3, ((3,), (2, 1)), (0, GSpec(L=1), (2,))),
+        ("weighted_sweep", 2, ((2,),), (1, GSpec(M=1), (1,))),
+        ("_raw_counts", 2, ((2,), (1, 1)),
          (Block(1, "none"), Block(2, "weak"))),
     ], ids=["completed", "hypergeometric", "mixed", "literal"])
     def test_a_wrong_engine_value_fails_the_report(self, monkeypatch, name, d, profiles,
                                                    query):
-        literal = name == "count_factorizations_sweep"
+        literal = name == "_raw_counts"
         blocks = query if literal else next(
             blocks for blocks in verify._block_configs(3) if verify._engine_query(blocks) == query)
         true = count_factorizations(FactorizationQuery(d, profiles, blocks))
