@@ -492,21 +492,24 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
     prod (1-v z)) is evaluated at z * J_i for every i; acting on
     F_lambda each z-coefficient must equal the scalar obtained by
     evaluating the same product at the box contents of lambda.  All u, v
-    are specialised to the supplied rationals.
-    """
+    are specialised to the supplied rationals.  Every product is taken on
+    class coefficients in ``_class_algebra``, so a z-coefficient off the
+    centre fails the law."""
     lam = check_partition(lam)
     d = sum(lam)
     _check_degree(d)
-    f_lam = central_idempotent(lam)
+    product = partial(_class_product, _class_algebra(d)[3])
 
-    idempotent = (f_lam * f_lam) == f_lam
-    orthogonal = True
-    for eta in enumerate_partitions(d):
-        if eta == lam:
-            continue
-        if not (f_lam * central_idempotent(eta)).is_zero():
-            orthogonal = False
-            break
+    def vector(element):  # class coefficients, or None off the centre
+        try:
+            return list(element.class_coefficients().values())
+        except DomainError:
+            return None
+
+    f_lam = vector(central_idempotent(lam))
+    idempotent = product(f_lam, f_lam) == f_lam
+    orthogonal = all(not any(product(f_lam, vector(central_idempotent(eta))))
+                     for eta in enumerate_partitions(d) if eta != lam)
 
     u_values = [exact(u) for u in u_values]
     v_values = [exact(v) for v in v_values]
@@ -531,9 +534,8 @@ def idempotent_check(lam, *, z_order: int = 4, literal_order: int = 1,
             for n in range(z_order + 1)
         ]
 
-    eigen_ok = all(
-        (series[n] * f_lam) == f_lam.scale(eigen[n]) for n in range(z_order + 1)
-    )
+    eigen_ok = all(x is not None and product(x, f_lam) == [eigen[n] * f for f in f_lam]
+                   for n, x in enumerate(map(vector, series)))
     return {
         "partition": lam,
         "idempotent": idempotent,

@@ -43,7 +43,7 @@ from .core import (
     structure_coefficients,
     weighted_sweep,
 )
-from .errors import DomainError, EmptyReportError, SizeLimitError
+from .errors import DomainError, EmptyReportError
 from .exactnum import stirling
 from .jack import (_check_jack_degree, b_hurwitz_sweep, deformed_contents, hall_product,
                    jack_in_psums, jack_norm)
@@ -63,11 +63,11 @@ def _check(checks: list[dict], name: str, ok: bool, detail: str = ""):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _check_sweep_start(suite: str, max_d: int):
-    """Refuse a degree sweep from d = 2 that would check nothing."""
-    if max_d < 2:
-        raise DomainError(f"verify {suite} sweeps from d=2, so max_d must be at least 2, "
-                          f"got {max_d}")
+def _check_sweep_start(suite: str, max_d: int, start: int = 2):
+    """Refuse a degree sweep from d = ``start`` that would check nothing."""
+    if max_d < start:
+        raise DomainError(f"verify {suite} sweeps from d={start}, so max_d must be at least "
+                          f"{start}, got {max_d}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,7 @@ BRUTEFORCE_MAX_D = 5
 
 
 def verify_characters(max_d: int = 6) -> dict:
+    _check_sweep_start("characters", max_d, start=1)
     checks: list[dict] = []
     characters.char_table(max_d).fill()  # above the ceiling, fail before any check
     for d in range(1, max_d + 1):
@@ -246,18 +247,13 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
 # Stirling and Jucys-Murphy identities
 # ---------------------------------------------------------------------------
 
-# the top degree of the Jucys-Murphy checks: up to d=6 the suite takes about
-# 1.5 s, against 0.06 s up to d=5 (Python 3.11, a shared 2-core box)
-STIRLING_MAX_D = 5
 # the top n of the Stirling product checks and the top k of e_k, h_k(JM)
 STIRLING_MAX_N, STIRLING_MAX_K = 10, 6
 
 
-def verify_stirling(max_d: int = STIRLING_MAX_D) -> dict:
-    if max_d > STIRLING_MAX_D:
-        raise SizeLimitError(f"verify stirling checks degrees up to its ceiling "
-                             f"{STIRLING_MAX_D}, not {max_d}")
+def verify_stirling(max_d: int = 5) -> dict:
     _check_sweep_start("stirling", max_d)
+    oracle._check_degree(max_d)  # above the oracle's guard, fail before any check
     checks: list[dict] = []
     from .exactnum import MultiPoly, TruncSeries, affine_factor, geometric_factor
 
@@ -296,13 +292,12 @@ def verify_stirling(max_d: int = STIRLING_MAX_D) -> dict:
             terms_ok = len(e.coeffs) == want_terms
             _check(checks, f"e_{k}(JM) class support d={d}", ok and terms_ok)
 
-        # the sum of all permutations, d! times the row idempotent F_(d): the
-        # same eigenvalue check on int coefficients
-        total = oracle.GroupAlgebraElement(d, dict.fromkeys(oracle.group(d), 1))
+        # on the row idempotent F_(d), d!^-1 times the sum of all permutations,
+        # any x acts by the sum of its coefficients: x F_(d) = (sum_p x_p) F_(d)
         for k, e, h in zip(range(STIRLING_MAX_K + 1), e_series, h_series):
             e_eigen = stirling(1, d, d - k) if d >= k else 0
-            ok_e = (e * total) == total.scale(e_eigen)
-            ok_h = (h * total) == total.scale(stirling(2, d - 1 + k, d - 1))
+            ok_e = sum(e.coeffs.values()) == e_eigen
+            ok_h = sum(h.coeffs.values()) == stirling(2, d - 1 + k, d - 1)
             _check(checks, f"JM eigenvalues on the row idempotent d={d} k={k}",
                    ok_e and ok_h)
     return _report("stirling", checks, max_n=STIRLING_MAX_N, max_d=max_d,
@@ -320,6 +315,7 @@ JACK_B0_MAX_D, JACK_B0_MAX_R = 4, 6
 
 
 def verify_jack(max_d: int = 5) -> dict:
+    _check_sweep_start("jack", max_d, start=1)
     _check_jack_degree(max_d)  # above the ceiling, fail before any basis is built
     checks: list[dict] = []
     for d in range(1, max_d + 1):

@@ -1075,14 +1075,16 @@ class TestOracleGuards:
 
 
 class TestStirlingCeiling:
-    def test_above_five_exits_naming_the_ceiling(self, capsys):
-        code, out, err = run(capsys, "verify", "stirling", "--max-d", "6")
-        assert code == EXIT_SIZE_LIMIT and out == "" and "ceiling 5" in err
+    """``verify stirling`` is bounded by the oracle's degree guard (6)."""
+
+    def test_above_the_guard_exits_naming_it(self, capsys):
+        code, out, err = run(capsys, "verify", "stirling", "--max-d", "7")
+        assert code == EXIT_SIZE_LIMIT and out == "" and "guard 6" in err
 
     def test_at_the_ceiling_runs(self, capsys):
-        code, out, _ = run(capsys, "verify", "stirling", "--max-d", "5")
+        code, out, _ = run(capsys, "verify", "stirling", "--max-d", "6")
         blob = json.loads(out)
-        assert code == EXIT_OK and blob["pass"] and blob["config"]["max_d"] == 5
+        assert code == EXIT_OK and blob["pass"] and blob["config"]["max_d"] == 6
 
 
 class TestDhrNormalizationOfPolynomials:

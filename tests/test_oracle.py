@@ -239,6 +239,29 @@ class TestIdempotents:
                                   u_values=(1,), v_values=(Fraction(1, 2),))
         assert report["passed"], report
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_a_series_term_off_the_centre_fails_the_eigenvalue_law(self, monkeypatch, n):
+        # one more transposition (1 2) on z^n: a sum that is no longer
+        # constant on its class is reported, not raised
+        original = oracle.jm_series
+
+        def skewed(g, d):
+            series = original(g, d)
+            series[n] = series[n] + GroupAlgebraElement(d, {(1, 0) + tuple(range(2, d)): 1})
+            return series
+
+        monkeypatch.setattr(oracle, "jm_series", skewed)
+        report = idempotent_check((2, 1), z_order=4, literal_order=1)
+        assert (report["idempotent"], report["orthogonal"], report["eigenvalue_law"],
+                report["passed"]) == (True, True, False, False)
+
+    def test_a_doubled_idempotent_is_not_idempotent(self, monkeypatch):
+        original = oracle.central_idempotent
+        monkeypatch.setattr(oracle, "central_idempotent", lambda lam: original(lam).scale(2))
+        report = idempotent_check((2, 1), z_order=4, literal_order=1)
+        assert (report["idempotent"], report["orthogonal"], report["eigenvalue_law"],
+                report["passed"]) == (False, True, True, False)
+
 
 class TestPermutationModules:
     def test_trivial_module(self):
@@ -329,7 +352,7 @@ class TestClassFunctions:
             for element in jm_series(g, d):
                 element.class_coefficients()
 
-    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("d", range(1, 6))
     def test_structure_constants_are_the_class_sum_products(self, d):
         sums, representatives, sizes, structure = oracle._class_algebra(d)
         parts = enumerate_partitions(d)
@@ -388,6 +411,22 @@ class TestStirlingSuite:
         assert failed == [f"prod (1+iz) vs first kind, n={n}"
                           for n in range(1, verify.STIRLING_MAX_N + 1)]
 
+    def test_a_scaled_e_k_fails_the_row_idempotent_check(self, monkeypatch):
+        # e_1(J) = the transposition class sum, doubled: its coefficients
+        # sum to 2 binom(d, 2), not to the eigenvalue binom(d, 2) on F_(d)
+        original = oracle.jm_series
+
+        def doubled(g, d):
+            series = original(g, d)
+            if g[2] == 0:  # prod (1 + z J_i), the e series
+                series[1] = series[1].scale(2)
+            return series
+
+        monkeypatch.setattr(oracle, "jm_series", doubled)
+        failed = [c["name"] for c in verify.verify_stirling()["checks"] if not c["pass"]]
+        assert failed == [name for d in range(2, 6) for name in (
+            f"e_1(JM) class support d={d}", f"JM eigenvalues on the row idempotent d={d} k=1")]
+
 
 class TestSuiteSizes:
     """A verify suite refuses a degree sweep that would check nothing, and
@@ -395,6 +434,7 @@ class TestSuiteSizes:
 
     @pytest.mark.parametrize("suite, max_d", [
         ("oracle", 0), ("stirling", 1), ("poles", 1), ("eigenvalue-order", 1),
+        ("characters", 0), ("jack", 0),
     ])
     def test_a_sweep_with_no_degree_is_refused(self, suite, max_d):
         with pytest.raises(DomainError):
