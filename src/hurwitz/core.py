@@ -851,17 +851,21 @@ def structure_resummation(r: int, s: int, profiles=(), *, d: int | None = None
     return resum_structure(structure_coefficients(s, profiles, d=d), r, d)
 
 
-def resum_structure(coeffs: dict[Fraction, Fraction], r: int, d: int) -> Fraction:
-    """(2/d!^2) sum_m C(m) m^r of the structure coefficients of degree d.
-
-    The sum runs on integer numerators over one common denominator of the
-    keys (``Q``) and one of the coefficients (``P``):
-    ``sum (C P) (m Q)^r / (P Q^r)``, divided once."""
+def _structure_integers(coeffs: dict[Fraction, Fraction]) -> tuple[int, int, list]:
+    """``(P, Q, [(C P, m Q)])`` of the coefficients C(m): Q is the lcm of the
+    key denominators and P that of the coefficients', so ``sum_m C(m) m^r =
+    sum (C P) (m Q)^r / (P Q^r)`` at every r."""
     q = math.lcm(*(m.denominator for m in coeffs))
     p = math.lcm(*(c.denominator for c in coeffs.values()))
-    total = sum(c.numerator * (p // c.denominator) * (m.numerator * (q // m.denominator)) ** r
-                for m, c in coeffs.items())
-    return Fraction(2 * total, p * q**r * math.factorial(d) ** 2)
+    return p, q, [(c.numerator * (p // c.denominator), m.numerator * (q // m.denominator))
+                  for m, c in coeffs.items()]
+
+
+def resum_structure(coeffs: dict[Fraction, Fraction], r: int, d: int) -> Fraction:
+    """(2/d!^2) sum_m C(m) m^r of the structure coefficients of degree d,
+    summed on the integers of ``_structure_integers`` and divided once."""
+    p, q, terms = _structure_integers(coeffs)
+    return Fraction(2 * sum(c * m**r for c, m in terms), p * q**r * math.factorial(d) ** 2)
 
 
 def gap_interval(d: int, s: int) -> tuple[Fraction, Fraction]:

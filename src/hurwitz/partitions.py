@@ -66,15 +66,20 @@ def _partitions_of(d: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partition_tuple(d: int) -> tuple[Partition, ...]:
-    """All partitions of ``d``, each exactly once, in reverse-lex order, as
-    one tuple memoized per degree, up to ``DEFAULT_PARTITION_CEILING``
-    (read at call time)."""
-    if d < 0:
-        raise DomainError(f"cannot partition the negative integer {d}")
+def check_ceiling(d: int):
+    """Refuse a degree above ``DEFAULT_PARTITION_CEILING`` (read at call time)."""
     if d > DEFAULT_PARTITION_CEILING:
         raise SizeLimitError(
             f"degree {d} exceeds the partition ceiling {DEFAULT_PARTITION_CEILING}")
+
+
+def partition_tuple(d: int) -> tuple[Partition, ...]:
+    """All partitions of ``d``, each exactly once, in reverse-lex order, as
+    one tuple memoized per degree, up to ``DEFAULT_PARTITION_CEILING``
+    (``check_ceiling``)."""
+    if d < 0:
+        raise DomainError(f"cannot partition the negative integer {d}")
+    check_ceiling(d)
     return _partitions_of(d)
 
 

@@ -31,6 +31,7 @@ from .core import (
     _orders,
     _resolve_degree,
     _scaled_f_bar,
+    _structure_integers,
     character_weights,
     completed_spectrum,
     completed_sweep,
@@ -47,7 +48,7 @@ from .errors import DomainError, EmptyReportError
 from .exactnum import stirling
 from .jack import (_check_jack_degree, b_hurwitz_sweep, deformed_contents, hall_product,
                    jack_in_psums, jack_norm)
-from .partitions import class_data, enumerate_partitions, partition_tuple, transpose
+from .partitions import check_ceiling, class_data, enumerate_partitions, transpose
 
 
 def _report(name: str, checks: list[dict], **config) -> dict:
@@ -66,8 +67,8 @@ def _check(checks: list[dict], name: str, ok: bool, detail: str = ""):
 def _check_sweep_start(suite: str, max_d: int, start: int = 2):
     """Refuse a degree sweep from d = ``start`` that would check nothing."""
     if max_d < start:
-        raise DomainError(f"verify {suite} sweeps from d={start}, so max_d must be at least "
-                          f"{start}, got {max_d}")
+        raise DomainError(f"verify {suite} sweeps from d={start}, so --max-d must be at "
+                          f"least {start}, got {max_d}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,7 @@ def verify_oracle(max_d: int = 4, max_transpositions: int = 6) -> dict:
     compared with its engine total by cross-multiplying the two
     denominators; only the first mismatch is written out as Fractions.
     """
+    _check_sweep_start("oracle", max_d, start=1)
     oracle._check_degree(max_d)
     oracle._check_transpositions(max_transpositions)
     checks: list[dict] = []
@@ -414,19 +416,22 @@ def verify_gap(d: int, s: int, profiles=()) -> dict:
         _check(checks, "inadmissible profiles give a vanishing family", top == 0,
                f"C(M)={top}")
 
-    # the direct side sums F^r over the partitions, with F = f_bar(lam, s+1) Q,
-    # so it checks the eigenvalue grouping against a sum that does not group
+    # the direct side sums F^r over the partitions, with F = f_bar(lam, s+1) q,
+    # so it checks the eigenvalue grouping against a sum that does not group;
+    # both sides are compared as ints, cross-multiplied by positive denominators
     ok = True
     detail = ""
     rs = [r for r in range(1, GAP_RESUM_R + 1) if s % 2 == 0 or (r + n * d - ell) % 2 == 0]
     q = f_bar_denominator(s + 1)
     denominator, weights = character_weights(d, profiles)
     direct = weighted_sweep(weights, lambda lam: _scaled_f_bar(lam, s + 1, q).__pow__, rs)
+    p, key_q, terms = _structure_integers(coeffs)
     for r in rs:
-        lhs, rhs = resum_structure(coeffs, r, d), Fraction(direct[r], denominator * q**r)
-        if lhs != rhs:
+        if (2 * sum(c * m**r for c, m in terms) * denominator * q**r
+                != direct[r] * p * key_q**r * math.factorial(d) ** 2):
             ok = False
-            detail = f"r={r}: {lhs} != {rhs}"
+            detail = (f"r={r}: {resum_structure(coeffs, r, d)} != "
+                      f"{Fraction(direct[r], denominator * q**r)}")
             break
     _check(checks, f"resummation identity r<={GAP_RESUM_R}", ok, detail)
     return _report("gap", checks, d=d, s=s,
@@ -447,6 +452,7 @@ def verify_poles(max_d: int = 6) -> dict:
     their inputs, so what ``_pole`` reads of each (``_pole_read``) is
     compared, as integers and Fractions, with no polynomial built."""
     _check_sweep_start("poles", max_d)
+    check_ceiling(max_d)  # above the partition ceiling, fail before any pole
     checks: list[dict] = []
     for d in range(2, max_d + 1):
         ok = True
@@ -557,7 +563,7 @@ EIGENVALUE_INDICES = (2, 3, 4, 5)
 
 def verify_eigenvalue_order(max_d: int = 10) -> dict:
     _check_sweep_start("eigenvalue-order", max_d)
-    partition_tuple(max_d)  # above the ceiling, fail before any eigenvalue
+    check_ceiling(max_d)  # above the partition ceiling, fail before any eigenvalue
     checks: list[dict] = []
     for s in EIGENVALUE_INDICES:
         ok = True

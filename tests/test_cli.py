@@ -150,6 +150,16 @@ class TestVerify:
         assert "(9, 15)" in blob["checks"][0]["detail"]
         assert "(10, 15)" in blob["checks"][0]["detail"]
 
+    def test_gap_reads_its_degree_off_the_profiles(self, capsys):
+        code, out, _ = run(capsys, "verify", "gap", "--s", "2", "--profiles", "2,1")
+        blob = json.loads(out)
+        assert code == EXIT_OK and blob["pass"] is True and blob["config"]["d"] == 3
+
+    def test_gap_without_a_degree_or_profiles(self, capsys):
+        code, out, err = run(capsys, "verify", "gap", "--s", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "degree d is required when no profiles are given" in err
+
     def test_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "oracle", "--max-d", "3",
                            "--max-transpositions", "4")

@@ -288,7 +288,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("d, s, profiles", [
         (6, 1, ()), (5, 2, ()), (5, 1, ((3, 1, 1),)), (5, 3, ((2, 2, 1), (3, 1, 1))),
-        (5, 4, ((3, 1, 1),))])
+        (5, 4, ((3, 1, 1),)), (9, 2, ((6, 2, 1), (5, 2, 2)))])
     def test_gap_resummation_catches_a_perturbed_coefficient(self, monkeypatch,
                                                              d, s, profiles):
         from hurwitz import verify
@@ -309,7 +309,8 @@ class TestStructure:
         assert checks[2]["detail"].startswith("r=")
 
     @pytest.mark.parametrize("d, s, profiles", [
-        (6, 1, ()), (5, 2, ()), (5, 3, ((2, 2, 1), (3, 1, 1))), (7, 3, ((4, 2, 1), (3, 3, 1)))])
+        (6, 1, ()), (5, 2, ()), (5, 3, ((2, 2, 1), (3, 1, 1))), (7, 3, ((4, 2, 1), (3, 3, 1))),
+        (9, 2, ((6, 2, 1), (5, 2, 2)))])
     def test_gap_checks_one_spectrum_against_the_partition_sum(self, monkeypatch,
                                                               d, s, profiles):
         # one spectrum build per request; more weight on its lowest positive
@@ -336,6 +337,32 @@ class TestStructure:
         checks = verify.verify_gap(d, s, profiles)["checks"]
         assert [c["pass"] for c in checks] == [True, True, False]
         assert checks[2]["detail"].startswith("r=")
+
+    @pytest.mark.parametrize("d, s, profiles", [
+        (6, 1, ()), (5, 2, ()), (7, 3, ((4, 2, 1), (3, 3, 1))), (9, 2, ((6, 2, 1), (5, 2, 2)))])
+    def test_a_passing_gap_builds_no_fraction_sum(self, monkeypatch, d, s, profiles):
+        from hurwitz import verify
+
+        def refuse(*args):
+            raise AssertionError("resum_structure was called")
+
+        monkeypatch.setattr(verify, "resum_structure", refuse)
+        assert verify.verify_gap(d, s, profiles)["pass"]
+
+    def test_gap_mismatch_detail_is_written_from_fractions(self, monkeypatch):
+        from hurwitz import verify
+
+        d, s, profiles = 5, 3, ((2, 2, 1), (3, 1, 1))
+        coeffs = structure_coefficients(s, profiles, d=d)
+        low = min(coeffs)
+        perturbed = {**coeffs, low: coeffs[low] + Fraction(1, 7)}
+        monkeypatch.setattr(verify, "structure_coefficients", lambda *a, **k: dict(perturbed))
+        r = 2  # the first admissible r: n d - ell = 4 is even
+        lhs = resum_structure_fractions(perturbed, r, d)
+        rhs = completed_hurwitz(r, s, profiles).value
+        assert lhs != rhs
+        detail = verify.verify_gap(d, s, profiles)["checks"][2]["detail"]
+        assert detail == f"r={r}: {lhs} != {rhs}" == "r=2: 292441/201600 != 1739/1200"
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_integer_resummation_is_the_fraction_sum(self, d):

@@ -440,12 +440,13 @@ class TestSuiteSizes:
         with pytest.raises(DomainError):
             getattr(verify, "verify_" + suite.replace("-", "_"))(max_d=max_d)
 
-    @pytest.mark.parametrize("suite, max_d", [("jack", 9), ("eigenvalue_order", 41)])
+    @pytest.mark.parametrize("suite, max_d", [("jack", 9), ("eigenvalue_order", 41),
+                                              ("poles", 41)])
     def test_a_size_above_the_ceiling_is_refused_before_any_work(self, monkeypatch, suite,
                                                                  max_d):
         # the Jack ceiling (8) and the partition ceiling (40)
         calls = []
-        for name in ("jack_in_psums", "f_bar"):
+        for name in ("jack_in_psums", "f_bar", "_limit_inputs"):
             original = getattr(verify, name)
             monkeypatch.setattr(verify, name, lambda *args, _original=original, _name=name:
                                 calls.append(_name) or _original(*args))
