@@ -291,34 +291,24 @@ def _checked_lists(d: int, profile_lists) -> list[tuple[tuple[Partition, ...], i
         class_data(mu).class_size for mu in profiles)) for profiles in profile_lists]
 
 
-@lru_cache(maxsize=None)
-def block_walk(d: int, blocks: tuple[Block, ...]) -> tuple[tuple[Perm, int], ...]:
-    """Number of admissible transposition sequences reaching each product.
+@lru_cache(maxsize=2 * ORACLE_MAX_TRANSPOSITIONS)
+def block_walk(d: int, block: Block) -> tuple[tuple[Perm, int], ...]:
+    """Number of transposition sequences of one block reaching each product.
 
     Pure dynamic programming over literal products: states are
-    (running product, larger point of the previous transposition in the
-    current block, 0 in an unconstrained one); merging equal states only
-    collects identical branches of the depth-first walk, so the counts are
-    exactly the sequence counts.  The walk of ``blocks`` is the memoized
-    walk of ``blocks[:-1]`` extended by the last block: between blocks the
-    states collapse to ``{product: count}``, and the next block starts
-    again from 0, so the extension is exact.  An unconstrained block
-    carries no state either, so a walk ending in k of them is the walk
-    ending in k - 1 extended by one transposition.
+    (running product, larger point of the previous transposition, 0
+    before the first and throughout an unconstrained block); merging
+    equal states only collects identical branches of the depth-first
+    walk, so the counts are exactly the sequence counts.  The memo holds
+    every monotone block that one degree reads at the transposition
+    guard, weak and strict.
     """
-    taus = transpositions(d)
-    if not blocks:
-        return ((identity(d), 1),)
-    *head, block = blocks
     monotone, strict = block.constraint != "none", block.constraint == "strict"
-    steps = block.count
-    if not monotone and steps > 1:
-        head, steps = head + [Block(steps - 1, "none")], 1
-    states: dict[tuple[Perm, int], int] = {(p, 0): n for p, n in block_walk(d, tuple(head))}
-    for _ in range(steps):
+    states: dict[tuple[Perm, int], int] = {(identity(d), 0): 1}
+    for _ in range(block.count):
         nxt: dict[tuple[Perm, int], int] = {}
         for (p, last), n in states.items():
-            for tau, b in taus:
+            for tau, b in transpositions(d):
                 if b < last or (strict and b == last):
                     continue
                 key = (compose(p, tau), b if monotone else 0)
@@ -380,8 +370,10 @@ def _raw_counts(d: int, block_lists, profile_lists) -> tuple[list[int], list[lis
     of (product of the class sums) * (product of the block walks), is
     ``sum_r X[r] W[r] |C_r|`` over the class coefficients X of the profile
     product and W of the block product, both multiplied in the class
-    algebra (``_class_algebra``).  Each distinct block is walked once, by
-    the ``block_walk`` memo, and read at one representative per class.
+    algebra (``_class_algebra``).  An unconstrained block of k
+    transpositions is the k-th power of the transposition class sum there;
+    each distinct monotone block is walked once, by the ``block_walk``
+    memo, and read at one representative per class.
     The profile lists and every block list's transposition count are
     checked as a ``FactorizationQuery`` checks them, before any count.
     """
@@ -394,10 +386,14 @@ def _raw_counts(d: int, block_lists, profile_lists) -> tuple[list[int], list[lis
     profile_sides = [[x * size for x, size in zip(
         reduce(product, map(sums.__getitem__, profiles), one), sizes)]
         for profiles, _ in lists]
+    tau = sums.get((2,) + (1,) * (d - 2), [0] * len(sizes))  # no transposition at d = 1
     walks = {}
     for block in dict.fromkeys(block for blocks in block_lists for block in blocks):
-        walk = dict(block_walk(d, (block,)))
-        walks[block] = [walk.get(g, 0) for g in representatives]
+        if block.constraint == "none":
+            walks[block] = reduce(product, [tau] * block.count, one)
+        else:
+            walk = dict(block_walk(d, block))
+            walks[block] = [walk.get(g, 0) for g in representatives]
     raws = []
     for blocks in block_lists:
         w = reduce(product, map(walks.__getitem__, blocks), one)

@@ -35,6 +35,7 @@ from .core import (
     character_weights,
     completed_spectrum,
     completed_sweep,
+    content_sequences,
     f_bar,
     f_bar_denominator,
     gap_interval,
@@ -257,49 +258,37 @@ def verify_stirling(max_d: int = 5) -> dict:
     _check_sweep_start("stirling", max_d)
     oracle._check_degree(max_d)  # above the oracle's guard, fail before any check
     checks: list[dict] = []
-    from .exactnum import MultiPoly, TruncSeries, affine_factor, geometric_factor
-
-    # both products grow by one factor per n: prod_{i<=n} (1 + iz) to the top
-    # order STIRLING_MAX_N, where the coefficients above n vanish, and
-    # prod_{i<=n} 1/(1 - iz) to order 8
-    one, order = MultiPoly.constant(0, 1), 8
-    rising = TruncSeries.one(0, STIRLING_MAX_N)
-    falling = TruncSeries.one(0, order)
+    # prod_{i<=n} (1 + iz) and prod_{i<=n} 1/(1 - iz) to the top order
+    # STIRLING_MAX_N, where the first product's coefficients above n vanish:
+    # the e and h sequences of the weights 1..n, as every content family
+    # reads them
     for n in range(0, STIRLING_MAX_N + 1):
-        if n:
-            rising = rising.mul(affine_factor(n, one, STIRLING_MAX_N))
-            falling = falling.mul(geometric_factor(n, one, order))
-        ok = all(
-            rising.coeffs[k].constant_value() == stirling(1, n + 1, n + 1 - k)
-            for k in range(n + 1)
-        ) and all(coeff.is_zero() for coeff in rising.coeffs[n + 1:])
+        e, h, _ = content_sequences(range(1, n + 1), GSpec(L=1, M=1), STIRLING_MAX_N)
+        ok = all(e[k] == stirling(1, n + 1, n + 1 - k) for k in range(n + 1)) \
+            and not any(e[n + 1:])
         _check(checks, f"prod (1+iz) vs first kind, n={n}", ok)
-
-        ok = all(
-            falling.coeffs[k].constant_value() == stirling(2, n + k, n)
-            for k in range(order + 1)
-        )
+        ok = all(x == stirling(2, n + k, n) for k, x in enumerate(h))
         _check(checks, f"prod 1/(1-iz) vs second kind, n={n}", ok)
 
     for d in range(2, max_d + 1):
-        # e_k and h_k of the Jucys-Murphy elements for every k <= STIRLING_MAX_K,
-        # one expansion of prod (1 + z J_i) and one of prod 1/(1 - z J_i)
-        e_series = oracle.jm_series([1, 1] + [0] * (STIRLING_MAX_K - 1), d)
-        h_series = oracle.jm_series([1] * (STIRLING_MAX_K + 1), d)
-        for k, e in zip(range(STIRLING_MAX_K + 1), e_series):
+        # e_k and h_k of the Jucys-Murphy elements for every k <= STIRLING_MAX_K:
+        # the strict and weak block walks, which ``verify oracle`` counts with
+        e_walks, h_walks = ([dict(oracle.block_walk(d, oracle.Block(k, constraint)))
+                             for k in range(STIRLING_MAX_K + 1)]
+                            for constraint in ("strict", "weak"))
+        for k, e in enumerate(e_walks):
             # Jucys: e_k is the sum of permutations needing exactly k transpositions
-            ok = all(e.coefficient(p) == (1 if d - len(oracle.cycle_type(p)) == k else 0)
+            ok = all(e.get(p, 0) == (1 if d - len(oracle.cycle_type(p)) == k else 0)
                      for p in oracle.group(d))
             want_terms = stirling(1, d, d - k) if d >= k else 0
-            terms_ok = len(e.coeffs) == want_terms
-            _check(checks, f"e_{k}(JM) class support d={d}", ok and terms_ok)
+            _check(checks, f"e_{k}(JM) class support d={d}", ok and len(e) == want_terms)
 
         # on the row idempotent F_(d), d!^-1 times the sum of all permutations,
         # any x acts by the sum of its coefficients: x F_(d) = (sum_p x_p) F_(d)
-        for k, e, h in zip(range(STIRLING_MAX_K + 1), e_series, h_series):
+        for k, (e, h) in enumerate(zip(e_walks, h_walks)):
             e_eigen = stirling(1, d, d - k) if d >= k else 0
-            ok_e = sum(e.coeffs.values()) == e_eigen
-            ok_h = sum(h.coeffs.values()) == stirling(2, d - 1 + k, d - 1)
+            ok_e = sum(e.values()) == e_eigen
+            ok_h = sum(h.values()) == stirling(2, d - 1 + k, d - 1)
             _check(checks, f"JM eigenvalues on the row idempotent d={d} k={k}",
                    ok_e and ok_h)
     return _report("stirling", checks, max_n=STIRLING_MAX_N, max_d=max_d,
@@ -372,13 +361,11 @@ def verify_jack(max_d: int = 5) -> dict:
 
     # the Jack weights at alpha = 1 against the character weights: both
     # sides read the same content sequences by design (``verify oracle``
-    # checks those against literal counts).  One sweep per degree: at
-    # z-order r the caps (d, JACK_B0_MAX_R) keep the same monomials as
-    # (min(r, d), r)
+    # checks those against literal counts).  One sweep per degree
     g, r_values = GSpec(K=1, L=1, M=1), range(JACK_B0_MAX_R + 1)
-    ok = all(b_hurwitz_sweep(r_values, g, (), 0, d=d, caps=(d, JACK_B0_MAX_R))
+    ok = all(b_hurwitz_sweep(r_values, g, (), 0, d=d)
              == {result.r: result.value for result in hypergeometric_hurwitz_sweep(
-                 r_values, g, (), d=d, caps=(d, JACK_B0_MAX_R))}
+                 r_values, g, (), d=d)}
              for d in range(1, JACK_B0_MAX_D + 1))
     _check(checks, f"b=0 equals the undeformed engine (d<={JACK_B0_MAX_D}, "
                    f"r<={JACK_B0_MAX_R})", ok)

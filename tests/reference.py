@@ -18,7 +18,6 @@ from hurwitz.oracle import (
     FactorizationQuery,
     GroupAlgebraElement,
     Perm,
-    block_walk,
     central_idempotent,
     class_perms,
     compose,
@@ -77,8 +76,8 @@ def count_factorizations_by_walks(d: int, block_lists, profile_lists) -> list[li
     """``oracle.count_factorizations_sweep`` on whole permutation walks: the
     identity coefficient of (product of the profiles' class sums) * (block
     element), read as the convolution of the literal profile product with
-    each block list's ``block_walk`` (keyed by the inverse), over
-    d! * prod of class sizes.  No class function is assumed central."""
+    each block list's ``block_walk_from_identity`` (keyed by the inverse),
+    over d! * prod of class sizes.  No class function is assumed central."""
     out = []
     products = []
     for profiles in profile_lists:
@@ -87,15 +86,16 @@ def count_factorizations_by_walks(d: int, block_lists, profile_lists) -> list[li
         products.append((product.coeffs.items(), math.factorial(d) * math.prod(
             class_data(mu).class_size for mu in profiles)))
     for blocks in block_lists:
-        walk = {inverse(p): n for p, n in block_walk(d, tuple(blocks))}
+        walk = {inverse(p): n for p, n in block_walk_from_identity(d, blocks).items()}
         out.append([Fraction(sum(n * walk.get(p, 0) for p, n in product), denominator)
                     for product, denominator in products])
     return out
 
 
 def block_walk_from_identity(d: int, blocks) -> dict[Perm, int]:
-    """``oracle.block_walk`` in one pass from the identity, block by block,
-    with no memo: {product: number of admissible transposition sequences}."""
+    """The walk of a block list in one pass from the identity, block by
+    block, with no memo: {product: number of admissible transposition
+    sequences}.  ``oracle.block_walk`` is its one-block case."""
     taus = transpositions(d)
     acc: dict[Perm, int] = {identity(d): 1}
     for block in blocks:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz import core, exactnum, oracle, verify
+from hurwitz import core, oracle, verify
 from hurwitz.core import (GSpec, completed_sweep, hypergeometric_hurwitz,
                           mixed_simple_hypergeometric)
 from hurwitz.errors import DomainError, SizeLimitError
@@ -48,8 +48,8 @@ class TestCounts:
     def test_block_reset_matters(self):
         # two weak singleton blocks allow any pair; one length-2 weak block
         # forces b1 <= b2, so on a 3-cycle target the counts differ
-        split = dict(block_walk(3, (Block(1, "weak"), Block(1, "weak"))))
-        joined = dict(block_walk(3, (Block(2, "weak"),)))
+        split = block_walk_from_identity(3, (Block(1, "weak"), Block(1, "weak")))
+        joined = dict(block_walk(3, Block(2, "weak")))
         three_cycle = (1, 2, 0)
         assert split[three_cycle] == 3
         assert joined[three_cycle] == 2
@@ -204,7 +204,7 @@ class TestJucysMurphy:
         for d in (2, 3, 4):
             for k in (2, 3, 4):
                 h = jm_symmetric_evaluate("h", k, d)
-                walk = dict(block_walk(d, (Block(k, "weak"),)))
+                walk = dict(block_walk(d, Block(k, "weak")))
                 assert h.coefficient(oracle.identity(d)) == walk.get(oracle.identity(d), 0)
 
 
@@ -339,7 +339,7 @@ class TestClassFunctions:
     def test_single_block_walks_are_constant_on_classes(self, d):
         for k in range(0, 7):
             for constraint in oracle.CONSTRAINTS:
-                walk = dict(block_walk(d, (Block(k, constraint),)))
+                walk = dict(block_walk(d, Block(k, constraint)))
                 for mu in enumerate_partitions(d):
                     values = {walk.get(p, 0) for p in oracle.class_perms(d, mu)}
                     assert len(values) == 1, (d, k, constraint, mu)
@@ -351,6 +351,18 @@ class TestClassFunctions:
         for g in ([1] * 7, [1, 1] + [0] * 5):
             for element in jm_series(g, d):
                 element.class_coefficients()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_unconstrained_blocks_are_powers_of_the_transposition_class_sum(self, d):
+        # _raw_counts reads a block of k free transpositions as the k-th
+        # power of the transposition class sum, never walked
+        sums, representatives, sizes, structure = oracle._class_algebra(d)
+        tau = sums.get((2,) + (1,) * (d - 2), [0] * len(sizes))
+        power = sums[(1,) * d]
+        for k in range(11):
+            walk = dict(block_walk(d, Block(k, "none")))
+            assert power == [walk.get(g, 0) for g in representatives], (d, k)
+            power = oracle._class_product(structure, power, tau)
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_structure_constants_are_the_class_sum_products(self, d):
@@ -387,26 +399,28 @@ class TestClassFunctions:
 
 
 class TestStirlingSuite:
-    def test_each_product_grows_by_one_factor_per_n(self, monkeypatch):
+    def test_each_product_reads_the_weights_one_to_n(self, monkeypatch):
         calls = []
-        original = TruncSeries.mul
-        monkeypatch.setattr(TruncSeries, "mul",
-                            lambda self, other, caps=None: calls.append(1)
-                            or original(self, other, caps))
+        original = verify.content_sequences
+        monkeypatch.setattr(verify, "content_sequences",
+                            lambda weights, gspec, r: calls.append((list(weights), r))
+                            or original(weights, gspec, r))
         assert verify.verify_stirling()["pass"]
-        assert len(calls) == 2 * verify.STIRLING_MAX_N == 20
+        assert calls == [(list(range(1, n + 1)), verify.STIRLING_MAX_N)
+                         for n in range(verify.STIRLING_MAX_N + 1)]
 
     def test_the_rising_check_reads_the_coefficients_above_n(self, monkeypatch):
-        # a z^order term on every factor leaves each coefficient up to n < 10
-        # as it is, and only the ones above n see it
-        original = exactnum.affine_factor
+        # a z^STIRLING_MAX_N term on every factor 1 + iz adds n to e at that
+        # order: each coefficient up to n < 10 stays as it is, and only the
+        # ones above n see it
+        original = verify.content_sequences
 
-        def padded(c, weight, order):
-            out = original(c, weight, order)
-            out.coeffs[order] = out.coeffs[order] + weight
-            return out
+        def padded(weights, gspec, r):
+            e, h, hk = original(weights, gspec, r)
+            e[r] += len(weights)
+            return e, h, hk
 
-        monkeypatch.setattr(exactnum, "affine_factor", padded)
+        monkeypatch.setattr(verify, "content_sequences", padded)
         failed = [c["name"] for c in verify.verify_stirling(max_d=2)["checks"] if not c["pass"]]
         assert failed == [f"prod (1+iz) vs first kind, n={n}"
                           for n in range(1, verify.STIRLING_MAX_N + 1)]
@@ -414,18 +428,36 @@ class TestStirlingSuite:
     def test_a_scaled_e_k_fails_the_row_idempotent_check(self, monkeypatch):
         # e_1(J) = the transposition class sum, doubled: its coefficients
         # sum to 2 binom(d, 2), not to the eigenvalue binom(d, 2) on F_(d)
-        original = oracle.jm_series
+        original = oracle.block_walk
 
-        def doubled(g, d):
-            series = original(g, d)
-            if g[2] == 0:  # prod (1 + z J_i), the e series
-                series[1] = series[1].scale(2)
-            return series
+        def doubled(d, block):
+            walk = original(d, block)
+            if block == Block(1, "strict"):  # the walk of e_1(J)
+                walk = tuple((p, 2 * n) for p, n in walk)
+            return walk
 
-        monkeypatch.setattr(oracle, "jm_series", doubled)
+        monkeypatch.setattr(oracle, "block_walk", doubled)
         failed = [c["name"] for c in verify.verify_stirling()["checks"] if not c["pass"]]
         assert failed == [name for d in range(2, 6) for name in (
             f"e_1(JM) class support d={d}", f"JM eigenvalues on the row idempotent d={d} k=1")]
+
+    def test_no_suite_multiplies_in_the_group_algebra(self, monkeypatch):
+        # verify stirling reads the walks and the content sequences, and
+        # verify oracle the class algebra: no group-algebra product, no
+        # truncated series and no walk of an unconstrained block enters
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verify suite multiplied in the group algebra or a series")
+
+        walked = []
+        original = oracle.block_walk
+        monkeypatch.setattr(oracle, "block_walk",
+                            lambda d, block: walked.append(block) or original(d, block))
+        monkeypatch.setattr(oracle, "jm_series", refuse)
+        monkeypatch.setattr(GroupAlgebraElement, "__mul__", refuse)
+        monkeypatch.setattr(TruncSeries, "mul", refuse)
+        assert verify.verify_stirling()["pass"]
+        assert verify.verify_oracle()["pass"]
+        assert walked and all(block.constraint != "none" for block in walked)
 
 
 class TestSuiteSizes:
@@ -583,16 +615,22 @@ class TestOracleSuite:
         assert len(swept) == 23
 
     def test_prefix_walks_match_the_walk_from_the_identity(self):
-        # the two-block lists first, so each extends a prefix the memo lacks
-        configs = list(verify._block_configs(6))[::-1]
-        block_walk.cache_clear()
-        try:
-            for d in range(1, 5):
-                for blocks in configs:
-                    want = block_walk_from_identity(d, blocks)
-                    assert block_walk(d, blocks) == tuple(want.items()), (d, blocks)
-        finally:
-            block_walk.cache_clear()
+        # a single block's walk is the walk from the identity, in the same
+        # order, and each block list's walk from the identity is the walk of
+        # its prefix times the last block's walk
+        configs = [blocks for blocks in verify._block_configs(6) if blocks]
+        for d in range(1, 5):
+            for blocks in configs:
+                want = block_walk_from_identity(d, blocks)
+                if len(blocks) == 1:
+                    assert block_walk(d, blocks[0]) == tuple(want.items()), (d, blocks)
+                    continue
+                got: dict = {}
+                for p, m in block_walk_from_identity(d, blocks[:-1]).items():
+                    for q, n in block_walk(d, blocks[-1]):
+                        r = oracle.compose(p, q)
+                        got[r] = got.get(r, 0) + m * n
+                assert got == want, (d, blocks)
 
     def test_bulk_counts_match_the_depth_first_count(self):
         # one bulk call per degree, over every block list and profile list
