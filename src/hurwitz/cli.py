@@ -18,6 +18,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import characters, verify
 from .asymptotics import ratio_report
@@ -167,8 +168,7 @@ def _unread_flags(command: str, request: str) -> tuple:
     """Each optional flag of ``command`` but --format and --output that
     ``request`` does not read, with its default: read off the memoized
     parser once per process and request."""
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    return tuple((a.dest, a.default) for a in sub.choices[command]._actions
+    return tuple((a.dest, a.default) for a in _subparsers()[command]._actions
                  if a.option_strings and not a.required
                  and a.dest not in ("help", "format", "output", *_READS[request]))
 
@@ -265,33 +265,50 @@ def _write(fmt: str, payload: dict, csv_rows: Iterable[list[str]], out) -> None:
         csv.writer(out, lineterminator="\n").writerows(csv_rows)
 
 
-def _is_table(value) -> bool:
-    """A nonempty list of lists of ints, which ``json`` indents one int a line."""
-    return bool(value) and isinstance(value, (list, tuple)) and all(
-        isinstance(row, (list, tuple)) and set(map(type, row)) <= {int} for row in value)
-
-
 def _json_chunks(payload: dict) -> Iterator[str]:
-    """``json.dumps(payload, indent=2)`` in pieces: a table at the top
-    level is one piece per row, and every other value one piece."""
-    tables = {key for key, value in payload.items() if _is_table(value)}
-    if not tables or not all(type(key) is str for key in payload):
-        yield json.dumps(payload, indent=2)
+    """``json.dumps(payload, indent=2)`` in pieces: with str keys, each
+    item of a list at the top level is one piece, so a table is written a
+    row at a time, and every other value is one piece."""
+    if not payload or not all(type(k) is str for k in payload):
+        yield _dumps(payload, "\n")
         return
     opening = "{"
     for key, value in payload.items():
-        yield f"{opening}\n  {json.dumps(key)}: "
+        yield f"{opening}\n  {encode_basestring_ascii(key)}: "
         opening = ","
-        if key not in tables:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        if type(value) not in (list, tuple) or not value:
+            yield _dumps(value, "\n  ")
             continue
         sep = "["
-        for row in value:
-            yield f"{sep}\n    " + ("[\n      " + ",\n      ".join(map(str, row))
-                                    + "\n    ]" if row else "[]")
+        for item in value:
+            yield sep + "\n    " + _dumps(item, "\n    ")
             sep = ","
         yield "\n  ]"
     yield "\n}"
+
+
+def _dumps(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` with ``indent``, a newline and the
+    indentation of ``value``'s own line, between lines.  Strings, exact
+    ints, bools, None, lists, tuples and dicts with str keys are written
+    here (strings by json's C encoder); every other value, and a dict
+    with another key, by ``json`` itself."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        return ("[" + inner + ("," + inner).join([_dumps(item, inner) for item in value])
+                + indent + "]") if value else "[]"
+    if kind is dict and all(type(k) is str for k in value):
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()])
+            + indent + "}") if value else "{}"
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +406,7 @@ def _cmd_compute(args) -> int:
         results.append(blob)
     payload = {"config": _config(args), "results": results}
     rows = [["r", "value"]]
-    for blob in results:
+    for blob in results if args.format == "csv" else ():  # JSON reads no rows
         value = blob["value"]
         rows.append([str(blob.get("r", "")),
                      value if isinstance(value, str) else json.dumps(value)])
@@ -569,9 +586,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name, from the memoized parser."""
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass: a request that
+    names a subcommand is parsed by that subcommand's parser alone, into
+    a namespace that starts with the command, as argparse would hand it
+    on.  Help, an unknown command and no command go to the top level."""
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is None:
+        return build_parser().parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        build_parser().error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.output:
             _check_output(args.output)
         _refuse_unread(args)

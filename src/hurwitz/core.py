@@ -273,7 +273,7 @@ def weighted_sweep(weights, factor, r_values, denominator: int | None = None) ->
         term = factor(lam)
         for i, r in enumerate(r_values):
             value, total = term(r), totals[i]
-            if isinstance(value, MultiPoly) and (total is None or isinstance(total, MultiPoly)):
+            if value.__class__ is MultiPoly and (total is None or isinstance(total, MultiPoly)):
                 if total is None:
                     total = totals[i] = MultiPoly(value.nvars)
                 total.add_scaled(value, weight)

@@ -22,6 +22,8 @@ from .errors import DomainError
 
 def format_rational(q: Fraction) -> str:
     """Canonical string form: ``p/q``, or just ``n`` for integers."""
+    if type(q) is int or type(q) is Fraction:  # already canonical
+        return str(q)
     return str(Fraction(q))
 
 

@@ -291,7 +291,7 @@ def _checked_lists(d: int, profile_lists) -> list[tuple[tuple[Partition, ...], i
         class_data(mu).class_size for mu in profiles)) for profiles in profile_lists]
 
 
-@lru_cache(maxsize=2 * ORACLE_MAX_TRANSPOSITIONS)
+@lru_cache(maxsize=2 * ORACLE_MAX_TRANSPOSITIONS * ORACLE_MAX_DEGREE)
 def block_walk(d: int, block: Block) -> tuple[tuple[Perm, int], ...]:
     """Number of transposition sequences of one block reaching each product.
 
@@ -300,8 +300,8 @@ def block_walk(d: int, block: Block) -> tuple[tuple[Perm, int], ...]:
     before the first and throughout an unconstrained block); merging
     equal states only collects identical branches of the depth-first
     walk, so the counts are exactly the sequence counts.  The memo holds
-    every monotone block that one degree reads at the transposition
-    guard, weak and strict.
+    every monotone block, weak and strict, of every degree up to the
+    guards, so a repeated ``verify oracle`` walks nothing again.
     """
     monotone, strict = block.constraint != "none", block.constraint == "strict"
     states: dict[tuple[Perm, int], int] = {(identity(d), 0): 1}

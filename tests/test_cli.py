@@ -323,6 +323,26 @@ class TestRatioBytes:
         assert got == [(EXIT_OK, pin) for pin, _ in self.PINS]
 
 
+class TestJsonBytes:
+    """One JSON output of each command is pinned byte for byte, its
+    ``config`` object included (md5 of stdout)."""
+
+    PINS = [
+        ("8ac21475", "compute --kind hypergeometric --profiles 3,1;2,2 --K 1 --L 1 --M 1 --r 4"),
+        ("8f4c8f65", "table --what ratio --kind monotone --d 5 --K 1 --r-min 0 --r-max 12"),
+        ("4deb615e", "table --what structure --d 6 --profiles 2,2,1,1"),
+        ("18af5172", "verify gap --d 5 --profiles 3,2"),
+        ("e4d1f725", "chartable --d 5 --format json"),
+    ]
+
+    def test_md5_of_each_output(self, capsys):
+        got = []
+        for _, request in self.PINS:
+            code, out, _ = run(capsys, *request.split())
+            got.append((code, hashlib.md5(out.encode()).hexdigest()[:8]))
+        assert got == [(EXIT_OK, pin) for pin, _ in self.PINS]
+
+
 class TestCharTableCommand:
     def test_csv_dump(self, capsys):
         code, out, _ = run(capsys, "chartable", "--d", "3")
@@ -376,9 +396,63 @@ class TestJsonWriter:
         {"table": ((1, 2), (3,)), "mixed": [[1, True]], "floats": [[1.5]], "nested": [[[1]]]},
         {"text": "a\nb\u00e9", "records": [{"k": [0]}, {}], "none": None, "tuple": (1, 2)},
         {"keys": {1: "an int key"}}, {1: [[2]]}, {},
+        {"floats": [float("nan"), float("inf"), -float("inf")], "nan": float("nan"),
+         "rows": [[1], [float("inf")]]},
+        {"keys": {None: [1], True: {"a": 2}, False: "x"}}, {None: [[1]], True: "top"},
     ])
     def test_equals_json_dumps(self, payload):
         assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2)
+
+
+USAGE = "usage: hurwitz [-h] {compute,verify,table,chartable} ...\n"
+
+
+class TestFrontDoor:
+    """A request that names its subcommand is parsed once, by that
+    subcommand's parser; the top-level parser keeps help, unknown
+    commands, an empty argv and leftover arguments."""
+
+    @pytest.mark.parametrize("argv, usage", [(("--help",), "usage: hurwitz [-h]"),
+                                             (("compute", "--help"), "usage: hurwitz compute")],
+                             ids=["top", "compute"])
+    def test_help_exits_zero(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith(usage)
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("nosuchcommand",), "argument command: invalid choice: 'nosuchcommand'"),
+    ], ids=["empty", "unknown"])
+    def test_no_command_exits_3(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(USAGE + "error: " + message)
+
+    def test_unknown_flag_after_a_request_exits_3_under_the_top_usage(self, capsys):
+        code, out, err = run(capsys, "compute", "--kind", "classical", "--d", "2", "--r", "2",
+                             "--nope", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == USAGE + "error: unrecognized arguments: --nope 1\n"
+
+    def test_a_negative_rational_is_a_value(self, capsys):
+        code, out, _ = run(capsys, "compute", "--kind", "b-content", "--d", "3", "--K", "1",
+                           "--b", "-1/2", "--r", "2")
+        assert code == EXIT_OK and json.loads(out)["config"]["b"] == "-1/2"
+
+    def test_a_request_skips_the_top_level_parse(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser classified a request")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        code, out, _ = run(capsys, "compute", "--kind", "classical", "--d", "3", "--r", "2")
+        assert code == EXIT_OK and json.loads(out)["config"]["command"] == "compute"
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hurwitz", "compute", "--kind", "classical",
+                                          "--d", "3", "--r", "2", "--format", "csv"])
+        code = main()
+        assert code == EXIT_OK and capsys.readouterr().out.splitlines()[-1] == "2,1/2"
 
 
 class TestExitCodes:

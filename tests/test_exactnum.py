@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,9 @@ class TestScalars:
     def test_rational_strings(self):
         assert format_rational(Fraction(3, 6)) == "1/2"
         assert format_rational(Fraction(4, 2)) == "2"
+        # every other input goes through Fraction, as a bool does
+        assert [format_rational(q) for q in (-7, True, "3/6", 0.25, Decimal("1.5"))] == \
+            ["-7", "1", "1/2", "1/4", "3/2"]
 
 
 def expand_product(factors, order):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import cli, core, jack
+from hurwitz import cli, core, jack, oracle
 from hurwitz.characters import character
 from hurwitz.partitions import class_data, enumerate_partitions
 from hurwitz.verify import verify_oracle
@@ -133,6 +133,17 @@ def test_the_oracle_suite_lists_each_weight_list_once():
     # per (d, profiles): one sweep over every monotone query, then one
     # completed sweep
     assert info.hits == 23
+
+
+def test_a_repeated_oracle_suite_walks_no_block_again():
+    oracle.block_walk.cache_clear()
+    verify_oracle(max_d=3, max_transpositions=5)
+    first = oracle.block_walk.cache_info()
+    verify_oracle(max_d=3, max_transpositions=5)
+    second = oracle.block_walk.cache_info()
+    # 10 weak and strict blocks of up to 5 transpositions at each d <= 3
+    assert first.misses == 30
+    assert (second.misses, second.hits) == (first.misses, first.hits + 30)
 
 
 def test_connected_gw_lists_each_sub_instance_once(capsys, monkeypatch):
